@@ -228,6 +228,26 @@ class _SentenceBuilder:
         self.regions = []
 
 
+def _tag_problem(m, builder):
+    """Why the tag at this point is malformed or out of place, or None."""
+    if not m:
+        return "malformed tag"
+    if m.group("close"):
+        if builder.open_class is None:
+            return "closing tag without an open region"
+        element = _ELEMENT_OF_CLASS[builder.open_class]
+        if m.group("close") != element:
+            return "closing tag %s does not match open %s" % (m.group("close"), element)
+        if builder.open_start == len(builder.tokens):
+            return "empty region"
+        return None
+    if builder.open_class is not None:
+        return "nested tags are not allowed"
+    if m.group("type") not in _CLASSES_OF_ELEMENT[m.group("element")]:
+        return "unknown TYPE %r for %s" % (m.group("type"), m.group("element"))
+    return None
+
+
 def parse_annotated(text: str) -> list:
     """Parse inline-markup annotated text into AnnotatedSentences."""
     builder = _SentenceBuilder()
@@ -240,32 +260,18 @@ def parse_annotated(text: str) -> list:
         if lt > pos:
             builder.add_text(_unescape(text[pos:lt], text, pos))
         m = _TAG_RE.match(text, lt)
-        line, col = _position(text, lt)
-        if not m:
-            raise ParseError("malformed tag", line, col)
+        problem = _tag_problem(m, builder)
+        if problem:
+            # The position lookup scans from the start of the text, so
+            # only an error pays for it and parsing stays linear.
+            raise ParseError(problem, *_position(text, lt))
         if m.group("close"):
-            if builder.open_class is None:
-                raise ParseError("closing tag without an open region", line, col)
-            element = _ELEMENT_OF_CLASS[builder.open_class]
-            if m.group("close") != element:
-                raise ParseError("closing tag %s does not match open %s"
-                                 % (m.group("close"), element), line, col)
-            if builder.open_start == len(builder.tokens):
-                raise ParseError("empty region", line, col)
             builder.close_region()
         else:
-            if builder.open_class is not None:
-                raise ParseError("nested tags are not allowed", line, col)
-            name_class = m.group("type")
-            element = m.group("element")
-            if name_class not in _CLASSES_OF_ELEMENT[element]:
-                raise ParseError("unknown TYPE %r for %s" % (name_class, element),
-                                 line, col)
-            builder.open_region(name_class)
+            builder.open_region(m.group("type"))
         pos = m.end()
     if builder.open_class is not None:
-        line, col = _position(text, len(text))
-        raise ParseError("unclosed tag at end of document", line, col)
+        raise ParseError("unclosed tag at end of document", *_position(text, len(text)))
     builder.flush()
     return builder.sentences
 

@@ -12,10 +12,18 @@ score, and earlier classes in the fixed inventory order beat later
 ones.  Backtracing the boundary flags yields the region segmentation;
 NOT-A-NAME stretches produce no Region records.
 
-The decoder memoizes per-word probability vectors (transition rows,
-first-word rows, bigram and region-end vectors), so throughput on large
-documents is dominated by dictionary lookups, not mixture evaluation.
-Decoding time is linear in token count.
+The decoder caches rows of log probabilities under canonical keys: a
+route flag (main or unknown-word tables) plus the token as looked up,
+with every out-of-vocabulary word mapped to ``+unk+``.  A transition
+row holds every class pair for one previous word, a first-word row
+every class pair (and the sentence start) for one token, and a
+next-word row every class for one (previous token, token) pair, the
+region-closing ``+end+`` included.  The estimator's ``TableView`` fills
+each row in one pass.  All out-of-vocabulary words of one feature share
+their rows, and a literal ``+unk+`` in the text, which the main tables
+answer, never shares a row with them.  Throughput on large documents is
+dominated by dictionary lookups, not mixture evaluation.  Decoding time
+is linear in token count.
 """
 
 import math
@@ -31,7 +39,7 @@ from .corpus import (
     tokenize,
 )
 from .counts import TrainedModel
-from .estimator import p_class_transition, p_first_word, p_next_word
+from .estimator import TableView, p_class_transition, p_first_word, p_next_word, route
 from .features import END_TOKEN, END_WORD, Token, compute_feature
 
 _K = len(INTERNAL_CLASSES)
@@ -96,82 +104,72 @@ class Decoder:
     def __init__(self, model: TrainedModel):
         self.model = model
         self.config = model.feature_config
+        size = len(model.vocabulary)
+        # Indexed by the route flag: main tables, then unknown-word tables.
+        self._views = (TableView(model.main, size), TableView(model.unknown, size))
         log = math.log
-        self._init_trans = [
-            log(p_class_transition(nc, START_OF_SENTENCE, END_WORD, model))
-            for nc in INTERNAL_CLASSES
-        ]
+        self._init_trans = [log(p) for p in
+                            self._views[False].transitions(START_OF_SENTENCE, END_WORD)[:_K]]
         self._trans_cache = {}
         self._fw_cache = {}
-        self._cont_cache = {}
-        self._end_cache = {}
+        self._next_cache = {}
 
-    def _trans(self, w_prev):
+    def _trans(self, unknown, w_prev):
         """(by_target, to_end): by_target[j][i] = log Pr(class j | class i, w_prev)."""
-        cached = self._trans_cache.get(w_prev)
+        key = (unknown, w_prev)
+        cached = self._trans_cache.get(key)
         if cached is None:
-            log, model = math.log, self.model
-            by_target = [
-                [log(p_class_transition(nc, nc_prev, w_prev, model))
-                 for nc_prev in INTERNAL_CLASSES]
-                for nc in INTERNAL_CLASSES
-            ]
-            to_end = [log(p_class_transition(END_OF_SENTENCE, nc_prev, w_prev, model))
-                      for nc_prev in INTERNAL_CLASSES]
-            cached = self._trans_cache[w_prev] = (by_target, to_end)
+            log, view = math.log, self._views[unknown]
+            rows = [view.transitions(nc_prev, w_prev) for nc_prev in INTERNAL_CLASSES]
+            by_target = [[log(row[j]) for row in rows] for j in range(_K)]
+            to_end = [log(row[_K]) for row in rows]
+            cached = self._trans_cache[key] = (by_target, to_end)
         return cached
 
-    def _fw(self, token):
-        """fw[j][i] = log Pr(token opens class j | j, previous class i)."""
-        cached = self._fw_cache.get(token)
+    def _fw(self, unknown, token):
+        """(fw, from_start): fw[j][i] = log Pr(token opens class j | j, previous
+        class i); from_start[j] is the same after START-OF-SENTENCE."""
+        key = (unknown, token)
+        cached = self._fw_cache.get(key)
         if cached is None:
-            log, model = math.log, self.model
-            cached = self._fw_cache[token] = [
-                [log(p_first_word(token, nc, nc_prev, model))
-                 for nc_prev in INTERNAL_CLASSES]
-                for nc in INTERNAL_CLASSES
-            ]
+            log = math.log
+            rows = [[log(p) for p in row] for row in self._views[unknown].first_words(token)]
+            cached = self._fw_cache[key] = (rows, [row[_K] for row in rows])
         return cached
 
-    def _cont(self, prev, token):
-        key = (prev, token)
-        cached = self._cont_cache.get(key)
+    def _next(self, unknown, prev, token):
+        """[log Pr(token | prev, class j)]; token END_TOKEN closes the region."""
+        key = (unknown, prev, token)
+        cached = self._next_cache.get(key)
         if cached is None:
-            log, model = math.log, self.model
-            cached = self._cont_cache[key] = [
-                log(p_next_word(token, prev, nc, model)) for nc in INTERNAL_CLASSES
-            ]
-        return cached
-
-    def _end(self, prev):
-        cached = self._end_cache.get(prev)
-        if cached is None:
-            log, model = math.log, self.model
-            cached = self._end_cache[prev] = [
-                log(p_next_word(END_TOKEN, prev, nc, model)) for nc in INTERNAL_CLASSES
-            ]
+            log = math.log
+            cached = self._next_cache[key] = [
+                log(p) for p in self._views[unknown].next_words(prev, token)]
         return cached
 
     def decode_sentence(self, words) -> DecodeResult:
         words = list(words)
         if not words:
             raise ValueError("cannot decode an empty sentence")
-        tokens = [Token(w, compute_feature(w, i == 0, self.config))
-                  for i, w in enumerate(words)]
-        n = len(tokens)
-        log, model = math.log, self.model
+        # Canonical keys: the route flag, and the token with an
+        # out-of-vocabulary word mapped to +unk+.
+        keys = []
+        for i, w in enumerate(words):
+            feature = compute_feature(w, i == 0, self.config)
+            unknown, word = route(self.model, w)
+            keys.append((unknown, Token(word, feature)))
+        n = len(keys)
 
-        scores = [self._init_trans[j] +
-                  log(p_first_word(tokens[0], INTERNAL_CLASSES[j],
-                                   START_OF_SENTENCE, model))
-                  for j in range(_K)]
+        _, from_start = self._fw(*keys[0])
+        scores = [self._init_trans[j] + from_start[j] for j in range(_K)]
         backptrs = []
         for t in range(1, n):
-            prev_tok, tok = tokens[t - 1], tokens[t]
-            end_vec = self._end(prev_tok)
-            cont_vec = self._cont(prev_tok, tok)
-            by_target, _ = self._trans(prev_tok.word)
-            fw = self._fw(tok)
+            prev_unknown, prev_tok = keys[t - 1]
+            unknown, tok = keys[t]
+            end_vec = self._next(prev_unknown, prev_tok, END_TOKEN)
+            cont_vec = self._next(prev_unknown or unknown, prev_tok, tok)
+            by_target, _ = self._trans(prev_unknown, prev_tok.word)
+            fw, _ = self._fw(unknown, tok)
             bscore = [scores[i] + end_vec[i] for i in range(_K)]
             new_scores = [0.0] * _K
             pointers = [None] * _K
@@ -192,9 +190,9 @@ class Decoder:
             scores = new_scores
             backptrs.append(pointers)
 
-        last = tokens[-1]
-        end_vec = self._end(last)
-        _, to_end = self._trans(last.word)
+        last_unknown, last = keys[-1]
+        end_vec = self._next(last_unknown, last, END_TOKEN)
+        _, to_end = self._trans(last_unknown, last.word)
         best_j = 0
         best_final = scores[0] + end_vec[0] + to_end[0]
         for j in range(1, _K):

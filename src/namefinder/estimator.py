@@ -3,8 +3,8 @@
 Each of the three distribution families (class transition, first word
 of a region, subsequent word) is a back-off chain: the most specific
 conditional estimate is mixed with progressively less conditioned ones,
-bottoming out at a uniform floor.  The mixing weight for each level is
-computed on the fly from that level's sample size and diversity:
+bottoming out at a uniform floor.  The mixing weight for each level
+comes from that level's sample size and diversity:
 
     lambda = (1 - old_c/c) * 1/(1 + unique/c)
 
@@ -14,10 +14,20 @@ previous (more specific) level, 0 at the top.  A level with c = 0 gets
 weight 0 and the mass flows past it.  Mixing happens in linear space;
 callers take logs afterward.
 
+No lambda depends on the outcome being scored, only on the chain of
+contexts.  ``_weights`` therefore turns one chain into a coefficient per
+level plus the residual weight of the floor, and every probability is
+the sum of coefficient * (count / c) from the most specific level down,
+plus residual * floor.  The scalar ``p_*`` queries weight their chain
+per call; a ``TableView`` weights each context once and fills a whole
+decoder row (every class, or every class pair) for one word in one
+pass, with the same arithmetic in the same order, so both give
+bit-identical results.
+
 Queries route between the main tables and the held-out unknown-word
 tables: if any word involved in the conditioning bigram is outside the
 training vocabulary, the unknown tables answer, with out-of-vocabulary
-words mapped to the ``+unk+`` sentinel for lookup.
+words mapped to the ``+unk+`` sentinel for lookup (``route``).
 
 The uniform floors are 1/(number of successor classes) for class
 transitions and (1/|V|)(1/14) for both word families.  The word-family
@@ -28,13 +38,17 @@ to renormalize it over the augmented space, which makes each family sum
 to exactly 1.
 """
 
-from .corpus import INTERNAL_CLASSES
+from .corpus import END_OF_SENTENCE, INTERNAL_CLASSES, START_OF_SENTENCE
 from .counts import CountTables, TrainedModel
 from .features import NUM_WORD_FEATURES, Token, UNKNOWN_WORD
 
 # Successor space of a class transition: the internal classes plus
 # END-OF-SENTENCE.  START-OF-SENTENCE is never a successor.
-NUM_SUCCESSOR_CLASSES = len(INTERNAL_CLASSES) + 1
+SUCCESSOR_CLASSES = INTERNAL_CLASSES + (END_OF_SENTENCE,)
+NUM_SUCCESSOR_CLASSES = len(SUCCESSOR_CLASSES)
+
+# Classes a region can follow: every internal class, then the sentence start.
+PREVIOUS_CLASSES = INTERNAL_CLASSES + (START_OF_SENTENCE,)
 
 
 def lambda_weight(c_y: int, old_c_y: int, unique_outcomes: int) -> float:
@@ -48,45 +62,46 @@ def lambda_weight(c_y: int, old_c_y: int, unique_outcomes: int) -> float:
     return (1.0 - old_c_y / c_y) / (1.0 + unique_outcomes / c_y)
 
 
-def _mix(levels, floor: float) -> float:
-    """Fold (probability, sample_size, unique_outcomes) levels over the floor.
+def _weights(levels):
+    """(coefficients, residual) of a chain of (sample_size, unique) levels.
 
     Levels run most-specific first.  old_c chains: each level's old_c is
-    the previous level's sample size, 0 at the top.  Whatever weight
-    survives the chain lands on the floor.
+    the previous level's sample size, 0 at the top.  A level's
+    coefficient is the weight that reaches it times its lambda; whatever
+    weight survives the chain is the residual, which lands on the floor.
     """
-    total = 0.0
+    coefficients = []
     weight = 1.0
     old_c = 0
-    for prob, c_y, unique in levels:
+    for c_y, unique in levels:
         lam = lambda_weight(c_y, old_c, unique)
-        total += weight * lam * prob
+        coefficients.append(weight * lam)
         weight *= 1.0 - lam
         old_c = c_y
-    return total + weight * floor
+    return coefficients, weight
+
+
+def _mix(levels, floor: float) -> float:
+    """Fold (count, sample_size, unique_outcomes) levels over the floor."""
+    coefficients, residual = _weights([(c_y, unique) for _, c_y, unique in levels])
+    total = 0.0
+    for coefficient, (count, c_y, _) in zip(coefficients, levels):
+        total += coefficient * _ratio(count, c_y)
+    return total + residual * floor
 
 
 def _level(table, context, event):
-    """One empirical level: (MLE ratio, sample size, unique outcomes)."""
-    c_y = table.total(context)
-    if c_y == 0:
-        return 0.0, 0, 0
-    return table.count(context, event) / c_y, c_y, table.unique(context)
+    """One empirical level: (event count, sample size, unique outcomes)."""
+    return table.count(context, event), table.total(context), table.unique(context)
 
 
-def _product_level(tables: CountTables, nc: str, word: str, feature: str):
-    """The Pr(w|NC)*Pr(f|NC) level shared by both word chains.
+def _ratio(count, c_y):
+    """count / c_y, or 0.0 for an unseen event; adding it is then a no-op."""
+    return count / c_y if count else 0.0
 
-    Its sample size equals the previous level's (both count every
-    emission in the class), so the first lambda factor is 0 and the
-    level never receives weight; it is computed for chain fidelity.
-    """
-    c_y = tables.word_only.total((nc,))
-    if c_y == 0:
-        return 0.0, 0, 0
-    p_word = tables.word_only.count((nc,), word) / c_y
-    p_feat = tables.feature_only.count((nc,), feature) / c_y
-    return p_word * p_feat, c_y, tables.word_only.unique((nc,))
+
+def _word_floor(vocab_size):
+    return 1.0 / (vocab_size * NUM_WORD_FEATURES)
 
 
 # --- Per-family mixtures against an explicit table set ----------------------
@@ -113,12 +128,11 @@ def p_first_word_from(tables: CountTables, token: Token, nc: str, nc_prev: str,
         _level(tables.first_words, (nc, nc_prev), token),
         _level(tables.begin_bigrams, (nc,), token),
         _level(tables.word_unigrams, (nc,), token),
-        _product_level(tables, nc, token.word, token.feature),
     ]
     if normalized_floor:
         floor = 1.0 / ((vocab_size + 1) * NUM_WORD_FEATURES)
     else:
-        floor = 1.0 / (vocab_size * NUM_WORD_FEATURES)
+        floor = _word_floor(vocab_size)
     return _mix(levels, floor)
 
 
@@ -128,57 +142,156 @@ def p_next_word_from(tables: CountTables, token: Token, prev: Token, nc: str,
     levels = [
         _level(tables.word_bigrams, (prev.word, prev.feature, nc), token),
         _level(tables.word_unigrams, (nc,), token),
-        _product_level(tables, nc, token.word, token.feature),
     ]
     if normalized_floor:
         # +1 for the unknown sentinel, +1 outcome for <+end+, other>.
         floor = 1.0 / ((vocab_size + 1) * NUM_WORD_FEATURES + 1)
     else:
-        floor = 1.0 / (vocab_size * NUM_WORD_FEATURES)
+        floor = _word_floor(vocab_size)
     return _mix(levels, floor)
+
+
+# --- Whole rows against one table set ---------------------------------------
+
+class TableView:
+    """One table set with every word-independent statistic weighted once.
+
+    Holds the class-bigram and marginal levels of the transition chain
+    and the weights of all 72 first-word contexts (class x previous
+    class); the word-bigram contexts of the next-word chain depend on
+    the previous word and are weighted per row.  Each row method returns
+    what the scalar ``p_*_from`` functions would, with the default
+    floor, for every class at once.
+    """
+
+    def __init__(self, tables: CountTables, vocab_size: int):
+        self.tables = tables
+        self._word_floor = floor = _word_floor(vocab_size)
+        self._marginal = self._successors(tables.class_marginal, ())
+        self._class_bigrams = {nc_prev: self._successors(tables.class_bigrams, (nc_prev,))
+                               for nc_prev in PREVIOUS_CLASSES}
+        # Per class: the pooled levels (events, sample size, unique).
+        self._begin = [self._stats(tables.begin_bigrams, (nc,)) for nc in INTERNAL_CLASSES]
+        self._unigrams = [self._stats(tables.word_unigrams, (nc,))
+                          for nc in INTERNAL_CLASSES]
+        # Per class, per previous class: (events, sample size, the three
+        # level coefficients, residual * floor).
+        self._first_contexts = []
+        for j, nc in enumerate(INTERNAL_CLASSES):
+            row = []
+            for nc_prev in PREVIOUS_CLASSES:
+                events, c_f, u_f = self._stats(tables.first_words, (nc, nc_prev))
+                (k1, k2, k3), residual = _weights(
+                    ((c_f, u_f), self._begin[j][1:], self._unigrams[j][1:]))
+                row.append((events, c_f, k1, k2, k3, residual * floor))
+            self._first_contexts.append(row)
+
+    @staticmethod
+    def _stats(table, context):
+        return table.events(context), table.total(context), table.unique(context)
+
+    @staticmethod
+    def _successors(table, context):
+        """(sample size, unique, [count/c per successor]) of a class level."""
+        c_y = table.total(context)
+        return c_y, table.unique(context), [_ratio(table.count(context, nc), c_y)
+                                            for nc in SUCCESSOR_CLASSES]
+
+    def transitions(self, nc_prev: str, w_prev: str):
+        """[Pr(nc | nc_prev, w_prev) for nc in SUCCESSOR_CLASSES]."""
+        events, c_t, u_t = self._stats(self.tables.class_transitions, (nc_prev, w_prev))
+        c_b, u_b, bigram = self._class_bigrams[nc_prev]
+        c_m, u_m, marginal = self._marginal
+        (k1, k2, k3), residual = _weights(((c_t, u_t), (c_b, u_b), (c_m, u_m)))
+        floor_term = residual * (1.0 / NUM_SUCCESSOR_CLASSES)
+        row = []
+        for nc, p_b, p_m in zip(SUCCESSOR_CLASSES, bigram, marginal):
+            count = events.get(nc)
+            total = k1 * (count / c_t) if count else 0.0
+            total += k2 * p_b
+            total += k3 * p_m
+            row.append(total + floor_term)
+        return row
+
+    def first_words(self, token: Token):
+        """rows[j][i] = Pr(token opens class j | j, PREVIOUS_CLASSES[i])."""
+        rows = []
+        for contexts, begin, unigrams in zip(self._first_contexts, self._begin,
+                                             self._unigrams):
+            p_b = _ratio(begin[0].get(token), begin[1])
+            p_u = _ratio(unigrams[0].get(token), unigrams[1])
+            row = []
+            for events, c_f, k1, k2, k3, floor_term in contexts:
+                count = events.get(token)
+                total = k1 * (count / c_f) if count else 0.0
+                total += k2 * p_b
+                total += k3 * p_u
+                row.append(total + floor_term)
+            rows.append(row)
+        return rows
+
+    def next_words(self, prev: Token, token: Token):
+        """[Pr(token | prev, nc) for nc in INTERNAL_CLASSES]."""
+        bigrams = self.tables.word_bigrams
+        word, feature = prev
+        floor = self._word_floor
+        row = []
+        for nc, (events_u, c_u, u_u) in zip(INTERNAL_CLASSES, self._unigrams):
+            events, c_w, u_w = self._stats(bigrams, (word, feature, nc))
+            (k1, k2), residual = _weights(((c_w, u_w), (c_u, u_u)))
+            count = events.get(token)
+            total = k1 * (count / c_w) if count else 0.0
+            total += k2 * _ratio(events_u.get(token), c_u)
+            row.append(total + residual * floor)
+        return row
 
 
 # --- Routed public queries ---------------------------------------------------
 
-def _tables_for(model: TrainedModel, *words) -> CountTables:
-    for word in words:
-        if not model.vocabulary.known(word):
-            return model.unknown
-    return model.main
+def route(model: TrainedModel, word: str):
+    """(unknown, lookup word) for one word.
+
+    unknown is True when the word is outside the training vocabulary:
+    the unknown-word tables answer any query it takes part in, and it is
+    looked up as the +unk+ sentinel.  Sentinels count as known.
+    """
+    if model.vocabulary.known(word):
+        return False, word
+    return True, UNKNOWN_WORD
+
+
+def _tables(model: TrainedModel, unknown: bool) -> CountTables:
+    return model.unknown if unknown else model.main
 
 
 def select_tables(w: str, w_prev: str, model: TrainedModel) -> CountTables:
     """Unknown-word tables iff either word of the bigram is unknown."""
-    return _tables_for(model, w, w_prev)
-
-
-def _lookup(model: TrainedModel, token: Token) -> Token:
-    if model.vocabulary.known(token.word):
-        return token
-    return Token(UNKNOWN_WORD, token.feature)
+    return _tables(model, route(model, w)[0] or route(model, w_prev)[0])
 
 
 def p_class_transition(nc: str, nc_prev: str, w_prev: str, model: TrainedModel,
                        normalized_floor: bool = False) -> float:
     """Pr(NC | NC_prev, w_prev), conditioned on the word only, never its
     feature.  w_prev is +end+ exactly when NC_prev is START-OF-SENTENCE."""
-    tables = _tables_for(model, w_prev)
-    w_prev = w_prev if model.vocabulary.known(w_prev) else UNKNOWN_WORD
-    return p_class_transition_from(tables, nc, nc_prev, w_prev, normalized_floor)
+    unknown, w_prev = route(model, w_prev)
+    return p_class_transition_from(_tables(model, unknown), nc, nc_prev, w_prev,
+                                   normalized_floor)
 
 
 def p_first_word(token: Token, nc: str, nc_prev: str, model: TrainedModel,
                  normalized_floor: bool = False) -> float:
     """Pr(token opens an NC region | NC, NC_prev)."""
-    tables = _tables_for(model, token.word)
-    return p_first_word_from(tables, _lookup(model, token), nc, nc_prev,
-                             len(model.vocabulary), normalized_floor)
+    unknown, word = route(model, token.word)
+    return p_first_word_from(_tables(model, unknown), Token(word, token.feature),
+                             nc, nc_prev, len(model.vocabulary), normalized_floor)
 
 
 def p_next_word(token: Token, prev: Token, nc: str, model: TrainedModel,
                 normalized_floor: bool = False) -> float:
     """Pr(token | prev token, NC) inside a region; query the +end+ sentinel
     as token to get the region-closing probability."""
-    tables = _tables_for(model, token.word, prev.word)
-    return p_next_word_from(tables, _lookup(model, token), _lookup(model, prev),
+    unknown, word = route(model, token.word)
+    prev_unknown, prev_word = route(model, prev.word)
+    return p_next_word_from(_tables(model, unknown or prev_unknown),
+                            Token(word, token.feature), Token(prev_word, prev.feature),
                             nc, len(model.vocabulary), normalized_floor)

@@ -1,5 +1,9 @@
 """Tokenizer, annotated-corpus parser, emitter, and corpus splitting."""
 
+import gc
+import statistics
+import time
+
 import pytest
 
 from namefinder import (
@@ -15,6 +19,7 @@ from namefinder import (
     TIME,
     emit_annotated,
     parse_annotated,
+    generate_corpus,
     split_corpus,
     tokenize,
 )
@@ -184,6 +189,44 @@ class TestParseErrors:
         assert info.value.line == 2
         assert info.value.column == 4
         assert str(info.value).startswith("line 2, column 4:")
+
+    @pytest.mark.parametrize("bad, message, column", [
+        ('x <ENAMEX TYPE="PERSON">a</TIMEX>', "does not match", 26),
+        ('x y <NUMEX TYPE="DATE">1</NUMEX>', "unknown TYPE", 5),
+        ("x <TIMEX b", "malformed", 3),
+    ])
+    def test_position_after_many_valid_lines_and_tags(self, bad, message, column):
+        valid = ('Mr. <ENAMEX TYPE="PERSON">John Smith</ENAMEX> paid '
+                 '<NUMEX TYPE="MONEY">$5</NUMEX> on <TIMEX TYPE="DATE">11/9/89</TIMEX> .')
+        doc = "\n".join([valid] * 400 + [bad, valid])
+        with pytest.raises(ParseError, match=message) as info:
+            parse_annotated(doc)
+        assert info.value.line == 401
+        assert info.value.column == column
+
+
+def test_parse_time_is_linear():
+    """time(2n)/time(n) <= 2.5 on annotated text, as criterion 9 asks of
+    decoding; a per-tag scan from the start of the text reads about 4.
+
+    Small and large parses alternate, and the gate takes the median of
+    the per-pair ratios, so that a burst of load on a shared machine
+    does not decide it.
+    """
+    lines = emit_annotated(generate_corpus(6000, seed=31)).splitlines(keepends=True)
+    small, large = "".join(lines[:3000]), "".join(lines)
+
+    def timed_parse(text):
+        gc.collect()
+        begin = time.perf_counter()
+        parse_annotated(text)
+        return time.perf_counter() - begin
+
+    ratios = []
+    for _ in range(5):
+        t_small = timed_parse(small)
+        ratios.append(timed_parse(large) / t_small)
+    assert statistics.median(ratios) <= 2.5, ratios
 
 
 class TestEmit:

@@ -27,6 +27,7 @@ from namefinder import (
     score_path,
     train,
 )
+from namefinder.synthetic import generate_corpus
 from reference import OOV_POOL, WORD_POOL, random_corpus, ref_best_path
 
 NAN = NOT_A_NAME
@@ -217,6 +218,52 @@ class TestDeterminismAndReuse:
         alone = [Decoder(model).decode_sentence(w) for w in sentences]
         shared = [decoder.decode_sentence(w) for w in sentences]
         assert shared == alone
+
+    def test_warm_caches_change_nothing(self):
+        # Fresh money, date and percent tokens are out of vocabulary and
+        # share rows by feature; literal sentinels are in vocabulary and
+        # are answered by the main tables, so the same +unk+ lookup word
+        # must not share a row with them.
+        model = train(generate_corpus(300, seed=11))
+        # The sentinel sentences come first, so that a cache key without
+        # the route flag would hand their main-table rows to the
+        # out-of-vocabulary tokens that follow.
+        sentences = [
+            ["the", "+unk+", "said", "+end+", "to", "+begin+", "."],
+            ["the", "~zq~", "said", "~qz~", "to", "@@", "."],
+            ["+unk+", "$9,999", "rose", "+unk+", "."],
+            ["~qq~", "+end+", "+unk+", "~qq~"],
+            ["+begin+"], ["+unk+"], ["~zz~"],
+        ]
+        sentences += [s.tokens for s in generate_corpus(60, seed=12)]
+        warm = Decoder(model)
+        for words in sentences:
+            warm.decode_sentence(words)
+        for words in sentences:
+            result = warm.decode_sentence(words)
+            fresh = Decoder(model).decode_sentence(words)
+            assert result.log_score == fresh.log_score
+            assert result.path_classes == fresh.path_classes
+            assert result.path_boundaries == fresh.path_boundaries
+            rebuilt = score_path(tokens_of(words, model), result.path_classes,
+                                 result.path_boundaries, model)
+            assert rebuilt == pytest.approx(result.log_score, abs=1e-9)
+
+    def test_oov_words_of_one_feature_share_rows(self, tiny_model):
+        decoder = Decoder(tiny_model)
+        oov = ["zq" + a + b + c for a in "abcdefghij" for b in "abcdefghij"
+               for c in "abcdefghij"]
+        assert len(oov) == 1000 and not any(w in tiny_model.vocabulary for w in oov)
+        decoder.decode_sentence(["the", "plan", "."])
+        first_word_rows = len(decoder._fw_cache)
+        decoder.decode_sentence(["the", oov[0], "plan", "."])
+        sizes = (len(decoder._fw_cache), len(decoder._trans_cache),
+                 len(decoder._next_cache))
+        for word in oov[1:]:
+            decoder.decode_sentence(["the", word, "plan", "."])
+        assert len(decoder._fw_cache) <= first_word_rows + 1
+        assert (len(decoder._fw_cache), len(decoder._trans_cache),
+                len(decoder._next_cache)) == sizes
 
     def test_empty_sentence_rejected(self, tiny_model):
         with pytest.raises(ValueError):
