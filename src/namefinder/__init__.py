@@ -34,7 +34,6 @@ from .corpus import (
     TIME,
     emit_annotated,
     parse_annotated,
-    split_corpus,
     tokenize,
 )
 from .counts import (
@@ -50,8 +49,6 @@ from .counts import (
 from .decoder import (
     DecodeResult,
     Decoder,
-    decode_document,
-    decode_sentence,
     regions_from_path,
     score_path,
 )
@@ -64,7 +61,6 @@ from .estimator import (
     p_first_word_from,
     p_next_word,
     p_next_word_from,
-    select_tables,
 )
 from .features import (
     ALL_CAPS,

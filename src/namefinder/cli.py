@@ -31,7 +31,6 @@ class RunConfig:
 
     feature_config: FeatureConfig = field(default_factory=FeatureConfig)
     beta: float = 1.0
-    seed: int = 0
     curve_fractions: tuple = DEFAULT_FRACTIONS
 
 
@@ -188,8 +187,6 @@ def _build_parser():
     p.add_argument("--fractions", default="1,1/2,1/4,1/8",
                    help="comma-separated training fractions")
     p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0,
-                   help="reserved for random subset sampling")
     p.add_argument("--spanish-numbers", action="store_true")
     return parser
 
@@ -209,7 +206,6 @@ def main(argv=None) -> int:
     if args.command == "score":
         return cmd_score(args.key, args.response, args.beta)
     config = RunConfig(feature_config=feature_config, beta=args.beta,
-                       seed=args.seed,
                        curve_fractions=_parse_fractions(parser, args.fractions))
     return cmd_learning_curve(args.corpus, args.test, config)
 

@@ -19,7 +19,6 @@ after a bare ``.``, ``!`` or ``?`` token that was followed by
 whitespace in the input.
 """
 
-import random
 import re
 from dataclasses import dataclass, field
 
@@ -303,24 +302,3 @@ def emit_annotated(sentences) -> str:
             parts[-1] += "</%s>" % _ELEMENT_OF_CLASS[ends[len(sentence.tokens)].name_class]
         lines.append(" ".join(parts))
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def split_corpus(sentences, fraction, seed: int):
-    """Deterministically split sentences into two disjoint parts.
-
-    Part A gets round(fraction * total) sentences (round half up), drawn by
-    a seeded shuffle; the remainder forms part B.
-    """
-    sentences = list(sentences)
-    if not sentences:
-        raise ValueError("cannot split an empty corpus")
-    if not 0 < fraction < 1:
-        raise ValueError("fraction must be in (0, 1), got %r" % (fraction,))
-    order = list(range(len(sentences)))
-    random.Random(seed).shuffle(order)
-    n_a = int(fraction * len(sentences) + 0.5)
-    picked = sorted(order[:n_a])
-    picked_set = set(picked)
-    part_a = [sentences[i] for i in picked]
-    part_b = [sentences[i] for i in range(len(sentences)) if i not in picked_set]
-    return part_a, part_b

@@ -4,9 +4,9 @@ Training walks each sentence as the generative story tells it: a class
 transition at every region boundary (conditioned on the previous class
 and the previous real word), a first-word event per region, a bigram
 event per subsequent word, and a ``+end+`` event closing each region.
-Lower-order tables (class bigrams and marginals, begin-bigrams, word
-unigrams, word-only and feature-only counts) are filled from the same
-walk so every back-off level is estimated from one pass.
+Lower-order tables (class bigrams and marginals, begin-bigrams and word
+unigrams) are filled from the same walk so every back-off level is
+estimated from one pass.
 
 The unknown-word tables come from a two-pass held-out scheme: build a
 vocabulary on the first half of the corpus and count the second half
@@ -145,9 +145,10 @@ class CondTable:
 
 @dataclass
 class CountTables:
-    """All count tables for one model (main or unknown-word).
+    """The seven count tables of one model (main or unknown-word).
 
-    Context/event shapes:
+    Each feeds a level of an estimator back-off chain.  Context/event
+    shapes:
       class_transitions  (nc_prev, w_prev) -> nc
       class_bigrams      (nc_prev,)        -> nc
       class_marginal     ()                -> nc
@@ -155,8 +156,6 @@ class CountTables:
       begin_bigrams      (nc,)             -> Token   (first words, pooled)
       word_bigrams       (w_prev, f_prev, nc) -> Token (includes +end+ events)
       word_unigrams      (nc,)             -> Token
-      word_only          (nc,)             -> word
-      feature_only       (nc,)             -> feature
     """
 
     class_transitions: CondTable = field(default_factory=CondTable)
@@ -166,13 +165,10 @@ class CountTables:
     begin_bigrams: CondTable = field(default_factory=CondTable)
     word_bigrams: CondTable = field(default_factory=CondTable)
     word_unigrams: CondTable = field(default_factory=CondTable)
-    word_only: CondTable = field(default_factory=CondTable)
-    feature_only: CondTable = field(default_factory=CondTable)
 
     NAMES = (
         "class_transitions", "class_bigrams", "class_marginal",
-        "first_words", "begin_bigrams", "word_bigrams",
-        "word_unigrams", "word_only", "feature_only",
+        "first_words", "begin_bigrams", "word_bigrams", "word_unigrams",
     )
 
     def tables(self):
@@ -244,8 +240,6 @@ def collect_counts(sentences, vocab: Vocabulary, map_unknown: bool,
             for j in range(start, end):
                 tok = tokens[j]
                 t.word_unigrams.add((nc,), tok)
-                t.word_only.add((nc,), tok.word)
-                t.feature_only.add((nc,), tok.feature)
                 if j > start:
                     prev = tokens[j - 1]
                     t.word_bigrams.add((prev.word, prev.feature, nc), tok)

@@ -218,11 +218,3 @@ class Decoder:
 
     def decode_document(self, text: str):
         return [self.decode_sentence(words) for words in tokenize(text)]
-
-
-def decode_sentence(words, model: TrainedModel) -> DecodeResult:
-    return Decoder(model).decode_sentence(words)
-
-
-def decode_document(text: str, model: TrainedModel):
-    return Decoder(model).decode_document(text)

@@ -107,11 +107,10 @@ def _word_floor(vocab_size):
 # --- Per-family mixtures against an explicit table set ----------------------
 
 def p_class_transition_from(tables: CountTables, nc: str, nc_prev: str,
-                            w_prev: str, normalized_floor: bool = False) -> float:
+                            w_prev: str) -> float:
     """Pr(NC | NC_prev, w_prev) from the given tables; always > 0.
 
-    The floor 1/(successor count) is already a proper distribution, so
-    normalized_floor changes nothing for this family.
+    The floor 1/(successor count) is already a proper distribution.
     """
     levels = [
         _level(tables.class_transitions, (nc_prev, w_prev), nc),
@@ -264,18 +263,11 @@ def _tables(model: TrainedModel, unknown: bool) -> CountTables:
     return model.unknown if unknown else model.main
 
 
-def select_tables(w: str, w_prev: str, model: TrainedModel) -> CountTables:
-    """Unknown-word tables iff either word of the bigram is unknown."""
-    return _tables(model, route(model, w)[0] or route(model, w_prev)[0])
-
-
-def p_class_transition(nc: str, nc_prev: str, w_prev: str, model: TrainedModel,
-                       normalized_floor: bool = False) -> float:
+def p_class_transition(nc: str, nc_prev: str, w_prev: str, model: TrainedModel) -> float:
     """Pr(NC | NC_prev, w_prev), conditioned on the word only, never its
     feature.  w_prev is +end+ exactly when NC_prev is START-OF-SENTENCE."""
     unknown, w_prev = route(model, w_prev)
-    return p_class_transition_from(_tables(model, unknown), nc, nc_prev, w_prev,
-                                   normalized_floor)
+    return p_class_transition_from(_tables(model, unknown), nc, nc_prev, w_prev)
 
 
 def p_first_word(token: Token, nc: str, nc_prev: str, model: TrainedModel,

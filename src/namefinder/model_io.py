@@ -2,11 +2,12 @@
 
 Layout: a fixed header (magic+version, feature config, class inventory,
 vocabulary size), a [vocabulary] section of word<TAB>id rows in id
-order, then one section per count table, main tables before unknown
-tables, each row `event<TAB>context<TAB>count`.  Event and context
-components are space-joined, with backslash escapes for characters that
-would collide with the framing (space, tab, newline, backslash).  Rows
-within a section are sorted, so serialization is deterministic and
+order, then one section per count table (the seven of
+``CountTables.NAMES``), main tables before unknown tables, each row
+`event<TAB>context<TAB>count`.  Event and context components are
+space-joined, with backslash escapes for characters that would collide
+with the framing (space, tab, newline, backslash).  Rows within a
+section are sorted, so serialization is deterministic and
 write→read→write is byte-identical.
 """
 
@@ -15,7 +16,7 @@ from .corpus import INTERNAL_CLASSES
 from .features import FeatureConfig, Token
 
 MAGIC = "namefinder-model"
-VERSION = 1
+VERSION = 2
 
 # How to decode each table's event field; contexts are always plain tuples.
 _TOKEN_EVENTS = {"first_words", "begin_bigrams", "word_bigrams", "word_unigrams"}

@@ -74,12 +74,17 @@ def ref_p_class_transition(tables, nc, nc_prev, w_prev):
 
 
 def _ref_product(tables, nc, token):
-    w_events, w_total, w_unique = _stats(tables.word_only, (nc,))
-    f_events, f_total, _ = _stats(tables.feature_only, (nc,))
+    """Pr(w|NC)*Pr(f|NC), from the word and feature marginals of the
+    class's word-unigram events."""
+    w_events, f_events = {}, {}
+    for (word, feature), n in tables.word_unigrams.events((nc,)).items():
+        w_events[word] = w_events.get(word, 0) + n
+        f_events[feature] = f_events.get(feature, 0) + n
+    w_total = sum(w_events.values())
     if w_total == 0:
         return 0.0, 0, 0
-    prob = (w_events.get(token.word, 0) / w_total) * (f_events.get(token.feature, 0) / f_total)
-    return prob, w_total, w_unique
+    prob = (w_events.get(token.word, 0) / w_total) * (f_events.get(token.feature, 0) / w_total)
+    return prob, w_total, len(w_events)
 
 
 def ref_p_first_word(tables, token, nc, nc_prev, vocab_size, normalized_floor=False):

@@ -134,11 +134,16 @@ class TestDecode:
         assert capsys.readouterr().out == ""
 
     def test_corrupt_model_file(self, workspace, tmp_path, capsys):
-        bad = tmp_path / "bad.nf"
-        bad.write_text("namefinder-model 99\n", encoding="utf-8")
-        code = main(["decode", str(workspace["plain"]), "--model", str(bad)])
-        assert code == EXIT_FORMAT
-        assert "bad model file" in capsys.readouterr().err
+        # Version 1 files are refused; their models must be retrained.
+        v1 = workspace["model"].read_text(encoding="utf-8").replace(
+            "namefinder-model 2\n", "namefinder-model 1\n", 1)
+        assert v1.startswith("namefinder-model 1\n")
+        for text in ("namefinder-model 99\n", v1):
+            bad = tmp_path / "bad.nf"
+            bad.write_text(text, encoding="utf-8")
+            code = main(["decode", str(workspace["plain"]), "--model", str(bad)])
+            assert code == EXIT_FORMAT
+            assert "bad model file" in capsys.readouterr().err
 
     def test_missing_model_file(self, workspace, tmp_path, capsys):
         code = main(["decode", str(workspace["plain"]),
@@ -271,6 +276,9 @@ class TestUsage:
     def test_unknown_command(self):
         with pytest.raises(SystemExit) as info:
             main(["frobnicate"])
+        assert info.value.code == EXIT_USAGE
+        with pytest.raises(SystemExit) as info:
+            main(["learning-curve", "train.ann", "test.ann", "--seed", "3"])
         assert info.value.code == EXIT_USAGE
 
     def test_missing_required_flag(self, workspace):

@@ -1,4 +1,4 @@
-"""Tokenizer, annotated-corpus parser, emitter, and corpus splitting."""
+"""Tokenizer, annotated-corpus parser and emitter."""
 
 import gc
 import statistics
@@ -20,7 +20,6 @@ from namefinder import (
     emit_annotated,
     parse_annotated,
     generate_corpus,
-    split_corpus,
     tokenize,
 )
 from conftest import ANNOTATED_FIXTURE
@@ -290,38 +289,3 @@ class TestRegionValidation:
         with pytest.raises(ValueError):
             AnnotatedSentence(tokens=["a"], regions=[Region(0, 2, PERSON)]).validate()
 
-
-class TestSplitCorpus:
-    def test_half_of_ten(self, rng):
-        corpus = random_corpus(rng, 10)
-        a, b = split_corpus(corpus, 0.5, seed=7)
-        assert len(a) == 5 and len(b) == 5
-
-    def test_half_of_nine_rounds_up(self, rng):
-        corpus = random_corpus(rng, 9)
-        a, b = split_corpus(corpus, 0.5, seed=7)
-        assert len(a) == 5 and len(b) == 4
-
-    def test_partition(self, rng):
-        corpus = random_corpus(rng, 30)
-        a, b = split_corpus(corpus, 0.3, seed=1)
-        assert len(a) + len(b) == 30
-        pool = list(corpus)
-        for s in a + b:
-            pool.remove(s)
-        assert pool == []
-
-    def test_deterministic(self, rng):
-        corpus = random_corpus(rng, 20)
-        assert split_corpus(corpus, 0.5, seed=3) == split_corpus(corpus, 0.5, seed=3)
-        a1, _ = split_corpus(corpus, 0.5, seed=3)
-        a2, _ = split_corpus(corpus, 0.5, seed=4)
-        assert a1 != a2
-
-    def test_validation(self, rng):
-        with pytest.raises(ValueError):
-            split_corpus([], 0.5, seed=0)
-        corpus = random_corpus(rng, 4)
-        for bad in (0.0, 1.0, -0.1, 1.5):
-            with pytest.raises(ValueError):
-                split_corpus(corpus, bad, seed=0)

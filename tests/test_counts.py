@@ -36,6 +36,16 @@ def full_vocab(sentences):
     return build_vocabulary(sentences)
 
 
+def marginal(tables, nc, part):
+    """Per-word (part "word") or per-feature (part "feature") counts of a
+    class's word unigrams."""
+    counts = {}
+    for token, n in tables.word_unigrams.events((nc,)).items():
+        key = getattr(token, part)
+        counts[key] = counts.get(key, 0) + n
+    return counts
+
+
 class TestSegmentClasses:
     def test_gaps_become_not_a_name(self):
         s = sent(["Mr.", "John", "Smith", "said", "hello", "."],
@@ -106,10 +116,10 @@ class TestSingleRegionSentence:
 
     def test_unigram_levels(self, tables):
         assert tables.word_unigrams.count((PERSON,), Token("John", "firstWord")) == 1
-        assert tables.word_only.count((PERSON,), "John") == 1
-        assert tables.feature_only.count((PERSON,), "firstWord") == 1
-        assert tables.word_only.count((NAN,), "runs") == 1
-        assert tables.feature_only.count((NAN,), "lowerCase") == 1
+        assert marginal(tables, PERSON, "word").get("John", 0) == 1
+        assert marginal(tables, PERSON, "feature").get("firstWord", 0) == 1
+        assert marginal(tables, NAN, "word").get("runs", 0) == 1
+        assert marginal(tables, NAN, "feature").get("lowerCase", 0) == 1
 
 
 class TestMultiTokenRegion:
@@ -265,8 +275,8 @@ class TestTrain:
         model = train(corpus)
         # Halves are [s1, s2] and [s3, s4]; each is counted against the
         # other's vocabulary, so only "delta" maps to the sentinel.
-        words = model.unknown.word_only.events((NAN,))
-        assert words == {"alpha": 3, "beta": 2, "gamma": 2, UNKNOWN_WORD: 1}
+        assert marginal(model.unknown, NAN, "word") == {
+            "alpha": 3, "beta": 2, "gamma": 2, UNKNOWN_WORD: 1}
         # The sentinel keeps the real word's feature.
         unigrams = model.unknown.word_unigrams.events((NAN,))
         assert unigrams[Token(UNKNOWN_WORD, "lowerCase")] == 1
@@ -290,10 +300,10 @@ class TestTrain:
             sent(["alpha", "delta"]),
         ]
         model = train(corpus)
-        assert model.main.word_only.events((NAN,)) == {
+        assert marginal(model.main, NAN, "word") == {
             "alpha": 3, "beta": 2, "gamma": 2, "delta": 1,
         }
-        assert UNKNOWN_WORD not in model.main.word_only.events((NAN,))
+        assert UNKNOWN_WORD not in marginal(model.main, NAN, "word")
         assert [model.vocabulary.id_of(w)
                 for w in ("alpha", "beta", "gamma", "delta")] == [1, 2, 3, 4]
 
@@ -301,7 +311,7 @@ class TestTrain:
         corpus = [sent(["a", "b"]), sent(["a", "b"]), sent(["b", "a"]),
                   sent(["a", "b"])]
         model = train(corpus)
-        assert UNKNOWN_WORD not in model.unknown.word_only.events((NAN,))
+        assert UNKNOWN_WORD not in marginal(model.unknown, NAN, "word")
 
     def test_unknown_mass_doubles_every_sentence(self, rng):
         # Both passes together count each sentence exactly once.
@@ -310,10 +320,8 @@ class TestTrain:
         total_tokens = sum(len(s.tokens) for s in corpus)
         assert model.unknown.class_marginal.total(()) == \
             model.main.class_marginal.total(())
-        assert model.unknown.word_only.total((NAN,)) + sum(
-            model.unknown.word_only.total((nc,))
-            for nc in INTERNAL_CLASSES if nc != NAN
-        ) == total_tokens
+        assert sum(sum(marginal(model.unknown, nc, "word").values())
+                   for nc in INTERNAL_CLASSES) == total_tokens
 
     def test_region_classes_flow_into_tables(self):
         corpus = [
@@ -321,6 +329,6 @@ class TestTrain:
             sent(["it", "won"]),
         ]
         model = train(corpus)
-        assert model.main.word_only.count((ORGANIZATION,), "Acme") == 1
+        assert marginal(model.main, ORGANIZATION, "word").get("Acme", 0) == 1
         assert model.main.first_words.count(
             (ORGANIZATION, START_OF_SENTENCE), Token("Acme", "firstWord")) == 1

@@ -18,8 +18,6 @@ from namefinder import (
     START_OF_SENTENCE,
     Token,
     compute_feature,
-    decode_document,
-    decode_sentence,
     p_class_transition,
     p_first_word,
     parse_annotated,
@@ -171,8 +169,8 @@ class TestNamedFixture:
 
 class TestDecodeDocument:
     def test_empty_text(self, tiny_model):
-        assert decode_document("", tiny_model) == []
-        assert decode_document("   \n ", tiny_model) == []
+        assert Decoder(tiny_model).decode_document("") == []
+        assert Decoder(tiny_model).decode_document("   \n ") == []
 
     def test_sentences_decode_independently(self, rng):
         corpus = random_corpus(rng, 30)
@@ -187,15 +185,6 @@ class TestDecodeDocument:
         assert [r.log_score for r in combined] == separate
         assert [r.sentence.tokens for r in combined] == [
             text_a.split(), text_b.split()]
-
-    def test_wrapper_functions_match_decoder_methods(self, tiny_model):
-        words = ["Mr.", "John", "Smith", "said", "hello", "."]
-        a = decode_sentence(words, tiny_model)
-        b = Decoder(tiny_model).decode_sentence(words)
-        assert a == b
-        text = " ".join(words)
-        assert decode_document(text, tiny_model) == \
-            Decoder(tiny_model).decode_document(text)
 
 
 class TestDeterminismAndReuse:

@@ -33,9 +33,9 @@ from namefinder import (
     p_first_word_from,
     p_next_word,
     p_next_word_from,
-    select_tables,
     train,
 )
+from namefinder.estimator import route
 from reference import (
     OOV_POOL,
     WORD_POOL,
@@ -125,9 +125,6 @@ def next_word_fixture():
     t.word_bigrams.add(come, Token("hither", "lowerCase"), 1)
     t.word_unigrams.add((NAN,), Token("here", "lowerCase"), 3)
     t.word_unigrams.add((NAN,), Token("hither", "lowerCase"), 1)
-    t.word_only.add((NAN,), "here", 3)
-    t.word_only.add((NAN,), "hither", 1)
-    t.feature_only.add((NAN,), "lowerCase", 4)
     return t
 
 
@@ -173,8 +170,6 @@ def first_word_fixture():
     for token, n in ((john, 2), (ann, 1), (bob, 1)):
         t.begin_bigrams.add((PERSON,), token, n)
         t.word_unigrams.add((PERSON,), token, n)
-        t.word_only.add((PERSON,), token.word, n)
-        t.feature_only.add((PERSON,), token.feature, n)
     return t
 
 
@@ -257,15 +252,17 @@ class TestNormalization:
 
 
 class TestRouting:
-    def test_select_tables(self, tiny_model):
-        assert select_tables("John", "said", tiny_model) is tiny_model.main
-        assert select_tables("zzz", "said", tiny_model) is tiny_model.unknown
-        assert select_tables("John", "zzz", tiny_model) is tiny_model.unknown
-        assert select_tables("zzz", "yyy", tiny_model) is tiny_model.unknown
+    def test_route(self, tiny_model):
+        # A query takes the unknown-word tables iff any word in it routes
+        # as unknown.
+        assert route(tiny_model, "John") == (False, "John")
+        assert route(tiny_model, "said") == (False, "said")
+        assert route(tiny_model, "zzz") == (True, UNKNOWN_WORD)
+        assert route(tiny_model, "yyy") == (True, UNKNOWN_WORD)
 
     def test_sentinels_never_route_to_unknown(self, tiny_model):
-        assert select_tables(END_WORD, "John", tiny_model) is tiny_model.main
-        assert select_tables(UNKNOWN_WORD, "John", tiny_model) is tiny_model.main
+        assert route(tiny_model, END_WORD) == (False, END_WORD)
+        assert route(tiny_model, UNKNOWN_WORD) == (False, UNKNOWN_WORD)
 
     def test_oov_condition_word_maps_to_sentinel(self, tiny_model):
         p = p_class_transition(PERSON, NAN, "zzz", tiny_model)

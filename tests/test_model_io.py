@@ -30,7 +30,7 @@ class TestRoundTrip:
     def test_serialization_is_byte_stable(self, tiny_model):
         text = serialize_model(tiny_model)
         assert reserialize(tiny_model) == text
-        assert text.startswith("namefinder-model 1\n")
+        assert text.startswith("namefinder-model 2\n")
         assert text.endswith("\n")
 
     def test_random_model_round_trips(self, rng):
@@ -91,13 +91,14 @@ class TestRoundTrip:
         assert serialize_model(reloaded) == text
         assert reloaded.vocabulary.id_of("two words") == \
             model.vocabulary.id_of("two words")
-        assert reloaded.main.word_only.count((NOT_A_NAME,), "line\nbreak") == 1
+        assert reloaded.main.word_unigrams.count(
+            (NOT_A_NAME,), Token("line\nbreak", "lowerCase")) == 1
 
 
 class TestFormatErrors:
     def test_version_mismatch_names_both_versions(self, tiny_model):
         text = serialize_model(tiny_model).replace(
-            "namefinder-model 1", "namefinder-model 2", 1)
+            "namefinder-model 2", "namefinder-model 1", 1)
         with pytest.raises(ModelFormatError) as info:
             deserialize_model(text)
         assert "1" in str(info.value) and "2" in str(info.value)
