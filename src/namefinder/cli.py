@@ -140,7 +140,13 @@ def cmd_learning_curve(corpus_path, test_path, config: RunConfig) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; this surface reserves 2 for
-    format problems, so remap usage errors to exit 1."""
+    format problems, so remap usage errors to exit 1.  Options must be
+    spelled in full: with prefix matching, adding or removing a flag
+    could change what an existing abbreviated command line means.
+    ``add_parser`` builds the subcommand parsers as this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -17,6 +17,7 @@ full vocabulary.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .corpus import (
     AnnotatedSentence,
@@ -188,6 +189,18 @@ class TrainedModel:
     unknown: CountTables
     feature_config: FeatureConfig
     classes: tuple = INTERNAL_CLASSES
+
+    @cached_property
+    def table_views(self):
+        """(main, unknown-word) estimator views, every context weighted.
+
+        Built the first time a decoder asks and shared by every decoder
+        over this model; not a field, so equality and the model file
+        ignore it.
+        """
+        from .estimator import TableView  # the estimator imports this module
+        size = len(self.vocabulary)
+        return TableView(self.main, size), TableView(self.unknown, size)
 
 
 def segment_classes(sentence: AnnotatedSentence):

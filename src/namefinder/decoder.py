@@ -19,11 +19,14 @@ row holds every class pair for one previous word, a first-word row
 every class pair (and the sentence start) for one token, and a
 next-word row every class for one (previous token, token) pair, the
 region-closing ``+end+`` included.  The estimator's ``TableView`` fills
-each row in one pass.  All out-of-vocabulary words of one feature share
-their rows, and a literal ``+unk+`` in the text, which the main tables
-answer, never shares a row with them.  Throughput on large documents is
-dominated by dictionary lookups, not mixture evaluation.  Decoding time
-is linear in token count.
+each row in one pass.  The views are the model's (``table_views``):
+built by the first decoder over a model, with every context weighted,
+and shared by every later one, so a fresh decoder starts with empty row
+caches but does no weighting.  All out-of-vocabulary words of one
+feature share their rows, and a literal ``+unk+`` in the text, which the
+main tables answer, never shares a row with them.  Throughput on large
+documents is dominated by dictionary lookups, not mixture evaluation.
+Decoding time is linear in token count.
 """
 
 import math
@@ -39,7 +42,7 @@ from .corpus import (
     tokenize,
 )
 from .counts import TrainedModel
-from .estimator import TableView, p_class_transition, p_first_word, p_next_word, route
+from .estimator import p_class_transition, p_first_word, p_next_word, route
 from .features import END_TOKEN, END_WORD, Token, compute_feature
 
 _K = len(INTERNAL_CLASSES)
@@ -104,9 +107,8 @@ class Decoder:
     def __init__(self, model: TrainedModel):
         self.model = model
         self.config = model.feature_config
-        size = len(model.vocabulary)
         # Indexed by the route flag: main tables, then unknown-word tables.
-        self._views = (TableView(model.main, size), TableView(model.unknown, size))
+        self._views = model.table_views
         log = math.log
         self._init_trans = [log(p) for p in
                             self._views[False].transitions(START_OF_SENTENCE, END_WORD)[:_K]]

@@ -19,10 +19,13 @@ contexts.  ``_weights`` therefore turns one chain into a coefficient per
 level plus the residual weight of the floor, and every probability is
 the sum of coefficient * (count / c) from the most specific level down,
 plus residual * floor.  The scalar ``p_*`` queries weight their chain
-per call; a ``TableView`` weights each context once and fills a whole
-decoder row (every class, or every class pair) for one word in one
-pass, with the same arithmetic in the same order, so both give
-bit-identical results.
+per call.  A ``TableView`` weights every trained context of its table
+set once, when it is built, and gives an untrained context the weights
+of an empty one; a row query is then one lookup per context plus the
+sum, filling a whole decoder row (every class, or every class pair) for
+one word in one pass.  Both use the same arithmetic in the same order,
+so they give bit-identical results.  ``TrainedModel.table_views`` holds
+the pair of views for its main and unknown-word tables.
 
 Queries route between the main tables and the held-out unknown-word
 tables: if any word involved in the conditioning bigram is outside the
@@ -37,6 +40,8 @@ the subsequent-word family) is slightly larger; pass normalized_floor
 to renormalize it over the augmented space, which makes each family sum
 to exactly 1.
 """
+
+from functools import cache
 
 from .corpus import END_OF_SENTENCE, INTERNAL_CLASSES, START_OF_SENTENCE
 from .counts import CountTables, TrainedModel
@@ -153,18 +158,21 @@ def p_next_word_from(tables: CountTables, token: Token, prev: Token, nc: str,
 # --- Whole rows against one table set ---------------------------------------
 
 class TableView:
-    """One table set with every word-independent statistic weighted once.
+    """One table set with every context weighted once.
 
     Holds the class-bigram and marginal levels of the transition chain
-    and the weights of all 72 first-word contexts (class x previous
-    class); the word-bigram contexts of the next-word chain depend on
-    the previous word and are weighted per row.  Each row method returns
-    what the scalar ``p_*_from`` functions would, with the default
-    floor, for every class at once.
+    and, for every context the tables were trained on, its events, its
+    sample size, the coefficient of each level of its chain and its
+    residual times the floor: the 72 first-word contexts (class x
+    previous class), every class-transition context and every
+    word-bigram context.  An untrained transition or word-bigram
+    context gets the default of its previous class or class, weighted
+    the same way with no events and c = 0.  Each row method returns what
+    the scalar ``p_*_from`` functions would, with the default floor, for
+    every class at once.
     """
 
     def __init__(self, tables: CountTables, vocab_size: int):
-        self.tables = tables
         self._word_floor = floor = _word_floor(vocab_size)
         self._marginal = self._successors(tables.class_marginal, ())
         self._class_bigrams = {nc_prev: self._successors(tables.class_bigrams, (nc_prev,))
@@ -184,6 +192,40 @@ class TableView:
                     ((c_f, u_f), self._begin[j][1:], self._unigrams[j][1:]))
                 row.append((events, c_f, k1, k2, k3, residual * floor))
             self._first_contexts.append(row)
+        # The level weights of a context depend on its class and its
+        # (sample size, unique), never on its events, so contexts that
+        # share those share one _weights call.  A model file does not
+        # check context shapes, so contexts no query can reach are skipped.
+        transition_weights = cache(self._transition_weights)
+        next_weights = cache(self._next_weights)
+        # (nc_prev, w_prev) -> (events, sample size, the three level
+        # coefficients, residual * floor); an untrained context takes the
+        # default of its previous class.
+        self._transition_defaults = {nc_prev: ({}, 0, *transition_weights(nc_prev, 0, 0))
+                                     for nc_prev in PREVIOUS_CLASSES}
+        self._transitions = {}
+        transitions = tables.class_transitions
+        for context in transitions.contexts():
+            if len(context) == 2 and context[0] in self._transition_defaults:
+                events, c_t, u_t = self._stats(transitions, context)
+                self._transitions[context] = (events, c_t,
+                                              *transition_weights(context[0], c_t, u_t))
+        # Previous token -> per class (events, sample size, the two level
+        # coefficients, residual * floor); an untrained class or token
+        # takes the default of the class.
+        self._next_defaults = tuple(({}, 0, *next_weights(j, 0, 0))
+                                    for j in range(len(INTERNAL_CLASSES)))
+        class_index = {nc: j for j, nc in enumerate(INTERNAL_CLASSES)}
+        self._next_contexts = {}
+        bigrams = tables.word_bigrams
+        for context in bigrams.contexts():
+            if len(context) == 3 and context[2] in class_index:
+                word, feature, nc = context
+                j = class_index[nc]
+                events, c_w, u_w = self._stats(bigrams, context)
+                row = self._next_contexts.setdefault(Token(word, feature),
+                                                     list(self._next_defaults))
+                row[j] = (events, c_w, *next_weights(j, c_w, u_w))
 
     @staticmethod
     def _stats(table, context):
@@ -196,13 +238,25 @@ class TableView:
         return c_y, table.unique(context), [_ratio(table.count(context, nc), c_y)
                                             for nc in SUCCESSOR_CLASSES]
 
+    def _transition_weights(self, nc_prev, c_t, u_t):
+        """(the three level coefficients, residual * floor) of a transition context."""
+        c_b, u_b, _ = self._class_bigrams[nc_prev]
+        c_m, u_m, _ = self._marginal
+        (k1, k2, k3), residual = _weights(((c_t, u_t), (c_b, u_b), (c_m, u_m)))
+        return k1, k2, k3, residual * (1.0 / NUM_SUCCESSOR_CLASSES)
+
+    def _next_weights(self, j, c_w, u_w):
+        """(the two level coefficients, residual * floor) of a word-bigram
+        context of class j."""
+        (k1, k2), residual = _weights(((c_w, u_w), self._unigrams[j][1:]))
+        return k1, k2, residual * self._word_floor
+
     def transitions(self, nc_prev: str, w_prev: str):
         """[Pr(nc | nc_prev, w_prev) for nc in SUCCESSOR_CLASSES]."""
-        events, c_t, u_t = self._stats(self.tables.class_transitions, (nc_prev, w_prev))
-        c_b, u_b, bigram = self._class_bigrams[nc_prev]
-        c_m, u_m, marginal = self._marginal
-        (k1, k2, k3), residual = _weights(((c_t, u_t), (c_b, u_b), (c_m, u_m)))
-        floor_term = residual * (1.0 / NUM_SUCCESSOR_CLASSES)
+        events, c_t, k1, k2, k3, floor_term = self._transitions.get(
+            (nc_prev, w_prev)) or self._transition_defaults[nc_prev]
+        bigram = self._class_bigrams[nc_prev][2]
+        marginal = self._marginal[2]
         row = []
         for nc, p_b, p_m in zip(SUCCESSOR_CLASSES, bigram, marginal):
             count = events.get(nc)
@@ -231,17 +285,13 @@ class TableView:
 
     def next_words(self, prev: Token, token: Token):
         """[Pr(token | prev, nc) for nc in INTERNAL_CLASSES]."""
-        bigrams = self.tables.word_bigrams
-        word, feature = prev
-        floor = self._word_floor
         row = []
-        for nc, (events_u, c_u, u_u) in zip(INTERNAL_CLASSES, self._unigrams):
-            events, c_w, u_w = self._stats(bigrams, (word, feature, nc))
-            (k1, k2), residual = _weights(((c_w, u_w), (c_u, u_u)))
+        for (events, c_w, k1, k2, floor_term), (events_u, c_u, _) in zip(
+                self._next_contexts.get(prev, self._next_defaults), self._unigrams):
             count = events.get(token)
             total = k1 * (count / c_w) if count else 0.0
             total += k2 * _ratio(events_u.get(token), c_u)
-            row.append(total + residual * floor)
+            row.append(total + floor_term)
         return row
 
 

@@ -37,6 +37,8 @@ def _escape(component: str) -> str:
 
 
 def _unescape(text: str) -> str:
+    if "\\" not in text:  # most components: nothing to undo
+        return text
     out = []
     i = 0
     while i < len(text):

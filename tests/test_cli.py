@@ -286,6 +286,13 @@ class TestUsage:
             main(["train", str(workspace["train"])])
         assert info.value.code == EXIT_USAGE
 
+    def test_abbreviated_options_are_usage_errors(self):
+        for argv in (["learning-curve", "a", "b", "--s"],
+                     ["decode", "x", "--mod", "m"]):
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            assert info.value.code == EXIT_USAGE
+
     def test_console_script_is_installed(self):
         exe = shutil.which("namefinder")
         if exe is None:

@@ -1,30 +1,27 @@
 """Viterbi decoding: exactness against exhaustive search, score
-reconstruction, document segmentation, and deterministic tie handling."""
+reconstruction, document segmentation, deterministic tie handling, and
+the estimator views shared by every decoder over one model."""
 
-import math
-import random
+from dataclasses import replace
 
 import pytest
 
 from namefinder import (
     AnnotatedSentence,
     Decoder,
-    END_WORD,
     INTERNAL_CLASSES,
     LOCATION,
     NOT_A_NAME,
     PERSON,
     Region,
-    START_OF_SENTENCE,
     Token,
     compute_feature,
-    p_class_transition,
-    p_first_word,
     parse_annotated,
     regions_from_path,
     score_path,
     train,
 )
+from namefinder.model_io import deserialize_model, serialize_model
 from namefinder.synthetic import generate_corpus
 from reference import OOV_POOL, WORD_POOL, random_corpus, ref_best_path
 
@@ -257,3 +254,44 @@ class TestDeterminismAndReuse:
     def test_empty_sentence_rejected(self, tiny_model):
         with pytest.raises(ValueError):
             Decoder(tiny_model).decode_sentence([])
+
+
+def has_views(model):
+    """Whether the model has built its cached estimator views."""
+    return "table_views" in vars(model)
+
+
+class TestSharedViews:
+    def test_decoders_share_one_pair_of_views(self, tiny_corpus):
+        model = train(tiny_corpus)
+        first, second = Decoder(model), Decoder(model)
+        assert first._views is second._views is model.table_views
+        assert Decoder(train(tiny_corpus))._views is not first._views
+
+    def test_training_and_loading_build_no_views(self, tiny_corpus):
+        model = train(tiny_corpus)
+        assert not has_views(model)
+        assert not has_views(deserialize_model(serialize_model(model)))
+
+    def test_views_change_neither_equality_nor_the_model_file(self, tiny_corpus):
+        model = train(tiny_corpus)
+        twin = replace(model)
+        text = serialize_model(model)
+        Decoder(model)
+        assert has_views(model) and not has_views(twin)
+        assert model == twin and twin == model
+        assert serialize_model(model) == text
+
+    def test_contexts_no_query_reaches_are_ignored(self, tiny_corpus):
+        # A model file does not check context shapes, so a loaded model
+        # may hold contexts no query can ask for; they must not stop a
+        # decoder from being built or change what it decodes.
+        clean = train(tiny_corpus)
+        odd = train(tiny_corpus)
+        odd.main.class_transitions.add(("BOGUS", "said"), PERSON)
+        odd.main.class_transitions.add(("said",), PERSON)
+        odd.main.word_bigrams.add(("said", "lowerCase"), Token("hello", "lowerCase"))
+        odd.main.word_bigrams.add(("said", "lowerCase", "BOGUS"), Token("hello", "lowerCase"))
+        odd = deserialize_model(serialize_model(odd))
+        text = "Mr. John Smith said hello .\nAcme Systems Corp. opened in Boston ."
+        assert Decoder(odd).decode_document(text) == Decoder(clean).decode_document(text)

@@ -13,7 +13,6 @@ import random
 import pytest
 
 from namefinder import (
-    CondTable,
     CountTables,
     END_OF_SENTENCE,
     END_TOKEN,
@@ -35,7 +34,8 @@ from namefinder import (
     p_next_word_from,
     train,
 )
-from namefinder.estimator import route
+from namefinder.estimator import PREVIOUS_CLASSES, SUCCESSOR_CLASSES, TableView, route
+from namefinder.synthetic import generate_corpus
 from reference import (
     OOV_POOL,
     WORD_POOL,
@@ -343,3 +343,73 @@ class TestOracleEquivalence:
             want = ref_p_next_word(tables, END_TOKEN,
                                    ref_lookup(model, prev), nc, size)
             assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.fixture(scope="module")
+def synthetic_model():
+    return train(generate_corpus(400, seed=21))
+
+
+class TestTableView:
+    """Each row equals the scalar queries exactly (==), on both table
+    sets, for trained and untrained contexts alike."""
+
+    @pytest.fixture(params=["tiny", "synthetic"])
+    def model(self, request, tiny_model, synthetic_model):
+        return tiny_model if request.param == "tiny" else synthetic_model
+
+    @staticmethod
+    def tables_and_view(model, table_set):
+        tables = getattr(model, table_set)
+        return tables, TableView(tables, len(model.vocabulary))
+
+    @pytest.mark.parametrize("table_set", ["main", "unknown"])
+    def test_transitions(self, model, table_set):
+        tables, view = self.tables_and_view(model, table_set)
+        trained = set(tables.class_transitions.contexts())
+        words = {w_prev for _, w_prev in trained}
+        words |= {END_WORD, UNKNOWN_WORD, "never-seen"}
+        seen = {True: 0, False: 0}
+        for nc_prev in PREVIOUS_CLASSES:
+            for w_prev in sorted(words):
+                seen[(nc_prev, w_prev) in trained] += 1
+                assert view.transitions(nc_prev, w_prev) == [
+                    p_class_transition_from(tables, nc, nc_prev, w_prev)
+                    for nc in SUCCESSOR_CLASSES]
+        assert seen[True] and seen[False]
+
+    @pytest.mark.parametrize("table_set", ["main", "unknown"])
+    def test_first_words(self, model, table_set):
+        tables, view = self.tables_and_view(model, table_set)
+        size = len(model.vocabulary)
+        tokens = {token for _, token, _ in tables.first_words.items()}
+        tokens |= {Token(UNKNOWN_WORD, "initCap"), Token("never-seen", "lowerCase"),
+                   END_TOKEN}
+        for token in sorted(tokens):
+            rows = view.first_words(token)
+            assert rows == [[p_first_word_from(tables, token, nc, nc_prev, size)
+                             for nc_prev in PREVIOUS_CLASSES]
+                            for nc in INTERNAL_CLASSES]
+            assert len(rows[0]) == len(INTERNAL_CLASSES) + 1  # the START column
+
+    @pytest.mark.parametrize("table_set", ["main", "unknown"])
+    def test_next_words(self, model, table_set):
+        tables, view = self.tables_and_view(model, table_set)
+        size = len(model.vocabulary)
+        bigrams = tables.word_bigrams
+        trained = set(bigrams.contexts())
+        untrained_prevs = {Token("never-seen", "lowerCase"), Token(UNKNOWN_WORD, "initCap")}
+        prevs = {Token(word, feature) for word, feature, _ in trained} | untrained_prevs
+        seen = {True: 0, False: 0}
+        for prev in sorted(prevs):
+            # Up to three events of each of the previous token's contexts,
+            # plus tokens that no context saw.
+            tokens = {END_TOKEN, Token(UNKNOWN_WORD, "lowerCase"), Token("never-seen", "initCap")}
+            for nc in INTERNAL_CLASSES:
+                seen[(prev.word, prev.feature, nc) in trained] += 1
+                tokens.update(sorted(bigrams.events((prev.word, prev.feature, nc)))[:3])
+            for token in sorted(tokens):
+                assert view.next_words(prev, token) == [
+                    p_next_word_from(tables, token, prev, nc, size)
+                    for nc in INTERNAL_CLASSES]
+        assert seen[True] and seen[False]

@@ -6,8 +6,6 @@ checked against an independent predicate-list oracle on generated
 strings.
 """
 
-import random
-
 import pytest
 
 from namefinder import (

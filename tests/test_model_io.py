@@ -128,6 +128,15 @@ class TestFormatErrors:
         with pytest.raises(ModelFormatError):
             deserialize_model("\n".join(lines) + "\n")
 
+    def test_bad_escapes_rejected(self, tiny_model):
+        lines = serialize_model(tiny_model).splitlines()
+        i = lines.index("[main.class_marginal]") + 1
+        _, context, count = lines[i].split("\t")
+        for event in ("PERSON\\q", "PERSON\\"):
+            lines[i] = "%s\t%s\t%s" % (event, context, count)
+            with pytest.raises(ModelFormatError, match="bad escape"):
+                deserialize_model("\n".join(lines) + "\n")
+
     def test_noncontiguous_vocabulary_ids_rejected(self, tiny_model):
         text = serialize_model(tiny_model)
         lines = text.splitlines()
