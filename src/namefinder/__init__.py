@@ -64,8 +64,6 @@ from .estimator import (
 )
 from .features import (
     ALL_CAPS,
-    BEGIN_TOKEN,
-    BEGIN_WORD,
     CAP_PERIOD,
     CONTAINS_DIGIT_AND_ALPHA,
     CONTAINS_DIGIT_AND_COMMA,

@@ -27,7 +27,6 @@ from .corpus import (
     START_OF_SENTENCE,
 )
 from .features import (
-    BEGIN_WORD,
     END_TOKEN,
     END_WORD,
     FeatureConfig,
@@ -76,7 +75,7 @@ class Vocabulary:
 
     def known(self, word: str) -> bool:
         """Sentinels count as known; they are never out-of-vocabulary."""
-        return word in self._ids or word in (END_WORD, BEGIN_WORD, UNKNOWN_WORD)
+        return word in self._ids or word in (END_WORD, UNKNOWN_WORD)
 
     def map(self, word: str) -> str:
         """Replace an out-of-vocabulary word by the unknown sentinel."""

@@ -69,14 +69,13 @@ class Token(NamedTuple):
     feature: str
 
 
-# Sentinel pseudo-words.  They mark region boundaries and out-of-vocabulary
-# words in the count tables and always carry the "other" feature.
+# Sentinel pseudo-words.  +end+ closes every region (and is the previous
+# word at a sentence start); +unk+ stands for every out-of-vocabulary word
+# in the unknown-word tables.  compute_feature gives both "other".
 END_WORD = "+end+"
-BEGIN_WORD = "+begin+"
 UNKNOWN_WORD = "+unk+"
 
 END_TOKEN = Token(END_WORD, OTHER)
-BEGIN_TOKEN = Token(BEGIN_WORD, OTHER)
 
 
 def _has_letter(word):
@@ -103,9 +102,6 @@ def compute_feature(word: str, is_first_word: bool = False,
     """
     if not word:
         raise ValueError("cannot compute a feature for an empty word")
-    if word in (END_WORD, BEGIN_WORD):
-        return OTHER
-
     has_digit = _HAS_DIGIT.search(word) is not None
     has_alpha = _has_letter(word)
 

@@ -22,7 +22,6 @@ from namefinder.corpus import (
 )
 from namefinder.estimator import p_class_transition, p_first_word, p_next_word
 from namefinder.features import (
-    BEGIN_WORD,
     END_TOKEN,
     END_WORD,
     FeatureConfig,
@@ -116,7 +115,7 @@ def ref_p_next_word(tables, token, prev, nc, vocab_size, normalized_floor=False)
 
 def ref_tables(model, *words):
     """Independent restatement of the routing rule."""
-    sentinels = (END_WORD, BEGIN_WORD, UNKNOWN_WORD)
+    sentinels = (END_WORD, UNKNOWN_WORD)
     for word in words:
         if word not in model.vocabulary and word not in sentinels:
             return model.unknown
@@ -124,8 +123,7 @@ def ref_tables(model, *words):
 
 
 def ref_lookup(model, token):
-    if token.word in model.vocabulary or token.word in (END_WORD, BEGIN_WORD,
-                                                        UNKNOWN_WORD):
+    if token.word in model.vocabulary or token.word in (END_WORD, UNKNOWN_WORD):
         return token
     return Token(UNKNOWN_WORD, token.feature)
 
@@ -150,7 +148,7 @@ def ref_feature(word, is_first_word=False, config=FeatureConfig()):
     wins.  firstWord neutralizes the initial-capital signal only: it
     applies exactly where initCap would, when the word opens a sentence.
     """
-    if word in (END_WORD, BEGIN_WORD, UNKNOWN_WORD):
+    if word in (END_WORD, UNKNOWN_WORD):
         return "other"
     comma_char, period_char = ("," , ".") if not config.swap_comma_period else (".", ",")
     has_digit = _has(word, _DIGITS)

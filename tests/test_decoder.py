@@ -235,6 +235,19 @@ class TestDeterminismAndReuse:
                                  result.path_boundaries, model)
             assert rebuilt == pytest.approx(result.log_score, abs=1e-9)
 
+    def test_begin_decodes_as_any_unseen_word(self):
+        # "+begin+" is no sentinel: it is out of vocabulary and decodes
+        # exactly as another unseen word of feature "other" does.
+        model = train(generate_corpus(300, seed=11))
+        assert compute_feature("+begin+") == compute_feature("+zzz+") == "other"
+        assert "+begin+" not in model.vocabulary and "+zzz+" not in model.vocabulary
+        for sentence in ("He said {} Smith .", "{}", "{} Smith spoke ."):
+            begin, other = (Decoder(model).decode_sentence(sentence.format(word).split())
+                            for word in ("+begin+", "+zzz+"))
+            assert begin.path_classes == other.path_classes
+            assert begin.path_boundaries == other.path_boundaries
+            assert begin.log_score == other.log_score
+
     def test_oov_words_of_one_feature_share_rows(self, tiny_model):
         decoder = Decoder(tiny_model)
         oov = ["zq" + a + b + c for a in "abcdefghij" for b in "abcdefghij"

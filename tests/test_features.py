@@ -10,7 +10,6 @@ import pytest
 
 from namefinder import (
     ALL_CAPS,
-    BEGIN_TOKEN,
     CAP_PERIOD,
     CONTAINS_DIGIT_AND_ALPHA,
     CONTAINS_DIGIT_AND_COMMA,
@@ -71,7 +70,11 @@ def test_empty_word_rejected():
 
 def test_sentinel_tokens_have_other_feature():
     assert END_TOKEN.feature == OTHER
-    assert BEGIN_TOKEN.feature == OTHER
+    # The general rules give sentinel-shaped words "other" in either
+    # position; "+begin+" is no sentinel but is shaped like one.
+    for word in ("+end+", "+begin+", "+unk+"):
+        for is_first_word in (False, True):
+            assert compute_feature(word, is_first_word) == OTHER
 
 
 def test_first_word_position_only_demotes_init_cap():
