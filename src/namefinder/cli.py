@@ -1,13 +1,13 @@
 """Command-line surface: train, decode, score, learning-curve.
 
 Exit codes: 0 success, 1 usage, 2 parse or format problem (corpus,
-model file, alignment, unusable corpus), 3 I/O failure.
+model file, alignment, unusable corpus, a file that is not UTF-8),
+3 I/O failure.
 """
 
 import argparse
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .corpus import NAME_CLASSES, ParseError, emit_annotated, parse_annotated
@@ -22,39 +22,29 @@ EXIT_USAGE = 1
 EXIT_FORMAT = 2
 EXIT_IO = 3
 
-DEFAULT_FRACTIONS = (Fraction(1), Fraction(1, 2), Fraction(1, 4), Fraction(1, 8))
-
-
-@dataclass
-class RunConfig:
-    """Shared experiment settings; curve_fractions sorted descending in (0, 1]."""
-
-    feature_config: FeatureConfig = field(default_factory=FeatureConfig)
-    beta: float = 1.0
-    curve_fractions: tuple = DEFAULT_FRACTIONS
-
-
 def _fail(code, message):
     print("namefinder: %s" % message, file=sys.stderr)
     return code
 
 
-def _read_text(path):
-    with open(path, encoding="utf-8") as handle:
-        return handle.read()
-
-
-def cmd_train(corpus_path, model_path, config: RunConfig) -> int:
+def _read_text(path, kind):
+    """The file's text; bytes that are not UTF-8 are a ParseError."""
     try:
-        text = _read_text(corpus_path)
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError("%s is not UTF-8: %s" % (kind, exc)) from None
+
+
+def cmd_train(corpus_path, model_path, feature_config: FeatureConfig) -> int:
+    try:
+        sentences = parse_annotated(_read_text(corpus_path, "corpus"))
     except OSError as exc:
         return _fail(EXIT_IO, "cannot read corpus: %s" % exc)
-    try:
-        sentences = parse_annotated(text)
     except ParseError as exc:
         return _fail(EXIT_FORMAT, "corpus parse failed: %s" % exc)
     try:
-        model = train(sentences, config.feature_config)
+        model = train(sentences, feature_config)
     except TrainingError as exc:
         return _fail(EXIT_FORMAT, str(exc))
     try:
@@ -77,9 +67,11 @@ def cmd_decode(model_path, input_path, output_path=None) -> int:
     except OSError as exc:
         return _fail(EXIT_IO, "cannot read model: %s" % exc)
     try:
-        text = _read_text(input_path)
+        text = _read_text(input_path, "input")
     except OSError as exc:
         return _fail(EXIT_IO, "cannot read input: %s" % exc)
+    except ParseError as exc:
+        return _fail(EXIT_FORMAT, str(exc))
     started = time.perf_counter()
     results = Decoder(model).decode_document(text)
     elapsed = max(time.perf_counter() - started, 1e-9)
@@ -100,8 +92,8 @@ def cmd_decode(model_path, input_path, output_path=None) -> int:
 
 def cmd_score(key_path, response_path, beta: float = 1.0) -> int:
     try:
-        key = parse_annotated(_read_text(key_path))
-        response = parse_annotated(_read_text(response_path))
+        key = parse_annotated(_read_text(key_path, "key"))
+        response = parse_annotated(_read_text(response_path, "response"))
     except ParseError as exc:
         return _fail(EXIT_FORMAT, "parse failed: %s" % exc)
     except OSError as exc:
@@ -114,23 +106,25 @@ def cmd_score(key_path, response_path, beta: float = 1.0) -> int:
     return EXIT_OK
 
 
-def cmd_learning_curve(corpus_path, test_path, config: RunConfig) -> int:
+def cmd_learning_curve(corpus_path, test_path, fractions, beta: float,
+                       feature_config: FeatureConfig) -> int:
+    """fractions are sorted descending in (0, 1]."""
     try:
-        training = parse_annotated(_read_text(corpus_path))
-        test = parse_annotated(_read_text(test_path))
+        training = parse_annotated(_read_text(corpus_path, "corpus"))
+        test = parse_annotated(_read_text(test_path, "test corpus"))
     except ParseError as exc:
         return _fail(EXIT_FORMAT, "parse failed: %s" % exc)
     except OSError as exc:
         return _fail(EXIT_IO, "cannot read file: %s" % exc)
     print("fraction words F")
-    for fraction in config.curve_fractions:
+    for fraction in fractions:
         k = int(fraction * len(training) + Fraction(1, 2))
         prefix = training[:k]
         try:
-            model = train(prefix, config.feature_config)
+            model = train(prefix, feature_config)
             decoder = Decoder(model)
             response = [decoder.decode_sentence(s.tokens).sentence for s in test]
-            report = score(test, response, config.beta)
+            report = score(test, response, beta)
         except (TrainingError, AlignmentError, ValueError) as exc:
             return _fail(EXIT_FORMAT, "fraction %s failed: %s" % (fraction, exc))
         words = sum(len(s.tokens) for s in prefix)
@@ -205,15 +199,14 @@ def main(argv=None) -> int:
     feature_config = FeatureConfig(
         swap_comma_period=getattr(args, "spanish_numbers", False))
     if args.command == "train":
-        return cmd_train(args.corpus, args.model,
-                         RunConfig(feature_config=feature_config))
+        return cmd_train(args.corpus, args.model, feature_config)
     if args.command == "decode":
         return cmd_decode(args.model, args.input, args.output)
     if args.command == "score":
         return cmd_score(args.key, args.response, args.beta)
-    config = RunConfig(feature_config=feature_config, beta=args.beta,
-                       curve_fractions=_parse_fractions(parser, args.fractions))
-    return cmd_learning_curve(args.corpus, args.test, config)
+    return cmd_learning_curve(args.corpus, args.test,
+                              _parse_fractions(parser, args.fractions),
+                              args.beta, feature_config)
 
 
 if __name__ == "__main__":

@@ -16,7 +16,9 @@ and dashes inside tokens so that numeric strings like ``23,000.00`` or
 ``11/9/89`` survive whole.  A small closed abbreviation list blocks
 both the punctuation split and the sentence break.  Sentences end
 after a bare ``.``, ``!`` or ``?`` token that was followed by
-whitespace in the input.
+whitespace in the input.  In annotated text a region's last token ends
+its sentence at the closing tag when it is such a terminal; a terminal
+inside a region does not break.
 """
 
 import re
@@ -219,6 +221,9 @@ class _SentenceBuilder:
         self.regions.append(region)
         self.open_class = None
         self.open_start = None
+        # The break add_text held back while the region was open.
+        if self.tokens[-1] in TERMINALS:
+            self.flush()
 
     def flush(self):
         if self.tokens:

@@ -22,7 +22,6 @@ from functools import cached_property
 from .corpus import (
     AnnotatedSentence,
     END_OF_SENTENCE,
-    INTERNAL_CLASSES,
     NOT_A_NAME,
     START_OF_SENTENCE,
 )
@@ -41,79 +40,54 @@ class TrainingError(ValueError):
 
 
 class Vocabulary:
-    """Word -> id map, growable until frozen.
+    """The training words in first-seen order.
 
-    Ids start at 1; id 0 is reserved for the unknown-word sentinel.  Size
-    counts distinct observed words, never sentinels.
+    A word's position in ``words()`` (from 1) is its row in the model
+    file.  Size counts distinct observed words, never sentinels.
     """
 
-    UNKNOWN_ID = 0
-
-    def __init__(self):
-        self._ids = {}
-        self._frozen = False
-
-    def add(self, word: str) -> int:
-        if word in self._ids:
-            return self._ids[word]
-        if self._frozen:
-            return self.UNKNOWN_ID
-        next_id = len(self._ids) + 1
-        self._ids[word] = next_id
-        return next_id
-
-    def freeze(self):
-        self._frozen = True
-        return self
-
-    @property
-    def frozen(self) -> bool:
-        return self._frozen
-
-    def id_of(self, word: str) -> int:
-        return self._ids.get(word, self.UNKNOWN_ID)
+    def __init__(self, words=()):
+        self._words = dict.fromkeys(words)
 
     def known(self, word: str) -> bool:
         """Sentinels count as known; they are never out-of-vocabulary."""
-        return word in self._ids or word in (END_WORD, UNKNOWN_WORD)
+        return word in self._words or word in (END_WORD, UNKNOWN_WORD)
 
     def map(self, word: str) -> str:
         """Replace an out-of-vocabulary word by the unknown sentinel."""
         return word if self.known(word) else UNKNOWN_WORD
 
     def words(self):
-        """Words in id order (stable first-seen order)."""
-        return sorted(self._ids, key=self._ids.get)
+        """Words in first-seen order."""
+        return list(self._words)
 
     def __contains__(self, word):
-        return word in self._ids
+        return word in self._words
 
     def __len__(self):
-        return len(self._ids)
+        return len(self._words)
 
 
 class CondTable:
     """Integer event counts keyed by conditioning context.
 
-    Contexts and events are strings or flat tuples of strings.  The
-    context total and unique-outcome count are maintained incrementally;
-    both are pure functions of the event counts.
+    Contexts and events are strings or flat tuples of strings.  A
+    context's total (sample size) and unique-outcome count are read off
+    its events when asked; nothing else is stored.
     """
 
     def __init__(self):
         self._events = {}
-        self._totals = {}
 
     def add(self, context, event, count=1):
         bucket = self._events.setdefault(context, {})
         bucket[event] = bucket.get(event, 0) + count
-        self._totals[context] = self._totals.get(context, 0) + count
 
     def count(self, context, event) -> int:
         return self._events.get(context, {}).get(event, 0)
 
     def total(self, context) -> int:
-        return self._totals.get(context, 0)
+        return sum(self._events.get(context, {}).values())
 
     def unique(self, context) -> int:
         return len(self._events.get(context, ()))
@@ -187,7 +161,6 @@ class TrainedModel:
     main: CountTables
     unknown: CountTables
     feature_config: FeatureConfig
-    classes: tuple = INTERNAL_CLASSES
 
     @cached_property
     def table_views(self):
@@ -228,8 +201,6 @@ def collect_counts(sentences, vocab: Vocabulary, map_unknown: bool,
     unknown sentinel before counting; the word-feature is computed from
     the real word first, so the sentinel keeps the original feature.
     """
-    if map_unknown and not vocab.frozen:
-        raise ValueError("map_unknown requires a frozen vocabulary")
     t = CountTables()
     for sentence in sentences:
         if not sentence.tokens:
@@ -265,12 +236,8 @@ def collect_counts(sentences, vocab: Vocabulary, map_unknown: bool,
 
 
 def build_vocabulary(sentences) -> Vocabulary:
-    """First-seen-order vocabulary over every token, frozen."""
-    vocab = Vocabulary()
-    for sentence in sentences:
-        for word in sentence.tokens:
-            vocab.add(word)
-    return vocab.freeze()
+    """First-seen-order vocabulary over every token."""
+    return Vocabulary(word for sentence in sentences for word in sentence.tokens)
 
 
 def train(sentences, config: FeatureConfig = FeatureConfig()) -> TrainedModel:

@@ -1,12 +1,14 @@
 """Line-oriented model file format.
 
 Layout: a fixed header (magic+version, feature config, class inventory,
-vocabulary size), a [vocabulary] section of word<TAB>id rows in id
-order, then one section per count table (the seven of
-``CountTables.NAMES``), main tables before unknown tables, each row
-`event<TAB>context<TAB>count`.  Event and context components are
-space-joined, with backslash escapes for characters that would collide
-with the framing (space, tab, newline, backslash).  Rows within a
+vocabulary size), a [vocabulary] section of word<TAB>id rows, where a
+word's id is its position in the section (1, 2, ...), then one section
+per count table (the seven of ``CountTables.NAMES``), main tables
+before unknown tables, each row `event<TAB>context<TAB>count`.  Rows
+end at ``\n`` only.  Event and context components are space-joined,
+with backslash escapes for characters that would collide with the
+framing (backslash, space, tab, newline, and carriage return, which a
+universal-newline read would turn into a line break).  Rows within a
 section are sorted, so serialization is deterministic and
 write→read→write is byte-identical.
 """
@@ -26,8 +28,9 @@ class ModelFormatError(ValueError):
     """Raised for syntactically or semantically invalid model files."""
 
 
-_ESCAPES = (("\\", "\\\\"), (" ", "\\s"), ("\t", "\\t"), ("\n", "\\n"))
-_UNESCAPES = {"\\": "\\", "s": " ", "t": "\t", "n": "\n"}
+_ESCAPES = (("\\", "\\\\"), (" ", "\\s"), ("\t", "\\t"), ("\n", "\\n"),
+            ("\r", "\\r"))
+_UNESCAPES = {"\\": "\\", "s": " ", "t": "\t", "n": "\n", "r": "\r"}
 
 
 def _escape(component: str) -> str:
@@ -76,12 +79,12 @@ def serialize_model(model: TrainedModel) -> str:
     lines = [
         "%s %d" % (MAGIC, VERSION),
         "swap_comma_period %d" % int(model.feature_config.swap_comma_period),
-        "classes %s" % " ".join(model.classes),
+        "classes %s" % " ".join(INTERNAL_CLASSES),
         "vocab_size %d" % len(model.vocabulary),
         "[vocabulary]",
     ]
-    for word in model.vocabulary.words():
-        lines.append("%s\t%d" % (_escape(word), model.vocabulary.id_of(word)))
+    for position, word in enumerate(model.vocabulary.words(), 1):
+        lines.append("%s\t%d" % (_escape(word), position))
     for prefix, tables in (("main", model.main), ("unknown", model.unknown)):
         for name in CountTables.NAMES:
             lines.append("[%s.%s]" % (prefix, name))
@@ -98,7 +101,9 @@ def _expect(lines, index, prefix):
 
 
 def deserialize_model(text: str) -> TrainedModel:
-    lines = text.splitlines()
+    lines = text.split("\n")
+    if lines[-1] == "":  # the newline that ends the last row
+        lines.pop()
     if not lines:
         raise ModelFormatError("empty model file")
     magic = lines[0].split(" ")
@@ -123,20 +128,24 @@ def deserialize_model(text: str) -> TrainedModel:
     if index >= len(lines) or lines[index] != "[vocabulary]":
         raise ModelFormatError("expected [vocabulary] at line %d" % (index + 1,))
     index += 1
-    vocabulary = Vocabulary()
-    while index < len(lines) and not lines[index].startswith("["):
+    words = {}
+    # Rows hold a tab and section headers never do, so a word or event
+    # that starts with "[" stays a row.
+    while index < len(lines) and "\t" in lines[index]:
         parts = lines[index].split("\t")
         if len(parts) != 2:
             raise ModelFormatError("bad vocabulary row at line %d" % (index + 1,))
+        if parts[1] != str(len(words) + 1):
+            raise ModelFormatError("vocabulary id %r at line %d is not its position %d"
+                                   % (parts[1], index + 1, len(words) + 1))
         word = _unescape(parts[0])
-        if vocabulary.add(word) != int(parts[1]):
-            raise ModelFormatError("non-contiguous vocabulary id at line %d"
-                                   % (index + 1,))
+        if word in words:
+            raise ModelFormatError("repeated vocabulary word at line %d" % (index + 1,))
+        words[word] = None
         index += 1
-    if len(vocabulary) != vocab_size:
+    if len(words) != vocab_size:
         raise ModelFormatError("vocab_size %d does not match %d vocabulary rows"
-                               % (vocab_size, len(vocabulary)))
-    vocabulary.freeze()
+                               % (vocab_size, len(words)))
 
     main, unknown = CountTables(), CountTables()
     for prefix, tables in (("main", main), ("unknown", unknown)):
@@ -149,7 +158,7 @@ def deserialize_model(text: str) -> TrainedModel:
             index += 1
             table = getattr(tables, name)
             token_events = name in _TOKEN_EVENTS
-            while index < len(lines) and not lines[index].startswith("["):
+            while index < len(lines) and "\t" in lines[index]:
                 parts = lines[index].split("\t")
                 if len(parts) != 3:
                     raise ModelFormatError("bad count row at line %d" % (index + 1,))
@@ -174,7 +183,7 @@ def deserialize_model(text: str) -> TrainedModel:
                 index += 1
     if index != len(lines):
         raise ModelFormatError("trailing content at line %d" % (index + 1,))
-    return TrainedModel(vocabulary, main, unknown, config)
+    return TrainedModel(Vocabulary(words), main, unknown, config)
 
 
 def write_model(model: TrainedModel, path):
@@ -183,5 +192,9 @@ def write_model(model: TrainedModel, path):
 
 
 def read_model(path) -> TrainedModel:
-    with open(path, encoding="utf-8") as handle:
-        return deserialize_model(handle.read())
+    try:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise ModelFormatError("not UTF-8: %s" % exc) from None
+    return deserialize_model(text)

@@ -46,6 +46,12 @@ def workspace(tmp_path_factory):
     }
 
 
+def not_utf8(path):
+    """A file holding a byte that no UTF-8 text contains."""
+    path.write_bytes(b"caf\xff .\n")
+    return str(path)
+
+
 class TestTrain:
     def test_reports_corpus_statistics(self, workspace, tmp_path, capsys):
         model_path = tmp_path / "m.nf"
@@ -93,6 +99,14 @@ class TestTrain:
                      "--model", str(tmp_path / "m.nf")])
         assert code == EXIT_IO
         assert "cannot read corpus" in capsys.readouterr().err
+
+    def test_non_utf8_corpus(self, tmp_path, capsys):
+        code = main(["train", not_utf8(tmp_path / "c.ann"),
+                     "--model", str(tmp_path / "m.nf")])
+        assert code == EXIT_FORMAT
+        assert "namefinder: corpus parse failed: corpus is not UTF-8" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "m.nf").exists()
 
 
 class TestDecode:
@@ -150,6 +164,27 @@ class TestDecode:
                      "--model", str(tmp_path / "absent.nf")])
         assert code == EXIT_IO
 
+    def test_non_integer_vocabulary_id(self, workspace, tmp_path, capsys):
+        lines = workspace["model"].read_text(encoding="utf-8").split("\n")
+        lines[lines.index("[vocabulary]") + 1] = "a\tone"
+        bad = tmp_path / "bad.nf"
+        bad.write_text("\n".join(lines), encoding="utf-8")
+        code = main(["decode", str(workspace["plain"]), "--model", str(bad)])
+        assert code == EXIT_FORMAT
+        assert "bad model file" in capsys.readouterr().err
+
+    def test_non_utf8_input(self, workspace, tmp_path, capsys):
+        code = main(["decode", not_utf8(tmp_path / "in.txt"),
+                     "--model", str(workspace["model"])])
+        assert code == EXIT_FORMAT
+        assert "namefinder: input is not UTF-8" in capsys.readouterr().err
+
+    def test_non_utf8_model(self, workspace, tmp_path, capsys):
+        code = main(["decode", str(workspace["plain"]),
+                     "--model", not_utf8(tmp_path / "m.nf")])
+        assert code == EXIT_FORMAT
+        assert "namefinder: bad model file: not UTF-8" in capsys.readouterr().err
+
 
 class TestScore:
     def test_perfect_response(self, workspace, capsys):
@@ -206,6 +241,13 @@ class TestScore:
             main(["score", str(workspace["test"]), str(workspace["test"]),
                   "--beta", "0"])
         assert info.value.code == EXIT_USAGE
+
+    def test_non_utf8_key(self, workspace, tmp_path, capsys):
+        code = main(["score", not_utf8(tmp_path / "key.ann"),
+                     str(workspace["test"])])
+        assert code == EXIT_FORMAT
+        assert "namefinder: parse failed: key is not UTF-8" in \
+            capsys.readouterr().err
 
 
 class TestLearningCurve:
@@ -265,6 +307,13 @@ class TestLearningCurve:
                      str(workspace["test"]), "--fractions", "1/1000"])
         assert code == EXIT_FORMAT
         assert "fraction 1/1000 failed" in capsys.readouterr().err
+
+    def test_non_utf8_test_corpus(self, workspace, tmp_path, capsys):
+        code = main(["learning-curve", str(workspace["train"]),
+                     not_utf8(tmp_path / "test.ann")])
+        assert code == EXIT_FORMAT
+        assert "namefinder: parse failed: test corpus is not UTF-8" in \
+            capsys.readouterr().err
 
 
 class TestUsage:

@@ -5,12 +5,14 @@ import statistics
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from namefinder import (
     AnnotatedSentence,
     DATE,
     LOCATION,
     MONEY,
+    NAME_CLASSES,
     ORGANIZATION,
     PERCENT,
     PERSON,
@@ -22,6 +24,7 @@ from namefinder import (
     generate_corpus,
     tokenize,
 )
+from namefinder.corpus import TERMINALS
 from conftest import ANNOTATED_FIXTURE
 from reference import random_corpus
 
@@ -121,6 +124,14 @@ class TestParse:
         assert len(sentences) == 1
         assert sentences[0].tokens == ["Acme", ".", "Systems", "ran", "."]
         assert sentences[0].regions == [Region(0, 3, ORGANIZATION)]
+
+    def test_region_ending_in_terminal_ends_sentence(self):
+        doc = ('Shares of <ENAMEX TYPE="ORGANIZATION">Yahoo !</ENAMEX>\n'
+               'They rose .')
+        sentences = parse_annotated(doc)
+        assert [s.tokens for s in sentences] == \
+            tokenize("Shares of Yahoo !\nThey rose .")
+        assert [s.regions for s in sentences] == [[Region(2, 4, ORGANIZATION)], []]
 
     def test_sentence_break_between_regions(self):
         doc = ('<ENAMEX TYPE="PERSON">Ann</ENAMEX> left .\n'
@@ -228,7 +239,31 @@ def test_parse_time_is_linear():
     assert statistics.median(ratios) <= 2.5, ratios
 
 
+# Tokens the tokenizer leaves whole and that are not terminals.
+_inner_words = st.text(alphabet="ab&<>é日.,-", min_size=1, max_size=4).filter(
+    lambda word: word not in TERMINALS and tokenize(word) == [[word]])
+
+
+@st.composite
+def _terminated_sentences(draw):
+    """A sentence whose only terminal is its last token, covered by a
+    random run of regions and gaps (adjacent regions included)."""
+    tokens = draw(st.lists(_inner_words, max_size=5))
+    tokens.append(draw(st.sampled_from(sorted(TERMINALS))))
+    cuts = draw(st.sets(st.integers(0, len(tokens)), max_size=3))
+    bounds = sorted(cuts | {0, len(tokens)})
+    regions = [Region(start, end, draw(st.sampled_from(NAME_CLASSES)))
+               for start, end in zip(bounds, bounds[1:]) if draw(st.booleans())]
+    return AnnotatedSentence(tokens=tokens, regions=regions)
+
+
 class TestEmit:
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(corpus=st.lists(_terminated_sentences(), max_size=4))
+    def test_emit_parse_inverse_and_tokenize_agree(self, corpus):
+        assert parse_annotated(emit_annotated(corpus)) == corpus
+        plain = "\n".join(" ".join(s.tokens) for s in corpus)
+        assert tokenize(plain) == [s.tokens for s in corpus]
     def test_fixture_round_trips_to_identical_text(self, tiny_corpus):
         assert emit_annotated(tiny_corpus) == ANNOTATED_FIXTURE
 

@@ -1,6 +1,7 @@
 """Model persistence: canonical text format, byte-stable round trips."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from namefinder import (
     AnnotatedSentence,
@@ -24,6 +25,32 @@ from reference import random_corpus
 
 def reserialize(model):
     return serialize_model(deserialize_model(serialize_model(model)))
+
+
+def vocabulary_rows(text):
+    """The (word, id) fields of a model text's [vocabulary] section."""
+    lines = text.split("\n")
+    start = lines.index("[vocabulary]") + 1
+    end = lines.index("[main.class_transitions]")
+    return [tuple(line.split("\t")) for line in lines[start:end]]
+
+
+def with_vocabulary_row(text, index, row):
+    """The model text with vocabulary row ``index`` replaced by ``row``."""
+    lines = text.split("\n")
+    lines[lines.index("[vocabulary]") + 1 + index] = row
+    return "\n".join(lines)
+
+
+# Characters that frame rows and fields, that str.splitlines breaks at,
+# that a universal-newline read translates, or that start a section
+# header; plus escapes and non-ASCII text.
+_AWKWARD = ("\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+            "\\ \t\n[]" "aé日")
+_words = st.text(alphabet=_AWKWARD, min_size=1, max_size=4)
+_sentences = st.lists(_words, min_size=1, max_size=4).map(
+    lambda tokens: AnnotatedSentence(tokens=tokens, regions=[]))
+_corpora = st.lists(_sentences, min_size=2, max_size=4)
 
 
 class TestRoundTrip:
@@ -55,10 +82,12 @@ class TestRoundTrip:
                 p_next_word(token, prev_token, NOT_A_NAME, tiny_model)
 
     def test_vocabulary_ids_survive(self, tiny_model):
-        reloaded = deserialize_model(serialize_model(tiny_model))
-        for word in tiny_model.vocabulary.words():
-            assert reloaded.vocabulary.id_of(word) == \
-                tiny_model.vocabulary.id_of(word)
+        # A word's id is its position in the [vocabulary] section.
+        text = serialize_model(tiny_model)
+        reloaded = deserialize_model(text)
+        assert reloaded.vocabulary.words() == tiny_model.vocabulary.words()
+        ids = [row[1] for row in vocabulary_rows(text)]
+        assert ids == [str(i) for i in range(1, len(tiny_model.vocabulary) + 1)]
 
     def test_file_round_trip(self, tiny_model, tmp_path):
         path = tmp_path / "model.nf"
@@ -78,21 +107,38 @@ class TestRoundTrip:
 
     def test_awkward_token_text_round_trips(self):
         # Backslashes, tabs, spaces, and newlines inside table keys must
-        # survive the escaped space-joined encoding.
+        # survive the escaped space-joined encoding, and words that start
+        # like a section header stay rows.
         corpus = [
             AnnotatedSentence(tokens=["a\\b", "two words", "café"],
                               regions=[]),
             AnnotatedSentence(tokens=["tab\there", "line\nbreak", "a\\b"],
                               regions=[]),
+            AnnotatedSentence(tokens=["[", "[main.first_words]"], regions=[]),
         ]
         model = train(corpus)
         text = serialize_model(model)
         reloaded = deserialize_model(text)
         assert serialize_model(reloaded) == text
-        assert reloaded.vocabulary.id_of("two words") == \
-            model.vocabulary.id_of("two words")
+        assert reloaded.vocabulary.words() == model.vocabulary.words()
+        assert reloaded.vocabulary.words().index("two words") == 1
         assert reloaded.main.word_unigrams.count(
             (NOT_A_NAME,), Token("line\nbreak", "lowerCase")) == 1
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(corpus=_corpora)
+    def test_every_token_round_trips(self, corpus, tmp_path_factory):
+        text = serialize_model(train(corpus))
+        assert serialize_model(deserialize_model(text)) == text
+        path = tmp_path_factory.mktemp("model") / "model.nf"
+        write_model(deserialize_model(text), path)
+        assert serialize_model(read_model(path)) == text
+
+    def test_crlf_file_loads(self, tiny_model, tmp_path):
+        path = tmp_path / "model.nf"
+        path.write_bytes(serialize_model(tiny_model).replace("\n", "\r\n")
+                         .encode("utf-8"))
+        assert serialize_model(read_model(path)) == serialize_model(tiny_model)
 
 
 class TestFormatErrors:
@@ -146,6 +192,24 @@ class TestFormatErrors:
                 break
         with pytest.raises(ModelFormatError):
             deserialize_model("\n".join(lines) + "\n")
+
+    def test_non_integer_vocabulary_id_rejected(self, tiny_model):
+        text = with_vocabulary_row(serialize_model(tiny_model), 0, "a\tone")
+        with pytest.raises(ModelFormatError, match="vocabulary id 'one'"):
+            deserialize_model(text)
+
+    def test_repeated_vocabulary_word_rejected(self, tiny_model):
+        text = serialize_model(tiny_model)
+        first = vocabulary_rows(text)[0][0]
+        text = with_vocabulary_row(text, 1, "%s\t2" % first)
+        with pytest.raises(ModelFormatError, match="repeated vocabulary word"):
+            deserialize_model(text)
+
+    def test_non_utf8_file_rejected(self, tiny_model, tmp_path):
+        path = tmp_path / "model.nf"
+        path.write_bytes(serialize_model(tiny_model).encode("utf-8") + b"\xff\n")
+        with pytest.raises(ModelFormatError, match="not UTF-8"):
+            read_model(path)
 
     def test_vocab_size_mismatch_rejected(self, tiny_model):
         text = serialize_model(tiny_model)
