@@ -67,6 +67,10 @@ class Vocabulary:
     def __len__(self):
         return len(self._words)
 
+    def __eq__(self, other):
+        """Equal when the words and their order (their file rows) agree."""
+        return isinstance(other, Vocabulary) and list(self._words) == list(other._words)
+
 
 class CondTable:
     """Integer event counts keyed by conditioning context.
@@ -167,8 +171,8 @@ class TrainedModel:
         """(main, unknown-word) estimator views, every context weighted.
 
         Built the first time a decoder asks and shared by every decoder
-        over this model; not a field, so equality and the model file
-        ignore it.
+        over this model, with the log rows the decoders fill into them;
+        not a field, so equality and the model file ignore it.
         """
         from .estimator import TableView  # the estimator imports this module
         size = len(self.vocabulary)

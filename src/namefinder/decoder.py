@@ -12,21 +12,23 @@ score, and earlier classes in the fixed inventory order beat later
 ones.  Backtracing the boundary flags yields the region segmentation;
 NOT-A-NAME stretches produce no Region records.
 
-The decoder caches rows of log probabilities under canonical keys: a
+The decoder reads rows of log probabilities under canonical keys: a
 route flag (main or unknown-word tables) plus the token as looked up,
 with every out-of-vocabulary word mapped to ``+unk+``.  A transition
-row holds every class pair for one previous word, a first-word row
+block holds every class pair for one previous word, a first-word grid
 every class pair (and the sentence start) for one token, and a
 next-word row every class for one (previous token, token) pair, the
-region-closing ``+end+`` included.  The estimator's ``TableView`` fills
-each row in one pass.  The views are the model's (``table_views``):
-built by the first decoder over a model, with every context weighted,
-and shared by every later one, so a fresh decoder starts with empty row
-caches but does no weighting.  All out-of-vocabulary words of one
-feature share their rows, and a literal ``+unk+`` in the text, which the
-main tables answer, never shares a row with them.  Throughput on large
-documents is dominated by dictionary lookups, not mixture evaluation.
-Decoding time is linear in token count.
+region-closing ``+end+`` included.  The estimator's ``TableView`` for
+the route flag builds each of them in one pass, from evidence only.
+The views are the model's (``table_views``): built by the first decoder
+over a model and shared by every later one, together with the start row
+and every transition block and first-word grid any decoder has filled.
+So a fresh decoder does no weighting and refills none of those; it
+starts with only its own next-word rows empty.  All out-of-vocabulary
+words of one feature share their rows, and a literal ``+unk+`` in the
+text, which the main tables answer, never shares a row with them.
+Throughput on large documents is dominated by dictionary lookups, not
+mixture evaluation.  Decoding time is linear in token count.
 """
 
 import math
@@ -109,44 +111,34 @@ class Decoder:
         self.config = model.feature_config
         # Indexed by the route flag: main tables, then unknown-word tables.
         self._views = model.table_views
-        log = math.log
-        self._init_trans = [log(p) for p in
-                            self._views[False].transitions(START_OF_SENTENCE, END_WORD)[:_K]]
-        self._trans_cache = {}
-        self._fw_cache = {}
+        self._blocks = tuple(view.transition_blocks for view in self._views)
+        self._grids = tuple(view.first_word_grids for view in self._views)
+        self._init_trans = self._views[False].start_row
         self._next_cache = {}
 
     def _trans(self, unknown, w_prev):
-        """(by_target, to_end): by_target[j][i] = log Pr(class j | class i, w_prev)."""
-        key = (unknown, w_prev)
-        cached = self._trans_cache.get(key)
-        if cached is None:
-            log, view = math.log, self._views[unknown]
-            rows = [view.transitions(nc_prev, w_prev) for nc_prev in INTERNAL_CLASSES]
-            by_target = [[log(row[j]) for row in rows] for j in range(_K)]
-            to_end = [log(row[_K]) for row in rows]
-            cached = self._trans_cache[key] = (by_target, to_end)
-        return cached
+        """block[j][i] = log Pr(class j | class i, w_prev); block[_K] is the
+        row into END-OF-SENTENCE.  Shared by every decoder over the model."""
+        block = self._blocks[unknown].get(w_prev)
+        if block is None:
+            block = self._views[unknown].transition_block(w_prev)
+        return block
 
     def _fw(self, unknown, token):
-        """(fw, from_start): fw[j][i] = log Pr(token opens class j | j, previous
-        class i); from_start[j] is the same after START-OF-SENTENCE."""
-        key = (unknown, token)
-        cached = self._fw_cache.get(key)
-        if cached is None:
-            log = math.log
-            rows = [[log(p) for p in row] for row in self._views[unknown].first_words(token)]
-            cached = self._fw_cache[key] = (rows, [row[_K] for row in rows])
-        return cached
+        """fw[j][i] = log Pr(token opens class j | j, previous class i);
+        fw[j][_K] is the same after START-OF-SENTENCE.  Shared by every
+        decoder over the model."""
+        grid = self._grids[unknown].get(token)
+        if grid is None:
+            grid = self._views[unknown].first_word_grid(token)
+        return grid
 
     def _next(self, unknown, prev, token):
         """[log Pr(token | prev, class j)]; token END_TOKEN closes the region."""
         key = (unknown, prev, token)
         cached = self._next_cache.get(key)
         if cached is None:
-            log = math.log
-            cached = self._next_cache[key] = [
-                log(p) for p in self._views[unknown].next_words(prev, token)]
+            cached = self._next_cache[key] = self._views[unknown].next_log_row(prev, token)
         return cached
 
     def decode_sentence(self, words) -> DecodeResult:
@@ -162,16 +154,16 @@ class Decoder:
             keys.append((unknown, Token(word, feature)))
         n = len(keys)
 
-        _, from_start = self._fw(*keys[0])
-        scores = [self._init_trans[j] + from_start[j] for j in range(_K)]
+        fw = self._fw(*keys[0])
+        scores = [self._init_trans[j] + fw[j][_K] for j in range(_K)]
         backptrs = []
         for t in range(1, n):
             prev_unknown, prev_tok = keys[t - 1]
             unknown, tok = keys[t]
             end_vec = self._next(prev_unknown, prev_tok, END_TOKEN)
             cont_vec = self._next(prev_unknown or unknown, prev_tok, tok)
-            by_target, _ = self._trans(prev_unknown, prev_tok.word)
-            fw, _ = self._fw(unknown, tok)
+            by_target = self._trans(prev_unknown, prev_tok.word)
+            fw = self._fw(unknown, tok)
             bscore = [scores[i] + end_vec[i] for i in range(_K)]
             new_scores = [0.0] * _K
             pointers = [None] * _K
@@ -194,7 +186,7 @@ class Decoder:
 
         last_unknown, last = keys[-1]
         end_vec = self._next(last_unknown, last, END_TOKEN)
-        _, to_end = self._trans(last_unknown, last.word)
+        to_end = self._trans(last_unknown, last.word)[_K]
         best_j = 0
         best_final = scores[0] + end_vec[0] + to_end[0]
         for j in range(1, _K):

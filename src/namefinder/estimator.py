@@ -27,6 +27,26 @@ the pair of views for its main and unknown-word tables.  The scalar
 ``p_*_from`` functions weigh the one context a query needs and read the
 single cell of the same sum, so both give bit-identical results.
 
+The decoder works in natural logs, and a ``TableView`` also builds its
+rows in logs, from evidence only.  A cell whose token (or successor)
+has no count in its context nor in any pooled level below it sums to
+0.0 + k * 0.0 + ... + residual * floor, which is exactly residual *
+floor, so its log is a constant of the context.  The view computes the
+constants of the first-word contexts and of the untrained defaults
+once, and rows made of them are shared objects; a row of a trained
+context with no evidence takes the log of that context's floor term.
+Only rows with evidence go through the row sums and ``math.log``.  The
+test for evidence reads every level the sum would read, so it holds on
+any loadable table set, not only on one whose marginals agree.  Rows
+keyed by the vocabulary are filled lazily and kept on the view, shared
+by every decoder over the model: the transition block of a previous
+word (``transition_block``) and the first-word grid of a token
+(``first_word_grid``).  The decoder maps every out-of-vocabulary word to
+``+unk+`` before it asks, so these stores hold at most |V| + 2 previous
+words and (|V| + 2) x 14 tokens per view and need no eviction.
+Next-word rows (``next_log_row``), keyed by a pair of tokens, are left
+to each decoder to keep.
+
 Queries route between the main tables and the held-out unknown-word
 tables: if any word involved in the conditioning bigram is outside the
 training vocabulary, the unknown tables answer, with out-of-vocabulary
@@ -41,9 +61,12 @@ to ``p_first_word_from`` or ``p_next_word_from`` to renormalize it over
 the augmented space, which makes each family sum to exactly 1.
 """
 
+import math
+from functools import cached_property
+
 from .corpus import END_OF_SENTENCE, INTERNAL_CLASSES, START_OF_SENTENCE
 from .counts import CountTables, TrainedModel
-from .features import NUM_WORD_FEATURES, Token, UNKNOWN_WORD
+from .features import END_WORD, NUM_WORD_FEATURES, Token, UNKNOWN_WORD
 
 # Successor space of a class transition: the internal classes plus
 # END-OF-SENTENCE.  START-OF-SENTENCE is never a successor.
@@ -138,7 +161,8 @@ def next_word_row(token: Token, contexts, unigrams):
     for (events, c_w, k1, k2, floor_term), (events_u, c_u, _) in zip(contexts, unigrams):
         count = events.get(token)
         total = k1 * (count / c_w) if count else 0.0
-        total += k2 * _ratio(events_u.get(token), c_u)
+        count = events_u.get(token)
+        total += k2 * (count / c_u if count else 0.0)  # _ratio, inlined: one call a cell
         row.append(total + floor_term)
     return row
 
@@ -216,27 +240,41 @@ class TableView:
     contexts (class x previous class), every class-transition context
     and every word-bigram context.  An untrained transition or
     word-bigram context gets the default of its previous class or class,
-    the weights of a context with no events and c = 0.  Each row method
-    is one call of its family's row sum, and returns what the scalar
-    ``p_*_from`` functions give, with the default floor, for every class
-    at once.
+    the weights of a context with no events and c = 0.  Each linear row
+    method is one call of its family's row sum, and returns what the
+    scalar ``p_*_from`` functions give, with the default floor, for every
+    class at once.
+
+    The log rows equal ``math.log`` of the linear rows, cell for cell,
+    and are built from evidence only (see the module docstring).
+    ``start_row``, ``transition_blocks`` and ``first_word_grids`` are
+    shared by every decoder over the view; a row of either store, once
+    made, never changes.
     """
 
     def __init__(self, tables: CountTables, vocab_size: int):
+        log = math.log
         floor = _word_floor(vocab_size)
         self._marginal = _class_level(tables.class_marginal, (), SUCCESSOR_CLASSES)
         self._class_bigrams = {
             nc_prev: _class_level(tables.class_bigrams, (nc_prev,), SUCCESSOR_CLASSES)
             for nc_prev in PREVIOUS_CLASSES}
         self._unigrams = [_stats(tables.word_unigrams, (nc,)) for nc in INTERNAL_CLASSES]
-        # Per class: (its context per previous class, begin level, unigram level).
+        # Per class: (its context per previous class, begin level, unigram level),
+        # the tokens any of those levels counted, and the log row of a
+        # token none of them counted.
         self._first = []
+        self._first_evidence = []
+        self._first_log_floors = []
         for nc, unigrams in zip(INTERNAL_CLASSES, self._unigrams):
             begin = _stats(tables.begin_bigrams, (nc,))
             contexts = [weigh(_stats(tables.first_words, (nc, nc_prev)), (begin, unigrams),
                               floor)
                         for nc_prev in PREVIOUS_CLASSES]
             self._first.append((contexts, begin, unigrams))
+            self._first_evidence.append(
+                set(begin[0]).union(unigrams[0], *(context[0] for context in contexts)))
+            self._first_log_floors.append(tuple(log(context[-1]) for context in contexts))
         # A context's weights depend on its chain, named by its previous
         # class (transitions) or class index (next words), and on its
         # (sample size, unique), never on its events, so contexts that
@@ -249,8 +287,8 @@ class TableView:
                 shapes[key] = weigh(stats, pooled, floor)[1:]
             return (stats[0], *shapes[key])
 
-        # A model file does not check context shapes, so contexts no
-        # query can reach are skipped.  (nc_prev, w_prev) -> weighted
+        # A table set built in memory may hold contexts no query can
+        # reach; they are skipped.  (nc_prev, w_prev) -> weighted
         # context; an untrained one takes the default of its previous class.
         self._transition_defaults = {
             nc_prev: weigh(({}, 0, 0), (self._class_bigrams[nc_prev], self._marginal),
@@ -278,6 +316,25 @@ class TableView:
                                                      list(self._next_defaults))
                 row[j] = shared(j, _stats(bigrams, context), (self._unigrams[j],), floor)
 
+        # The next-word row of a token that no class's unigram level
+        # counted, after a previous token no bigram context was trained
+        # on: log constants.  The log column of an untrained transition
+        # context, per previous class, is kept once the first block
+        # needs it, not before: in a table set whose pooled levels
+        # disagree with their sums a cell can be 0 or less, and its log
+        # must fail only where a decode reads it, as the linear row's would.
+        self._unigram_evidence = set().union(*(unigrams[0] for unigrams in self._unigrams))
+        self._next_log_floors = tuple(log(context[-1]) for context in self._next_defaults)
+        self._log_transition_defaults = {}
+        self.transition_blocks = {}
+        self.first_word_grids = {}
+
+    @cached_property
+    def start_row(self):
+        """[log Pr(nc | START-OF-SENTENCE, +end+) for nc in INTERNAL_CLASSES]."""
+        return [math.log(p) for p in
+                self.transitions(START_OF_SENTENCE, END_WORD)[:len(INTERNAL_CLASSES)]]
+
     def transitions(self, nc_prev: str, w_prev: str):
         """[Pr(nc | nc_prev, w_prev) for nc in SUCCESSOR_CLASSES]."""
         return transition_row(
@@ -292,6 +349,62 @@ class TableView:
         """[Pr(token | prev, nc) for nc in INTERNAL_CLASSES]."""
         return next_word_row(token, self._next_contexts.get(prev, self._next_defaults),
                              self._unigrams)
+
+    def transition_block(self, w_prev: str):
+        """block[j][i] = log Pr(SUCCESSOR_CLASSES[j] | INTERNAL_CLASSES[i],
+        w_prev), stored in ``transition_blocks`` under w_prev.
+
+        Built in one pass: the column of an untrained (nc_prev, w_prev)
+        is its class's log default, every other column one row sum, and
+        the block is transposed once, so block[8] is the row into
+        END-OF-SENTENCE.
+        """
+        log = math.log
+        columns = []
+        for nc_prev in INTERNAL_CLASSES:
+            context = self._transitions.get((nc_prev, w_prev))
+            column = None if context else self._log_transition_defaults.get(nc_prev)
+            if column is None:
+                column = [log(p) for p in transition_row(
+                    context or self._transition_defaults[nc_prev], SUCCESSOR_CLASSES,
+                    self._class_bigrams[nc_prev], self._marginal)]
+                if context is None:
+                    self._log_transition_defaults[nc_prev] = column
+            columns.append(column)
+        block = self.transition_blocks[w_prev] = tuple(zip(*columns))
+        return block
+
+    def first_word_grid(self, token: Token):
+        """grid[j][i] = log Pr(token opens class j | j, PREVIOUS_CLASSES[i]),
+        stored in ``first_word_grids`` under token.
+
+        The row of a class none of whose levels counted the token is the
+        class's shared row of log floors.
+        """
+        log = math.log
+        seen = [j for j, evidence in enumerate(self._first_evidence) if token in evidence]
+        grid = list(self._first_log_floors)
+        rows = first_word_rows(token, [self._first[j] for j in seen])
+        for j, row in zip(seen, rows):
+            grid[j] = tuple([log(p) for p in row])
+        grid = self.first_word_grids[token] = tuple(grid)
+        return grid
+
+    def next_log_row(self, prev: Token, token: Token):
+        """[log Pr(token | prev, nc) for nc in INTERNAL_CLASSES].
+
+        Not stored: a decoder keeps these rows itself.
+        """
+        log = math.log
+        contexts = self._next_contexts.get(prev)
+        if token not in self._unigram_evidence:
+            if contexts is None:
+                return self._next_log_floors
+            if not any(token in context[0] for context in contexts):
+                return [log(context[-1]) for context in contexts]
+        if contexts is None:
+            contexts = self._next_defaults
+        return [log(p) for p in next_word_row(token, contexts, self._unigrams)]
 
 
 # --- Routed public queries ---------------------------------------------------

@@ -11,17 +11,43 @@ framing (backslash, space, tab, newline, and carriage return, which a
 universal-newline read would turn into a line break).  Rows within a
 section are sorted, so serialization is deterministic and
 write→read→write is byte-identical.
+
+The reader refuses what the estimator cannot use: a class name outside
+the inventory, in an event or a context; a context of the wrong shape;
+a word feature outside ``WORD_FEATURES``; and a context whose sample
+size reaches ``SAMPLE_SIZE_LIMIT``.  It does not check that the pooled
+tables agree with the tables they sum.
 """
 
 from .counts import CondTable, CountTables, TrainedModel, Vocabulary
 from .corpus import INTERNAL_CLASSES
-from .features import FeatureConfig, Token
+from .estimator import PREVIOUS_CLASSES, SUCCESSOR_CLASSES
+from .features import FeatureConfig, Token, WORD_FEATURES
 
 MAGIC = "namefinder-model"
 VERSION = 2
 
-# How to decode each table's event field; contexts are always plain tuples.
-_TOKEN_EVENTS = {"first_words", "begin_bigrams", "word_bigrams", "word_unigrams"}
+# Below 2**53, unique / c > 2**-53 for every context (unique >= 1), so
+# 1 + unique / c rounds above 1, every back-off weight stays below 1 and
+# the floor keeps every probability above 0.  At 2**53 a context with
+# one distinct event gets a weight of exactly 1, and every event it did
+# not see a probability of 0.
+SAMPLE_SIZE_LIMIT = 2 ** 53
+
+# Per table: the allowed values of each context component (None: any
+# word), and of the event, a class name, or None for a <word feature>
+# token, whose feature must be a word feature.
+_PREVIOUS, _SUCCESSORS = frozenset(PREVIOUS_CLASSES), frozenset(SUCCESSOR_CLASSES)
+_CLASSES, _FEATURES = frozenset(INTERNAL_CLASSES), frozenset(WORD_FEATURES)
+_SHAPES = {
+    "class_transitions": ((_PREVIOUS, None), _SUCCESSORS),
+    "class_bigrams": ((_PREVIOUS,), _SUCCESSORS),
+    "class_marginal": ((), _SUCCESSORS),
+    "first_words": ((_CLASSES, _PREVIOUS), None),
+    "begin_bigrams": ((_CLASSES,), None),
+    "word_bigrams": ((None, _FEATURES, _CLASSES), None),
+    "word_unigrams": ((_CLASSES,), None),
+}
 
 
 class ModelFormatError(ValueError):
@@ -100,6 +126,26 @@ def _expect(lines, index, prefix):
     return lines[index][len(prefix) + 1:]
 
 
+def _check_contexts(table: CondTable, shape, header, counted):
+    """Refuse a context of the wrong shape or too large a sample size.
+
+    counted, the sum of every count in the table, bounds each sample size.
+    """
+    checks = [(i, allowed) for i, allowed in enumerate(shape) if allowed is not None]
+    for context in table.contexts():
+        if len(context) != len(shape):
+            raise ModelFormatError("context %r does not fit section %s" % (context, header))
+        for i, allowed in checks:
+            if context[i] not in allowed:
+                raise ModelFormatError("context %r does not fit section %s"
+                                       % (context, header))
+    if counted >= SAMPLE_SIZE_LIMIT:
+        for context in table.contexts():
+            if table.total(context) >= SAMPLE_SIZE_LIMIT:
+                raise ModelFormatError("sample size of context %r in section %s reaches 2**53"
+                                       % (context, header))
+
+
 def deserialize_model(text: str) -> TrainedModel:
     lines = text.split("\n")
     if lines[-1] == "":  # the newline that ends the last row
@@ -157,7 +203,8 @@ def deserialize_model(text: str) -> TrainedModel:
                                        % (header, index + 1, found))
             index += 1
             table = getattr(tables, name)
-            token_events = name in _TOKEN_EVENTS
+            shape, classes = _SHAPES[name]
+            counted = 0
             while index < len(lines) and "\t" in lines[index]:
                 parts = lines[index].split("\t")
                 if len(parts) != 3:
@@ -170,17 +217,25 @@ def deserialize_model(text: str) -> TrainedModel:
                     raise ModelFormatError("bad count at line %d" % (index + 1,)) from None
                 if count <= 0:
                     raise ModelFormatError("non-positive count at line %d" % (index + 1,))
-                if token_events:
+                counted += count
+                if classes is None:
                     if len(event) != 2:
                         raise ModelFormatError("expected <word feature> event at line %d"
                                                % (index + 1,))
+                    if event[1] not in _FEATURES:
+                        raise ModelFormatError("unknown word feature %r at line %d"
+                                               % (event[1], index + 1))
                     table.add(context, Token(*event), count)
                 else:
                     if len(event) != 1:
                         raise ModelFormatError("expected single-component event at line %d"
                                                % (index + 1,))
+                    if event[0] not in classes:
+                        raise ModelFormatError("class %r outside the inventory at line %d"
+                                               % (event[0], index + 1))
                     table.add(context, event[0], count)
                 index += 1
+            _check_contexts(table, shape, header, counted)
     if index != len(lines):
         raise ModelFormatError("trailing content at line %d" % (index + 1,))
     return TrainedModel(Vocabulary(words), main, unknown, config)

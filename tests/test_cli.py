@@ -173,6 +173,19 @@ class TestDecode:
         assert code == EXIT_FORMAT
         assert "bad model file" in capsys.readouterr().err
 
+    def test_count_too_large_to_decode(self, workspace, tmp_path, capsys):
+        # The count loads as an integer, but its weight rounds to 1 and a
+        # probability to 0; the loader refuses the file before decoding.
+        lines = workspace["model"].read_text(encoding="utf-8").split("\n")
+        row = lines.index("[main.class_marginal]") + 1
+        event, context, _ = lines[row].split("\t")
+        lines[row] = "%s\t%s\t%d" % (event, context, 10 ** 400)
+        bad = tmp_path / "bad.nf"
+        bad.write_text("\n".join(lines), encoding="utf-8")
+        code = main(["decode", str(workspace["plain"]), "--model", str(bad)])
+        assert code == EXIT_FORMAT
+        assert "bad model file" in capsys.readouterr().err
+
     def test_non_utf8_input(self, workspace, tmp_path, capsys):
         code = main(["decode", not_utf8(tmp_path / "in.txt"),
                      "--model", str(workspace["model"])])

@@ -2,9 +2,13 @@
 reconstruction, document segmentation, deterministic tie handling, and
 the estimator views shared by every decoder over one model."""
 
+import gc
+import statistics
+import time
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from namefinder import (
     AnnotatedSentence,
@@ -15,13 +19,15 @@ from namefinder import (
     PERSON,
     Region,
     Token,
+    WORD_FEATURES,
     compute_feature,
     parse_annotated,
     regions_from_path,
     score_path,
     train,
 )
-from namefinder.model_io import deserialize_model, serialize_model
+from namefinder.features import END_WORD, UNKNOWN_WORD
+from namefinder.model_io import ModelFormatError, deserialize_model, serialize_model
 from namefinder.synthetic import generate_corpus
 from reference import OOV_POOL, WORD_POOL, random_corpus, ref_best_path
 
@@ -254,14 +260,14 @@ class TestDeterminismAndReuse:
                for c in "abcdefghij"]
         assert len(oov) == 1000 and not any(w in tiny_model.vocabulary for w in oov)
         decoder.decode_sentence(["the", "plan", "."])
-        first_word_rows = len(decoder._fw_cache)
+        first_word_rows = sum(map(len, decoder._grids))
         decoder.decode_sentence(["the", oov[0], "plan", "."])
-        sizes = (len(decoder._fw_cache), len(decoder._trans_cache),
+        sizes = (sum(map(len, decoder._grids)), sum(map(len, decoder._blocks)),
                  len(decoder._next_cache))
         for word in oov[1:]:
             decoder.decode_sentence(["the", word, "plan", "."])
-        assert len(decoder._fw_cache) <= first_word_rows + 1
-        assert (len(decoder._fw_cache), len(decoder._trans_cache),
+        assert sum(map(len, decoder._grids)) <= first_word_rows + 1
+        assert (sum(map(len, decoder._grids)), sum(map(len, decoder._blocks)),
                 len(decoder._next_cache)) == sizes
 
     def test_empty_sentence_rejected(self, tiny_model):
@@ -296,15 +302,154 @@ class TestSharedViews:
         assert serialize_model(model) == text
 
     def test_contexts_no_query_reaches_are_ignored(self, tiny_corpus):
-        # A model file does not check context shapes, so a loaded model
-        # may hold contexts no query can ask for; they must not stop a
-        # decoder from being built or change what it decodes.
+        # Tables built in memory may hold contexts no query can ask for;
+        # they must not stop a decoder from being built or change what
+        # it decodes.  A model file holding them is refused.
         clean = train(tiny_corpus)
         odd = train(tiny_corpus)
         odd.main.class_transitions.add(("BOGUS", "said"), PERSON)
         odd.main.class_transitions.add(("said",), PERSON)
         odd.main.word_bigrams.add(("said", "lowerCase"), Token("hello", "lowerCase"))
         odd.main.word_bigrams.add(("said", "lowerCase", "BOGUS"), Token("hello", "lowerCase"))
-        odd = deserialize_model(serialize_model(odd))
+        with pytest.raises(ModelFormatError):
+            deserialize_model(serialize_model(odd))
         text = "Mr. John Smith said hello .\nAcme Systems Corp. opened in Boston ."
         assert Decoder(odd).decode_document(text) == Decoder(clean).decode_document(text)
+
+    def test_filled_rows_change_neither_equality_nor_the_model_file(self, tiny_corpus):
+        model = train(tiny_corpus)
+        text = serialize_model(model)
+        twin = deserialize_model(text)
+        Decoder(model).decode_document(
+            "Mr. John Smith said hello .\n+unk+ Zqx opened in Boston +end+ .")
+        main, unknown = model.table_views
+        assert main.transition_blocks and main.first_word_grids
+        assert unknown.transition_blocks and unknown.first_word_grids
+        assert not has_views(twin)
+        assert model == twin and twin == model
+        assert serialize_model(model) == text
+
+    def test_a_broken_unknown_word_view_fails_only_where_read(self, tiny_corpus):
+        # Pooled levels that disagree with their sums can make a
+        # probability 0 or less.  Its log fails only in the decodes that
+        # read it; text with no out-of-vocabulary word never reads the
+        # unknown-word tables.
+        clean = train(tiny_corpus)
+        broken = train(tiny_corpus)
+        broken.unknown.class_bigrams.add((PERSON,), LOCATION, 1000)
+        text = "Mr. John Smith said hello ."
+        assert Decoder(broken).decode_document(text) == Decoder(clean).decode_document(text)
+        with pytest.raises(ValueError, match="math domain error"):
+            Decoder(broken).decode_document("Mr. Zqx said hello .")
+
+    def test_fresh_decoders_reuse_filled_rows(self, tiny_corpus):
+        model = train(tiny_corpus)
+        words = "Mr. Zqx Smith said hello .".split()
+        first = Decoder(model).decode_sentence(words)
+        filled = [dict(view.transition_blocks) for view in model.table_views]
+        filled += [dict(view.first_word_grids) for view in model.table_views]
+        second = Decoder(model)
+        assert second.decode_sentence(words) == first
+        stores = [view.transition_blocks for view in model.table_views]
+        stores += [view.first_word_grids for view in model.table_views]
+        # Nothing was refilled: the same row objects under the same keys.
+        for before, after in zip(filled, stores):
+            assert before.keys() == after.keys()
+            assert all(after[key] is row for key, row in before.items())
+
+    def test_oov_words_with_fresh_decoders_add_one_first_word_grid(self, tiny_corpus):
+        model = train(tiny_corpus)
+        oov = ["zq" + a + b + c for a in "abcdefghij" for b in "abcdefghij"
+               for c in "abcdefghij"]
+        assert len(oov) == 1000 and not any(w in model.vocabulary for w in oov)
+        assert len({compute_feature(w, False) for w in oov}) == 1
+        Decoder(model).decode_sentence(["the", "plan", "."])
+        before = [len(view.first_word_grids) for view in model.table_views]
+        for word in oov:
+            Decoder(model).decode_sentence(["the", word, "plan", "."])
+        after = [len(view.first_word_grids) for view in model.table_views]
+        assert sum(after) <= sum(before) + 1
+
+    def test_shared_keys_stay_within_the_vocabulary_bound(self):
+        model = train(generate_corpus(200, seed=3))
+        text = "\n".join(" ".join(s.tokens) for s in generate_corpus(300, seed=4))
+        text += "\n+end+ +unk+ +begin+ Zqx said $9,999 1999 ZQX Zq."
+        for line in text.split("\n"):
+            Decoder(model).decode_document(line)
+        words = set(model.vocabulary.words()) | {END_WORD, UNKNOWN_WORD}
+        bound = len(model.vocabulary) + 2
+        main, unknown = model.table_views
+        assert set(main.transition_blocks) <= words
+        assert set(unknown.transition_blocks) <= {UNKNOWN_WORD}
+        for view in model.table_views:
+            assert len(view.transition_blocks) <= bound
+            assert len(view.first_word_grids) <= bound * len(WORD_FEATURES)
+            assert all(feature in WORD_FEATURES for _, feature in view.first_word_grids)
+        assert {word for word, _ in main.first_word_grids} <= words
+        assert {word for word, _ in unknown.first_word_grids} <= {UNKNOWN_WORD}
+        # Out-of-vocabulary words reached the unknown-word store.
+        assert unknown.transition_blocks and unknown.first_word_grids
+
+
+def test_decode_time_is_linear():
+    """time(2n)/time(n) <= 2.5 for one sentence with no terminal, read
+    by ``decode_document`` at 10k and 20k tokens.
+
+    Sizes alternate, each decode uses a fresh decoder over one model (the
+    first also fills the rows every decoder shares), and the gate takes
+    the median of the per-pair ratios, as ``test_parse_time_is_linear``
+    does.
+    """
+    model = train(generate_corpus(200, seed=13))
+    words = [w for s in generate_corpus(1600, seed=14) for w in s.tokens
+             if w not in (".", "!", "?")]
+    words = [word if i % 50 else "zq%d" % i for i, word in enumerate(words[:20000])]
+    assert len(words) == 20000
+    small, large = " ".join(words[:10000]), " ".join(words)
+
+    def timed_decode(text):
+        gc.collect()
+        begin = time.perf_counter()
+        results = Decoder(model).decode_document(text)
+        seconds = time.perf_counter() - begin
+        assert len(results) == 1
+        return seconds
+
+    ratios = []
+    for _ in range(5):
+        t_small = timed_decode(small)
+        ratios.append(timed_decode(large) / t_small)
+    assert statistics.median(ratios) <= 2.5, ratios
+
+
+# --- Property: rows shared across decoders change no decode ---------------
+
+@pytest.fixture(scope="module")
+def property_model():
+    return train(generate_corpus(150, seed=21))
+
+
+_OOV_WORDS = ["Zqx", "zqx", "$9,999", "1999", "77", "ZQX", "Zq.", "zq-9", "9/9/99",
+              "4.5%", "x9", ",", "+endx+"]
+_SENTINELS = ["+end+", "+unk+", "+begin+"]
+
+
+@st.composite
+def _sentences(draw, vocabulary):
+    pool = st.sampled_from(vocabulary + _OOV_WORDS + _SENTINELS)
+    return draw(st.lists(st.lists(pool, min_size=1, max_size=8), min_size=1, max_size=4))
+
+
+class TestSharedRowProperties:
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(data=st.data())
+    def test_fresh_decoders_agree_with_a_freshly_loaded_twin(self, property_model, data):
+        model = property_model
+        sentences = data.draw(_sentences(sorted(model.vocabulary.words())[:60]))
+        twin = deserialize_model(serialize_model(model))
+        for words in sentences:
+            result = Decoder(model).decode_sentence(words)
+            assert result == Decoder(twin).decode_sentence(words)
+            rebuilt = score_path(tokens_of(words, model), result.path_classes,
+                                 result.path_boundaries, model)
+            assert rebuilt == pytest.approx(result.log_score, abs=1e-9)

@@ -8,6 +8,8 @@ with old_c chaining each level's sample size into the next, and are
 frozen as exact fractions.
 """
 
+import copy
+import math
 import random
 
 import pytest
@@ -80,6 +82,13 @@ class TestLambdaWeight:
             if unique + 1 <= c:
                 # More diversity for the same mass means less trust.
                 assert lambda_weight(c, old, unique + 1) <= lam
+
+    def test_weight_reaches_one_at_two_to_the_53(self):
+        # One distinct event: below 2**53 the weight stays under 1 and the
+        # floor keeps some mass; at 2**53 it rounds to 1, which is why
+        # model files refuse sample sizes from there up.
+        assert lambda_weight(2 ** 53 - 1, 0, 1) < 1.0
+        assert lambda_weight(2 ** 53, 0, 1) == 1.0
 
     def test_more_data_earns_more_trust(self):
         previous = 0.0
@@ -413,3 +422,92 @@ class TestTableView:
                     p_next_word_from(tables, token, prev, nc, size)
                     for nc in INTERNAL_CLASSES]
         assert seen[True] and seen[False]
+
+
+def log_of(rows):
+    return [[math.log(p) for p in row] for row in rows]
+
+
+class TestLogRows:
+    """Each log row equals math.log of its linear row exactly (==), on
+    both table sets, for trained and untrained contexts alike."""
+
+    @pytest.fixture(params=["tiny", "synthetic"])
+    def model(self, request, tiny_model, synthetic_model):
+        return tiny_model if request.param == "tiny" else synthetic_model
+
+    @pytest.mark.parametrize("table_set", ["main", "unknown"])
+    def test_transition_blocks_and_start_row(self, model, table_set):
+        tables, view = TestTableView.tables_and_view(model, table_set)
+        trained = set(tables.class_transitions.contexts())
+        words = {w_prev for _, w_prev in trained}
+        words |= {END_WORD, UNKNOWN_WORD, "never-seen"}
+        seen = {True: 0, False: 0}
+        for w_prev in sorted(words):
+            columns = []
+            for nc_prev in INTERNAL_CLASSES:
+                seen[(nc_prev, w_prev) in trained] += 1
+                columns.append(view.transitions(nc_prev, w_prev))
+            block = view.transition_block(w_prev)
+            assert [list(row) for row in block] == log_of(zip(*columns))
+            assert view.transition_blocks[w_prev] is block
+        assert seen[True] and seen[False]
+        assert view.start_row == log_of(
+            [view.transitions(START_OF_SENTENCE, END_WORD)])[0][:len(INTERNAL_CLASSES)]
+
+    @pytest.mark.parametrize("table_set", ["main", "unknown"])
+    def test_first_word_grids(self, model, table_set):
+        tables, view = TestTableView.tables_and_view(model, table_set)
+        tokens = {token for _, token, _ in tables.first_words.items()}
+        tokens |= {token for _, token, _ in tables.word_unigrams.items()}
+        tokens |= {Token(UNKNOWN_WORD, "initCap"), Token(UNKNOWN_WORD, "fourDigitNum"),
+                   Token("never-seen", "lowerCase"), END_TOKEN}
+        for token in sorted(tokens):
+            grid = view.first_word_grid(token)
+            # Every class row, the START column (index 8) included.
+            assert [list(row) for row in grid] == log_of(view.first_words(token))
+            assert view.first_word_grids[token] is grid
+
+    @pytest.mark.parametrize("table_set", ["main", "unknown"])
+    def test_next_rows(self, model, table_set):
+        tables, view = TestTableView.tables_and_view(model, table_set)
+        bigrams = tables.word_bigrams
+        trained = set(bigrams.contexts())
+        prevs = {Token(word, feature) for word, feature, _ in trained}
+        prevs |= {Token("never-seen", "lowerCase"), Token(UNKNOWN_WORD, "initCap"), END_TOKEN}
+        unigram_tokens = sorted({token for _, token, _ in tables.word_unigrams.items()})
+        for prev in sorted(prevs):
+            tokens = {END_TOKEN, Token(UNKNOWN_WORD, "lowerCase"),
+                      Token("never-seen", "initCap"), *unigram_tokens[:3]}
+            for nc in INTERNAL_CLASSES:
+                tokens.update(sorted(bigrams.events((prev.word, prev.feature, nc)))[:3])
+            for token in sorted(tokens):
+                assert list(view.next_log_row(prev, token)) == log_of(
+                    [view.next_words(prev, token)])[0]
+
+    def test_every_level_counts_as_evidence(self, tiny_model):
+        # A loaded file need not keep the pooled levels equal to the sums
+        # of the tables above them: a token counted at any one level must
+        # still take the row sum, not the floor constant.
+        tables = copy.deepcopy(tiny_model.main)
+        only_first = Token("only-first", "lowerCase")
+        only_begin = Token("only-begin", "lowerCase")
+        only_unigram = Token("only-unigram", "lowerCase")
+        only_bigram = Token("only-bigram", "lowerCase")
+        tables.first_words.add((MONEY, START_OF_SENTENCE), only_first)
+        tables.begin_bigrams.add((PERSON,), only_begin)
+        tables.word_unigrams.add((NOT_A_NAME,), only_unigram)
+        tables.word_bigrams.add(("said", "lowerCase", NOT_A_NAME), only_bigram)
+        tables.class_transitions.add((PERSON, "said"), END_OF_SENTENCE)
+        view = TableView(tables, len(tiny_model.vocabulary))
+        said = Token("said", "lowerCase")
+        for token in (only_first, only_begin, only_unigram, only_bigram):
+            assert [list(row) for row in view.first_word_grid(token)] == log_of(
+                view.first_words(token))
+            for prev in (said, Token("never-seen", "lowerCase")):
+                assert list(view.next_log_row(prev, token)) == log_of(
+                    [view.next_words(prev, token)])[0]
+        columns = [view.transitions(nc_prev, "said") for nc_prev in INTERNAL_CLASSES]
+        assert [list(row) for row in view.transition_block("said")] == log_of(zip(*columns))
+        assert view.first_word_grid(only_first) != view.first_word_grid(
+            Token("never-seen", "lowerCase"))

@@ -10,7 +10,9 @@ from namefinder import (
     NOT_A_NAME,
     PERSON,
     START_OF_SENTENCE,
+    Decoder,
     Token,
+    Vocabulary,
     deserialize_model,
     p_class_transition,
     p_first_word,
@@ -33,6 +35,11 @@ def vocabulary_rows(text):
     start = lines.index("[vocabulary]") + 1
     end = lines.index("[main.class_transitions]")
     return [tuple(line.split("\t")) for line in lines[start:end]]
+
+
+def with_row(text, section, row):
+    """The model text with ``row`` added at the top of ``section``."""
+    return text.replace("[%s]\n" % section, "[%s]\n%s\n" % (section, row), 1)
 
 
 def with_vocabulary_row(text, index, row):
@@ -134,6 +141,17 @@ class TestRoundTrip:
         write_model(deserialize_model(text), path)
         assert serialize_model(read_model(path)) == text
 
+    def test_reloaded_model_compares_equal(self, tiny_model, rng):
+        for model in (tiny_model, train(random_corpus(rng, 30))):
+            loaded = deserialize_model(serialize_model(model))
+            assert loaded == model and model == loaded
+
+    def test_vocabularies_compare_by_word_order(self):
+        assert Vocabulary(["a", "b"]) == Vocabulary(["a", "b"])
+        assert Vocabulary(["a", "b"]) != Vocabulary(["b", "a"])
+        assert Vocabulary(["a"]) != Vocabulary(["a", "b"])
+        assert Vocabulary(["a"]) != ["a"]
+
     def test_crlf_file_loads(self, tiny_model, tmp_path):
         path = tmp_path / "model.nf"
         path.write_bytes(serialize_model(tiny_model).replace("\n", "\r\n")
@@ -230,3 +248,78 @@ class TestFormatErrors:
             rest.split("\n", 1)[1] if rest else head
         with pytest.raises(ModelFormatError):
             deserialize_model(broken)
+
+
+class TestUnusableModels:
+    """Files that parse but that the estimator cannot use are refused."""
+
+    @pytest.mark.parametrize("section, row", [
+        ("main.class_marginal", "NOT-A-CLASS\t\t3"),
+        ("unknown.class_transitions", "NOT-A-CLASS\tPERSON said\t1"),
+        ("main.class_bigrams", "START-OF-SENTENCE\tPERSON\t1"),
+        ("main.class_transitions", "START-OF-SENTENCE\tPERSON said\t1"),
+    ])
+    def test_class_events_outside_the_inventory(self, tiny_model, section, row):
+        text = with_row(serialize_model(tiny_model), section, row)
+        with pytest.raises(ModelFormatError, match="outside the inventory"):
+            deserialize_model(text)
+
+    @pytest.mark.parametrize("section, row", [
+        ("main.class_transitions", "PERSON\tBOGUS said\t1"),
+        ("main.class_bigrams", "PERSON\tEND-OF-SENTENCE\t1"),
+        ("main.first_words", "said lowerCase\tBOGUS PERSON\t1"),
+        ("unknown.first_words", "said lowerCase\tPERSON END-OF-SENTENCE\t1"),
+        ("main.begin_bigrams", "said lowerCase\tSTART-OF-SENTENCE\t1"),
+        ("main.word_bigrams", "hello lowerCase\tsaid lowerCase BOGUS\t1"),
+        ("unknown.word_unigrams", "hello lowerCase\tBOGUS\t1"),
+    ])
+    def test_class_names_in_contexts_outside_the_inventory(self, tiny_model, section, row):
+        text = with_row(serialize_model(tiny_model), section, row)
+        with pytest.raises(ModelFormatError, match="does not fit section"):
+            deserialize_model(text)
+
+    @pytest.mark.parametrize("section, row", [
+        ("main.class_transitions", "PERSON\tsaid\t1"),
+        ("main.class_transitions", "PERSON\tPERSON said more\t1"),
+        ("main.class_bigrams", "PERSON\t\t1"),
+        ("main.class_marginal", "PERSON\tPERSON\t1"),
+        ("main.first_words", "said lowerCase\tPERSON\t1"),
+        ("main.begin_bigrams", "said lowerCase\tPERSON PERSON\t1"),
+        ("main.word_bigrams", "hello lowerCase\tsaid lowerCase\t1"),
+        ("unknown.word_unigrams", "hello lowerCase\t\t1"),
+    ])
+    def test_contexts_of_the_wrong_shape(self, tiny_model, section, row):
+        text = with_row(serialize_model(tiny_model), section, row)
+        with pytest.raises(ModelFormatError, match="does not fit section"):
+            deserialize_model(text)
+
+    @pytest.mark.parametrize("section, row, match", [
+        ("main.word_unigrams", "hello shouting\tPERSON\t1", "unknown word feature"),
+        ("unknown.first_words", "+unk+ \tPERSON NOT-A-NAME\t1", "unknown word feature"),
+        ("main.word_bigrams", "hello lowerCase\tsaid shouting PERSON\t1",
+         "does not fit section"),
+    ])
+    def test_features_outside_the_word_features(self, tiny_model, section, row, match):
+        text = with_row(serialize_model(tiny_model), section, row)
+        with pytest.raises(ModelFormatError, match=match):
+            deserialize_model(text)
+
+    def test_sample_size_limit_on_both_sides_of_its_edge(self, tiny_model):
+        lines = serialize_model(tiny_model).split("\n")
+        start = lines.index("[main.class_marginal]") + 1
+        end = lines.index("[main.first_words]")
+        rows = [line.split("\t") for line in lines[start:end]]
+        others = sum(int(count) for _, _, count in rows[1:])
+        event, context, _ = rows[0]
+
+        def with_total(total):
+            lines[start] = "%s\t%s\t%d" % (event, context, total - others)
+            return "\n".join(lines)
+
+        model = deserialize_model(with_total(2 ** 53 - 1))
+        assert model.main.class_marginal.total(()) == 2 ** 53 - 1
+        for result in Decoder(model).decode_document("Mr. John Smith said hello .\nZqx ."):
+            assert -1e9 < result.log_score < 0
+        for total in (2 ** 53, 10 ** 400):
+            with pytest.raises(ModelFormatError, match=r"reaches 2\*\*53"):
+                deserialize_model(with_total(total))
