@@ -8,6 +8,8 @@ own counts: frequent, low-variety contexts trust themselves; sparse,
 high-variety contexts push mass down the chain.
 """
 
+import math
+
 from namefinder import (
     CountTables,
     NOT_A_NAME,
@@ -17,7 +19,8 @@ from namefinder import (
 )
 
 # Four observations of words following "come" inside NOT-A-NAME text:
-# "here" three times and "hither" once.
+# "here" three times and "hither" once.  Only these bigram counts are
+# entered; the class's unigram level is summed from them.
 tables = CountTables()
 context = ("come", "lowerCase", NOT_A_NAME)
 tables.word_bigrams.add(context, Token("here", "lowerCase"), 3)
@@ -26,6 +29,7 @@ tables.word_bigrams.add(context, Token("hither", "lowerCase"), 1)
 c = tables.word_bigrams.total(context)
 unique = tables.word_bigrams.unique(context)
 lam = lambda_weight(c, 0, unique)
+assert (c, unique, lam) == (4, 2, 2 / 3)
 print("context count c = %d, unique outcomes = %d" % (c, unique))
 print("lambda = %.6f (trust in the bigram counts)" % lam)
 print("1 - lambda = %.6f (passed to the back-off level)" % (1 - lam))
@@ -33,20 +37,29 @@ print()
 
 # The smoothed estimate for each word mixes the bigram's relative
 # frequency with whatever the coarser levels say.
+# The unigram level holds the same four samples as the bigram context,
+# so it gets weight 0 and the rest, 1 - lambda, lands on the floor.
 vocab_size = 10
+floor = 1 / (vocab_size * 14)
 come = Token("come", "lowerCase")
-for word in ("here", "hither", "never-seen"):
+here = Token("here", "lowerCase")
+for word, share in (("here", 3 / 4), ("hither", 1 / 4), ("never-seen", 0)):
     p = p_next_word_from(tables, Token(word, "lowerCase"), come,
                          NOT_A_NAME, vocab_size)
+    assert math.isclose(p, lam * share + (1 - lam) * floor, rel_tol=1e-12)
     print("p(%-10s | come, NOT-A-NAME) = %.6f" % (word, p))
 print()
 
-# A context with no counts at all has lambda 0 and falls straight
-# through to the uniform floor.
-p = p_next_word_from(tables, Token("here", "lowerCase"),
-                     Token("go", "lowerCase"), NOT_A_NAME, vocab_size)
-print("unseen context 'go': p = %.6f = 1/(vocab * 14) = %.6f"
-      % (p, 1 / (vocab_size * 14)))
+# A context with no counts at all has lambda 0, and its mass falls to
+# the class's unigram level: "here" 3 times in 4 samples, pooled over
+# every previous word.
+unigrams = tables.word_unigrams
+assert unigrams.events((NOT_A_NAME,)) == tables.word_bigrams.events(context)
+lam_u = lambda_weight(unigrams.total((NOT_A_NAME,)), 0, unigrams.unique((NOT_A_NAME,)))
+p = p_next_word_from(tables, here, Token("go", "lowerCase"), NOT_A_NAME, vocab_size)
+assert math.isclose(p, lam_u * 3 / 4 + (1 - lam_u) * floor, rel_tol=1e-12)
+print("unseen context 'go': p(here) = %.6f = %.4f * 3/4 + %.4f * 1/(vocab * 14)"
+      % (p, lam_u, 1 - lam_u))
 
 # More data in a context raises lambda; more variety lowers it.
 print()

@@ -4,9 +4,9 @@ Training walks each sentence as the generative story tells it: a class
 transition at every region boundary (conditioned on the previous class
 and the previous real word), a first-word event per region, a bigram
 event per subsequent word, and a ``+end+`` event closing each region.
-Lower-order tables (class bigrams and marginals, begin-bigrams and word
-unigrams) are filled from the same walk so every back-off level is
-estimated from one pass.
+Only these three tables are counted.  The pooled back-off levels below
+them (class bigrams and marginals, begin-bigrams and word unigrams) are
+their sums, which ``CountTables`` derives once per table set.
 
 The unknown-word tables come from a two-pass held-out scheme: build a
 vocabulary on the first half of the corpus and count the second half
@@ -22,6 +22,7 @@ from functools import cached_property
 from .corpus import (
     AnnotatedSentence,
     END_OF_SENTENCE,
+    INTERNAL_CLASSES,
     NOT_A_NAME,
     START_OF_SENTENCE,
 )
@@ -33,6 +34,10 @@ from .features import (
     UNKNOWN_WORD,
     compute_feature,
 )
+
+
+# Classes a region can follow: every internal class, then the sentence start.
+PREVIOUS_CLASSES = INTERNAL_CLASSES + (START_OF_SENTENCE,)
 
 
 class TrainingError(ValueError):
@@ -87,6 +92,13 @@ class CondTable:
         bucket = self._events.setdefault(context, {})
         bucket[event] = bucket.get(event, 0) + count
 
+    def add_events(self, context, events: dict):
+        """Add every count of an event -> count dict to one context."""
+        if events:
+            bucket = self._events.setdefault(context, {})
+            for event, count in events.items():
+                bucket[event] = bucket.get(event, 0) + count
+
     def count(self, context, event) -> int:
         return self._events.get(context, {}).get(event, 0)
 
@@ -105,8 +117,7 @@ class CondTable:
     def update(self, other: "CondTable"):
         """Add every count from another table into this one."""
         for context, bucket in other._events.items():
-            for event, count in bucket.items():
-                self.add(context, event, count)
+            self.add_events(context, bucket)
 
     def items(self):
         """Yield (context, event, count) triples in storage order."""
@@ -123,38 +134,62 @@ class CondTable:
 
 @dataclass
 class CountTables:
-    """The seven count tables of one model (main or unknown-word).
-
-    Each feeds a level of an estimator back-off chain.  Context/event
-    shapes:
+    """The three counted tables of one model (main or unknown-word), and
+    the four pooled back-off levels derived from them.  Context -> event:
       class_transitions  (nc_prev, w_prev) -> nc
-      class_bigrams      (nc_prev,)        -> nc
-      class_marginal     ()                -> nc
       first_words        (nc, nc_prev)     -> Token
-      begin_bigrams      (nc,)             -> Token   (first words, pooled)
       word_bigrams       (w_prev, f_prev, nc) -> Token (includes +end+ events)
-      word_unigrams      (nc,)             -> Token
+      class_bigrams   (nc_prev,) -> nc     class_transitions summed over w_prev
+      class_marginal  ()         -> nc     class_bigrams summed over nc_prev
+      begin_bigrams   (nc,)      -> Token  first_words summed over nc_prev
+      word_unigrams   (nc,)      -> Token  first_words and word_bigrams by class,
+                                           less the +end+ closing each region
+    So no context holds more samples than a level below it.  A context
+    whose classes or length no query can ask for adds to no level a
+    query reads.  The read-only levels are summed when one is first
+    read, so every count must be in by then.
     """
 
     class_transitions: CondTable = field(default_factory=CondTable)
-    class_bigrams: CondTable = field(default_factory=CondTable)
-    class_marginal: CondTable = field(default_factory=CondTable)
     first_words: CondTable = field(default_factory=CondTable)
-    begin_bigrams: CondTable = field(default_factory=CondTable)
     word_bigrams: CondTable = field(default_factory=CondTable)
-    word_unigrams: CondTable = field(default_factory=CondTable)
 
-    NAMES = (
-        "class_transitions", "class_bigrams", "class_marginal",
-        "first_words", "begin_bigrams", "word_bigrams", "word_unigrams",
-    )
+    NAMES = ("class_transitions", "first_words", "word_bigrams")
 
     def tables(self):
         return {name: getattr(self, name) for name in self.NAMES}
 
-    def update(self, other: "CountTables"):
-        for name in self.NAMES:
-            getattr(self, name).update(getattr(other, name))
+    @cached_property
+    def _pooled(self):
+        """(class_bigrams, class_marginal, begin_bigrams, word_unigrams)."""
+        class_bigrams, class_marginal = CondTable(), CondTable()
+        begin_bigrams, word_unigrams = CondTable(), CondTable()
+        transitions, first_words, bigrams = self.tables().values()
+        for context in transitions.contexts():
+            class_bigrams.add_events(context[:1], transitions.events(context))
+        for nc_prev in PREVIOUS_CLASSES:
+            class_marginal.add_events((), class_bigrams.events((nc_prev,)))
+        for nc in INTERNAL_CLASSES:
+            for nc_prev in PREVIOUS_CLASSES:
+                begin_bigrams.add_events((nc,), first_words.events((nc, nc_prev)))
+            word_unigrams.add_events((nc,), begin_bigrams.events((nc,)))
+        ends = {}
+        for context in bigrams.contexts():
+            events = bigrams.events(context)
+            if END_TOKEN in events:
+                ends[context[2:]] = ends.get(context[2:], 0) + events[END_TOKEN]
+                events = {token: n for token, n in events.items() if token != END_TOKEN}
+            word_unigrams.add_events(context[2:], events)
+        # One +end+ closes each region; any others are +end+ words of the text.
+        for context, count in ends.items():
+            if count > begin_bigrams.total(context):
+                word_unigrams.add(context, END_TOKEN, count - begin_bigrams.total(context))
+        return class_bigrams, class_marginal, begin_bigrams, word_unigrams
+
+    class_bigrams = property(lambda self: self._pooled[0])
+    class_marginal = property(lambda self: self._pooled[1])
+    begin_bigrams = property(lambda self: self._pooled[2])
+    word_unigrams = property(lambda self: self._pooled[3])
 
 
 @dataclass(frozen=True)
@@ -215,27 +250,14 @@ def collect_counts(sentences, vocab: Vocabulary, map_unknown: bool,
             if map_unknown:
                 word = vocab.map(word)
             tokens.append(Token(word, feature))
-        segments = segment_classes(sentence)
         nc_prev, w_prev = START_OF_SENTENCE, END_WORD
-        for nc, start, end in segments:
+        for nc, start, end in segment_classes(sentence):
             t.class_transitions.add((nc_prev, w_prev), nc)
-            t.class_bigrams.add((nc_prev,), nc)
-            t.class_marginal.add((), nc)
-            first = tokens[start]
-            t.first_words.add((nc, nc_prev), first)
-            t.begin_bigrams.add((nc,), first)
-            for j in range(start, end):
-                tok = tokens[j]
-                t.word_unigrams.add((nc,), tok)
-                if j > start:
-                    prev = tokens[j - 1]
-                    t.word_bigrams.add((prev.word, prev.feature, nc), tok)
-            last = tokens[end - 1]
-            t.word_bigrams.add((last.word, last.feature, nc), END_TOKEN)
-            nc_prev, w_prev = nc, last.word
+            t.first_words.add((nc, nc_prev), tokens[start])
+            for prev, token in zip(tokens[start:end], tokens[start + 1:end] + [END_TOKEN]):
+                t.word_bigrams.add((prev.word, prev.feature, nc), token)
+            nc_prev, w_prev = nc, tokens[end - 1].word
         t.class_transitions.add((nc_prev, w_prev), END_OF_SENTENCE)
-        t.class_bigrams.add((nc_prev,), END_OF_SENTENCE)
-        t.class_marginal.add((), END_OF_SENTENCE)
     return t
 
 
@@ -259,8 +281,8 @@ def train(sentences, config: FeatureConfig = FeatureConfig()) -> TrainedModel:
     main = collect_counts(sentences, vocabulary, map_unknown=False, config=config)
     half = (len(sentences) + 1) // 2
     part_a, part_b = sentences[:half], sentences[half:]
-    vocab_a = build_vocabulary(part_a)
-    vocab_b = build_vocabulary(part_b)
-    unknown = collect_counts(part_b, vocab_a, map_unknown=True, config=config)
-    unknown.update(collect_counts(part_a, vocab_b, map_unknown=True, config=config))
+    unknown = collect_counts(part_b, build_vocabulary(part_a), map_unknown=True, config=config)
+    held_out = collect_counts(part_a, build_vocabulary(part_b), map_unknown=True, config=config)
+    for name, table in unknown.tables().items():
+        table.update(getattr(held_out, name))
     return TrainedModel(vocabulary, main, unknown, config)

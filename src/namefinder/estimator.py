@@ -35,13 +35,13 @@ floor, so its log is a constant of the context.  The view computes the
 constants of the first-word contexts and of the untrained defaults
 once, and rows made of them are shared objects; a row of a trained
 context with no evidence takes the log of that context's floor term.
-Only rows with evidence go through the row sums and ``math.log``.  The
-test for evidence reads every level the sum would read, so it holds on
-any loadable table set, not only on one whose marginals agree.  Rows
-keyed by the vocabulary are filled lazily and kept on the view, shared
-by every decoder over the model: the transition block of a previous
-word (``transition_block``) and the first-word grid of a token
-(``first_word_grid``).  The decoder maps every out-of-vocabulary word to
+Only rows with evidence go through the row sums and ``math.log``.  A
+class's word-unigram level sums its first-word chain, and every event
+but ``+end+`` of its next-word chain (``CountTables``), so the test for
+evidence is a lookup there.  Rows keyed by the vocabulary are filled
+lazily and kept on the view, shared by every decoder over the model:
+the transition block of a previous word (``transition_block``) and the
+first-word grid of a token (``first_word_grid``).  The decoder maps every out-of-vocabulary word to
 ``+unk+`` before it asks, so these stores hold at most |V| + 2 previous
 words and (|V| + 2) x 14 tokens per view and need no eviction.
 Next-word rows (``next_log_row``), keyed by a pair of tokens, are left
@@ -62,10 +62,9 @@ the augmented space, which makes each family sum to exactly 1.
 """
 
 import math
-from functools import cached_property
 
 from .corpus import END_OF_SENTENCE, INTERNAL_CLASSES, START_OF_SENTENCE
-from .counts import CountTables, TrainedModel
+from .counts import CountTables, PREVIOUS_CLASSES, TrainedModel
 from .features import END_WORD, NUM_WORD_FEATURES, Token, UNKNOWN_WORD
 
 # Successor space of a class transition: the internal classes plus
@@ -75,9 +74,6 @@ NUM_SUCCESSOR_CLASSES = len(SUCCESSOR_CLASSES)
 
 # The class-transition floor: uniform over the successors.
 TRANSITION_FLOOR = 1.0 / NUM_SUCCESSOR_CLASSES
-
-# Classes a region can follow: every internal class, then the sentence start.
-PREVIOUS_CLASSES = INTERNAL_CLASSES + (START_OF_SENTENCE,)
 
 
 def lambda_weight(c_y: int, old_c_y: int, unique_outcomes: int) -> float:
@@ -260,11 +256,9 @@ class TableView:
             nc_prev: _class_level(tables.class_bigrams, (nc_prev,), SUCCESSOR_CLASSES)
             for nc_prev in PREVIOUS_CLASSES}
         self._unigrams = [_stats(tables.word_unigrams, (nc,)) for nc in INTERNAL_CLASSES]
-        # Per class: (its context per previous class, begin level, unigram level),
-        # the tokens any of those levels counted, and the log row of a
-        # token none of them counted.
+        # Per class: (its context per previous class, begin level, unigram
+        # level), and the log row of a token its unigram level did not count.
         self._first = []
-        self._first_evidence = []
         self._first_log_floors = []
         for nc, unigrams in zip(INTERNAL_CLASSES, self._unigrams):
             begin = _stats(tables.begin_bigrams, (nc,))
@@ -272,8 +266,6 @@ class TableView:
                               floor)
                         for nc_prev in PREVIOUS_CLASSES]
             self._first.append((contexts, begin, unigrams))
-            self._first_evidence.append(
-                set(begin[0]).union(unigrams[0], *(context[0] for context in contexts)))
             self._first_log_floors.append(tuple(log(context[-1]) for context in contexts))
         # A context's weights depend on its chain, named by its previous
         # class (transitions) or class index (next words), and on its
@@ -316,24 +308,21 @@ class TableView:
                                                      list(self._next_defaults))
                 row[j] = shared(j, _stats(bigrams, context), (self._unigrams[j],), floor)
 
-        # The next-word row of a token that no class's unigram level
+        # Log constants: the next-word row of a token no unigram level
         # counted, after a previous token no bigram context was trained
-        # on: log constants.  The log column of an untrained transition
-        # context, per previous class, is kept once the first block
-        # needs it, not before: in a table set whose pooled levels
-        # disagree with their sums a cell can be 0 or less, and its log
-        # must fail only where a decode reads it, as the linear row's would.
+        # on, and the column of an untrained transition context.
         self._unigram_evidence = set().union(*(unigrams[0] for unigrams in self._unigrams))
         self._next_log_floors = tuple(log(context[-1]) for context in self._next_defaults)
-        self._log_transition_defaults = {}
+        self._log_transition_defaults = {
+            nc_prev: [log(p) for p in transition_row(
+                self._transition_defaults[nc_prev], SUCCESSOR_CLASSES,
+                self._class_bigrams[nc_prev], self._marginal)]
+            for nc_prev in INTERNAL_CLASSES}
+        # [log Pr(nc | START-OF-SENTENCE, +end+) for nc in INTERNAL_CLASSES]
+        self.start_row = [log(p) for p in
+                          self.transitions(START_OF_SENTENCE, END_WORD)[:len(INTERNAL_CLASSES)]]
         self.transition_blocks = {}
         self.first_word_grids = {}
-
-    @cached_property
-    def start_row(self):
-        """[log Pr(nc | START-OF-SENTENCE, +end+) for nc in INTERNAL_CLASSES]."""
-        return [math.log(p) for p in
-                self.transitions(START_OF_SENTENCE, END_WORD)[:len(INTERNAL_CLASSES)]]
 
     def transitions(self, nc_prev: str, w_prev: str):
         """[Pr(nc | nc_prev, w_prev) for nc in SUCCESSOR_CLASSES]."""
@@ -363,14 +352,12 @@ class TableView:
         columns = []
         for nc_prev in INTERNAL_CLASSES:
             context = self._transitions.get((nc_prev, w_prev))
-            column = None if context else self._log_transition_defaults.get(nc_prev)
-            if column is None:
-                column = [log(p) for p in transition_row(
-                    context or self._transition_defaults[nc_prev], SUCCESSOR_CLASSES,
-                    self._class_bigrams[nc_prev], self._marginal)]
-                if context is None:
-                    self._log_transition_defaults[nc_prev] = column
-            columns.append(column)
+            if context is None:
+                columns.append(self._log_transition_defaults[nc_prev])
+            else:
+                columns.append([log(p) for p in transition_row(
+                    context, SUCCESSOR_CLASSES, self._class_bigrams[nc_prev],
+                    self._marginal)])
         block = self.transition_blocks[w_prev] = tuple(zip(*columns))
         return block
 
@@ -378,11 +365,11 @@ class TableView:
         """grid[j][i] = log Pr(token opens class j | j, PREVIOUS_CLASSES[i]),
         stored in ``first_word_grids`` under token.
 
-        The row of a class none of whose levels counted the token is the
-        class's shared row of log floors.
+        The row of a class whose unigram level did not count the token is
+        the class's shared row of log floors.
         """
         log = math.log
-        seen = [j for j, evidence in enumerate(self._first_evidence) if token in evidence]
+        seen = [j for j, unigrams in enumerate(self._unigrams) if token in unigrams[0]]
         grid = list(self._first_log_floors)
         rows = first_word_rows(token, [self._first[j] for j in seen])
         for j, row in zip(seen, rows):

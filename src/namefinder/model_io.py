@@ -3,20 +3,19 @@
 Layout: a fixed header (magic+version, feature config, class inventory,
 vocabulary size), a [vocabulary] section of word<TAB>id rows, where a
 word's id is its position in the section (1, 2, ...), then one section
-per count table (the seven of ``CountTables.NAMES``), main tables
-before unknown tables, each row `event<TAB>context<TAB>count`.  Rows
-end at ``\n`` only.  Event and context components are space-joined,
-with backslash escapes for characters that would collide with the
-framing (backslash, space, tab, newline, and carriage return, which a
-universal-newline read would turn into a line break).  Rows within a
-section are sorted, so serialization is deterministic and
-write→read→write is byte-identical.
+per counted table (``CountTables.NAMES``; the pooled levels are derived
+on load), main tables before unknown tables, each row
+`event<TAB>context<TAB>count`.  Rows end at ``\n`` only.  Event and
+context components are space-joined, with backslash escapes for
+characters that would collide with the framing (backslash, space, tab,
+newline, and carriage return, which a universal-newline read would turn
+into a line break).  Rows within a section are sorted, so serialization
+is deterministic and write→read→write is byte-identical.
 
 The reader refuses what the estimator cannot use: a class name outside
 the inventory, in an event or a context; a context of the wrong shape;
-a word feature outside ``WORD_FEATURES``; and a context whose sample
-size reaches ``SAMPLE_SIZE_LIMIT``.  It does not check that the pooled
-tables agree with the tables they sum.
+a word feature outside ``WORD_FEATURES``; and a table set with a
+context, counted or pooled, of ``SAMPLE_SIZE_LIMIT`` samples or more.
 """
 
 from .counts import CondTable, CountTables, TrainedModel, Vocabulary
@@ -25,7 +24,7 @@ from .estimator import PREVIOUS_CLASSES, SUCCESSOR_CLASSES
 from .features import FeatureConfig, Token, WORD_FEATURES
 
 MAGIC = "namefinder-model"
-VERSION = 2
+VERSION = 3
 
 # Below 2**53, unique / c > 2**-53 for every context (unique >= 1), so
 # 1 + unique / c rounds above 1, every back-off weight stays below 1 and
@@ -41,12 +40,8 @@ _PREVIOUS, _SUCCESSORS = frozenset(PREVIOUS_CLASSES), frozenset(SUCCESSOR_CLASSE
 _CLASSES, _FEATURES = frozenset(INTERNAL_CLASSES), frozenset(WORD_FEATURES)
 _SHAPES = {
     "class_transitions": ((_PREVIOUS, None), _SUCCESSORS),
-    "class_bigrams": ((_PREVIOUS,), _SUCCESSORS),
-    "class_marginal": ((), _SUCCESSORS),
     "first_words": ((_CLASSES, _PREVIOUS), None),
-    "begin_bigrams": ((_CLASSES,), None),
     "word_bigrams": ((None, _FEATURES, _CLASSES), None),
-    "word_unigrams": ((_CLASSES,), None),
 }
 
 
@@ -89,8 +84,6 @@ def _encode(value) -> str:
 
 
 def _decode(text: str) -> tuple:
-    if text == "":
-        return ()
     return tuple(_unescape(c) for c in text.split(" "))
 
 
@@ -112,9 +105,9 @@ def serialize_model(model: TrainedModel) -> str:
     for position, word in enumerate(model.vocabulary.words(), 1):
         lines.append("%s\t%d" % (_escape(word), position))
     for prefix, tables in (("main", model.main), ("unknown", model.unknown)):
-        for name in CountTables.NAMES:
+        for name, table in tables.tables().items():
             lines.append("[%s.%s]" % (prefix, name))
-            lines.extend(_table_lines(getattr(tables, name)))
+            lines.extend(_table_lines(table))
     return "\n".join(lines) + "\n"
 
 
@@ -126,24 +119,23 @@ def _expect(lines, index, prefix):
     return lines[index][len(prefix) + 1:]
 
 
-def _check_contexts(table: CondTable, shape, header, counted):
-    """Refuse a context of the wrong shape or too large a sample size.
-
-    counted, the sum of every count in the table, bounds each sample size.
-    """
-    checks = [(i, allowed) for i, allowed in enumerate(shape) if allowed is not None]
-    for context in table.contexts():
-        if len(context) != len(shape):
-            raise ModelFormatError("context %r does not fit section %s" % (context, header))
-        for i, allowed in checks:
-            if context[i] not in allowed:
-                raise ModelFormatError("context %r does not fit section %s"
-                                       % (context, header))
-    if counted >= SAMPLE_SIZE_LIMIT:
+def _check_table_set(tables: CountTables, prefix):
+    """Refuse a context of the wrong shape, and a class marginal or word
+    unigrams (no context above holds more samples) at SAMPLE_SIZE_LIMIT."""
+    for name, table in tables.tables().items():
+        shape = _SHAPES[name][0]
+        checks = [(i, allowed) for i, allowed in enumerate(shape) if allowed is not None]
+        for context in table.contexts():
+            if len(context) != len(shape) or any(context[i] not in allowed
+                                                 for i, allowed in checks):
+                raise ModelFormatError("context %r does not fit section [%s.%s]"
+                                       % (context, prefix, name))
+    for name in ("class_marginal", "word_unigrams"):
+        table = getattr(tables, name)
         for context in table.contexts():
             if table.total(context) >= SAMPLE_SIZE_LIMIT:
-                raise ModelFormatError("sample size of context %r in section %s reaches 2**53"
-                                       % (context, header))
+                raise ModelFormatError("sample size of %s.%s context %r reaches 2**53"
+                                       % (prefix, name, context))
 
 
 def deserialize_model(text: str) -> TrainedModel:
@@ -195,16 +187,14 @@ def deserialize_model(text: str) -> TrainedModel:
 
     main, unknown = CountTables(), CountTables()
     for prefix, tables in (("main", main), ("unknown", unknown)):
-        for name in CountTables.NAMES:
+        for name, table in tables.tables().items():
             header = "[%s.%s]" % (prefix, name)
             if index >= len(lines) or lines[index] != header:
                 found = lines[index] if index < len(lines) else "<end of file>"
                 raise ModelFormatError("expected section %s at line %d, found %r"
                                        % (header, index + 1, found))
             index += 1
-            table = getattr(tables, name)
-            shape, classes = _SHAPES[name]
-            counted = 0
+            classes = _SHAPES[name][1]
             while index < len(lines) and "\t" in lines[index]:
                 parts = lines[index].split("\t")
                 if len(parts) != 3:
@@ -217,7 +207,6 @@ def deserialize_model(text: str) -> TrainedModel:
                     raise ModelFormatError("bad count at line %d" % (index + 1,)) from None
                 if count <= 0:
                     raise ModelFormatError("non-positive count at line %d" % (index + 1,))
-                counted += count
                 if classes is None:
                     if len(event) != 2:
                         raise ModelFormatError("expected <word feature> event at line %d"
@@ -235,7 +224,7 @@ def deserialize_model(text: str) -> TrainedModel:
                                                % (event[0], index + 1))
                     table.add(context, event[0], count)
                 index += 1
-            _check_contexts(table, shape, header, counted)
+        _check_table_set(tables, prefix)
     if index != len(lines):
         raise ModelFormatError("trailing content at line %d" % (index + 1,))
     return TrainedModel(Vocabulary(words), main, unknown, config)

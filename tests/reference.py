@@ -1,21 +1,25 @@
 """Independent reference implementations used as oracles by the tests.
 
-Nothing here reuses production mixing, feature, or search logic: the
-mixture is a separate recursive function whose sample sizes are re-summed
-from raw event dictionaries, the word-feature classifier is a separate
-predicate list, and the decoder oracle enumerates every labeled
-segmentation of a sentence.  Production code is imported only for type
-constructors and, in the path oracle, for the probability queries the
-search is defined over.
+Nothing here reuses production mixing, feature, counting or search
+logic: the mixture is a separate recursive function whose sample sizes
+are re-summed from raw event dictionaries, the count oracle walks a
+corpus once and counts every back-off level as its own table, the
+word-feature classifier is a separate predicate list, and the decoder
+oracle enumerates every labeled segmentation of a sentence.  Production
+code is imported only for type constructors, for the word features the
+count and path oracles tag tokens with, and, in the path oracle, for
+the probability queries the search is defined over.
 """
 
 import math
 import random
 
+from namefinder.counts import CondTable, Vocabulary
 from namefinder.corpus import (
     END_OF_SENTENCE,
     INTERNAL_CLASSES,
     NAME_CLASSES,
+    NOT_A_NAME,
     START_OF_SENTENCE,
     AnnotatedSentence,
     Region,
@@ -126,6 +130,74 @@ def ref_lookup(model, token):
     if token.word in model.vocabulary or token.word in (END_WORD, UNKNOWN_WORD):
         return token
     return Token(UNKNOWN_WORD, token.feature)
+
+
+# --- Count-table oracle -----------------------------------------------------
+
+WALK_TABLES = ("class_transitions", "class_bigrams", "class_marginal", "first_words",
+               "begin_bigrams", "word_bigrams", "word_unigrams")
+
+
+def ref_count_walk(sentences, vocab, map_unknown, config=FeatureConfig()):
+    """Every table of the back-off chains, by name, each level counted
+    directly from one walk of the generative story."""
+    t = {name: CondTable() for name in WALK_TABLES}
+    for sentence in sentences:
+        if not sentence.tokens:
+            continue
+        tokens = []
+        for i, word in enumerate(sentence.tokens):
+            feature = compute_feature(word, is_first_word=(i == 0), config=config)
+            if map_unknown:
+                word = vocab.map(word)
+            tokens.append(Token(word, feature))
+        segments, pos = [], 0
+        for region in sentence.regions:
+            if region.start > pos:
+                segments.append((NOT_A_NAME, pos, region.start))
+            segments.append((region.name_class, region.start, region.end))
+            pos = region.end
+        if pos < len(tokens):
+            segments.append((NOT_A_NAME, pos, len(tokens)))
+        nc_prev, w_prev = START_OF_SENTENCE, END_WORD
+        for nc, start, end in segments:
+            t["class_transitions"].add((nc_prev, w_prev), nc)
+            t["class_bigrams"].add((nc_prev,), nc)
+            t["class_marginal"].add((), nc)
+            first = tokens[start]
+            t["first_words"].add((nc, nc_prev), first)
+            t["begin_bigrams"].add((nc,), first)
+            for j in range(start, end):
+                tok = tokens[j]
+                t["word_unigrams"].add((nc,), tok)
+                if j > start:
+                    prev = tokens[j - 1]
+                    t["word_bigrams"].add((prev.word, prev.feature, nc), tok)
+            last = tokens[end - 1]
+            t["word_bigrams"].add((last.word, last.feature, nc), END_TOKEN)
+            nc_prev, w_prev = nc, last.word
+        t["class_transitions"].add((nc_prev, w_prev), END_OF_SENTENCE)
+        t["class_bigrams"].add((nc_prev,), END_OF_SENTENCE)
+        t["class_marginal"].add((), END_OF_SENTENCE)
+    return t
+
+
+def ref_train_walks(sentences, config=FeatureConfig()):
+    """(main, unknown) walks of a corpus as training defines them: the
+    main walk over every sentence, the unknown walk summed over each
+    held-out half counted against the other half's words."""
+    sentences = [s for s in sentences if s.tokens]
+    half = (len(sentences) + 1) // 2
+    part_a, part_b = sentences[:half], sentences[half:]
+
+    def words(part):
+        return Vocabulary(word for s in part for word in s.tokens)
+
+    main = ref_count_walk(sentences, words(sentences), False, config)
+    unknown = ref_count_walk(part_b, words(part_a), True, config)
+    for name, table in ref_count_walk(part_a, words(part_b), True, config).items():
+        unknown[name].update(table)
+    return main, unknown
 
 
 # --- Word-feature oracle -----------------------------------------------------

@@ -148,11 +148,12 @@ class TestDecode:
         assert capsys.readouterr().out == ""
 
     def test_corrupt_model_file(self, workspace, tmp_path, capsys):
-        # Version 1 files are refused; their models must be retrained.
-        v1 = workspace["model"].read_text(encoding="utf-8").replace(
-            "namefinder-model 2\n", "namefinder-model 1\n", 1)
-        assert v1.startswith("namefinder-model 1\n")
-        for text in ("namefinder-model 99\n", v1):
+        # Version 1 and 2 files are refused; their models must be retrained.
+        v3 = workspace["model"].read_text(encoding="utf-8")
+        v1, v2 = (v3.replace("namefinder-model 3\n", "namefinder-model %d\n" % version, 1)
+                  for version in (1, 2))
+        assert v1.startswith("namefinder-model 1\n") and v2.startswith("namefinder-model 2\n")
+        for text in ("namefinder-model 99\n", v1, v2):
             bad = tmp_path / "bad.nf"
             bad.write_text(text, encoding="utf-8")
             code = main(["decode", str(workspace["plain"]), "--model", str(bad)])
@@ -177,7 +178,7 @@ class TestDecode:
         # The count loads as an integer, but its weight rounds to 1 and a
         # probability to 0; the loader refuses the file before decoding.
         lines = workspace["model"].read_text(encoding="utf-8").split("\n")
-        row = lines.index("[main.class_marginal]") + 1
+        row = lines.index("[main.class_transitions]") + 1
         event, context, _ = lines[row].split("\t")
         lines[row] = "%s\t%s\t%d" % (event, context, 10 ** 400)
         bad = tmp_path / "bad.nf"

@@ -1,10 +1,14 @@
 """Count collection: the event streams behind every probability table."""
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from namefinder import (
     AnnotatedSentence,
     CondTable,
+    CountTables,
     END_OF_SENTENCE,
     END_TOKEN,
     END_WORD,
@@ -19,13 +23,15 @@ from namefinder import (
     UNKNOWN_WORD,
     Vocabulary,
     collect_counts,
+    generate_corpus,
     segment_classes,
     train,
 )
 from namefinder.counts import build_vocabulary
-from reference import random_corpus
+from reference import WORD_POOL, random_corpus, ref_train_walks
 
 NAN = NOT_A_NAME
+POOLED = ("class_bigrams", "class_marginal", "begin_bigrams", "word_unigrams")
 
 
 def sent(tokens, regions=()):
@@ -166,7 +172,7 @@ class TestCountConsistency:
     def test_totals_and_uniques_match_event_sums(self, rng):
         corpus = random_corpus(rng, 60)
         tables = collect_counts(corpus, full_vocab(corpus), map_unknown=False)
-        for name in tables.NAMES:
+        for name in tables.NAMES + POOLED:
             table = getattr(tables, name)
             for context in table.contexts():
                 events = table.events(context)
@@ -211,6 +217,33 @@ class TestCountConsistency:
         corpus = [sent([]), sent(["a"]), sent([])]
         tables = collect_counts(corpus, full_vocab(corpus), map_unknown=False)
         assert tables.class_marginal.total(()) == 2
+
+
+class TestPooledLevels:
+    """The four pooled levels are sums of the three counted tables."""
+
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(size=st.integers(min_value=2, max_value=60),
+           seed=st.integers(min_value=0, max_value=2 ** 16),
+           sentinels=st.booleans())
+    def test_derived_levels_equal_a_seven_table_walk(self, size, seed, sentinels):
+        corpus = generate_corpus(size, seed)
+        if sentinels:
+            # +end+ and +unk+ as words of the text, inside and outside regions.
+            corpus += random_corpus(random.Random(seed), 8,
+                                    pool=WORD_POOL + [END_WORD, UNKNOWN_WORD])
+        model = train(corpus)
+        for tables, walk in zip((model.main, model.unknown), ref_train_walks(corpus)):
+            for name in tables.NAMES + POOLED:
+                assert getattr(tables, name) == walk[name], name
+
+    def test_only_the_counted_tables_are_stored(self, single_region_tables):
+        assert set(single_region_tables.tables()) == {
+            "class_transitions", "first_words", "word_bigrams"}
+        with pytest.raises(TypeError):
+            CountTables(class_marginal=CondTable())
+        with pytest.raises(AttributeError):
+            single_region_tables.class_marginal = CondTable()
 
 
 class TestVocabulary:

@@ -329,19 +329,6 @@ class TestSharedViews:
         assert model == twin and twin == model
         assert serialize_model(model) == text
 
-    def test_a_broken_unknown_word_view_fails_only_where_read(self, tiny_corpus):
-        # Pooled levels that disagree with their sums can make a
-        # probability 0 or less.  Its log fails only in the decodes that
-        # read it; text with no out-of-vocabulary word never reads the
-        # unknown-word tables.
-        clean = train(tiny_corpus)
-        broken = train(tiny_corpus)
-        broken.unknown.class_bigrams.add((PERSON,), LOCATION, 1000)
-        text = "Mr. John Smith said hello ."
-        assert Decoder(broken).decode_document(text) == Decoder(clean).decode_document(text)
-        with pytest.raises(ValueError, match="math domain error"):
-            Decoder(broken).decode_document("Mr. Zqx said hello .")
-
     def test_fresh_decoders_reuse_filled_rows(self, tiny_corpus):
         model = train(tiny_corpus)
         words = "Mr. Zqx Smith said hello .".split()

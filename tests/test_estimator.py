@@ -132,8 +132,6 @@ def next_word_fixture():
     come = ("come", "lowerCase", NAN)
     t.word_bigrams.add(come, Token("here", "lowerCase"), 3)
     t.word_bigrams.add(come, Token("hither", "lowerCase"), 1)
-    t.word_unigrams.add((NAN,), Token("here", "lowerCase"), 3)
-    t.word_unigrams.add((NAN,), Token("hither", "lowerCase"), 1)
     return t
 
 
@@ -176,9 +174,6 @@ def first_word_fixture():
     t.first_words.add((PERSON, START_OF_SENTENCE), john, 2)
     t.first_words.add((PERSON, START_OF_SENTENCE), ann, 1)
     t.first_words.add((PERSON, NAN), bob, 1)
-    for token, n in ((john, 2), (ann, 1), (bob, 1)):
-        t.begin_bigrams.add((PERSON,), token, n)
-        t.word_unigrams.add((PERSON,), token, n)
     return t
 
 
@@ -486,22 +481,18 @@ class TestLogRows:
                     [view.next_words(prev, token)])[0]
 
     def test_every_level_counts_as_evidence(self, tiny_model):
-        # A loaded file need not keep the pooled levels equal to the sums
-        # of the tables above them: a token counted at any one level must
-        # still take the row sum, not the floor constant.
-        tables = copy.deepcopy(tiny_model.main)
+        # A token counted in only one first-word context, or after only
+        # one previous token, must still take the row sum, not the floor
+        # constant.
+        tables = CountTables(**copy.deepcopy(tiny_model.main.tables()))
         only_first = Token("only-first", "lowerCase")
-        only_begin = Token("only-begin", "lowerCase")
-        only_unigram = Token("only-unigram", "lowerCase")
         only_bigram = Token("only-bigram", "lowerCase")
         tables.first_words.add((MONEY, START_OF_SENTENCE), only_first)
-        tables.begin_bigrams.add((PERSON,), only_begin)
-        tables.word_unigrams.add((NOT_A_NAME,), only_unigram)
         tables.word_bigrams.add(("said", "lowerCase", NOT_A_NAME), only_bigram)
         tables.class_transitions.add((PERSON, "said"), END_OF_SENTENCE)
         view = TableView(tables, len(tiny_model.vocabulary))
         said = Token("said", "lowerCase")
-        for token in (only_first, only_begin, only_unigram, only_bigram):
+        for token in (only_first, only_bigram):
             assert [list(row) for row in view.first_word_grid(token)] == log_of(
                 view.first_words(token))
             for prev in (said, Token("never-seen", "lowerCase")):

@@ -15,7 +15,7 @@ import hashlib
 from namefinder import Decoder, serialize_model, train
 from namefinder.synthetic import generate_corpus
 
-MODEL_SHA256 = "4f70041c3d526e5d1f7dc5d603d953d1be5aefa91f46ac1509b7b5f807f2f3b8"
+MODEL_SHA256 = "269bd9cedb0c6f35c7715eab17319b8a56de8e10bc07f0e032a62cab2ce28b22"
 DECODE_SHA256 = "47b92bc3364001d26d45054e8f6dc646ff7b9991ba01489e28bdda20ef20415b"
 
 SENTINEL_LINE = ["+end+", "+unk+", "+begin+", "Zqxv", "said", "+unk+", "$9,999", "+end+"]

@@ -1,5 +1,7 @@
 """Model persistence: canonical text format, byte-stable round trips."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -64,7 +66,7 @@ class TestRoundTrip:
     def test_serialization_is_byte_stable(self, tiny_model):
         text = serialize_model(tiny_model)
         assert reserialize(tiny_model) == text
-        assert text.startswith("namefinder-model 2\n")
+        assert text.startswith("namefinder-model 3\n")
         assert text.endswith("\n")
 
     def test_random_model_round_trips(self, rng):
@@ -162,10 +164,10 @@ class TestRoundTrip:
 class TestFormatErrors:
     def test_version_mismatch_names_both_versions(self, tiny_model):
         text = serialize_model(tiny_model).replace(
-            "namefinder-model 2", "namefinder-model 1", 1)
+            "namefinder-model 3", "namefinder-model 2", 1)
         with pytest.raises(ModelFormatError) as info:
             deserialize_model(text)
-        assert "1" in str(info.value) and "2" in str(info.value)
+        assert "2" in str(info.value) and "3" in str(info.value)
 
     def test_bad_magic(self):
         with pytest.raises(ModelFormatError):
@@ -185,7 +187,7 @@ class TestFormatErrors:
         text = serialize_model(tiny_model)
         lines = text.splitlines()
         for i, line in enumerate(lines):
-            if line.startswith("[main.class_marginal]"):
+            if line.startswith("[main.class_transitions]"):
                 event, context, _ = lines[i + 1].split("\t")
                 lines[i + 1] = "%s\t%s\t0" % (event, context)
                 break
@@ -194,7 +196,7 @@ class TestFormatErrors:
 
     def test_bad_escapes_rejected(self, tiny_model):
         lines = serialize_model(tiny_model).splitlines()
-        i = lines.index("[main.class_marginal]") + 1
+        i = lines.index("[main.class_transitions]") + 1
         _, context, count = lines[i].split("\t")
         for event in ("PERSON\\q", "PERSON\\"):
             lines[i] = "%s\t%s\t%s" % (event, context, count)
@@ -254,9 +256,9 @@ class TestUnusableModels:
     """Files that parse but that the estimator cannot use are refused."""
 
     @pytest.mark.parametrize("section, row", [
-        ("main.class_marginal", "NOT-A-CLASS\t\t3"),
+        ("main.class_transitions", "NOT-A-CLASS\tSTART-OF-SENTENCE +end+\t3"),
         ("unknown.class_transitions", "NOT-A-CLASS\tPERSON said\t1"),
-        ("main.class_bigrams", "START-OF-SENTENCE\tPERSON\t1"),
+        ("unknown.class_transitions", "START-OF-SENTENCE\tPERSON +unk+\t1"),
         ("main.class_transitions", "START-OF-SENTENCE\tPERSON said\t1"),
     ])
     def test_class_events_outside_the_inventory(self, tiny_model, section, row):
@@ -266,12 +268,12 @@ class TestUnusableModels:
 
     @pytest.mark.parametrize("section, row", [
         ("main.class_transitions", "PERSON\tBOGUS said\t1"),
-        ("main.class_bigrams", "PERSON\tEND-OF-SENTENCE\t1"),
+        ("main.class_transitions", "PERSON\tEND-OF-SENTENCE said\t1"),
         ("main.first_words", "said lowerCase\tBOGUS PERSON\t1"),
         ("unknown.first_words", "said lowerCase\tPERSON END-OF-SENTENCE\t1"),
-        ("main.begin_bigrams", "said lowerCase\tSTART-OF-SENTENCE\t1"),
+        ("main.first_words", "said lowerCase\tSTART-OF-SENTENCE PERSON\t1"),
         ("main.word_bigrams", "hello lowerCase\tsaid lowerCase BOGUS\t1"),
-        ("unknown.word_unigrams", "hello lowerCase\tBOGUS\t1"),
+        ("unknown.word_bigrams", "hello lowerCase\tsaid lowerCase START-OF-SENTENCE\t1"),
     ])
     def test_class_names_in_contexts_outside_the_inventory(self, tiny_model, section, row):
         text = with_row(serialize_model(tiny_model), section, row)
@@ -281,12 +283,12 @@ class TestUnusableModels:
     @pytest.mark.parametrize("section, row", [
         ("main.class_transitions", "PERSON\tsaid\t1"),
         ("main.class_transitions", "PERSON\tPERSON said more\t1"),
-        ("main.class_bigrams", "PERSON\t\t1"),
-        ("main.class_marginal", "PERSON\tPERSON\t1"),
+        ("main.class_transitions", "PERSON\t\t1"),
+        ("unknown.class_transitions", "PERSON\tPERSON\t1"),
         ("main.first_words", "said lowerCase\tPERSON\t1"),
-        ("main.begin_bigrams", "said lowerCase\tPERSON PERSON\t1"),
+        ("main.first_words", "said lowerCase\tPERSON PERSON said\t1"),
         ("main.word_bigrams", "hello lowerCase\tsaid lowerCase\t1"),
-        ("unknown.word_unigrams", "hello lowerCase\t\t1"),
+        ("unknown.word_bigrams", "hello lowerCase\t\t1"),
     ])
     def test_contexts_of_the_wrong_shape(self, tiny_model, section, row):
         text = with_row(serialize_model(tiny_model), section, row)
@@ -294,7 +296,8 @@ class TestUnusableModels:
             deserialize_model(text)
 
     @pytest.mark.parametrize("section, row, match", [
-        ("main.word_unigrams", "hello shouting\tPERSON\t1", "unknown word feature"),
+        ("main.word_bigrams", "hello shouting\tsaid lowerCase PERSON\t1",
+         "unknown word feature"),
         ("unknown.first_words", "+unk+ \tPERSON NOT-A-NAME\t1", "unknown word feature"),
         ("main.word_bigrams", "hello lowerCase\tsaid shouting PERSON\t1",
          "does not fit section"),
@@ -305,21 +308,44 @@ class TestUnusableModels:
             deserialize_model(text)
 
     def test_sample_size_limit_on_both_sides_of_its_edge(self, tiny_model):
+        # The class marginal sums every class-transition count, and a
+        # class's word unigrams sum its first-word counts and more.
+        text = serialize_model(tiny_model)
+        for section, level in (("main.class_transitions", "class_marginal"),
+                               ("unknown.first_words", "word_unigrams")):
+            lines = text.split("\n")
+            start = lines.index("[%s]" % section) + 1
+            event, context, count = lines[start].split("\t")
+            table_set, _ = section.split(".")
+            pooled = () if level == "class_marginal" else (context.split(" ")[0],)
+            others = getattr(getattr(tiny_model, table_set), level).total(pooled) - int(count)
+
+            def with_total(total):
+                lines[start] = "%s\t%s\t%d" % (event, context, total - others)
+                return "\n".join(lines)
+
+            model = deserialize_model(with_total(2 ** 53 - 1))
+            assert getattr(getattr(model, table_set), level).total(pooled) == 2 ** 53 - 1
+            for result in Decoder(model).decode_document("Mr. John Smith said hello .\nZqx ."):
+                assert -1e9 < result.log_score < 0
+            for total in (2 ** 53, 10 ** 400):
+                with pytest.raises(ModelFormatError, match=r"reaches 2\*\*53"):
+                    deserialize_model(with_total(total))
+
+    def test_every_count_row_at_an_extreme_loads_usable_or_is_refused(self, tiny_model):
+        # Region-final contexts are read, and an out-of-vocabulary line
+        # reads the unknown-word tables.
+        text = "Smith John Smith said . Boston Boston .\nZqx Smith Qwv said ."
         lines = serialize_model(tiny_model).split("\n")
-        start = lines.index("[main.class_marginal]") + 1
-        end = lines.index("[main.first_words]")
-        rows = [line.split("\t") for line in lines[start:end]]
-        others = sum(int(count) for _, _, count in rows[1:])
-        event, context, _ = rows[0]
-
-        def with_total(total):
-            lines[start] = "%s\t%s\t%d" % (event, context, total - others)
-            return "\n".join(lines)
-
-        model = deserialize_model(with_total(2 ** 53 - 1))
-        assert model.main.class_marginal.total(()) == 2 ** 53 - 1
-        for result in Decoder(model).decode_document("Mr. John Smith said hello .\nZqx ."):
-            assert -1e9 < result.log_score < 0
-        for total in (2 ** 53, 10 ** 400):
-            with pytest.raises(ModelFormatError, match=r"reaches 2\*\*53"):
-                deserialize_model(with_total(total))
+        rows = [i for i, line in enumerate(lines) if line.count("\t") == 2]
+        assert len(rows) > 100
+        for i in rows:
+            event, context, _ = lines[i].split("\t")
+            for count in (7, 10 ** 6, 10 ** 12):
+                mutated = lines[:i] + ["%s\t%s\t%d" % (event, context, count)] + lines[i + 1:]
+                try:
+                    model = deserialize_model("\n".join(mutated))
+                except ModelFormatError:
+                    continue
+                for result in Decoder(model).decode_document(text):
+                    assert math.isfinite(result.log_score) and result.log_score < 0
