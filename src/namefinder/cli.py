@@ -15,7 +15,7 @@ from .counts import TrainingError, train
 from .decoder import Decoder
 from .features import FeatureConfig
 from .model_io import ModelFormatError, read_model, write_model
-from .scorer import AlignmentError, format_report, score
+from .scorer import AlignmentError, check_beta, format_report, score
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -194,8 +194,10 @@ def _build_parser():
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "beta", 1.0) <= 0:
-        parser.error("--beta must be positive")
+    try:
+        check_beta(getattr(args, "beta", 1.0))
+    except ValueError as exc:
+        parser.error("--beta: %s" % exc)
     feature_config = FeatureConfig(
         swap_comma_period=getattr(args, "spanish_numbers", False))
     if args.command == "train":

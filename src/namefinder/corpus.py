@@ -115,28 +115,30 @@ _TRAILERS = set(")]}\"',;:.!?")
 ABBREVIATIONS = {"Mr.", "Mrs.", "Dr.", "M.", "St.", "Co.", "Inc.", "Corp."}
 
 
+_LONGEST_ABBREVIATION = max(map(len, ABBREVIATIONS))
+
+
 def _split_chunk(chunk):
-    """Split one whitespace-delimited chunk into tokens."""
-    lead = []
-    while len(chunk) > 1 and chunk[0] in _OPENERS:
-        lead.append(chunk[0])
-        chunk = chunk[1:]
-    trail = []
-    while chunk:
-        if chunk in ABBREVIATIONS:
+    """Split one whitespace-delimited chunk into tokens.
+
+    Openers detach from the front while more than one character is left,
+    then trailers from the back until an abbreviation is left.  Both
+    ends are found by index and the chunk is sliced once, so a long run
+    of punctuation costs linear time.
+    """
+    start = 0
+    while start < len(chunk) - 1 and chunk[start] in _OPENERS:
+        start += 1
+    end = len(chunk)
+    while end > start and chunk[end - 1] in _TRAILERS:
+        if end - start <= _LONGEST_ABBREVIATION and chunk[start:end] in ABBREVIATIONS:
             break
-        if chunk[-1] in _TRAILERS and len(chunk) > 1:
-            trail.append(chunk[-1])
-            chunk = chunk[:-1]
-        elif len(chunk) == 1 and chunk in _TRAILERS:
-            trail.append(chunk)
-            chunk = ""
-        else:
-            break
-    if chunk:
-        lead.append(chunk)
-    lead.extend(reversed(trail))
-    return lead
+        end -= 1
+    tokens = list(chunk[:start])
+    if end > start:
+        tokens.append(chunk[start:end])
+    tokens.extend(chunk[end:])
+    return tokens
 
 
 def tokenize(text: str) -> list:
@@ -166,6 +168,8 @@ _TAG_RE = re.compile(
 )
 _ENTITY_RE = re.compile(r"&(amp|lt|gt);")
 _ENTITY_MAP = {"&amp;": "&", "&lt;": "<", "&gt;": ">"}
+# An '&' that starts no entity, or any '>'.
+_BARE_RE = re.compile(r"&(?!(?:amp|lt|gt);)|>")
 
 
 def _position(text, offset):
@@ -176,24 +180,13 @@ def _position(text, offset):
 
 def _unescape(text, raw, raw_offset):
     """Replace entities; reject bare markup characters."""
-    out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "&":
-            m = _ENTITY_RE.match(text, i)
-            if not m:
-                line, col = _position(raw, raw_offset + i)
-                raise ParseError("bare '&' (use &amp;)", line, col)
-            out.append(_ENTITY_MAP[m.group(0)])
-            i = m.end()
-        elif ch == ">":
-            line, col = _position(raw, raw_offset + i)
-            raise ParseError("bare '>' (use &gt;)", line, col)
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+    bare = _BARE_RE.search(text)
+    if bare:
+        line, col = _position(raw, raw_offset + bare.start())
+        if bare.group() == "&":
+            raise ParseError("bare '&' (use &amp;)", line, col)
+        raise ParseError("bare '>' (use &gt;)", line, col)
+    return _ENTITY_RE.sub(lambda m: _ENTITY_MAP[m.group()], text)
 
 
 class _SentenceBuilder:

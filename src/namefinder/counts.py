@@ -132,6 +132,20 @@ class CondTable:
         return sum(len(bucket) for bucket in self._events.values())
 
 
+class _PooledLevel(CondTable):
+    """A pooled back-off level: a derived table's events, read-only."""
+
+    def __init__(self, table: CondTable, counted: str):
+        self._events = table._events
+        self._counted = counted
+
+    def add(self, *args, **kwargs):
+        raise TypeError("pooled levels are derived; add counts to %s instead"
+                        % self._counted)
+
+    add_events = update = add
+
+
 @dataclass
 class CountTables:
     """The three counted tables of one model (main or unknown-word), and
@@ -147,7 +161,8 @@ class CountTables:
     So no context holds more samples than a level below it.  A context
     whose classes or length no query can ask for adds to no level a
     query reads.  The read-only levels are summed when one is first
-    read, so every count must be in by then.
+    read, so every count must be in by then: a count added to a counted
+    table afterwards leaves them stale.
     """
 
     class_transitions: CondTable = field(default_factory=CondTable)
@@ -184,7 +199,10 @@ class CountTables:
         for context, count in ends.items():
             if count > begin_bigrams.total(context):
                 word_unigrams.add(context, END_TOKEN, count - begin_bigrams.total(context))
-        return class_bigrams, class_marginal, begin_bigrams, word_unigrams
+        return (_PooledLevel(class_bigrams, "class_transitions"),
+                _PooledLevel(class_marginal, "class_transitions"),
+                _PooledLevel(begin_bigrams, "first_words"),
+                _PooledLevel(word_unigrams, "first_words and word_bigrams"))
 
     class_bigrams = property(lambda self: self._pooled[0])
     class_marginal = property(lambda self: self._pooled[1])

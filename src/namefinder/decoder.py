@@ -20,13 +20,16 @@ every class pair (and the sentence start) for one token, and a
 next-word row every class for one (previous token, token) pair, the
 region-closing ``+end+`` included.  The estimator's ``TableView`` for
 the route flag builds each of them in one pass, from evidence only.
-The views are the model's (``table_views``): built by the first decoder
-over a model and shared by every later one, together with the start row
-and every transition block and first-word grid any decoder has filled.
-So a fresh decoder does no weighting and refills none of those; it
-starts with only its own next-word rows empty.  All out-of-vocabulary
-words of one feature share their rows, and a literal ``+unk+`` in the
-text, which the main tables answer, never shares a row with them.
+Every row lives in a ``RowStore``, a dict that builds a missing row the
+first time it is read and keeps it, so the recurrence reads rows by
+plain subscripts.  The views are the model's (``table_views``): built
+by the first decoder over a model and shared by every later one,
+together with the start row and the stores of transition blocks and
+first-word grids.  So a fresh decoder does no weighting and refills
+none of those; it starts with only its own next-word stores empty.
+All out-of-vocabulary words of one feature share their rows, and a
+literal ``+unk+`` in the text, which the main tables answer, never
+shares a row with them.
 Throughput on large documents is dominated by dictionary lookups, not
 mixture evaluation.  Decoding time is linear in token count.
 """
@@ -44,7 +47,7 @@ from .corpus import (
     tokenize,
 )
 from .counts import TrainedModel
-from .estimator import p_class_transition, p_first_word, p_next_word, route
+from .estimator import RowStore, p_class_transition, p_first_word, p_next_word, route
 from .features import END_TOKEN, END_WORD, Token, compute_feature
 
 _K = len(INTERNAL_CLASSES)
@@ -104,42 +107,22 @@ def score_path(tokens, classes, boundaries, model: TrainedModel) -> float:
 
 
 class Decoder:
-    """Reusable decoder over one trained model, with probability caches."""
+    """Reusable decoder over one trained model.
+
+    Each pair of row stores is indexed by the route flag: main tables,
+    then unknown-word tables.  The transition-block and first-word-grid
+    stores, and the start row, are the model's views' and shared; the
+    next-word stores, keyed (previous token, token), are this decoder's.
+    """
 
     def __init__(self, model: TrainedModel):
         self.model = model
         self.config = model.feature_config
-        # Indexed by the route flag: main tables, then unknown-word tables.
-        self._views = model.table_views
-        self._blocks = tuple(view.transition_blocks for view in self._views)
-        self._grids = tuple(view.first_word_grids for view in self._views)
-        self._init_trans = self._views[False].start_row
-        self._next_cache = {}
-
-    def _trans(self, unknown, w_prev):
-        """block[j][i] = log Pr(class j | class i, w_prev); block[_K] is the
-        row into END-OF-SENTENCE.  Shared by every decoder over the model."""
-        block = self._blocks[unknown].get(w_prev)
-        if block is None:
-            block = self._views[unknown].transition_block(w_prev)
-        return block
-
-    def _fw(self, unknown, token):
-        """fw[j][i] = log Pr(token opens class j | j, previous class i);
-        fw[j][_K] is the same after START-OF-SENTENCE.  Shared by every
-        decoder over the model."""
-        grid = self._grids[unknown].get(token)
-        if grid is None:
-            grid = self._views[unknown].first_word_grid(token)
-        return grid
-
-    def _next(self, unknown, prev, token):
-        """[log Pr(token | prev, class j)]; token END_TOKEN closes the region."""
-        key = (unknown, prev, token)
-        cached = self._next_cache.get(key)
-        if cached is None:
-            cached = self._next_cache[key] = self._views[unknown].next_log_row(prev, token)
-        return cached
+        views = model.table_views
+        self._blocks = tuple(view.transition_blocks for view in views)
+        self._grids = tuple(view.first_word_grids for view in views)
+        self._nexts = tuple(RowStore(view.next_log_row) for view in views)
+        self._start_row = views[False].start_row
 
     def decode_sentence(self, words) -> DecodeResult:
         words = list(words)
@@ -153,17 +136,19 @@ class Decoder:
             unknown, word = route(self.model, w)
             keys.append((unknown, Token(word, feature)))
         n = len(keys)
+        blocks, grids, nexts = self._blocks, self._grids, self._nexts
 
-        fw = self._fw(*keys[0])
-        scores = [self._init_trans[j] + fw[j][_K] for j in range(_K)]
+        unknown, tok = keys[0]
+        fw = grids[unknown][tok]
+        scores = [self._start_row[j] + fw[j][_K] for j in range(_K)]
         backptrs = []
         for t in range(1, n):
             prev_unknown, prev_tok = keys[t - 1]
             unknown, tok = keys[t]
-            end_vec = self._next(prev_unknown, prev_tok, END_TOKEN)
-            cont_vec = self._next(prev_unknown or unknown, prev_tok, tok)
-            by_target = self._trans(prev_unknown, prev_tok.word)
-            fw = self._fw(unknown, tok)
+            end_vec = nexts[prev_unknown][prev_tok, END_TOKEN]
+            cont_vec = nexts[prev_unknown or unknown][prev_tok, tok]
+            by_target = blocks[prev_unknown][prev_tok.word]
+            fw = grids[unknown][tok]
             bscore = [scores[i] + end_vec[i] for i in range(_K)]
             new_scores = [0.0] * _K
             pointers = [None] * _K
@@ -185,8 +170,8 @@ class Decoder:
             backptrs.append(pointers)
 
         last_unknown, last = keys[-1]
-        end_vec = self._next(last_unknown, last, END_TOKEN)
-        to_end = self._trans(last_unknown, last.word)[_K]
+        end_vec = nexts[last_unknown][last, END_TOKEN]
+        to_end = blocks[last_unknown][last.word][_K]
         best_j = 0
         best_final = scores[0] + end_vec[0] + to_end[0]
         for j in range(1, _K):

@@ -38,14 +38,17 @@ context with no evidence takes the log of that context's floor term.
 Only rows with evidence go through the row sums and ``math.log``.  A
 class's word-unigram level sums its first-word chain, and every event
 but ``+end+`` of its next-word chain (``CountTables``), so the test for
-evidence is a lookup there.  Rows keyed by the vocabulary are filled
-lazily and kept on the view, shared by every decoder over the model:
-the transition block of a previous word (``transition_block``) and the
-first-word grid of a token (``first_word_grid``).  The decoder maps every out-of-vocabulary word to
-``+unk+`` before it asks, so these stores hold at most |V| + 2 previous
-words and (|V| + 2) x 14 tokens per view and need no eviction.
-Next-word rows (``next_log_row``), keyed by a pair of tokens, are left
-to each decoder to keep.
+evidence is a lookup there.
+
+Every log row lives in a ``RowStore``: a dict whose ``__missing__``
+builds the row and keeps it, the one row memo.  The stores keyed by the
+vocabulary are the view's, shared by every decoder over the model: the
+transition blocks by previous word (``transition_blocks``) and the
+first-word grids by token (``first_word_grids``).  The decoder maps
+every out-of-vocabulary word to ``+unk+`` before it asks, so these
+stores hold at most |V| + 2 previous words and (|V| + 2) x 14 tokens
+per view and need no eviction.  Next-word rows, keyed by a pair of
+tokens, go in a store each decoder keeps, built by ``next_log_row``.
 
 Queries route between the main tables and the held-out unknown-word
 tables: if any word involved in the conditioning bigram is outside the
@@ -226,47 +229,62 @@ def p_next_word_from(tables: CountTables, token: Token, prev: Token, nc: str,
     return next_word_row(token, [context], [unigrams])[0]
 
 
-# --- Whole rows against one table set ---------------------------------------
+# --- Decoder log rows against one table set ---------------------------------
+
+class RowStore(dict):
+    """Rows under their keys.  A missing row is built by ``build(key)``
+    and kept, so a hit is a plain subscript and a stored row never
+    changes."""
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        row = self[key] = self.build(key)
+        return row
+
 
 class TableView:
-    """One table set with every context weighted once, for whole rows.
+    """One table set with every context weighted once, for decoder log rows.
 
-    It holds the pooled levels of each chain and, for every context the
-    tables were trained on, its ``weigh`` tuple: the 72 first-word
-    contexts (class x previous class), every class-transition context
-    and every word-bigram context.  An untrained transition or
-    word-bigram context gets the default of its previous class or class,
-    the weights of a context with no events and c = 0.  Each linear row
-    method is one call of its family's row sum, and returns what the
-    scalar ``p_*_from`` functions give, with the default floor, for every
-    class at once.
-
-    The log rows equal ``math.log`` of the linear rows, cell for cell,
-    and are built from evidence only (see the module docstring).
-    ``start_row``, ``transition_blocks`` and ``first_word_grids`` are
-    shared by every decoder over the view; a row of either store, once
-    made, never changes.
+    It weights the pooled levels of each chain and every context the
+    tables were trained on: the 72 first-word contexts (class x previous
+    class), every class-transition context and every word-bigram
+    context.  An untrained transition or word-bigram context gets the
+    default of its previous class or class, the weights of a context
+    with no events and c = 0.  A row holds, for every class at once, the
+    log of what the scalar ``p_*_from`` functions give with the default
+    floor, built from evidence only (see the module docstring):
+      start_row[i]                      (nc_i | START-OF-SENTENCE, +end+)
+      transition_blocks[w_prev][j][i]   (SUCCESSOR_CLASSES[j] | nc_i, w_prev)
+      first_word_grids[token][j][i]     (token opens nc_j | nc_j, PREVIOUS_CLASSES[i])
+    where nc_i is INTERNAL_CLASSES[i].  Every decoder over the view
+    shares these; ``next_log_row`` builds a decoder's own next-word rows.
+    The stores' builders close over the weighted contexts, not the view,
+    so no reference cycle keeps a discarded view alive.
     """
 
     def __init__(self, tables: CountTables, vocab_size: int):
         log = math.log
         floor = _word_floor(vocab_size)
-        self._marginal = _class_level(tables.class_marginal, (), SUCCESSOR_CLASSES)
-        self._class_bigrams = {
+        marginal = _class_level(tables.class_marginal, (), SUCCESSOR_CLASSES)
+        class_bigrams = {
             nc_prev: _class_level(tables.class_bigrams, (nc_prev,), SUCCESSOR_CLASSES)
             for nc_prev in PREVIOUS_CLASSES}
-        self._unigrams = [_stats(tables.word_unigrams, (nc,)) for nc in INTERNAL_CLASSES]
+        self._unigrams = unigram_levels = [_stats(tables.word_unigrams, (nc,))
+                                           for nc in INTERNAL_CLASSES]
         # Per class: (its context per previous class, begin level, unigram
         # level), and the log row of a token its unigram level did not count.
-        self._first = []
-        self._first_log_floors = []
-        for nc, unigrams in zip(INTERNAL_CLASSES, self._unigrams):
+        first = []
+        first_log_floors = []
+        for nc, unigrams in zip(INTERNAL_CLASSES, unigram_levels):
             begin = _stats(tables.begin_bigrams, (nc,))
             contexts = [weigh(_stats(tables.first_words, (nc, nc_prev)), (begin, unigrams),
                               floor)
                         for nc_prev in PREVIOUS_CLASSES]
-            self._first.append((contexts, begin, unigrams))
-            self._first_log_floors.append(tuple(log(context[-1]) for context in contexts))
+            first.append((contexts, begin, unigrams))
+            first_log_floors.append(tuple(log(context[-1]) for context in contexts))
         # A context's weights depend on its chain, named by its previous
         # class (transitions) or class index (next words), and on its
         # (sample size, unique), never on its events, so contexts that
@@ -282,21 +300,20 @@ class TableView:
         # A table set built in memory may hold contexts no query can
         # reach; they are skipped.  (nc_prev, w_prev) -> weighted
         # context; an untrained one takes the default of its previous class.
-        self._transition_defaults = {
-            nc_prev: weigh(({}, 0, 0), (self._class_bigrams[nc_prev], self._marginal),
-                           TRANSITION_FLOOR)
+        transition_defaults = {
+            nc_prev: weigh(({}, 0, 0), (class_bigrams[nc_prev], marginal), TRANSITION_FLOOR)
             for nc_prev in PREVIOUS_CLASSES}
-        self._transitions = {}
-        transitions = tables.class_transitions
-        for context in transitions.contexts():
-            if len(context) == 2 and context[0] in self._class_bigrams:
-                self._transitions[context] = shared(
-                    context[0], _stats(transitions, context),
-                    (self._class_bigrams[context[0]], self._marginal), TRANSITION_FLOOR)
+        transitions = {}
+        counted = tables.class_transitions
+        for context in counted.contexts():
+            if len(context) == 2 and context[0] in class_bigrams:
+                transitions[context] = shared(
+                    context[0], _stats(counted, context),
+                    (class_bigrams[context[0]], marginal), TRANSITION_FLOOR)
         # Previous token -> per class, a weighted context; an untrained
         # class or token takes the default of the class.
         self._next_defaults = tuple(weigh(({}, 0, 0), (unigrams,), floor)
-                                    for unigrams in self._unigrams)
+                                    for unigrams in unigram_levels)
         class_index = {nc: j for j, nc in enumerate(INTERNAL_CLASSES)}
         self._next_contexts = {}
         bigrams = tables.word_bigrams
@@ -306,83 +323,57 @@ class TableView:
                 j = class_index[nc]
                 row = self._next_contexts.setdefault(Token(word, feature),
                                                      list(self._next_defaults))
-                row[j] = shared(j, _stats(bigrams, context), (self._unigrams[j],), floor)
+                row[j] = shared(j, _stats(bigrams, context), (unigram_levels[j],), floor)
 
         # Log constants: the next-word row of a token no unigram level
         # counted, after a previous token no bigram context was trained
         # on, and the column of an untrained transition context.
-        self._unigram_evidence = set().union(*(unigrams[0] for unigrams in self._unigrams))
+        self._unigram_evidence = set().union(*(unigrams[0] for unigrams in unigram_levels))
         self._next_log_floors = tuple(log(context[-1]) for context in self._next_defaults)
-        self._log_transition_defaults = {
+        log_transition_defaults = {
             nc_prev: [log(p) for p in transition_row(
-                self._transition_defaults[nc_prev], SUCCESSOR_CLASSES,
-                self._class_bigrams[nc_prev], self._marginal)]
+                transition_defaults[nc_prev], SUCCESSOR_CLASSES, class_bigrams[nc_prev],
+                marginal)]
             for nc_prev in INTERNAL_CLASSES}
-        # [log Pr(nc | START-OF-SENTENCE, +end+) for nc in INTERNAL_CLASSES]
-        self.start_row = [log(p) for p in
-                          self.transitions(START_OF_SENTENCE, END_WORD)[:len(INTERNAL_CLASSES)]]
-        self.transition_blocks = {}
-        self.first_word_grids = {}
+        # INTERNAL_CLASSES leads SUCCESSOR_CLASSES, so the row sum stops
+        # before END-OF-SENTENCE.
+        self.start_row = [log(p) for p in transition_row(
+            transitions.get((START_OF_SENTENCE, END_WORD))
+            or transition_defaults[START_OF_SENTENCE],
+            INTERNAL_CLASSES, class_bigrams[START_OF_SENTENCE], marginal)]
 
-    def transitions(self, nc_prev: str, w_prev: str):
-        """[Pr(nc | nc_prev, w_prev) for nc in SUCCESSOR_CLASSES]."""
-        return transition_row(
-            self._transitions.get((nc_prev, w_prev)) or self._transition_defaults[nc_prev],
-            SUCCESSOR_CLASSES, self._class_bigrams[nc_prev], self._marginal)
+        def transition_block(w_prev):
+            # One pass: the column of an untrained (nc_prev, w_prev) is its
+            # class's log default, every other column one row sum, and the
+            # block is transposed once.
+            columns = []
+            for nc_prev in INTERNAL_CLASSES:
+                context = transitions.get((nc_prev, w_prev))
+                if context is None:
+                    columns.append(log_transition_defaults[nc_prev])
+                else:
+                    columns.append([log(p) for p in transition_row(
+                        context, SUCCESSOR_CLASSES, class_bigrams[nc_prev], marginal)])
+            return tuple(zip(*columns))
 
-    def first_words(self, token: Token):
-        """rows[j][i] = Pr(token opens class j | j, PREVIOUS_CLASSES[i])."""
-        return first_word_rows(token, self._first)
+        def first_word_grid(token):
+            # The row of a class whose unigram level did not count the
+            # token is the class's shared row of log floors.
+            seen = [j for j, unigrams in enumerate(unigram_levels) if token in unigrams[0]]
+            grid = list(first_log_floors)
+            rows = first_word_rows(token, [first[j] for j in seen])
+            for j, row in zip(seen, rows):
+                grid[j] = tuple([log(p) for p in row])
+            return tuple(grid)
 
-    def next_words(self, prev: Token, token: Token):
-        """[Pr(token | prev, nc) for nc in INTERNAL_CLASSES]."""
-        return next_word_row(token, self._next_contexts.get(prev, self._next_defaults),
-                             self._unigrams)
+        self.transition_blocks = RowStore(transition_block)
+        self.first_word_grids = RowStore(first_word_grid)
 
-    def transition_block(self, w_prev: str):
-        """block[j][i] = log Pr(SUCCESSOR_CLASSES[j] | INTERNAL_CLASSES[i],
-        w_prev), stored in ``transition_blocks`` under w_prev.
-
-        Built in one pass: the column of an untrained (nc_prev, w_prev)
-        is its class's log default, every other column one row sum, and
-        the block is transposed once, so block[8] is the row into
-        END-OF-SENTENCE.
-        """
+    def next_log_row(self, key):
+        """[log Pr(token | prev, nc) for nc in INTERNAL_CLASSES], key being
+        (prev, token); the builder of a decoder's next-word ``RowStore``."""
         log = math.log
-        columns = []
-        for nc_prev in INTERNAL_CLASSES:
-            context = self._transitions.get((nc_prev, w_prev))
-            if context is None:
-                columns.append(self._log_transition_defaults[nc_prev])
-            else:
-                columns.append([log(p) for p in transition_row(
-                    context, SUCCESSOR_CLASSES, self._class_bigrams[nc_prev],
-                    self._marginal)])
-        block = self.transition_blocks[w_prev] = tuple(zip(*columns))
-        return block
-
-    def first_word_grid(self, token: Token):
-        """grid[j][i] = log Pr(token opens class j | j, PREVIOUS_CLASSES[i]),
-        stored in ``first_word_grids`` under token.
-
-        The row of a class whose unigram level did not count the token is
-        the class's shared row of log floors.
-        """
-        log = math.log
-        seen = [j for j, unigrams in enumerate(self._unigrams) if token in unigrams[0]]
-        grid = list(self._first_log_floors)
-        rows = first_word_rows(token, [self._first[j] for j in seen])
-        for j, row in zip(seen, rows):
-            grid[j] = tuple([log(p) for p in row])
-        grid = self.first_word_grids[token] = tuple(grid)
-        return grid
-
-    def next_log_row(self, prev: Token, token: Token):
-        """[log Pr(token | prev, nc) for nc in INTERNAL_CLASSES].
-
-        Not stored: a decoder keeps these rows itself.
-        """
-        log = math.log
+        prev, token = key
         contexts = self._next_contexts.get(prev)
         if token not in self._unigram_evidence:
             if contexts is None:

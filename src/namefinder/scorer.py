@@ -6,6 +6,7 @@ same token span, same class.  F is the weighted harmonic mean
 scorer is total.  Error rate is 100 minus the F-measure percentage.
 """
 
+import math
 from dataclasses import dataclass
 
 from .corpus import NAME_CLASSES
@@ -66,14 +67,20 @@ def _region_set(sentences):
             for i, s in enumerate(sentences) for r in s.regions}
 
 
+def check_beta(beta: float):
+    """Raise ValueError unless beta > 0 and beta * beta is finite, the
+    values for which F is a number."""
+    if not (beta > 0 and math.isfinite(beta * beta)):
+        raise ValueError("beta must be positive with a finite square, got %r" % (beta,))
+
+
 def score(key, response, beta: float = 1.0) -> ScoreReport:
     """Score response sentences against key sentences.
 
     Both are sequences of AnnotatedSentence over identical tokens; a
     divergence raises AlignmentError naming the first mismatch.
     """
-    if beta <= 0:
-        raise ValueError("beta must be positive, got %r" % (beta,))
+    check_beta(beta)
     key, response = list(key), list(response)
     _check_alignment(key, response)
     key_regions = _region_set(key)

@@ -250,10 +250,12 @@ class TestScore:
         assert code == EXIT_OK
         assert "ALL 1.000 1.000 1.000" in capsys.readouterr().out
 
-    def test_nonpositive_beta_is_a_usage_error(self, workspace):
+    @pytest.mark.parametrize("command", ["score", "learning-curve"])
+    @pytest.mark.parametrize("beta", ["0", "nan", "inf", "1e200"])
+    def test_nonpositive_beta_is_a_usage_error(self, workspace, command, beta):
         with pytest.raises(SystemExit) as info:
-            main(["score", str(workspace["test"]), str(workspace["test"]),
-                  "--beta", "0"])
+            main([command, str(workspace["test"]), str(workspace["test"]),
+                  "--beta", beta])
         assert info.value.code == EXIT_USAGE
 
     def test_non_utf8_key(self, workspace, tmp_path, capsys):

@@ -25,6 +25,7 @@ from namefinder import (
     tokenize,
 )
 from namefinder.corpus import TERMINALS
+from namefinder.features import END_WORD, UNKNOWN_WORD
 from conftest import ANNOTATED_FIXTURE
 from reference import random_corpus
 
@@ -239,9 +240,35 @@ def test_parse_time_is_linear():
     assert statistics.median(ratios) <= 2.5, ratios
 
 
-# Tokens the tokenizer leaves whole and that are not terminals.
-_inner_words = st.text(alphabet="ab&<>é日.,-", min_size=1, max_size=4).filter(
-    lambda word: word not in TERMINALS and tokenize(word) == [[word]])
+@pytest.mark.parametrize("split", [tokenize, parse_annotated])
+@pytest.mark.parametrize("run", [lambda n: "x" + ")" * n, lambda n: "x" + "." * n,
+                                 lambda n: "(" * n + "x"],
+                         ids=["trailing-parens", "trailing-periods", "leading-parens"])
+def test_punctuation_run_time_is_linear(split, run):
+    """time(2n)/time(n) <= 2.5 on one chunk ending (or starting) in a run
+    of n punctuation marks; stripping one mark per slice reads about 4.
+    Median of alternating pairs, as in test_parse_time_is_linear."""
+    small, large = run(40000), run(80000)
+
+    def timed_split(text):
+        gc.collect()
+        begin = time.perf_counter()
+        split(text)
+        return time.perf_counter() - begin
+
+    ratios = []
+    for _ in range(5):
+        t_small = timed_split(small)
+        ratios.append(timed_split(large) / t_small)
+    assert statistics.median(ratios) <= 2.5, ratios
+
+
+# Tokens the tokenizer leaves whole and that are not terminals, and the
+# sentinel strings, which text may hold like any other word.
+_inner_words = st.one_of(
+    st.text(alphabet="ab&<>é日.,-+", min_size=1, max_size=4),
+    st.sampled_from([END_WORD, UNKNOWN_WORD]),
+).filter(lambda word: word not in TERMINALS and tokenize(word) == [[word]])
 
 
 @st.composite

@@ -245,6 +245,21 @@ class TestPooledLevels:
         with pytest.raises(AttributeError):
             single_region_tables.class_marginal = CondTable()
 
+    @pytest.mark.parametrize("name, counted", [
+        ("class_bigrams", "class_transitions"), ("class_marginal", "class_transitions"),
+        ("begin_bigrams", "first_words"), ("word_unigrams", "first_words and word_bigrams")])
+    def test_pooled_levels_refuse_writes(self, single_region_tables, name, counted):
+        level = getattr(single_region_tables, name)
+        before = [(context, level.total(context)) for context in level.contexts()]
+        other = CondTable()
+        other.add((PERSON,), Token("x", "lowerCase"))
+        for write in (lambda: level.add((PERSON,), Token("x", "lowerCase")),
+                      lambda: level.add_events((PERSON,), {Token("x", "lowerCase"): 1}),
+                      lambda: level.update(other)):
+            with pytest.raises(TypeError, match="add counts to %s instead" % counted):
+                write()
+        assert [(context, level.total(context)) for context in level.contexts()] == before
+
 
 class TestVocabulary:
     def test_first_seen_ids(self):

@@ -2,9 +2,11 @@
 reconstruction, document segmentation, deterministic tie handling, and
 the estimator views shared by every decoder over one model."""
 
+import copy
 import gc
 import statistics
 import time
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -263,12 +265,12 @@ class TestDeterminismAndReuse:
         first_word_rows = sum(map(len, decoder._grids))
         decoder.decode_sentence(["the", oov[0], "plan", "."])
         sizes = (sum(map(len, decoder._grids)), sum(map(len, decoder._blocks)),
-                 len(decoder._next_cache))
+                 sum(map(len, decoder._nexts)))
         for word in oov[1:]:
             decoder.decode_sentence(["the", word, "plan", "."])
         assert sum(map(len, decoder._grids)) <= first_word_rows + 1
         assert (sum(map(len, decoder._grids)), sum(map(len, decoder._blocks)),
-                len(decoder._next_cache)) == sizes
+                sum(map(len, decoder._nexts))) == sizes
 
     def test_empty_sentence_rejected(self, tiny_model):
         with pytest.raises(ValueError):
@@ -280,12 +282,53 @@ def has_views(model):
     return "table_views" in vars(model)
 
 
+def shared_rows(decoder):
+    """The decoder's row stores and start row that belong to the views."""
+    return (*decoder._blocks, *decoder._grids, decoder._start_row)
+
+
+TEXT = "Mr. John Smith said hello .\n+unk+ Zqx opened in Boston +end+ ."
+
+
 class TestSharedViews:
     def test_decoders_share_one_pair_of_views(self, tiny_corpus):
         model = train(tiny_corpus)
         first, second = Decoder(model), Decoder(model)
-        assert first._views is second._views is model.table_views
-        assert Decoder(train(tiny_corpus))._views is not first._views
+        views = model.table_views
+        expected = (*(view.transition_blocks for view in views),
+                    *(view.first_word_grids for view in views), views[False].start_row)
+        assert all(a is b is c for a, b, c in zip(shared_rows(first), shared_rows(second),
+                                                  expected))
+        other = Decoder(train(tiny_corpus))
+        assert not any(a is b for a, b in zip(shared_rows(other), shared_rows(first)))
+        assert not any(a is b for a, b in zip(first._nexts, second._nexts))
+
+    def test_views_die_with_their_model_by_reference_counting(self, tiny_corpus):
+        # No reference cycle: with the cycle collector off, dropping the
+        # model and its warm decoders frees both views at once.
+        gc.disable()
+        try:
+            model = train(tiny_corpus)
+            decoders = [Decoder(model), Decoder(model)]
+            for decoder in decoders:
+                decoder.decode_document(TEXT)
+            assert all(view.transition_blocks and view.first_word_grids
+                       for view in model.table_views)
+            views = [weakref.ref(view) for view in model.table_views]
+            del model, decoders, decoder
+            assert [view() for view in views] == [None, None]
+        finally:
+            gc.enable()
+
+    def test_a_deep_copied_warm_decoder_decodes_identically(self, tiny_corpus):
+        model = train(tiny_corpus)
+        warm = Decoder(model)
+        warm.decode_document(TEXT)
+        twin = copy.deepcopy(warm, {id(model): model})
+        assert twin.model is model
+        text = TEXT + "\nAcme Systems Corp. opened in Qzx ."
+        assert twin.decode_document(text) == warm.decode_document(text) == \
+            Decoder(model).decode_document(text)
 
     def test_training_and_loading_build_no_views(self, tiny_corpus):
         model = train(tiny_corpus)
@@ -320,8 +363,7 @@ class TestSharedViews:
         model = train(tiny_corpus)
         text = serialize_model(model)
         twin = deserialize_model(text)
-        Decoder(model).decode_document(
-            "Mr. John Smith said hello .\n+unk+ Zqx opened in Boston +end+ .")
+        Decoder(model).decode_document(TEXT)
         main, unknown = model.table_views
         assert main.transition_blocks and main.first_word_grids
         assert unknown.transition_blocks and unknown.first_word_grids

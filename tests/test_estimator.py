@@ -36,7 +36,13 @@ from namefinder import (
     p_next_word_from,
     train,
 )
-from namefinder.estimator import PREVIOUS_CLASSES, SUCCESSOR_CLASSES, TableView, route
+from namefinder.estimator import (
+    PREVIOUS_CLASSES,
+    SUCCESSOR_CLASSES,
+    RowStore,
+    TableView,
+    route,
+)
 from namefinder.synthetic import generate_corpus
 from reference import (
     OOV_POOL,
@@ -354,78 +360,31 @@ def synthetic_model():
     return train(generate_corpus(400, seed=21))
 
 
-class TestTableView:
-    """Each row equals the scalar queries exactly (==), on both table
-    sets, for trained and untrained contexts alike."""
-
-    @pytest.fixture(params=["tiny", "synthetic"])
-    def model(self, request, tiny_model, synthetic_model):
-        return tiny_model if request.param == "tiny" else synthetic_model
-
-    @staticmethod
-    def tables_and_view(model, table_set):
-        tables = getattr(model, table_set)
-        return tables, TableView(tables, len(model.vocabulary))
-
-    @pytest.mark.parametrize("table_set", ["main", "unknown"])
-    def test_transitions(self, model, table_set):
-        tables, view = self.tables_and_view(model, table_set)
-        trained = set(tables.class_transitions.contexts())
-        words = {w_prev for _, w_prev in trained}
-        words |= {END_WORD, UNKNOWN_WORD, "never-seen"}
-        seen = {True: 0, False: 0}
-        for nc_prev in PREVIOUS_CLASSES:
-            for w_prev in sorted(words):
-                seen[(nc_prev, w_prev) in trained] += 1
-                assert view.transitions(nc_prev, w_prev) == [
-                    p_class_transition_from(tables, nc, nc_prev, w_prev)
-                    for nc in SUCCESSOR_CLASSES]
-        assert seen[True] and seen[False]
-
-    @pytest.mark.parametrize("table_set", ["main", "unknown"])
-    def test_first_words(self, model, table_set):
-        tables, view = self.tables_and_view(model, table_set)
-        size = len(model.vocabulary)
-        tokens = {token for _, token, _ in tables.first_words.items()}
-        tokens |= {Token(UNKNOWN_WORD, "initCap"), Token("never-seen", "lowerCase"),
-                   END_TOKEN}
-        for token in sorted(tokens):
-            rows = view.first_words(token)
-            assert rows == [[p_first_word_from(tables, token, nc, nc_prev, size)
-                             for nc_prev in PREVIOUS_CLASSES]
-                            for nc in INTERNAL_CLASSES]
-            assert len(rows[0]) == len(INTERNAL_CLASSES) + 1  # the START column
-
-    @pytest.mark.parametrize("table_set", ["main", "unknown"])
-    def test_next_words(self, model, table_set):
-        tables, view = self.tables_and_view(model, table_set)
-        size = len(model.vocabulary)
-        bigrams = tables.word_bigrams
-        trained = set(bigrams.contexts())
-        untrained_prevs = {Token("never-seen", "lowerCase"), Token(UNKNOWN_WORD, "initCap")}
-        prevs = {Token(word, feature) for word, feature, _ in trained} | untrained_prevs
-        seen = {True: 0, False: 0}
-        for prev in sorted(prevs):
-            # Up to three events of each of the previous token's contexts,
-            # plus tokens that no context saw.
-            tokens = {END_TOKEN, Token(UNKNOWN_WORD, "lowerCase"), Token("never-seen", "initCap")}
-            for nc in INTERNAL_CLASSES:
-                seen[(prev.word, prev.feature, nc) in trained] += 1
-                tokens.update(sorted(bigrams.events((prev.word, prev.feature, nc)))[:3])
-            for token in sorted(tokens):
-                assert view.next_words(prev, token) == [
-                    p_next_word_from(tables, token, prev, nc, size)
-                    for nc in INTERNAL_CLASSES]
-        assert seen[True] and seen[False]
+def tables_and_view(model, table_set):
+    tables = getattr(model, table_set)
+    return tables, TableView(tables, len(model.vocabulary))
 
 
-def log_of(rows):
-    return [[math.log(p) for p in row] for row in rows]
+def log_transitions(tables, nc_prev, w_prev):
+    return [math.log(p_class_transition_from(tables, nc, nc_prev, w_prev))
+            for nc in SUCCESSOR_CLASSES]
+
+
+def log_first_words(tables, token, size):
+    return [[math.log(p_first_word_from(tables, token, nc, nc_prev, size))
+             for nc_prev in PREVIOUS_CLASSES]
+            for nc in INTERNAL_CLASSES]
+
+
+def log_next_words(tables, prev, token, size):
+    return [math.log(p_next_word_from(tables, token, prev, nc, size))
+            for nc in INTERNAL_CLASSES]
 
 
 class TestLogRows:
-    """Each log row equals math.log of its linear row exactly (==), on
-    both table sets, for trained and untrained contexts alike."""
+    """Every stored row, and the start row, equals math.log of the scalar
+    queries exactly (==), cell by cell, on both table sets, for trained
+    and untrained contexts alike; a row once stored is the same object."""
 
     @pytest.fixture(params=["tiny", "synthetic"])
     def model(self, request, tiny_model, synthetic_model):
@@ -433,52 +392,62 @@ class TestLogRows:
 
     @pytest.mark.parametrize("table_set", ["main", "unknown"])
     def test_transition_blocks_and_start_row(self, model, table_set):
-        tables, view = TestTableView.tables_and_view(model, table_set)
+        tables, view = tables_and_view(model, table_set)
         trained = set(tables.class_transitions.contexts())
         words = {w_prev for _, w_prev in trained}
         words |= {END_WORD, UNKNOWN_WORD, "never-seen"}
         seen = {True: 0, False: 0}
         for w_prev in sorted(words):
+            block = view.transition_blocks[w_prev]
             columns = []
             for nc_prev in INTERNAL_CLASSES:
                 seen[(nc_prev, w_prev) in trained] += 1
-                columns.append(view.transitions(nc_prev, w_prev))
-            block = view.transition_block(w_prev)
-            assert [list(row) for row in block] == log_of(zip(*columns))
+                columns.append(log_transitions(tables, nc_prev, w_prev))
+            assert [list(row) for row in block] == [list(row) for row in zip(*columns)]
             assert view.transition_blocks[w_prev] is block
         assert seen[True] and seen[False]
-        assert view.start_row == log_of(
-            [view.transitions(START_OF_SENTENCE, END_WORD)])[0][:len(INTERNAL_CLASSES)]
+        assert view.start_row == log_transitions(
+            tables, START_OF_SENTENCE, END_WORD)[:len(INTERNAL_CLASSES)]
 
     @pytest.mark.parametrize("table_set", ["main", "unknown"])
     def test_first_word_grids(self, model, table_set):
-        tables, view = TestTableView.tables_and_view(model, table_set)
+        tables, view = tables_and_view(model, table_set)
+        size = len(model.vocabulary)
         tokens = {token for _, token, _ in tables.first_words.items()}
         tokens |= {token for _, token, _ in tables.word_unigrams.items()}
         tokens |= {Token(UNKNOWN_WORD, "initCap"), Token(UNKNOWN_WORD, "fourDigitNum"),
                    Token("never-seen", "lowerCase"), END_TOKEN}
         for token in sorted(tokens):
-            grid = view.first_word_grid(token)
+            grid = view.first_word_grids[token]
             # Every class row, the START column (index 8) included.
-            assert [list(row) for row in grid] == log_of(view.first_words(token))
+            assert len(grid[0]) == len(INTERNAL_CLASSES) + 1
+            assert [list(row) for row in grid] == log_first_words(tables, token, size)
             assert view.first_word_grids[token] is grid
 
     @pytest.mark.parametrize("table_set", ["main", "unknown"])
     def test_next_rows(self, model, table_set):
-        tables, view = TestTableView.tables_and_view(model, table_set)
+        tables, view = tables_and_view(model, table_set)
+        size = len(model.vocabulary)
+        nexts = RowStore(view.next_log_row)
         bigrams = tables.word_bigrams
         trained = set(bigrams.contexts())
         prevs = {Token(word, feature) for word, feature, _ in trained}
         prevs |= {Token("never-seen", "lowerCase"), Token(UNKNOWN_WORD, "initCap"), END_TOKEN}
         unigram_tokens = sorted({token for _, token, _ in tables.word_unigrams.items()})
+        seen = {True: 0, False: 0}
         for prev in sorted(prevs):
+            # Up to three events of each of the previous token's contexts,
+            # plus tokens that no context saw.
             tokens = {END_TOKEN, Token(UNKNOWN_WORD, "lowerCase"),
                       Token("never-seen", "initCap"), *unigram_tokens[:3]}
             for nc in INTERNAL_CLASSES:
+                seen[(prev.word, prev.feature, nc) in trained] += 1
                 tokens.update(sorted(bigrams.events((prev.word, prev.feature, nc)))[:3])
             for token in sorted(tokens):
-                assert list(view.next_log_row(prev, token)) == log_of(
-                    [view.next_words(prev, token)])[0]
+                row = nexts[prev, token]
+                assert list(row) == log_next_words(tables, prev, token, size)
+                assert nexts[prev, token] is row
+        assert seen[True] and seen[False]
 
     def test_every_level_counts_as_evidence(self, tiny_model):
         # A token counted in only one first-word context, or after only
@@ -490,15 +459,17 @@ class TestLogRows:
         tables.first_words.add((MONEY, START_OF_SENTENCE), only_first)
         tables.word_bigrams.add(("said", "lowerCase", NOT_A_NAME), only_bigram)
         tables.class_transitions.add((PERSON, "said"), END_OF_SENTENCE)
-        view = TableView(tables, len(tiny_model.vocabulary))
+        size = len(tiny_model.vocabulary)
+        view = TableView(tables, size)
+        nexts = RowStore(view.next_log_row)
         said = Token("said", "lowerCase")
         for token in (only_first, only_bigram):
-            assert [list(row) for row in view.first_word_grid(token)] == log_of(
-                view.first_words(token))
+            assert [list(row) for row in view.first_word_grids[token]] == log_first_words(
+                tables, token, size)
             for prev in (said, Token("never-seen", "lowerCase")):
-                assert list(view.next_log_row(prev, token)) == log_of(
-                    [view.next_words(prev, token)])[0]
-        columns = [view.transitions(nc_prev, "said") for nc_prev in INTERNAL_CLASSES]
-        assert [list(row) for row in view.transition_block("said")] == log_of(zip(*columns))
-        assert view.first_word_grid(only_first) != view.first_word_grid(
-            Token("never-seen", "lowerCase"))
+                assert list(nexts[prev, token]) == log_next_words(tables, prev, token, size)
+        columns = [log_transitions(tables, nc_prev, "said") for nc_prev in INTERNAL_CLASSES]
+        assert [list(row) for row in view.transition_blocks["said"]] == [
+            list(row) for row in zip(*columns)]
+        assert view.first_word_grids[only_first] != view.first_word_grids[
+            Token("never-seen", "lowerCase")]

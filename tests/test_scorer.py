@@ -132,7 +132,7 @@ class TestArithmetic:
 
     def test_beta_must_be_positive(self, six_of_eight_of_ten):
         key, response = six_of_eight_of_ten
-        for bad in (0.0, -1.0):
+        for bad in (0.0, -1.0, float("nan"), float("inf"), 1e200):
             with pytest.raises(ValueError):
                 score(key, response, beta=bad)
 
