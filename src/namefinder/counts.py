@@ -231,6 +231,17 @@ class TrainedModel:
         size = len(self.vocabulary)
         return TableView(self.main, size), TableView(self.unknown, size)
 
+    @cached_property
+    def token_keys(self):
+        """Per first-word flag (False, then True), word -> the decoder's
+        canonical key (route flag, Token) of that word.
+
+        Filled by the decoders over this model with vocabulary words and
+        sentinels only, so each dict holds at most |V| + 2 keys; not a
+        field, so equality and the model file ignore it.
+        """
+        return {}, {}
+
 
 def segment_classes(sentence: AnnotatedSentence):
     """Cover the sentence with (name_class, start, end) segments.

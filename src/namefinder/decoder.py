@@ -7,9 +7,26 @@ class transition conditioned on the previous word, and a first-word
 factor for the new region).  Scores are natural logs of the smoothed
 probabilities; each mixture is computed in linear space first.
 
-Ties are broken deterministically: CONTINUE beats BOUNDARY at equal
-score, and earlier classes in the fixed inventory order beat later
-ones.  Backtracing the boundary flags yields the region segmentation;
+The search is exact but skips BOUNDARY candidates that cannot win
+(after Esposito & Radicioni's CarpeDiem, JMLR 2009).  A candidate for
+class j from previous class i sums bscore[i] (i's score plus its
+region-end factor), the transition and the first-word factor.  Previous
+classes are visited in descending bscore, and the scan for j stops at
+the first i whose bound (bscore[i] + Tmax[j]) + Fmax[j] is below the
+incumbent, Tmax[j] and Fmax[j] being the maxima of j's transition and
+first-word rows over the internal previous classes.  The bound is added
+in the candidate's order, and rounding to nearest never decreases when
+an operand grows, so no float candidate exceeds its bound, and no later
+bound exceeds an earlier one.  On synthetic news text about 6 of the
+64 candidate sums per token are evaluated.
+
+Ties are broken deterministically, whatever the visit order: CONTINUE
+beats BOUNDARY at equal score, and among BOUNDARY candidates at equal
+score the lowest previous class wins, so a visited candidate replaces
+the incumbent when it scores higher, or equal while the incumbent is a
+BOUNDARY from a higher class.  An equal bound does not stop the scan.
+The final class is the earliest in the inventory among equal scores.
+Backtracing the boundary flags yields the region segmentation;
 NOT-A-NAME stretches produce no Region records.
 
 The decoder reads rows of log probabilities under canonical keys: a
@@ -24,14 +41,23 @@ Every row lives in a ``RowStore``, a dict that builds a missing row the
 first time it is read and keeps it, so the recurrence reads rows by
 plain subscripts.  The views are the model's (``table_views``): built
 by the first decoder over a model and shared by every later one,
-together with the start row and the stores of transition blocks and
-first-word grids.  So a fresh decoder does no weighting and refills
-none of those; it starts with only its own next-word stores empty.
+together with the start row, the stores of transition blocks and
+first-word grids, and the stores of their row maxima.  So a fresh
+decoder does no weighting and refills none of those; it starts with
+only its own next-word stores empty.
 All out-of-vocabulary words of one feature share their rows, and a
 literal ``+unk+`` in the text, which the main tables answer, never
 shares a row with them.
-Throughput on large documents is dominated by dictionary lookups, not
-mixture evaluation.  Decoding time is linear in token count.
+
+A word's key depends only on the word, on whether it opens the
+sentence, and on the model's feature configuration.  The model's token
+table (``token_keys``) keeps the key of every vocabulary word and
+sentinel the decoders have met, one dict per first-word flag, so it
+holds at most 2 x (|V| + 2) keys; an out-of-vocabulary word has its
+feature computed at every occurrence and is never kept.
+On a warm decoder the recurrence itself still takes about half the
+time, and next-word rows and tokenizing most of the rest.  Decoding time
+is linear in token count.
 """
 
 import math
@@ -121,22 +147,33 @@ class Decoder:
         views = model.table_views
         self._blocks = tuple(view.transition_blocks for view in views)
         self._grids = tuple(view.first_word_grids for view in views)
+        self._block_maxima = tuple(view.transition_maxima for view in views)
+        self._grid_maxima = tuple(view.first_word_maxima for view in views)
         self._nexts = tuple(RowStore(view.next_log_row) for view in views)
         self._start_row = views[False].start_row
+        self._token_keys = model.token_keys
 
     def decode_sentence(self, words) -> DecodeResult:
         words = list(words)
         if not words:
             raise ValueError("cannot decode an empty sentence")
         # Canonical keys: the route flag, and the token with an
-        # out-of-vocabulary word mapped to +unk+.
+        # out-of-vocabulary word mapped to +unk+.  Only the keys of
+        # known words are kept.
         keys = []
         for i, w in enumerate(words):
-            feature = compute_feature(w, i == 0, self.config)
-            unknown, word = route(self.model, w)
-            keys.append((unknown, Token(word, feature)))
+            table = self._token_keys[i == 0]
+            key = table.get(w)
+            if key is None:
+                feature = compute_feature(w, i == 0, self.config)
+                unknown, word = route(self.model, w)
+                key = unknown, Token(word, feature)
+                if not unknown:
+                    table[w] = key
+            keys.append(key)
         n = len(keys)
         blocks, grids, nexts = self._blocks, self._grids, self._nexts
+        block_maxima, grid_maxima = self._block_maxima, self._grid_maxima
 
         unknown, tok = keys[0]
         fw = grids[unknown][tok]
@@ -148,24 +185,36 @@ class Decoder:
             end_vec = nexts[prev_unknown][prev_tok, END_TOKEN]
             cont_vec = nexts[prev_unknown or unknown][prev_tok, tok]
             by_target = blocks[prev_unknown][prev_tok.word]
+            t_max = block_maxima[prev_unknown][prev_tok.word]
             fw = grids[unknown][tok]
+            f_max = grid_maxima[unknown][tok]
             bscore = [scores[i] + end_vec[i] for i in range(_K)]
+            # Best BOUNDARY predecessors first, so the bound stops the scan.
+            order = sorted(range(_K), key=bscore.__getitem__, reverse=True)
             new_scores = [0.0] * _K
-            pointers = [None] * _K
+            pointers = [-1] * _K
             for j in range(_K):
-                # Candidate order fixes the tie-break: CONTINUE first,
-                # then BOUNDARY by class-inventory order, strict > wins.
+                # best_i is the incumbent's previous class, -1 for
+                # CONTINUE.  CONTINUE wins at equal score, then the
+                # lowest BOUNDARY class, whatever the visit order.
                 best = scores[j] + cont_vec[j]
-                best_ptr = (j, False)
+                best_i = -1
                 row_t = by_target[j]
                 row_f = fw[j]
-                for i in range(_K):
-                    cand = bscore[i] + row_t[i] + row_f[i]
-                    if cand > best:
+                tm = t_max[j]
+                fm = f_max[j]
+                for i in order:
+                    b = bscore[i]
+                    # Same association as the candidate, so the float
+                    # bound is never below it; later bounds are no higher.
+                    if b + tm + fm < best:
+                        break
+                    cand = b + row_t[i] + row_f[i]
+                    if cand > best or (cand == best and best_i > i):
                         best = cand
-                        best_ptr = (i, True)
+                        best_i = i
                 new_scores[j] = best
-                pointers[j] = best_ptr
+                pointers[j] = best_i
             scores = new_scores
             backptrs.append(pointers)
 
@@ -183,9 +232,10 @@ class Decoder:
         bounds = []
         j = best_j
         for t in range(n - 1, 0, -1):
-            i, is_boundary = backptrs[t - 1][j]
-            bounds.append(is_boundary)
-            j = i
+            i = backptrs[t - 1][j]
+            bounds.append(i >= 0)
+            if i >= 0:
+                j = i
             classes.append(j)
         classes.reverse()
         bounds.reverse()

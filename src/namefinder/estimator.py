@@ -44,7 +44,9 @@ Every log row lives in a ``RowStore``: a dict whose ``__missing__``
 builds the row and keeps it, the one row memo.  The stores keyed by the
 vocabulary are the view's, shared by every decoder over the model: the
 transition blocks by previous word (``transition_blocks``) and the
-first-word grids by token (``first_word_grids``).  The decoder maps
+first-word grids by token (``first_word_grids``), and the maxima of
+their rows under the same keys (``transition_maxima``,
+``first_word_maxima``).  The decoder maps
 every out-of-vocabulary word to ``+unk+`` before it asks, so these
 stores hold at most |V| + 2 previous words and (|V| + 2) x 14 tokens
 per view and need no eviction.  Next-word rows, keyed by a pair of
@@ -74,6 +76,7 @@ from .features import END_WORD, NUM_WORD_FEATURES, Token, UNKNOWN_WORD
 # END-OF-SENTENCE.  START-OF-SENTENCE is never a successor.
 SUCCESSOR_CLASSES = INTERNAL_CLASSES + (END_OF_SENTENCE,)
 NUM_SUCCESSOR_CLASSES = len(SUCCESSOR_CLASSES)
+_K = len(INTERNAL_CLASSES)
 
 # The class-transition floor: uniform over the successors.
 TRANSITION_FLOOR = 1.0 / NUM_SUCCESSOR_CLASSES
@@ -259,10 +262,16 @@ class TableView:
       start_row[i]                      (nc_i | START-OF-SENTENCE, +end+)
       transition_blocks[w_prev][j][i]   (SUCCESSOR_CLASSES[j] | nc_i, w_prev)
       first_word_grids[token][j][i]     (token opens nc_j | nc_j, PREVIOUS_CLASSES[i])
-    where nc_i is INTERNAL_CLASSES[i].  Every decoder over the view
-    shares these; ``next_log_row`` builds a decoder's own next-word rows.
-    The stores' builders close over the weighted contexts, not the view,
-    so no reference cycle keeps a discarded view alive.
+    where nc_i is INTERNAL_CLASSES[i].  Beside them are the maxima of
+    the rows of each internal successor or class j over the internal
+    previous classes i (the START column left out), which bound the
+    decoder's BOUNDARY candidates:
+      transition_maxima[w_prev][j]      max_i transition_blocks[w_prev][j][i]
+      first_word_maxima[token][j]       max_i first_word_grids[token][j][i]
+    Every decoder over the view shares these; ``next_log_row`` builds a
+    decoder's own next-word rows.  The stores' builders close over the
+    weighted contexts and the row stores, not the view, so no reference
+    cycle keeps a discarded view alive.
     """
 
     def __init__(self, tables: CountTables, vocab_size: int):
@@ -366,8 +375,14 @@ class TableView:
                 grid[j] = tuple([log(p) for p in row])
             return tuple(grid)
 
-        self.transition_blocks = RowStore(transition_block)
-        self.first_word_grids = RowStore(first_word_grid)
+        self.transition_blocks = blocks = RowStore(transition_block)
+        self.first_word_grids = grids = RowStore(first_word_grid)
+        # Row maxima over the internal previous classes: the decoder's
+        # bound on a BOUNDARY candidate (the START column is left out).
+        self.transition_maxima = RowStore(
+            lambda w_prev: tuple(max(row) for row in blocks[w_prev][:_K]))
+        self.first_word_maxima = RowStore(
+            lambda token: tuple(max(row[:_K]) for row in grids[token]))
 
     def next_log_row(self, key):
         """[log Pr(token | prev, nc) for nc in INTERNAL_CLASSES], key being

@@ -4,11 +4,13 @@ Nothing here reuses production mixing, feature, counting or search
 logic: the mixture is a separate recursive function whose sample sizes
 are re-summed from raw event dictionaries, the count oracle walks a
 corpus once and counts every back-off level as its own table, the
-word-feature classifier is a separate predicate list, and the decoder
-oracle enumerates every labeled segmentation of a sentence.  Production
-code is imported only for type constructors, for the word features the
-count and path oracles tag tokens with, and, in the path oracle, for
-the probability queries the search is defined over.
+word-feature classifier is a separate predicate list, the path oracle
+enumerates every labeled segmentation of a sentence, and the recurrence
+oracle is the Viterbi step that reads every candidate.  Production code
+is imported only for type constructors, for the word features the
+count, path and recurrence oracles tag tokens with, in the path oracle
+for the probability queries the search is defined over, and in the
+recurrence oracle for the rows a decoder reads.
 """
 
 import math
@@ -316,6 +318,70 @@ def ref_best_path(words, model):
         score = score + log(p_first_word(tokens[0], nc, START_OF_SENTENCE, model))
         extend(1, score, [nc], [True], [])
     return best[0], best[2], best[3]
+
+
+# --- Plain recurrence oracle -------------------------------------------------
+
+
+def ref_viterbi(decoder, words):
+    """(log_score, path_classes, path_boundaries) of the plain recurrence
+    over a decoder's row stores.
+
+    Every class reads its CONTINUE candidate and all 8 BOUNDARY
+    candidates at every token: CONTINUE first, then BOUNDARY in class
+    order, and only a strictly greater score replaces the incumbent.
+    The keys are restated here (route flag, and the token with an
+    out-of-vocabulary word as +unk+); the rows are the decoder's own
+    stores, so this checks the search alone.
+    """
+    model = decoder.model
+    k = len(INTERNAL_CLASSES)
+    keys = []
+    for i, word in enumerate(words):
+        unknown = word not in model.vocabulary and word not in (END_WORD, UNKNOWN_WORD)
+        feature = compute_feature(word, i == 0, model.feature_config)
+        keys.append((unknown, Token(UNKNOWN_WORD if unknown else word, feature)))
+    blocks, grids, nexts = decoder._blocks, decoder._grids, decoder._nexts
+
+    unknown, tok = keys[0]
+    fw = grids[unknown][tok]
+    scores = [decoder._start_row[j] + fw[j][k] for j in range(k)]
+    backptrs = []
+    for t in range(1, len(keys)):
+        prev_unknown, prev_tok = keys[t - 1]
+        unknown, tok = keys[t]
+        end_vec = nexts[prev_unknown][prev_tok, END_TOKEN]
+        cont_vec = nexts[prev_unknown or unknown][prev_tok, tok]
+        by_target = blocks[prev_unknown][prev_tok.word]
+        fw = grids[unknown][tok]
+        bscore = [scores[i] + end_vec[i] for i in range(k)]
+        new_scores, pointers = [], []
+        for j in range(k):
+            best, best_ptr = scores[j] + cont_vec[j], (j, False)
+            for i in range(k):
+                cand = bscore[i] + by_target[j][i] + fw[j][i]
+                if cand > best:
+                    best, best_ptr = cand, (i, True)
+            new_scores.append(best)
+            pointers.append(best_ptr)
+        scores = new_scores
+        backptrs.append(pointers)
+
+    last_unknown, last = keys[-1]
+    end_vec = nexts[last_unknown][last, END_TOKEN]
+    to_end = blocks[last_unknown][last.word][k]
+    best_j, best_final = 0, scores[0] + end_vec[0] + to_end[0]
+    for j in range(1, k):
+        cand = scores[j] + end_vec[j] + to_end[j]
+        if cand > best_final:
+            best_j, best_final = j, cand
+    classes, bounds, j = [best_j], [], best_j
+    for pointers in reversed(backptrs):
+        j, is_boundary = pointers[j]
+        classes.append(j)
+        bounds.append(is_boundary)
+    return (best_final, tuple(INTERNAL_CLASSES[c] for c in reversed(classes)),
+            (True, *reversed(bounds)))
 
 
 # --- Random corpora for property tests ---------------------------------------

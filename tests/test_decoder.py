@@ -1,6 +1,7 @@
-"""Viterbi decoding: exactness against exhaustive search, score
-reconstruction, document segmentation, deterministic tie handling, and
-the estimator views shared by every decoder over one model."""
+"""Viterbi decoding: exactness against exhaustive search and against
+the plain recurrence, score reconstruction, document segmentation,
+deterministic tie handling, the estimator views shared by every decoder
+over one model, and the model's token table."""
 
 import copy
 import gc
@@ -28,12 +29,14 @@ from namefinder import (
     score_path,
     train,
 )
-from namefinder.features import END_WORD, UNKNOWN_WORD
+from namefinder.estimator import RowStore
+from namefinder.features import END_TOKEN, END_WORD, UNKNOWN_WORD
 from namefinder.model_io import ModelFormatError, deserialize_model, serialize_model
 from namefinder.synthetic import generate_corpus
-from reference import OOV_POOL, WORD_POOL, random_corpus, ref_best_path
+from reference import OOV_POOL, WORD_POOL, random_corpus, ref_best_path, ref_viterbi
 
 NAN = NOT_A_NAME
+K = len(INTERNAL_CLASSES)
 
 
 def tokens_of(words, model):
@@ -276,6 +279,15 @@ class TestDeterminismAndReuse:
         with pytest.raises(ValueError):
             Decoder(tiny_model).decode_sentence([])
 
+    @pytest.mark.parametrize("words", [[""], ["the", ""], ["", "plan"]])
+    def test_empty_word_rejected(self, tiny_model, words):
+        # Also once the token table holds the sentence's other words.
+        decoder = Decoder(tiny_model)
+        decoder.decode_sentence(["the", "plan", "."])
+        with pytest.raises(ValueError):
+            decoder.decode_sentence(words)
+        assert "" not in tiny_model.token_keys[False] and "" not in tiny_model.token_keys[True]
+
 
 def has_views(model):
     """Whether the model has built its cached estimator views."""
@@ -284,7 +296,8 @@ def has_views(model):
 
 def shared_rows(decoder):
     """The decoder's row stores and start row that belong to the views."""
-    return (*decoder._blocks, *decoder._grids, decoder._start_row)
+    return (*decoder._blocks, *decoder._grids, *decoder._block_maxima,
+            *decoder._grid_maxima, decoder._start_row)
 
 
 TEXT = "Mr. John Smith said hello .\n+unk+ Zqx opened in Boston +end+ ."
@@ -296,7 +309,9 @@ class TestSharedViews:
         first, second = Decoder(model), Decoder(model)
         views = model.table_views
         expected = (*(view.transition_blocks for view in views),
-                    *(view.first_word_grids for view in views), views[False].start_row)
+                    *(view.first_word_grids for view in views),
+                    *(view.transition_maxima for view in views),
+                    *(view.first_word_maxima for view in views), views[False].start_row)
         assert all(a is b is c for a, b, c in zip(shared_rows(first), shared_rows(second),
                                                   expected))
         other = Decoder(train(tiny_corpus))
@@ -326,6 +341,7 @@ class TestSharedViews:
         warm.decode_document(TEXT)
         twin = copy.deepcopy(warm, {id(model): model})
         assert twin.model is model
+        assert twin._token_keys == model.token_keys and all(model.token_keys)
         text = TEXT + "\nAcme Systems Corp. opened in Qzx ."
         assert twin.decode_document(text) == warm.decode_document(text) == \
             Decoder(model).decode_document(text)
@@ -413,6 +429,8 @@ class TestSharedViews:
         for view in model.table_views:
             assert len(view.transition_blocks) <= bound
             assert len(view.first_word_grids) <= bound * len(WORD_FEATURES)
+            assert view.transition_maxima.keys() <= view.transition_blocks.keys()
+            assert view.first_word_maxima.keys() <= view.first_word_grids.keys()
             assert all(feature in WORD_FEATURES for _, feature in view.first_word_grids)
         assert {word for word, _ in main.first_word_grids} <= words
         assert {word for word, _ in unknown.first_word_grids} <= {UNKNOWN_WORD}
@@ -482,3 +500,121 @@ class TestSharedRowProperties:
             rebuilt = score_path(tokens_of(words, model), result.path_classes,
                                  result.path_boundaries, model)
             assert rebuilt == pytest.approx(result.log_score, abs=1e-9)
+
+
+# --- Pruned search: the plain recurrence is the oracle --------------------
+
+def decode_as_oracle(decoder, words):
+    """Decode words, asserting the plain recurrence over the same stores
+    finds the same score and path."""
+    result = decoder.decode_sentence(words)
+    assert (result.log_score, result.path_classes, result.path_boundaries) == \
+        ref_viterbi(decoder, words)
+    return result
+
+
+def hand_built(model, start_row, block, grid, next_row):
+    """A decoder over model whose stores build every row with the given
+    builders, on either route flag, and hold the row maxima of those rows."""
+    decoder = Decoder(model)
+    blocks, grids = RowStore(block), RowStore(grid)
+    decoder._blocks, decoder._grids = (blocks, blocks), (grids, grids)
+    decoder._nexts = (RowStore(next_row),) * 2
+    decoder._block_maxima = (RowStore(
+        lambda w_prev: tuple(max(row) for row in blocks[w_prev][:K])),) * 2
+    decoder._grid_maxima = (RowStore(
+        lambda token: tuple(max(row[:K]) for row in grids[token])),) * 2
+    decoder._start_row = start_row
+    return decoder
+
+
+def constant(row):
+    return lambda key: row
+
+
+_TIED_LOGS = st.sampled_from([0.0, -1.0, -2.0])
+
+
+def _drawn_row(data, size):
+    """A row of few distinct values, sometimes all equal, so that scores tie."""
+    return tuple(data.draw(st.one_of(_TIED_LOGS.map(lambda v: [v] * size),
+                                     st.lists(_TIED_LOGS, min_size=size, max_size=size))))
+
+
+class TestPrunedSearch:
+    """The decoder skips BOUNDARY candidates whose bound cannot win; it
+    must find the plain recurrence's score and path, ties included."""
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(data=st.data())
+    def test_random_sentences_decode_as_the_plain_recurrence(self, property_model, data):
+        model = property_model
+        sentences = data.draw(_sentences(sorted(model.vocabulary.words())[:60]))
+        decoder = Decoder(model)
+        for words in sentences:
+            decode_as_oracle(decoder, words)
+            decode_as_oracle(Decoder(model), words)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(data=st.data(),
+           words=st.lists(st.sampled_from(["the", "plan", "Zqx", "+unk+", "+end+"]),
+                          min_size=1, max_size=5))
+    def test_forced_ties_decode_as_the_plain_recurrence(self, tiny_model, data, words):
+        # Rows of three values make equal rows, equal bscores, CONTINUE
+        # equal to the best BOUNDARY, and BOUNDARY classes of different
+        # bscore at equal score.
+        decoder = hand_built(
+            tiny_model, _drawn_row(data, K),
+            lambda w_prev: tuple(_drawn_row(data, K) for _ in range(K + 1)),
+            lambda token: tuple(_drawn_row(data, K + 1) for _ in range(K)),
+            lambda key: _drawn_row(data, K))
+        decode_as_oracle(decoder, words)
+
+    def test_continue_wins_when_every_candidate_ties(self, tiny_model):
+        decoder = hand_built(tiny_model, (0.0,) * K, constant(((0.0,) * K,) * (K + 1)),
+                             constant(((0.0,) * (K + 1),) * K), constant((0.0,) * K))
+        result = decode_as_oracle(decoder, ["the", "plan", "Zqx"])
+        assert result.path_classes == (INTERNAL_CLASSES[0],) * 3
+        assert result.path_boundaries == (True, False, False)
+
+    def test_lowest_boundary_class_wins_a_tie_it_is_visited_after(self, tiny_model):
+        # Classes 5 and 2 open the second token at the same score 0.0;
+        # 5 has the higher bscore, so it is visited first, and 2's bound
+        # equals that score exactly.  Class 2 must still win.
+        start = tuple(1.0 if i == 5 else 0.0 if i == 2 else -10.0 for i in range(K))
+        transition = tuple(-1.0 if i == 5 else 0.0 for i in range(K))
+        decoder = hand_built(
+            tiny_model, start, constant((transition,) * K + ((0.0,) * K,)),
+            constant(((0.0,) * (K + 1),) * K),
+            lambda key: (0.0,) * K if key[1] == END_TOKEN else (-100.0,) * K)
+        result = decode_as_oracle(decoder, ["the", "plan"])
+        assert result.log_score == 0.0
+        assert result.path_classes == (INTERNAL_CLASSES[2], INTERNAL_CLASSES[0])
+        assert result.path_boundaries == (True, True)
+
+
+# --- The model's token table ------------------------------------------------
+
+def oov_heavy_text(n_sentences, seed):
+    """Synthetic text with every third word replaced by an unseen word,
+    lower-case, capitalized or with digits in turn, distinct per seed."""
+    words = [w for s in generate_corpus(n_sentences, seed=seed) for w in s.tokens]
+    shapes = ("zq%dx", "Zq%dx", "%d-9")
+    return " ".join(shapes[i % 9 // 3] % (seed * 10**6 + i) if i % 3 == 1 else word
+                    for i, word in enumerate(words))
+
+
+class TestTokenTable:
+    def test_holds_only_known_words_however_much_text_is_decoded(self):
+        model = train(generate_corpus(200, seed=3))
+        known = set(model.vocabulary.words()) | {END_WORD, UNKNOWN_WORD}
+        # 50 sentences, then twice as many of other words through fresh
+        # decoders: the words outside the vocabulary never get an entry.
+        Decoder(model).decode_document(oov_heavy_text(50, seed=101) + " +end+ +unk+ .")
+        for seed in (102, 103):
+            Decoder(model).decode_document(oov_heavy_text(50, seed=seed))
+        for is_first_word, table in enumerate(model.token_keys):
+            assert table and set(table) <= known
+            for word, key in table.items():
+                assert key == (False, Token(word, compute_feature(
+                    word, bool(is_first_word), model.feature_config)))

@@ -384,7 +384,8 @@ def log_next_words(tables, prev, token, size):
 class TestLogRows:
     """Every stored row, and the start row, equals math.log of the scalar
     queries exactly (==), cell by cell, on both table sets, for trained
-    and untrained contexts alike; a row once stored is the same object."""
+    and untrained contexts alike; a row once stored is the same object,
+    and each row's stored maximum is the maximum of those logs."""
 
     @pytest.fixture(params=["tiny", "synthetic"])
     def model(self, request, tiny_model, synthetic_model):
@@ -405,6 +406,9 @@ class TestLogRows:
                 columns.append(log_transitions(tables, nc_prev, w_prev))
             assert [list(row) for row in block] == [list(row) for row in zip(*columns)]
             assert view.transition_blocks[w_prev] is block
+            # The decoder's bound: per internal successor, the best column.
+            assert view.transition_maxima[w_prev] == tuple(
+                max(column[j] for column in columns) for j in range(len(INTERNAL_CLASSES)))
         assert seen[True] and seen[False]
         assert view.start_row == log_transitions(
             tables, START_OF_SENTENCE, END_WORD)[:len(INTERNAL_CLASSES)]
@@ -423,6 +427,9 @@ class TestLogRows:
             assert len(grid[0]) == len(INTERNAL_CLASSES) + 1
             assert [list(row) for row in grid] == log_first_words(tables, token, size)
             assert view.first_word_grids[token] is grid
+            # The decoder's bound leaves the START column out.
+            assert view.first_word_maxima[token] == tuple(
+                max(row[:len(INTERNAL_CLASSES)]) for row in log_first_words(tables, token, size))
 
     @pytest.mark.parametrize("table_set", ["main", "unknown"])
     def test_next_rows(self, model, table_set):

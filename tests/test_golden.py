@@ -7,12 +7,16 @@ path_boundaries, log_score), and the sha256 of the model file, were
 recorded once and must not move: a change to caching, row building or
 serialization that is meant to be invisible has to leave both digests
 as they are.  Each sentence goes through a fresh decoder and through one
-long-lived decoder, and the two must agree.
+long-lived decoder, and the two must agree.  On the same text, the
+decoder's bound must skip most BOUNDARY candidates.
 """
 
 import hashlib
 
-from namefinder import Decoder, serialize_model, train
+import pytest
+
+from namefinder import Decoder, INTERNAL_CLASSES, serialize_model, train
+from namefinder.estimator import RowStore
 from namefinder.synthetic import generate_corpus
 
 MODEL_SHA256 = "269bd9cedb0c6f35c7715eab17319b8a56de8e10bc07f0e032a62cab2ce28b22"
@@ -21,10 +25,18 @@ DECODE_SHA256 = "47b92bc3364001d26d45054e8f6dc646ff7b9991ba01489e28bdda20ef20415
 SENTINEL_LINE = ["+end+", "+unk+", "+begin+", "Zqxv", "said", "+unk+", "$9,999", "+end+"]
 
 
-def test_decodes_and_model_bytes_match_the_recorded_digests():
-    model = train(generate_corpus(1000, seed=5))
+@pytest.fixture(scope="module")
+def model():
+    return train(generate_corpus(1000, seed=5))
+
+
+@pytest.fixture(scope="module")
+def sentences():
+    return [s.tokens for s in generate_corpus(300, seed=77)] + [SENTINEL_LINE]
+
+
+def test_decodes_and_model_bytes_match_the_recorded_digests(model, sentences):
     text = serialize_model(model).encode("utf-8")
-    sentences = [s.tokens for s in generate_corpus(300, seed=77)] + [SENTINEL_LINE]
     warm = Decoder(model)
     digest = hashlib.sha256()
     for words in sentences:
@@ -34,3 +46,28 @@ def test_decodes_and_model_bytes_match_the_recorded_digests():
                             fresh.log_score)).encode("utf-8") + b"\n")
     assert hashlib.sha256(text).hexdigest() == MODEL_SHA256
     assert digest.hexdigest() == DECODE_SHA256
+
+
+def test_the_bound_skips_most_boundary_candidates(model, sentences):
+    """Each BOUNDARY candidate sum reads one first-word grid cell of an
+    internal previous class; the plain recurrence reads 64 per token
+    after the first.  Counting those reads through the grid rows, the
+    bound must leave at most a quarter of them."""
+    k = len(INTERNAL_CLASSES)
+    reads = [0]
+
+    class CountingRow(tuple):
+        def __getitem__(self, i):
+            if i != k:  # the START column is read for the first token only
+                reads[0] += 1
+            return tuple.__getitem__(self, i)
+
+    decoder = Decoder(model)
+    decoder._grids = tuple(
+        RowStore(lambda token, grids=grids: tuple(CountingRow(row) for row in grids[token]))
+        for grids in decoder._grids)
+    steps = 0
+    for words in sentences:
+        assert decoder.decode_sentence(words) == Decoder(model).decode_sentence(words)
+        steps += len(words) - 1
+    assert 0 < reads[0] <= 16 * steps, reads[0] / steps
