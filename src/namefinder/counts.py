@@ -221,11 +221,11 @@ class TrainedModel:
 
     @cached_property
     def table_views(self):
-        """(main, unknown-word) estimator views, every context weighted.
+        """(main, unknown-word) estimator views.
 
         Built the first time a decoder asks and shared by every decoder
-        over this model, with the log rows the decoders fill into them;
-        not a field, so equality and the model file ignore it.
+        over this model, with the contexts and rows the decoders weigh
+        into them; not a field, so equality and the model file ignore it.
         """
         from .estimator import TableView  # the estimator imports this module
         size = len(self.vocabulary)

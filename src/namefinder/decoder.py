@@ -35,16 +35,18 @@ with every out-of-vocabulary word mapped to ``+unk+``.  A transition
 block holds every class pair for one previous word, a first-word grid
 every class pair (and the sentence start) for one token, and a
 next-word row every class for one (previous token, token) pair, the
-region-closing ``+end+`` included.  The estimator's ``TableView`` for
-the route flag builds each of them in one pass, from evidence only.
-Every row lives in a ``RowStore``, a dict that builds a missing row the
-first time it is read and keeps it, so the recurrence reads rows by
-plain subscripts.  The views are the model's (``table_views``): built
-by the first decoder over a model and shared by every later one,
-together with the start row, the stores of transition blocks and
-first-word grids, and the stores of their row maxima.  So a fresh
-decoder does no weighting and refills none of those; it starts with
-only its own next-word stores empty.
+region-closing ``+end+`` included.  Each block and grid is stored with
+its row maxima, Tmax and Fmax above, so one read gives both.  The
+estimator's ``TableView`` for the route flag builds each of them in one
+pass, from evidence only, weighting the contexts it reads the first
+time it reads them.  Every row lives in a ``RowStore``, a dict that
+builds a missing row the first time it is read and keeps it, so the
+recurrence reads rows by plain subscripts.  The views are the model's
+(``table_views``): built by the first decoder over a model and shared
+by every later one, together with the start row, the stores of
+transition blocks and first-word grids, and the weighted contexts of
+each previous token.  So a fresh decoder refills none of those; it
+starts with only its own next-word stores empty.
 All out-of-vocabulary words of one feature share their rows, and a
 literal ``+unk+`` in the text, which the main tables answer, never
 shares a row with them.
@@ -137,8 +139,9 @@ class Decoder:
 
     Each pair of row stores is indexed by the route flag: main tables,
     then unknown-word tables.  The transition-block and first-word-grid
-    stores, and the start row, are the model's views' and shared; the
-    next-word stores, keyed (previous token, token), are this decoder's.
+    stores, whose entries are (rows, row maxima), and the start row are
+    the model's views' and shared; the next-word stores, keyed (previous
+    token, token), are this decoder's.
     """
 
     def __init__(self, model: TrainedModel):
@@ -147,8 +150,6 @@ class Decoder:
         views = model.table_views
         self._blocks = tuple(view.transition_blocks for view in views)
         self._grids = tuple(view.first_word_grids for view in views)
-        self._block_maxima = tuple(view.transition_maxima for view in views)
-        self._grid_maxima = tuple(view.first_word_maxima for view in views)
         self._nexts = tuple(RowStore(view.next_log_row) for view in views)
         self._start_row = views[False].start_row
         self._token_keys = model.token_keys
@@ -173,10 +174,9 @@ class Decoder:
             keys.append(key)
         n = len(keys)
         blocks, grids, nexts = self._blocks, self._grids, self._nexts
-        block_maxima, grid_maxima = self._block_maxima, self._grid_maxima
 
         unknown, tok = keys[0]
-        fw = grids[unknown][tok]
+        fw = grids[unknown][tok][0]
         scores = [self._start_row[j] + fw[j][_K] for j in range(_K)]
         backptrs = []
         for t in range(1, n):
@@ -184,10 +184,8 @@ class Decoder:
             unknown, tok = keys[t]
             end_vec = nexts[prev_unknown][prev_tok, END_TOKEN]
             cont_vec = nexts[prev_unknown or unknown][prev_tok, tok]
-            by_target = blocks[prev_unknown][prev_tok.word]
-            t_max = block_maxima[prev_unknown][prev_tok.word]
-            fw = grids[unknown][tok]
-            f_max = grid_maxima[unknown][tok]
+            by_target, t_max = blocks[prev_unknown][prev_tok.word]
+            fw, f_max = grids[unknown][tok]
             bscore = [scores[i] + end_vec[i] for i in range(_K)]
             # Best BOUNDARY predecessors first, so the bound stops the scan.
             order = sorted(range(_K), key=bscore.__getitem__, reverse=True)
@@ -220,7 +218,7 @@ class Decoder:
 
         last_unknown, last = keys[-1]
         end_vec = nexts[last_unknown][last, END_TOKEN]
-        to_end = blocks[last_unknown][last.word][_K]
+        to_end = blocks[last_unknown][last.word][0][_K]
         best_j = 0
         best_final = scores[0] + end_vec[0] + to_end[0]
         for j in range(1, _K):

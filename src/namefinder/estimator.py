@@ -15,17 +15,18 @@ weight 0 and the mass flows past it.  Mixing happens in linear space;
 callers take logs afterward.
 
 No lambda depends on the outcome being scored, only on the chain of
-contexts.  ``weigh`` therefore turns one context and the pooled levels
-below it into a coefficient per level plus the residual weight of the
-floor, and each family has one row sum (``transition_row``,
-``first_word_rows``, ``next_word_row``) that adds coefficient *
-(count / c) from the most specific level down, plus residual * floor,
-for every weighted context or successor it is given.  A ``TableView``
-weights every trained context of its table set once, when it is built,
-and passes whole rows to the sums; ``TrainedModel.table_views`` holds
-the pair of views for its main and unknown-word tables.  The scalar
-``p_*_from`` functions weigh the one context a query needs and read the
-single cell of the same sum, so both give bit-identical results.
+contexts, and only on their sample sizes and unique counts.  ``weigh``
+therefore turns one context and the pooled levels below it into a
+coefficient per level plus the residual weight of the floor, and each
+family has one row sum (``transition_row``, ``first_word_rows``,
+``next_word_row``) that adds coefficient * (count / c) from the most
+specific level down, plus residual * floor, for every weighted context
+or successor it is given.  A ``TableView`` weights a trained context the
+first time a row reads it and passes whole rows to the sums;
+``TrainedModel.table_views`` holds the pair of views for its main and
+unknown-word tables.  The scalar ``p_*_from`` functions weigh the one
+context a query needs and read the single cell of the same sum, so both
+give bit-identical results.
 
 The decoder works in natural logs, and a ``TableView`` also builds its
 rows in logs, from evidence only.  A cell whose token (or successor)
@@ -33,24 +34,24 @@ has no count in its context nor in any pooled level below it sums to
 0.0 + k * 0.0 + ... + residual * floor, which is exactly residual *
 floor, so its log is a constant of the context.  The view computes the
 constants of the first-word contexts and of the untrained defaults
-once, and rows made of them are shared objects; a row of a trained
-context with no evidence takes the log of that context's floor term.
-Only rows with evidence go through the row sums and ``math.log``.  A
-class's word-unigram level sums its first-word chain, and every event
-but ``+end+`` of its next-word chain (``CountTables``), so the test for
+once, and a previous token's constants when its word-bigram contexts
+are first read; rows made of them are shared objects.  Only rows with
+evidence go through the row sums and ``math.log``.  A class's
+word-unigram level sums its first-word chain, and every event but
+``+end+`` of its next-word chain (``CountTables``), so the test for
 evidence is a lookup there.
 
 Every log row lives in a ``RowStore``: a dict whose ``__missing__``
 builds the row and keeps it, the one row memo.  The stores keyed by the
 vocabulary are the view's, shared by every decoder over the model: the
-transition blocks by previous word (``transition_blocks``) and the
-first-word grids by token (``first_word_grids``), and the maxima of
-their rows under the same keys (``transition_maxima``,
-``first_word_maxima``).  The decoder maps
-every out-of-vocabulary word to ``+unk+`` before it asks, so these
-stores hold at most |V| + 2 previous words and (|V| + 2) x 14 tokens
-per view and need no eviction.  Next-word rows, keyed by a pair of
-tokens, go in a store each decoder keeps, built by ``next_log_row``.
+transition blocks by previous word (``transition_blocks``), the
+first-word grids by token (``first_word_grids``), each stored with the
+maxima of its rows, and the weighted word-bigram contexts by previous
+token (``next_contexts``).  The decoder maps every out-of-vocabulary
+word to ``+unk+`` before it asks, so these stores hold at most |V| + 2
+previous words and (|V| + 2) x 14 tokens per view and need no eviction.
+Next-word rows, keyed by a pair of tokens, go in a store each decoder
+keeps, built by ``next_log_row``.
 
 Queries route between the main tables and the held-out unknown-word
 tables: if any word involved in the conditioning bigram is outside the
@@ -249,29 +250,33 @@ class RowStore(dict):
 
 
 class TableView:
-    """One table set with every context weighted once, for decoder log rows.
+    """One table set, for decoder log rows, weighted as rows are read.
 
-    It weights the pooled levels of each chain and every context the
-    tables were trained on: the 72 first-word contexts (class x previous
-    class), every class-transition context and every word-bigram
-    context.  An untrained transition or word-bigram context gets the
-    default of its previous class or class, the weights of a context
-    with no events and c = 0.  A row holds, for every class at once, the
-    log of what the scalar ``p_*_from`` functions give with the default
-    floor, built from evidence only (see the module docstring):
+    It weights the pooled levels of each chain, the 72 first-word
+    contexts (class x previous class) and, per previous class or class,
+    the default of an untrained transition or word-bigram context: the
+    weights of a context with no events and c = 0.  A trained
+    class-transition or word-bigram context is weighted the first time a
+    row reads it; an untrained one costs a lookup and takes its default.
+    A row holds, for every class at once, the log of what the scalar
+    ``p_*_from`` functions give with the default floor, built from
+    evidence only (see the module docstring):
       start_row[i]                      (nc_i | START-OF-SENTENCE, +end+)
-      transition_blocks[w_prev][j][i]   (SUCCESSOR_CLASSES[j] | nc_i, w_prev)
-      first_word_grids[token][j][i]     (token opens nc_j | nc_j, PREVIOUS_CLASSES[i])
-    where nc_i is INTERNAL_CLASSES[i].  Beside them are the maxima of
-    the rows of each internal successor or class j over the internal
-    previous classes i (the START column left out), which bound the
-    decoder's BOUNDARY candidates:
-      transition_maxima[w_prev][j]      max_i transition_blocks[w_prev][j][i]
-      first_word_maxima[token][j]       max_i first_word_grids[token][j][i]
-    Every decoder over the view shares these; ``next_log_row`` builds a
-    decoder's own next-word rows.  The stores' builders close over the
-    weighted contexts and the row stores, not the view, so no reference
-    cycle keeps a discarded view alive.
+      transition_blocks[w_prev][0][j][i]  (SUCCESSOR_CLASSES[j] | nc_i, w_prev)
+      first_word_grids[token][0][j][i]    (token opens nc_j | nc_j, PREVIOUS_CLASSES[i])
+    where nc_i is INTERNAL_CLASSES[i].  Each entry's second item holds
+    the maxima of the rows of each internal successor or class j over
+    the internal previous classes i (the START column left out), which
+    bound the decoder's BOUNDARY candidates:
+      transition_blocks[w_prev][1][j]     max_i transition_blocks[w_prev][0][j][i]
+      first_word_grids[token][1][j]       max_i first_word_grids[token][0][j][i]
+    Every decoder over the view shares these.  ``next_contexts`` holds,
+    per previous token, its weighted word-bigram context of each class
+    and the log row of their floor terms, which is the shared next-word
+    row of every token no level counted after it; ``next_log_row``
+    builds a decoder's own next-word rows from them.  The stores'
+    builders close over the weighted levels and the row stores, not the
+    view, so no reference cycle keeps a discarded view alive.
     """
 
     def __init__(self, tables: CountTables, vocab_size: int):
@@ -294,76 +299,34 @@ class TableView:
                         for nc_prev in PREVIOUS_CLASSES]
             first.append((contexts, begin, unigrams))
             first_log_floors.append(tuple(log(context[-1]) for context in contexts))
-        # A context's weights depend on its chain, named by its previous
-        # class (transitions) or class index (next words), and on its
-        # (sample size, unique), never on its events, so contexts that
-        # share those share one weigh call.
-        shapes = {}
 
-        def shared(chain, stats, pooled, floor):
-            key = chain, stats[1], stats[2]
-            if key not in shapes:
-                shapes[key] = weigh(stats, pooled, floor)[1:]
-            return (stats[0], *shapes[key])
+        # The log column of each (nc_prev, w_prev): one row sum over its
+        # weighted context, or the previous class's shared default column.
+        transition_events = tables.class_transitions.events
 
-        # A table set built in memory may hold contexts no query can
-        # reach; they are skipped.  (nc_prev, w_prev) -> weighted
-        # context; an untrained one takes the default of its previous class.
-        transition_defaults = {
-            nc_prev: weigh(({}, 0, 0), (class_bigrams[nc_prev], marginal), TRANSITION_FLOOR)
-            for nc_prev in PREVIOUS_CLASSES}
-        transitions = {}
-        counted = tables.class_transitions
-        for context in counted.contexts():
-            if len(context) == 2 and context[0] in class_bigrams:
-                transitions[context] = shared(
-                    context[0], _stats(counted, context),
-                    (class_bigrams[context[0]], marginal), TRANSITION_FLOOR)
-        # Previous token -> per class, a weighted context; an untrained
-        # class or token takes the default of the class.
-        self._next_defaults = tuple(weigh(({}, 0, 0), (unigrams,), floor)
-                                    for unigrams in unigram_levels)
-        class_index = {nc: j for j, nc in enumerate(INTERNAL_CLASSES)}
-        self._next_contexts = {}
-        bigrams = tables.word_bigrams
-        for context in bigrams.contexts():
-            if len(context) == 3 and context[2] in class_index:
-                word, feature, nc = context
-                j = class_index[nc]
-                row = self._next_contexts.setdefault(Token(word, feature),
-                                                     list(self._next_defaults))
-                row[j] = shared(j, _stats(bigrams, context), (unigram_levels[j],), floor)
+        def log_transitions(nc_prev, events):
+            context = weigh((events, sum(events.values()), len(events)),
+                            (class_bigrams[nc_prev], marginal), TRANSITION_FLOOR)
+            return [log(p) for p in transition_row(
+                context, SUCCESSOR_CLASSES, class_bigrams[nc_prev], marginal)]
 
-        # Log constants: the next-word row of a token no unigram level
-        # counted, after a previous token no bigram context was trained
-        # on, and the column of an untrained transition context.
-        self._unigram_evidence = set().union(*(unigrams[0] for unigrams in unigram_levels))
-        self._next_log_floors = tuple(log(context[-1]) for context in self._next_defaults)
-        log_transition_defaults = {
-            nc_prev: [log(p) for p in transition_row(
-                transition_defaults[nc_prev], SUCCESSOR_CLASSES, class_bigrams[nc_prev],
-                marginal)]
-            for nc_prev in INTERNAL_CLASSES}
-        # INTERNAL_CLASSES leads SUCCESSOR_CLASSES, so the row sum stops
-        # before END-OF-SENTENCE.
-        self.start_row = [log(p) for p in transition_row(
-            transitions.get((START_OF_SENTENCE, END_WORD))
-            or transition_defaults[START_OF_SENTENCE],
-            INTERNAL_CLASSES, class_bigrams[START_OF_SENTENCE], marginal)]
+        log_transition_defaults = {nc_prev: log_transitions(nc_prev, {})
+                                   for nc_prev in PREVIOUS_CLASSES}
+
+        def transition_column(nc_prev, w_prev):
+            events = transition_events((nc_prev, w_prev))
+            if not events:
+                return log_transition_defaults[nc_prev]
+            return log_transitions(nc_prev, events)
+
+        # INTERNAL_CLASSES leads SUCCESSOR_CLASSES; END-OF-SENTENCE is cut.
+        self.start_row = transition_column(START_OF_SENTENCE, END_WORD)[:_K]
 
         def transition_block(w_prev):
-            # One pass: the column of an untrained (nc_prev, w_prev) is its
-            # class's log default, every other column one row sum, and the
-            # block is transposed once.
-            columns = []
-            for nc_prev in INTERNAL_CLASSES:
-                context = transitions.get((nc_prev, w_prev))
-                if context is None:
-                    columns.append(log_transition_defaults[nc_prev])
-                else:
-                    columns.append([log(p) for p in transition_row(
-                        context, SUCCESSOR_CLASSES, class_bigrams[nc_prev], marginal)])
-            return tuple(zip(*columns))
+            # The block is transposed once, and its maxima go with it.
+            block = tuple(zip(*(transition_column(nc_prev, w_prev)
+                                for nc_prev in INTERNAL_CLASSES)))
+            return block, tuple(max(row) for row in block[:_K])
 
         def first_word_grid(token):
             # The row of a class whose unigram level did not count the
@@ -373,30 +336,37 @@ class TableView:
             rows = first_word_rows(token, [first[j] for j in seen])
             for j, row in zip(seen, rows):
                 grid[j] = tuple([log(p) for p in row])
-            return tuple(grid)
+            return tuple(grid), tuple(max(row[:_K]) for row in grid)
 
-        self.transition_blocks = blocks = RowStore(transition_block)
-        self.first_word_grids = grids = RowStore(first_word_grid)
-        # Row maxima over the internal previous classes: the decoder's
-        # bound on a BOUNDARY candidate (the START column is left out).
-        self.transition_maxima = RowStore(
-            lambda w_prev: tuple(max(row) for row in blocks[w_prev][:_K]))
-        self.first_word_maxima = RowStore(
-            lambda token: tuple(max(row[:_K]) for row in grids[token]))
+        # Previous token -> (its weighted context per class, the log row of
+        # their floor terms); an untrained context takes its class's default.
+        bigram_events = tables.word_bigrams.events
+        next_defaults = [weigh(({}, 0, 0), (unigrams,), floor) for unigrams in unigram_levels]
+
+        def next_contexts(prev):
+            contexts = []
+            for nc, unigrams, default in zip(INTERNAL_CLASSES, unigram_levels, next_defaults):
+                events = bigram_events((prev.word, prev.feature, nc))
+                contexts.append(weigh((events, sum(events.values()), len(events)),
+                                      (unigrams,), floor) if events else default)
+            return contexts, tuple(log(context[-1]) for context in contexts)
+
+        self.transition_blocks = RowStore(transition_block)
+        self.first_word_grids = RowStore(first_word_grid)
+        self.next_contexts = RowStore(next_contexts)
+        self._unigram_evidence = set().union(*(unigrams[0] for unigrams in unigram_levels))
 
     def next_log_row(self, key):
         """[log Pr(token | prev, nc) for nc in INTERNAL_CLASSES], key being
-        (prev, token); the builder of a decoder's next-word ``RowStore``."""
-        log = math.log
+        (prev, token); the builder of a decoder's next-word ``RowStore``.
+        A token that no level counted after prev gets prev's shared row of
+        log floor terms."""
         prev, token = key
-        contexts = self._next_contexts.get(prev)
-        if token not in self._unigram_evidence:
-            if contexts is None:
-                return self._next_log_floors
-            if not any(token in context[0] for context in contexts):
-                return [log(context[-1]) for context in contexts]
-        if contexts is None:
-            contexts = self._next_defaults
+        contexts, log_floors = self.next_contexts[prev]
+        if token not in self._unigram_evidence and not any(
+                token in context[0] for context in contexts):
+            return log_floors
+        log = math.log
         return [log(p) for p in next_word_row(token, contexts, self._unigrams)]
 
 

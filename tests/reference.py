@@ -332,7 +332,8 @@ def ref_viterbi(decoder, words):
     order, and only a strictly greater score replaces the incumbent.
     The keys are restated here (route flag, and the token with an
     out-of-vocabulary word as +unk+); the rows are the decoder's own
-    stores, so this checks the search alone.
+    stores, so this checks the search alone.  It reads the rows of each
+    (rows, maxima) entry and never the maxima.
     """
     model = decoder.model
     k = len(INTERNAL_CLASSES)
@@ -344,7 +345,7 @@ def ref_viterbi(decoder, words):
     blocks, grids, nexts = decoder._blocks, decoder._grids, decoder._nexts
 
     unknown, tok = keys[0]
-    fw = grids[unknown][tok]
+    fw = grids[unknown][tok][0]
     scores = [decoder._start_row[j] + fw[j][k] for j in range(k)]
     backptrs = []
     for t in range(1, len(keys)):
@@ -352,8 +353,8 @@ def ref_viterbi(decoder, words):
         unknown, tok = keys[t]
         end_vec = nexts[prev_unknown][prev_tok, END_TOKEN]
         cont_vec = nexts[prev_unknown or unknown][prev_tok, tok]
-        by_target = blocks[prev_unknown][prev_tok.word]
-        fw = grids[unknown][tok]
+        by_target = blocks[prev_unknown][prev_tok.word][0]
+        fw = grids[unknown][tok][0]
         bscore = [scores[i] + end_vec[i] for i in range(k)]
         new_scores, pointers = [], []
         for j in range(k):
@@ -369,7 +370,7 @@ def ref_viterbi(decoder, words):
 
     last_unknown, last = keys[-1]
     end_vec = nexts[last_unknown][last, END_TOKEN]
-    to_end = blocks[last_unknown][last.word][k]
+    to_end = blocks[last_unknown][last.word][0][k]
     best_j, best_final = 0, scores[0] + end_vec[0] + to_end[0]
     for j in range(1, k):
         cand = scores[j] + end_vec[j] + to_end[j]

@@ -243,12 +243,16 @@ def test_parse_time_is_linear():
 
 @pytest.mark.parametrize("split", [tokenize, parse_annotated])
 @pytest.mark.parametrize("run", [lambda n: "x" + ")" * n, lambda n: "x" + "." * n,
-                                 lambda n: "(" * n + "x"],
-                         ids=["trailing-parens", "trailing-periods", "leading-parens"])
+                                 lambda n: "(" * n + "x", lambda n: "&amp;" * n,
+                                 lambda n: "Mr. " * n, lambda n: "x" * (5 * n)],
+                         ids=["trailing-parens", "trailing-periods", "leading-parens",
+                              "entities", "abbreviations", "long-word"])
 def test_punctuation_run_time_is_linear(split, run):
     """time(2n)/time(n) <= 2.5 on one chunk ending (or starting) in a run
     of n punctuation marks; stripping one mark per slice reads about 4.
-    Median of alternating pairs, as in test_parse_time_is_linear.
+    Text that is one run of n ``&amp;`` entities or n ``Mr.`` words, or
+    one word of 5n characters (200k at n = 40k), is held to the same
+    bound.  Median of alternating pairs, as in test_parse_time_is_linear.
 
     One call at n takes only a few milliseconds, so each sample times
     enough calls for the one at n to last about 50 ms, and the same

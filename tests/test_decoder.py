@@ -296,8 +296,7 @@ def has_views(model):
 
 def shared_rows(decoder):
     """The decoder's row stores and start row that belong to the views."""
-    return (*decoder._blocks, *decoder._grids, *decoder._block_maxima,
-            *decoder._grid_maxima, decoder._start_row)
+    return (*decoder._blocks, *decoder._grids, decoder._start_row)
 
 
 TEXT = "Mr. John Smith said hello .\n+unk+ Zqx opened in Boston +end+ ."
@@ -309,14 +308,24 @@ class TestSharedViews:
         first, second = Decoder(model), Decoder(model)
         views = model.table_views
         expected = (*(view.transition_blocks for view in views),
-                    *(view.first_word_grids for view in views),
-                    *(view.transition_maxima for view in views),
-                    *(view.first_word_maxima for view in views), views[False].start_row)
+                    *(view.first_word_grids for view in views), views[False].start_row)
         assert all(a is b is c for a, b, c in zip(shared_rows(first), shared_rows(second),
                                                   expected))
         other = Decoder(train(tiny_corpus))
         assert not any(a is b for a, b in zip(shared_rows(other), shared_rows(first)))
         assert not any(a is b for a, b in zip(first._nexts, second._nexts))
+
+    def test_a_fresh_decoder_weighs_no_context_a_row_has_not_read(self, tiny_corpus):
+        model = train(tiny_corpus)
+        Decoder(model)
+        for view in model.table_views:
+            assert not view.transition_blocks and not view.next_contexts
+        Decoder(model).decode_sentence(["The", "plan"])
+        main, unknown = model.table_views
+        assert set(main.transition_blocks) == {"The", "plan"}
+        assert set(main.next_contexts) == {Token("The", compute_feature("The", True)),
+                                           Token("plan", compute_feature("plan", False))}
+        assert not unknown.transition_blocks and not unknown.next_contexts
 
     def test_views_die_with_their_model_by_reference_counting(self, tiny_corpus):
         # No reference cycle: with the cycle collector off, dropping the
@@ -428,10 +437,10 @@ class TestSharedViews:
         assert set(unknown.transition_blocks) <= {UNKNOWN_WORD}
         for view in model.table_views:
             assert len(view.transition_blocks) <= bound
-            assert len(view.first_word_grids) <= bound * len(WORD_FEATURES)
-            assert view.transition_maxima.keys() <= view.transition_blocks.keys()
-            assert view.first_word_maxima.keys() <= view.first_word_grids.keys()
-            assert all(feature in WORD_FEATURES for _, feature in view.first_word_grids)
+            for tokens in (view.first_word_grids, view.next_contexts):
+                assert len(tokens) <= bound * len(WORD_FEATURES)
+                assert all(word in words and feature in WORD_FEATURES
+                           for word, feature in tokens)
         assert {word for word, _ in main.first_word_grids} <= words
         assert {word for word, _ in unknown.first_word_grids} <= {UNKNOWN_WORD}
         # Out-of-vocabulary words reached the unknown-word store.
@@ -515,17 +524,21 @@ def decode_as_oracle(decoder, words):
 
 def hand_built(model, start_row, block, grid, next_row):
     """A decoder over model whose stores build every row with the given
-    builders, on either route flag, and hold the row maxima of those rows."""
+    builders, on either route flag, each block and grid stored with the
+    maxima of its rows over the internal previous classes."""
     decoder = Decoder(model)
-    blocks, grids = RowStore(block), RowStore(grid)
+    blocks = RowStore(lambda w_prev: with_maxima(block(w_prev)))
+    grids = RowStore(lambda token: with_maxima(grid(token)))
     decoder._blocks, decoder._grids = (blocks, blocks), (grids, grids)
     decoder._nexts = (RowStore(next_row),) * 2
-    decoder._block_maxima = (RowStore(
-        lambda w_prev: tuple(max(row) for row in blocks[w_prev][:K])),) * 2
-    decoder._grid_maxima = (RowStore(
-        lambda token: tuple(max(row[:K]) for row in grids[token])),) * 2
     decoder._start_row = start_row
     return decoder
+
+
+def with_maxima(rows):
+    """(rows, the maximum of each row over the internal previous
+    classes); a block's END-OF-SENTENCE row gets none."""
+    return rows, tuple(max(row[:K]) for row in rows[:K])
 
 
 def constant(row):

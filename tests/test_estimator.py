@@ -399,15 +399,16 @@ class TestLogRows:
         words |= {END_WORD, UNKNOWN_WORD, "never-seen"}
         seen = {True: 0, False: 0}
         for w_prev in sorted(words):
-            block = view.transition_blocks[w_prev]
+            entry = view.transition_blocks[w_prev]
+            block, maxima = entry
             columns = []
             for nc_prev in INTERNAL_CLASSES:
                 seen[(nc_prev, w_prev) in trained] += 1
                 columns.append(log_transitions(tables, nc_prev, w_prev))
             assert [list(row) for row in block] == [list(row) for row in zip(*columns)]
-            assert view.transition_blocks[w_prev] is block
+            assert view.transition_blocks[w_prev] is entry
             # The decoder's bound: per internal successor, the best column.
-            assert view.transition_maxima[w_prev] == tuple(
+            assert maxima == tuple(
                 max(column[j] for column in columns) for j in range(len(INTERNAL_CLASSES)))
         assert seen[True] and seen[False]
         assert view.start_row == log_transitions(
@@ -422,13 +423,14 @@ class TestLogRows:
         tokens |= {Token(UNKNOWN_WORD, "initCap"), Token(UNKNOWN_WORD, "fourDigitNum"),
                    Token("never-seen", "lowerCase"), END_TOKEN}
         for token in sorted(tokens):
-            grid = view.first_word_grids[token]
+            entry = view.first_word_grids[token]
+            grid, maxima = entry
             # Every class row, the START column (index 8) included.
             assert len(grid[0]) == len(INTERNAL_CLASSES) + 1
             assert [list(row) for row in grid] == log_first_words(tables, token, size)
-            assert view.first_word_grids[token] is grid
+            assert view.first_word_grids[token] is entry
             # The decoder's bound leaves the START column out.
-            assert view.first_word_maxima[token] == tuple(
+            assert maxima == tuple(
                 max(row[:len(INTERNAL_CLASSES)]) for row in log_first_words(tables, token, size))
 
     @pytest.mark.parametrize("table_set", ["main", "unknown"])
@@ -456,6 +458,18 @@ class TestLogRows:
                 assert nexts[prev, token] is row
         assert seen[True] and seen[False]
 
+    def test_tokens_no_level_counted_share_one_row_per_previous_token(self, tiny_model):
+        tables, view = tables_and_view(tiny_model, "main")
+        nexts = RowStore(view.next_log_row)
+        said = Token("said", "lowerCase")
+        assert any(tables.word_bigrams.events(("said", "lowerCase", nc))
+                   for nc in INTERNAL_CLASSES)
+        unseen = Token("never-seen", "lowerCase"), Token("never-seen-either", "initCap")
+        assert nexts[said, unseen[0]] is nexts[said, unseen[1]]
+        for token in unseen:
+            assert list(nexts[said, token]) == log_next_words(
+                tables, said, token, len(tiny_model.vocabulary))
+
     def test_every_level_counts_as_evidence(self, tiny_model):
         # A token counted in only one first-word context, or after only
         # one previous token, must still take the row sum, not the floor
@@ -471,12 +485,12 @@ class TestLogRows:
         nexts = RowStore(view.next_log_row)
         said = Token("said", "lowerCase")
         for token in (only_first, only_bigram):
-            assert [list(row) for row in view.first_word_grids[token]] == log_first_words(
+            assert [list(row) for row in view.first_word_grids[token][0]] == log_first_words(
                 tables, token, size)
             for prev in (said, Token("never-seen", "lowerCase")):
                 assert list(nexts[prev, token]) == log_next_words(tables, prev, token, size)
         columns = [log_transitions(tables, nc_prev, "said") for nc_prev in INTERNAL_CLASSES]
-        assert [list(row) for row in view.transition_blocks["said"]] == [
+        assert [list(row) for row in view.transition_blocks["said"][0]] == [
             list(row) for row in zip(*columns)]
-        assert view.first_word_grids[only_first] != view.first_word_grids[
-            Token("never-seen", "lowerCase")]
+        assert view.first_word_grids[only_first][0] != view.first_word_grids[
+            Token("never-seen", "lowerCase")][0]

@@ -62,10 +62,13 @@ def test_the_bound_skips_most_boundary_candidates(model, sentences):
                 reads[0] += 1
             return tuple.__getitem__(self, i)
 
+    def counting_grid(token, grids):
+        grid, maxima = grids[token]
+        return tuple(CountingRow(row) for row in grid), maxima
+
     decoder = Decoder(model)
-    decoder._grids = tuple(
-        RowStore(lambda token, grids=grids: tuple(CountingRow(row) for row in grids[token]))
-        for grids in decoder._grids)
+    decoder._grids = tuple(RowStore(lambda token, grids=grids: counting_grid(token, grids))
+                           for grids in decoder._grids)
     steps = 0
     for words in sentences:
         assert decoder.decode_sentence(words) == Decoder(model).decode_sentence(words)
