@@ -33,10 +33,11 @@ The decoder reads rows of log probabilities under canonical keys: a
 route flag (main or unknown-word tables) plus the token as looked up,
 with every out-of-vocabulary word mapped to ``+unk+``.  A transition
 block holds every class pair for one previous word, a first-word grid
-every class pair (and the sentence start) for one token, and a
-next-word row every class for one (previous token, token) pair, the
-region-closing ``+end+`` included.  Each block and grid is stored with
-its row maxima, Tmax and Fmax above, so one read gives both.  The
+every class pair (and the sentence start) for one token, a region-end
+row every class's Pr(+end+ | previous token) for one previous token,
+and a continuation row every class for one (previous token, token)
+pair.  Each block and grid is stored with its row maxima, Tmax and
+Fmax above, so one read gives both.  The
 estimator's ``TableView`` for the route flag builds each of them in one
 pass, from evidence only, weighting the contexts it reads the first
 time it reads them.  Every row lives in a ``RowStore``, a dict that
@@ -44,9 +45,11 @@ builds a missing row the first time it is read and keeps it, so the
 recurrence reads rows by plain subscripts.  The views are the model's
 (``table_views``): built by the first decoder over a model and shared
 by every later one, together with the start row, the stores of
-transition blocks and first-word grids, and the weighted contexts of
-each previous token.  So a fresh decoder refills none of those; it
-starts with only its own next-word stores empty.
+transition blocks, first-word grids and region-end rows, and the
+weighted contexts of each previous token.  So a fresh decoder refills
+none of those; it starts with only its own continuation stores empty,
+and builds a continuation row from the previous token's shared row of
+log floor terms, summing only the classes that counted the token.
 All out-of-vocabulary words of one feature share their rows, and a
 literal ``+unk+`` in the text, which the main tables answer, never
 shares a row with them.
@@ -58,8 +61,8 @@ sentinel the decoders have met, one dict per first-word flag, so it
 holds at most 2 x (|V| + 2) keys; an out-of-vocabulary word has its
 feature computed at every occurrence and is never kept.
 On a warm decoder the recurrence itself still takes about half the
-time, and next-word rows and tokenizing most of the rest.  Decoding time
-is linear in token count.
+time, and continuation rows and tokenizing most of the rest.  Decoding
+time is linear in token count.
 """
 
 import math
@@ -139,9 +142,10 @@ class Decoder:
 
     Each pair of row stores is indexed by the route flag: main tables,
     then unknown-word tables.  The transition-block and first-word-grid
-    stores, whose entries are (rows, row maxima), and the start row are
-    the model's views' and shared; the next-word stores, keyed (previous
-    token, token), are this decoder's.
+    stores, whose entries are (rows, row maxima), the region-end stores,
+    keyed by previous token, and the start row are the model's views'
+    and shared; the continuation stores, keyed (previous token, token),
+    are this decoder's.
     """
 
     def __init__(self, model: TrainedModel):
@@ -150,6 +154,7 @@ class Decoder:
         views = model.table_views
         self._blocks = tuple(view.transition_blocks for view in views)
         self._grids = tuple(view.first_word_grids for view in views)
+        self._ends = tuple(view.end_rows for view in views)
         self._nexts = tuple(RowStore(view.next_log_row) for view in views)
         self._start_row = views[False].start_row
         self._token_keys = model.token_keys
@@ -173,7 +178,7 @@ class Decoder:
                     table[w] = key
             keys.append(key)
         n = len(keys)
-        blocks, grids, nexts = self._blocks, self._grids, self._nexts
+        blocks, grids, ends, nexts = self._blocks, self._grids, self._ends, self._nexts
 
         unknown, tok = keys[0]
         fw = grids[unknown][tok][0]
@@ -182,7 +187,7 @@ class Decoder:
         for t in range(1, n):
             prev_unknown, prev_tok = keys[t - 1]
             unknown, tok = keys[t]
-            end_vec = nexts[prev_unknown][prev_tok, END_TOKEN]
+            end_vec = ends[prev_unknown][prev_tok]
             cont_vec = nexts[prev_unknown or unknown][prev_tok, tok]
             by_target, t_max = blocks[prev_unknown][prev_tok.word]
             fw, f_max = grids[unknown][tok]
@@ -217,7 +222,7 @@ class Decoder:
             backptrs.append(pointers)
 
         last_unknown, last = keys[-1]
-        end_vec = nexts[last_unknown][last, END_TOKEN]
+        end_vec = ends[last_unknown][last]
         to_end = blocks[last_unknown][last.word][0][_K]
         best_j = 0
         best_final = scores[0] + end_vec[0] + to_end[0]

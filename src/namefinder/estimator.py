@@ -18,15 +18,16 @@ No lambda depends on the outcome being scored, only on the chain of
 contexts, and only on their sample sizes and unique counts.  ``weigh``
 therefore turns one context and the pooled levels below it into a
 coefficient per level plus the residual weight of the floor, and each
-family has one row sum (``transition_row``, ``first_word_rows``,
-``next_word_row``) that adds coefficient * (count / c) from the most
+family has one sum (``transition_row``, ``first_word_rows``,
+``next_word_cell``) that adds coefficient * (count / c) from the most
 specific level down, plus residual * floor, for every weighted context
-or successor it is given.  A ``TableView`` weights a trained context the
-first time a row reads it and passes whole rows to the sums;
-``TrainedModel.table_views`` holds the pair of views for its main and
-unknown-word tables.  The scalar ``p_*_from`` functions weigh the one
-context a query needs and read the single cell of the same sum, so both
-give bit-identical results.
+or successor it is given; the next-word sum takes one context at a
+time, since a next-word row sums only the classes with evidence.  A
+``TableView`` weights a trained context the first time a row reads it
+and passes whole rows to the sums; ``TrainedModel.table_views`` holds
+the pair of views for its main and unknown-word tables.  The scalar
+``p_*_from`` functions weigh the one context a query needs and read the
+single cell of the same sum, so both give bit-identical results.
 
 The decoder works in natural logs, and a ``TableView`` also builds its
 rows in logs, from evidence only.  A cell whose token (or successor)
@@ -35,23 +36,30 @@ has no count in its context nor in any pooled level below it sums to
 floor, so its log is a constant of the context.  The view computes the
 constants of the first-word contexts and of the untrained defaults
 once, and a previous token's constants when its word-bigram contexts
-are first read; rows made of them are shared objects.  Only rows with
-evidence go through the row sums and ``math.log``.  A class's
-word-unigram level sums its first-word chain, and every event but
-``+end+`` of its next-word chain (``CountTables``), so the test for
-evidence is a lookup there.
+are first read.  A class's word-unigram level sums its first-word
+chain, and every event but ``+end+`` of its next-word chain
+(``CountTables``), so a class whose unigram level did not count a token
+other than ``+end+`` has no count of it at any level of either chain.
+The view keeps, per token, the classes that counted it
+(``counted_in``); a first-word grid or continuation row starts as the
+row of log constants, and only those classes go through the row sums
+and ``math.log``.  A token no class counted gets the constant row
+itself, a shared object.  The unigram levels count ``+end+`` only for
+literal ``+end+`` words, so a region-end row sums every class.
 
 Every log row lives in a ``RowStore``: a dict whose ``__missing__``
 builds the row and keeps it, the one row memo.  The stores keyed by the
 vocabulary are the view's, shared by every decoder over the model: the
 transition blocks by previous word (``transition_blocks``), the
 first-word grids by token (``first_word_grids``), each stored with the
-maxima of its rows, and the weighted word-bigram contexts by previous
-token (``next_contexts``).  The decoder maps every out-of-vocabulary
+maxima of its rows, the classes that counted each token
+(``counted_in``), and by previous token its weighted word-bigram
+contexts (``next_contexts``) and its region-end row, Pr(+end+ | prev,
+nc) per class (``end_rows``).  The decoder maps every out-of-vocabulary
 word to ``+unk+`` before it asks, so these stores hold at most |V| + 2
 previous words and (|V| + 2) x 14 tokens per view and need no eviction.
-Next-word rows, keyed by a pair of tokens, go in a store each decoder
-keeps, built by ``next_log_row``.
+Continuation rows, keyed by a pair of tokens, go in a store each
+decoder keeps, built by ``next_log_row``.
 
 Queries route between the main tables and the held-out unknown-word
 tables: if any word involved in the conditioning bigram is outside the
@@ -71,7 +79,7 @@ import math
 
 from .corpus import END_OF_SENTENCE, INTERNAL_CLASSES, START_OF_SENTENCE
 from .counts import CountTables, PREVIOUS_CLASSES, TrainedModel
-from .features import END_WORD, NUM_WORD_FEATURES, Token, UNKNOWN_WORD
+from .features import END_TOKEN, END_WORD, NUM_WORD_FEATURES, Token, UNKNOWN_WORD
 
 # Successor space of a class transition: the internal classes plus
 # END-OF-SENTENCE.  START-OF-SENTENCE is never a successor.
@@ -157,17 +165,15 @@ def first_word_rows(token: Token, classes):
     return rows
 
 
-def next_word_row(token: Token, contexts, unigrams):
-    """[Pr(token | context) for each weighted word-bigram context], each
-    context paired with its class's word-unigram level."""
-    row = []
-    for (events, c_w, k1, k2, floor_term), (events_u, c_u, _) in zip(contexts, unigrams):
-        count = events.get(token)
-        total = k1 * (count / c_w) if count else 0.0
-        count = events_u.get(token)
-        total += k2 * (count / c_u if count else 0.0)  # _ratio, inlined: one call a cell
-        row.append(total + floor_term)
-    return row
+def next_word_cell(token: Token, context, unigrams):
+    """Pr(token | context) for one weighted word-bigram context and its
+    class's word-unigram level."""
+    events, c_w, k1, k2, floor_term = context
+    count = events.get(token)
+    total = k1 * (count / c_w) if count else 0.0
+    count = unigrams[0].get(token)
+    total += k2 * (count / unigrams[1] if count else 0.0)  # _ratio, inlined
+    return total + floor_term
 
 
 def _stats(table, context):
@@ -230,7 +236,7 @@ def p_next_word_from(tables: CountTables, token: Token, prev: Token, nc: str,
     unigrams = _stats(tables.word_unigrams, (nc,))
     context = weigh(_stats(tables.word_bigrams, (prev.word, prev.feature, nc)),
                     (unigrams,), floor)
-    return next_word_row(token, [context], [unigrams])[0]
+    return next_word_cell(token, context, unigrams)
 
 
 # --- Decoder log rows against one table set ---------------------------------
@@ -264,19 +270,22 @@ class TableView:
       start_row[i]                      (nc_i | START-OF-SENTENCE, +end+)
       transition_blocks[w_prev][0][j][i]  (SUCCESSOR_CLASSES[j] | nc_i, w_prev)
       first_word_grids[token][0][j][i]    (token opens nc_j | nc_j, PREVIOUS_CLASSES[i])
+      end_rows[prev][i]                   (+end+ | prev, nc_i)
     where nc_i is INTERNAL_CLASSES[i].  Each entry's second item holds
     the maxima of the rows of each internal successor or class j over
     the internal previous classes i (the START column left out), which
     bound the decoder's BOUNDARY candidates:
       transition_blocks[w_prev][1][j]     max_i transition_blocks[w_prev][0][j][i]
       first_word_grids[token][1][j]       max_i first_word_grids[token][0][j][i]
-    Every decoder over the view shares these.  ``next_contexts`` holds,
-    per previous token, its weighted word-bigram context of each class
-    and the log row of their floor terms, which is the shared next-word
-    row of every token no level counted after it; ``next_log_row``
-    builds a decoder's own next-word rows from them.  The stores'
-    builders close over the weighted levels and the row stores, not the
-    view, so no reference cycle keeps a discarded view alive.
+    Every decoder over the view shares these.  ``counted_in[token]``
+    holds the indexes of the classes whose word-unigram level counted
+    the token.  ``next_contexts`` holds, per previous token, its
+    weighted word-bigram context of each class and the log row of their
+    floor terms, which is the shared next-word row of every token no
+    class counted; ``next_log_row`` builds a decoder's own continuation
+    rows from them.  The stores' builders close over
+    the weighted levels and the row stores, not the view, so no
+    reference cycle keeps a discarded view alive.
     """
 
     def __init__(self, tables: CountTables, vocab_size: int):
@@ -331,7 +340,7 @@ class TableView:
         def first_word_grid(token):
             # The row of a class whose unigram level did not count the
             # token is the class's shared row of log floors.
-            seen = [j for j, unigrams in enumerate(unigram_levels) if token in unigrams[0]]
+            seen = counted_in[token]
             grid = list(first_log_floors)
             rows = first_word_rows(token, [first[j] for j in seen])
             for j, row in zip(seen, rows):
@@ -343,7 +352,7 @@ class TableView:
         bigram_events = tables.word_bigrams.events
         next_defaults = [weigh(({}, 0, 0), (unigrams,), floor) for unigrams in unigram_levels]
 
-        def next_contexts(prev):
+        def weigh_next_contexts(prev):
             contexts = []
             for nc, unigrams, default in zip(INTERNAL_CLASSES, unigram_levels, next_defaults):
                 events = bigram_events((prev.word, prev.feature, nc))
@@ -351,23 +360,38 @@ class TableView:
                                       (unigrams,), floor) if events else default)
             return contexts, tuple(log(context[-1]) for context in contexts)
 
+        def end_row(prev):
+            # The unigram levels pool +end+ only for literal +end+ words,
+            # so every class takes the mixture sum.
+            contexts = next_contexts[prev][0]
+            return tuple([log(next_word_cell(END_TOKEN, context, unigrams))
+                          for context, unigrams in zip(contexts, unigram_levels)])
+
+        self.counted_in = counted_in = RowStore(lambda token: tuple(
+            [j for j, unigrams in enumerate(unigram_levels) if token in unigrams[0]]))
         self.transition_blocks = RowStore(transition_block)
         self.first_word_grids = RowStore(first_word_grid)
-        self.next_contexts = RowStore(next_contexts)
-        self._unigram_evidence = set().union(*(unigrams[0] for unigrams in unigram_levels))
+        self.next_contexts = next_contexts = RowStore(weigh_next_contexts)
+        self.end_rows = RowStore(end_row)
 
     def next_log_row(self, key):
         """[log Pr(token | prev, nc) for nc in INTERNAL_CLASSES], key being
-        (prev, token); the builder of a decoder's next-word ``RowStore``.
-        A token that no level counted after prev gets prev's shared row of
-        log floor terms."""
+        (prev, token); the builder of a decoder's continuation ``RowStore``.
+        The row is prev's row of log floor terms with the mixture sum written
+        over the classes that counted the token, and that row itself when
+        none did; +end+, a literal word here, reads prev's region-end row."""
         prev, token = key
+        if token == END_TOKEN:
+            return self.end_rows[prev]
         contexts, log_floors = self.next_contexts[prev]
-        if token not in self._unigram_evidence and not any(
-                token in context[0] for context in contexts):
+        classes = self.counted_in[token]
+        if not classes:
             return log_floors
-        log = math.log
-        return [log(p) for p in next_word_row(token, contexts, self._unigrams)]
+        row = list(log_floors)
+        unigrams = self._unigrams
+        for j in classes:
+            row[j] = math.log(next_word_cell(token, contexts[j], unigrams[j]))
+        return row
 
 
 # --- Routed public queries ---------------------------------------------------

@@ -1,7 +1,11 @@
 """Precision/recall/F-measure scoring of decoded output against a key.
 
-A response region is correct only on an exact match: same sentence,
-same token span, same class.  F is the weighted harmonic mean
+Key and response are compared as flat token sequences, so they may split
+sentences differently (the annotated parser keeps a terminal inside a
+region from ending the sentence; plain tokenizing does not).  As in MUC
+scoring by position, a region is placed by its global token offsets,
+and a response region is correct only on an exact match: same token
+span, same class.  F is the weighted harmonic mean
 (beta^2 + 1)PR / (beta^2 R + P); degenerate denominators score 0 so the
 scorer is total.  Error rate is 100 minus the F-measure percentage.
 """
@@ -47,24 +51,29 @@ def _tally(correct, responses, keys, beta):
 
 
 def _check_alignment(key, response):
-    if len(key) != len(response):
-        raise AlignmentError("sentence counts differ: key has %d, response has %d"
-                             % (len(key), len(response)))
-    for i, (k, r) in enumerate(zip(key, response)):
-        if k.tokens != r.tokens:
-            for t, (kw, rw) in enumerate(zip(k.tokens, r.tokens)):
-                if kw != rw:
-                    raise AlignmentError(
-                        "sentence %d, token %d: key %r vs response %r"
-                        % (i + 1, t + 1, kw, rw))
-            raise AlignmentError(
-                "sentence %d: token counts differ (key %d, response %d)"
-                % (i + 1, len(k.tokens), len(r.tokens)))
+    """Raise AlignmentError unless key and response hold the same flat
+    token sequence; the message places a divergence in the key."""
+    key_tokens = [(i, t, word) for i, sentence in enumerate(key)
+                  for t, word in enumerate(sentence.tokens)]
+    response_tokens = [word for sentence in response for word in sentence.tokens]
+    for (i, t, word), other in zip(key_tokens, response_tokens):
+        if word != other:
+            raise AlignmentError("sentence %d, token %d: key %r vs response %r"
+                                 % (i + 1, t + 1, word, other))
+    if len(key_tokens) != len(response_tokens):
+        raise AlignmentError("token counts differ: key has %d, response has %d"
+                             % (len(key_tokens), len(response_tokens)))
 
 
 def _region_set(sentences):
-    return {(i, r.start, r.end, r.name_class)
-            for i, s in enumerate(sentences) for r in s.regions}
+    """(start, end, class) of every region, by global token offsets."""
+    regions = set()
+    offset = 0
+    for sentence in sentences:
+        regions.update((offset + r.start, offset + r.end, r.name_class)
+                       for r in sentence.regions)
+        offset += len(sentence.tokens)
+    return regions
 
 
 def check_beta(beta: float):
@@ -77,7 +86,8 @@ def check_beta(beta: float):
 def score(key, response, beta: float = 1.0) -> ScoreReport:
     """Score response sentences against key sentences.
 
-    Both are sequences of AnnotatedSentence over identical tokens; a
+    Both are sequences of AnnotatedSentence whose tokens, read in order
+    across sentences, are identical; the sentence splits may differ.  A
     divergence raises AlignmentError naming the first mismatch.
     """
     check_beta(beta)
@@ -89,9 +99,9 @@ def score(key, response, beta: float = 1.0) -> ScoreReport:
     per_class = {}
     for nc in NAME_CLASSES:
         per_class[nc] = _tally(
-            sum(1 for m in matched if m[3] == nc),
-            sum(1 for m in response_regions if m[3] == nc),
-            sum(1 for m in key_regions if m[3] == nc),
+            sum(1 for m in matched if m[2] == nc),
+            sum(1 for m in response_regions if m[2] == nc),
+            sum(1 for m in key_regions if m[2] == nc),
             beta)
     overall = _tally(len(matched), len(response_regions), len(key_regions), beta)
     return ScoreReport(overall, per_class, beta)

@@ -342,7 +342,7 @@ def ref_viterbi(decoder, words):
         unknown = word not in model.vocabulary and word not in (END_WORD, UNKNOWN_WORD)
         feature = compute_feature(word, i == 0, model.feature_config)
         keys.append((unknown, Token(UNKNOWN_WORD if unknown else word, feature)))
-    blocks, grids, nexts = decoder._blocks, decoder._grids, decoder._nexts
+    blocks, grids, ends, nexts = decoder._blocks, decoder._grids, decoder._ends, decoder._nexts
 
     unknown, tok = keys[0]
     fw = grids[unknown][tok][0]
@@ -351,7 +351,7 @@ def ref_viterbi(decoder, words):
     for t in range(1, len(keys)):
         prev_unknown, prev_tok = keys[t - 1]
         unknown, tok = keys[t]
-        end_vec = nexts[prev_unknown][prev_tok, END_TOKEN]
+        end_vec = ends[prev_unknown][prev_tok]
         cont_vec = nexts[prev_unknown or unknown][prev_tok, tok]
         by_target = blocks[prev_unknown][prev_tok.word][0]
         fw = grids[unknown][tok][0]
@@ -369,7 +369,7 @@ def ref_viterbi(decoder, words):
         backptrs.append(pointers)
 
     last_unknown, last = keys[-1]
-    end_vec = nexts[last_unknown][last, END_TOKEN]
+    end_vec = ends[last_unknown][last]
     to_end = blocks[last_unknown][last.word][0][k]
     best_j, best_final = 0, scores[0] + end_vec[0] + to_end[0]
     for j in range(1, k):

@@ -244,6 +244,18 @@ class TestScore:
         err = capsys.readouterr().err
         assert "sentence 1, token 2" in err
 
+    def test_sentence_splits_may_differ(self, tmp_path, capsys):
+        key = tmp_path / "key.ann"
+        response = tmp_path / "response.ann"
+        key.write_text('<ENAMEX TYPE="ORGANIZATION">Yahoo ! Inc.</ENAMEX> said .\n',
+                       encoding="utf-8")
+        response.write_text("Yahoo ! Inc. said .\n", encoding="utf-8")
+        assert main(["score", str(key), str(response)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "ALL 0.000 0.000 0.000" in out
+        assert main(["score", str(key), str(key)]) == EXIT_OK
+        assert "ORGANIZATION 1.000 1.000 1.000" in capsys.readouterr().out
+
     def test_beta_flag(self, workspace, capsys):
         code = main(["score", str(workspace["test"]), str(workspace["test"]),
                      "--beta", "0.5"])

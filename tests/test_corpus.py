@@ -296,7 +296,33 @@ def _terminated_sentences(draw):
     return AnnotatedSentence(tokens=tokens, regions=regions)
 
 
+# Raw text: words, punctuation runs, abbreviations, entities and markup
+# characters, run together or apart by mixed whitespace.
+_raw_pieces = st.one_of(
+    st.sampled_from(["...", "?!", "Mr.", "U.S.", "&amp;", "&", "<b>", "(", ")", '"',
+                     "'s", ",", ".", "!", "?", "+end+", "+unk+"]),
+    st.text(alphabet="abXZ9é日-.,!?'&;<>", min_size=1, max_size=6),
+)
+_raw_spaces = st.sampled_from(["", " ", "  ", "\t", "\n", " \n\t", "\r\n", "\u00a0"])
+
+
+@st.composite
+def _raw_text(draw):
+    parts = draw(st.lists(st.tuples(_raw_pieces, _raw_spaces), max_size=12))
+    return "".join(piece + space for piece, space in parts)
+
+
 class TestEmit:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(text=_raw_text())
+    def test_emit_parse_keeps_the_tokens_of_untokenized_text(self, text):
+        # The sentence splits may differ (a terminal run splits on
+        # re-parse), but the token sequence may not.
+        sentences = tokenize(text)
+        emitted = emit_annotated([AnnotatedSentence(words, []) for words in sentences])
+        assert [word for sentence in parse_annotated(emitted) for word in sentence.tokens] \
+            == [word for words in sentences for word in words]
+
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(corpus=st.lists(_terminated_sentences(), max_size=4))
     def test_emit_parse_inverse_and_tokenize_agree(self, corpus):

@@ -30,7 +30,7 @@ from namefinder import (
     train,
 )
 from namefinder.estimator import RowStore
-from namefinder.features import END_TOKEN, END_WORD, UNKNOWN_WORD
+from namefinder.features import END_WORD, UNKNOWN_WORD
 from namefinder.model_io import ModelFormatError, deserialize_model, serialize_model
 from namefinder.synthetic import generate_corpus
 from reference import OOV_POOL, WORD_POOL, random_corpus, ref_best_path, ref_viterbi
@@ -268,12 +268,12 @@ class TestDeterminismAndReuse:
         first_word_rows = sum(map(len, decoder._grids))
         decoder.decode_sentence(["the", oov[0], "plan", "."])
         sizes = (sum(map(len, decoder._grids)), sum(map(len, decoder._blocks)),
-                 sum(map(len, decoder._nexts)))
+                 sum(map(len, decoder._ends)), sum(map(len, decoder._nexts)))
         for word in oov[1:]:
             decoder.decode_sentence(["the", word, "plan", "."])
         assert sum(map(len, decoder._grids)) <= first_word_rows + 1
         assert (sum(map(len, decoder._grids)), sum(map(len, decoder._blocks)),
-                sum(map(len, decoder._nexts))) == sizes
+                sum(map(len, decoder._ends)), sum(map(len, decoder._nexts))) == sizes
 
     def test_empty_sentence_rejected(self, tiny_model):
         with pytest.raises(ValueError):
@@ -296,7 +296,7 @@ def has_views(model):
 
 def shared_rows(decoder):
     """The decoder's row stores and start row that belong to the views."""
-    return (*decoder._blocks, *decoder._grids, decoder._start_row)
+    return (*decoder._blocks, *decoder._grids, *decoder._ends, decoder._start_row)
 
 
 TEXT = "Mr. John Smith said hello .\n+unk+ Zqx opened in Boston +end+ ."
@@ -308,7 +308,8 @@ class TestSharedViews:
         first, second = Decoder(model), Decoder(model)
         views = model.table_views
         expected = (*(view.transition_blocks for view in views),
-                    *(view.first_word_grids for view in views), views[False].start_row)
+                    *(view.first_word_grids for view in views),
+                    *(view.end_rows for view in views), views[False].start_row)
         assert all(a is b is c for a, b, c in zip(shared_rows(first), shared_rows(second),
                                                   expected))
         other = Decoder(train(tiny_corpus))
@@ -319,13 +320,15 @@ class TestSharedViews:
         model = train(tiny_corpus)
         Decoder(model)
         for view in model.table_views:
-            assert not view.transition_blocks and not view.next_contexts
+            assert not view.transition_blocks and not view.next_contexts and not view.end_rows
         Decoder(model).decode_sentence(["The", "plan"])
         main, unknown = model.table_views
         assert set(main.transition_blocks) == {"The", "plan"}
-        assert set(main.next_contexts) == {Token("The", compute_feature("The", True)),
-                                           Token("plan", compute_feature("plan", False))}
+        read = {Token("The", compute_feature("The", True)),
+                Token("plan", compute_feature("plan", False))}
+        assert set(main.next_contexts) == set(main.end_rows) == read
         assert not unknown.transition_blocks and not unknown.next_contexts
+        assert not unknown.end_rows
 
     def test_views_die_with_their_model_by_reference_counting(self, tiny_corpus):
         # No reference cycle: with the cycle collector off, dropping the
@@ -437,7 +440,8 @@ class TestSharedViews:
         assert set(unknown.transition_blocks) <= {UNKNOWN_WORD}
         for view in model.table_views:
             assert len(view.transition_blocks) <= bound
-            for tokens in (view.first_word_grids, view.next_contexts):
+            for tokens in (view.first_word_grids, view.next_contexts, view.end_rows,
+                           view.counted_in):
                 assert len(tokens) <= bound * len(WORD_FEATURES)
                 assert all(word in words and feature in WORD_FEATURES
                            for word, feature in tokens)
@@ -522,7 +526,7 @@ def decode_as_oracle(decoder, words):
     return result
 
 
-def hand_built(model, start_row, block, grid, next_row):
+def hand_built(model, start_row, block, grid, end_row, next_row):
     """A decoder over model whose stores build every row with the given
     builders, on either route flag, each block and grid stored with the
     maxima of its rows over the internal previous classes."""
@@ -530,6 +534,7 @@ def hand_built(model, start_row, block, grid, next_row):
     blocks = RowStore(lambda w_prev: with_maxima(block(w_prev)))
     grids = RowStore(lambda token: with_maxima(grid(token)))
     decoder._blocks, decoder._grids = (blocks, blocks), (grids, grids)
+    decoder._ends = (RowStore(end_row),) * 2
     decoder._nexts = (RowStore(next_row),) * 2
     decoder._start_row = start_row
     return decoder
@@ -580,12 +585,13 @@ class TestPrunedSearch:
             tiny_model, _drawn_row(data, K),
             lambda w_prev: tuple(_drawn_row(data, K) for _ in range(K + 1)),
             lambda token: tuple(_drawn_row(data, K + 1) for _ in range(K)),
-            lambda key: _drawn_row(data, K))
+            lambda prev: _drawn_row(data, K), lambda key: _drawn_row(data, K))
         decode_as_oracle(decoder, words)
 
     def test_continue_wins_when_every_candidate_ties(self, tiny_model):
         decoder = hand_built(tiny_model, (0.0,) * K, constant(((0.0,) * K,) * (K + 1)),
-                             constant(((0.0,) * (K + 1),) * K), constant((0.0,) * K))
+                             constant(((0.0,) * (K + 1),) * K), constant((0.0,) * K),
+                             constant((0.0,) * K))
         result = decode_as_oracle(decoder, ["the", "plan", "Zqx"])
         assert result.path_classes == (INTERNAL_CLASSES[0],) * 3
         assert result.path_boundaries == (True, False, False)
@@ -598,8 +604,7 @@ class TestPrunedSearch:
         transition = tuple(-1.0 if i == 5 else 0.0 for i in range(K))
         decoder = hand_built(
             tiny_model, start, constant((transition,) * K + ((0.0,) * K,)),
-            constant(((0.0,) * (K + 1),) * K),
-            lambda key: (0.0,) * K if key[1] == END_TOKEN else (-100.0,) * K)
+            constant(((0.0,) * (K + 1),) * K), constant((0.0,) * K), constant((-100.0,) * K))
         result = decode_as_oracle(decoder, ["the", "plan"])
         assert result.log_score == 0.0
         assert result.path_classes == (INTERNAL_CLASSES[2], INTERNAL_CLASSES[0])

@@ -15,6 +15,7 @@ import random
 import pytest
 
 from namefinder import (
+    AnnotatedSentence,
     CountTables,
     END_OF_SENTENCE,
     END_TOKEN,
@@ -24,9 +25,11 @@ from namefinder import (
     NOT_A_NAME,
     NUM_SUCCESSOR_CLASSES,
     PERSON,
+    Region,
     START_OF_SENTENCE,
     Token,
     UNKNOWN_WORD,
+    compute_feature,
     lambda_weight,
     p_class_transition,
     p_class_transition_from,
@@ -457,6 +460,62 @@ class TestLogRows:
                 assert list(row) == log_next_words(tables, prev, token, size)
                 assert nexts[prev, token] is row
         assert seen[True] and seen[False]
+
+    @pytest.mark.parametrize("table_set", ["main", "unknown"])
+    def test_region_end_rows(self, model, table_set):
+        tables, view = tables_and_view(model, table_set)
+        size = len(model.vocabulary)
+        bigrams = tables.word_bigrams
+        prevs = {Token(word, feature) for word, feature, _ in bigrams.contexts()}
+        prevs |= {Token("never-seen", "lowerCase"), Token(UNKNOWN_WORD, "initCap"), END_TOKEN}
+        closed = 0
+        for prev in sorted(prevs):
+            row = view.end_rows[prev]
+            assert list(row) == log_next_words(tables, prev, END_TOKEN, size)
+            assert view.end_rows[prev] is row
+            # A literal +end+ inside a region reads the same row.
+            assert view.next_log_row((prev, END_TOKEN)) is row
+            closed += any(END_TOKEN in bigrams.events((prev.word, prev.feature, nc))
+                          for nc in INTERNAL_CLASSES)
+        assert closed
+
+    def test_region_end_rows_with_a_literal_end_word(self):
+        # A literal +end+ in a PERSON region is pooled into PERSON's
+        # unigram level only; every class still takes the row sum.
+        corpus = generate_corpus(100, seed=8) + [AnnotatedSentence(
+            ["Mr.", END_WORD, "said", "."], [Region(0, 2, PERSON)])]
+        model = train(corpus)
+        tables, view = tables_and_view(model, "main")
+        assert END_TOKEN in tables.word_unigrams.events((PERSON,))
+        mr = Token("Mr.", compute_feature("Mr.", True))
+        for prev in (mr, END_TOKEN, Token("said", "lowerCase")):
+            assert list(view.end_rows[prev]) == log_next_words(
+                tables, prev, END_TOKEN, len(model.vocabulary))
+
+    def test_cells_of_classes_that_did_not_count_the_token_are_the_floor(
+            self, synthetic_model):
+        tables, view = tables_and_view(synthetic_model, "main")
+        size = len(synthetic_model.vocabulary)
+        nexts = RowStore(view.next_log_row)
+        unigrams = [tables.word_unigrams.events((nc,)) for nc in INTERNAL_CLASSES]
+        counted = {}
+        for j, events in enumerate(unigrams):
+            for token in events:
+                counted.setdefault(token, []).append(j)
+        token = next(token for token, classes in sorted(counted.items())
+                     if 1 < len(classes) < len(INTERNAL_CLASSES))
+        assert view.counted_in[token] == tuple(counted[token])
+        floors = 0
+        for prev in sorted({Token(word, feature)
+                            for word, feature, _ in tables.word_bigrams.contexts()})[:40]:
+            row = nexts[prev, token]
+            assert list(row) == log_next_words(tables, prev, token, size)
+            log_floors = view.next_contexts[prev][1]
+            for j in range(len(INTERNAL_CLASSES)):
+                if j not in counted[token]:
+                    assert row[j] is log_floors[j]
+                    floors += 1
+        assert floors
 
     def test_tokens_no_level_counted_share_one_row_per_previous_token(self, tiny_model):
         tables, view = tables_and_view(tiny_model, "main")

@@ -6,12 +6,16 @@ from namefinder import (
     AlignmentError,
     AnnotatedSentence,
     DATE,
+    Decoder,
     LOCATION,
     NAME_CLASSES,
+    ORGANIZATION,
     PERSON,
     Region,
+    emit_annotated,
     error_rate,
     format_report,
+    parse_annotated,
     score,
 )
 
@@ -139,8 +143,57 @@ class TestArithmetic:
 
 class TestAlignment:
     def test_sentence_count_mismatch(self):
-        with pytest.raises(AlignmentError, match="sentence counts differ"):
+        with pytest.raises(AlignmentError,
+                           match="token counts differ: key has 2, response has 1"):
             score([sent(["a"]), sent(["b"])], [sent(["a"])])
+
+    def test_sentence_splits_may_differ(self):
+        # A terminal inside a region does not end the annotated sentence,
+        # but it does end the untagged one.
+        key = parse_annotated('<ENAMEX TYPE="ORGANIZATION">Yahoo ! Inc.</ENAMEX> said .')
+        response = parse_annotated("Yahoo ! Inc. said .")
+        assert (len(key), len(response)) == (1, 2)
+        report = score(key, response)
+        assert (report.overall.correct, report.overall.responses,
+                report.overall.keys) == (0, 0, 1)
+        tagged = [sent(["Yahoo", "!"]), sent(["Inc.", "said", "."], [Region(0, 1, PERSON)])]
+        report = score(key, tagged)
+        assert (report.overall.correct, report.overall.responses,
+                report.overall.keys) == (0, 1, 1)
+        found = [sent(["Yahoo", "!"], [Region(0, 2, ORGANIZATION)]),
+                 sent(["Inc.", "said", "."])]
+        assert score(key, found).overall.correct == 0
+        assert score(found, found).overall.f_measure == 1.0
+
+    def test_regions_are_placed_by_global_token_offsets(self):
+        # Equal spans in different sentences stay different regions, and
+        # a region matches across different splits at the same offsets.
+        key = [sent(["a", "b"], [Region(0, 1, PERSON)]), sent(["c", "d"], [Region(0, 1, PERSON)])]
+        response = [sent(["a", "b"]), sent(["c", "d"], [Region(0, 1, PERSON)])]
+        overall = score(key, response).overall
+        assert (overall.correct, overall.responses, overall.keys) == (1, 1, 2)
+        resplit = [sent(["a"]), sent(["b", "c", "d"], [Region(1, 2, PERSON)])]
+        overall = score(key, resplit).overall
+        assert (overall.correct, overall.responses, overall.keys) == (1, 1, 2)
+
+    def test_decoded_text_scores_against_its_own_markup(self, tiny_model):
+        # Emitting and re-parsing a decode splits "..." and "?!" into
+        # more sentences; the score must still be perfect.
+        decoded = [result.sentence for result in
+                   Decoder(tiny_model).decode_document("Wait... Mr. Smith said so?! Yes.")]
+        key = parse_annotated(emit_annotated(decoded))
+        report = score(key, decoded)
+        overall = report.overall
+        assert overall.correct == overall.responses == overall.keys
+        assert error_rate(report) == (0.0 if overall.keys else 100.0)
+        tagged = [AnnotatedSentence(s.tokens, [Region(0, 1, PERSON)]) for s in decoded]
+        key = parse_annotated(emit_annotated(tagged))
+        assert len(key) != len(tagged)
+        assert score(key, tagged).overall.f_measure == 1.0
+
+    def test_divergence_is_named_in_the_key_across_splits(self):
+        with pytest.raises(AlignmentError, match="sentence 2, token 1: key 'c' vs response 'x'"):
+            score([sent(["a", "b"]), sent(["c"])], [sent(["a"]), sent(["b", "x"])])
 
     def test_token_mismatch_names_first_divergence(self):
         with pytest.raises(AlignmentError) as info:
