@@ -16,7 +16,19 @@ The reader refuses what the estimator cannot use: a class name outside
 the inventory, in an event or a context; a context of the wrong shape;
 a word feature outside ``WORD_FEATURES``; and a table set with a
 context, counted or pooled, of ``SAMPLE_SIZE_LIMIT`` samples or more.
+
+Far fewer components are distinct than are written, so the writer
+encodes each distinct event or context once per call, and the reader
+decodes each context text once per file and each event text once per
+section.  An event is checked against its own section's shape before it
+is kept, so equal events of a section share one object, and a refusal
+still names the first bad row.  Counts are checked on every row.
+``write_model`` replaces a file only with a complete one.
 """
+
+import contextlib
+import os
+import secrets
 
 from .counts import CondTable, CountTables, TrainedModel, Vocabulary
 from .corpus import INTERNAL_CLASSES
@@ -87,9 +99,20 @@ def _decode(text: str) -> tuple:
     return tuple(_unescape(c) for c in text.split(" "))
 
 
-def _table_lines(table: CondTable) -> list:
-    lines = ["%s\t%s\t%d" % (_encode(event), _encode(context), count)
-             for context, event, count in table.items()]
+def _table_lines(table: CondTable, encoded: dict) -> list:
+    """The table's sorted rows; ``encoded`` memoizes each event's and
+    context's text (equal values encode alike, so one memo serves both)."""
+    lines = []
+    for context in table.contexts():
+        text = encoded.get(context)
+        if text is None:
+            text = encoded[context] = _encode(context)
+        context_field = "\t%s\t" % text
+        for event, count in table.events(context).items():
+            text = encoded.get(event)
+            if text is None:
+                text = encoded[event] = _encode(event)
+            lines.append("%s%s%d" % (text, context_field, count))
     lines.sort()
     return lines
 
@@ -104,10 +127,11 @@ def serialize_model(model: TrainedModel) -> str:
     ]
     for position, word in enumerate(model.vocabulary.words(), 1):
         lines.append("%s\t%d" % (_escape(word), position))
+    encoded = {}
     for prefix, tables in (("main", model.main), ("unknown", model.unknown)):
         for name, table in tables.tables().items():
             lines.append("[%s.%s]" % (prefix, name))
-            lines.extend(_table_lines(table))
+            lines.extend(_table_lines(table, encoded))
     return "\n".join(lines) + "\n"
 
 
@@ -136,6 +160,24 @@ def _check_table_set(tables: CountTables, prefix):
             if table.total(context) >= SAMPLE_SIZE_LIMIT:
                 raise ModelFormatError("sample size of %s.%s context %r reaches 2**53"
                                        % (prefix, name, context))
+
+
+def _checked_event(components, classes, line):
+    """The event of a row at ``line``: a class name in ``classes``, or a
+    <word feature> token when ``classes`` is None."""
+    if classes is None:
+        if len(components) != 2:
+            raise ModelFormatError("expected <word feature> event at line %d" % (line,))
+        if components[1] not in _FEATURES:
+            raise ModelFormatError("unknown word feature %r at line %d"
+                                   % (components[1], line))
+        return Token(*components)
+    if len(components) != 1:
+        raise ModelFormatError("expected single-component event at line %d" % (line,))
+    if components[0] not in classes:
+        raise ModelFormatError("class %r outside the inventory at line %d"
+                               % (components[0], line))
+    return components[0]
 
 
 def deserialize_model(text: str) -> TrainedModel:
@@ -186,6 +228,7 @@ def deserialize_model(text: str) -> TrainedModel:
                                % (vocab_size, len(words)))
 
     main, unknown = CountTables(), CountTables()
+    contexts = {}  # context text -> its components, for the whole file
     for prefix, tables in (("main", main), ("unknown", unknown)):
         for name, table in tables.tables().items():
             header = "[%s.%s]" % (prefix, name)
@@ -195,34 +238,29 @@ def deserialize_model(text: str) -> TrainedModel:
                                        % (header, index + 1, found))
             index += 1
             classes = _SHAPES[name][1]
+            # Event text -> its event, checked against this section's shape,
+            # so equal events share one object.  A bad event never enters,
+            # so the first row that holds it is the one refused.
+            events = {}
             while index < len(lines) and "\t" in lines[index]:
                 parts = lines[index].split("\t")
                 if len(parts) != 3:
                     raise ModelFormatError("bad count row at line %d" % (index + 1,))
-                event = _decode(parts[0])
-                context = _decode(parts[1])
+                event = events.get(parts[0])
+                if event is None:
+                    components = _decode(parts[0])
+                context = contexts.get(parts[1])
+                if context is None:
+                    context = contexts[parts[1]] = _decode(parts[1])
                 try:
                     count = int(parts[2])
                 except ValueError:
                     raise ModelFormatError("bad count at line %d" % (index + 1,)) from None
                 if count <= 0:
                     raise ModelFormatError("non-positive count at line %d" % (index + 1,))
-                if classes is None:
-                    if len(event) != 2:
-                        raise ModelFormatError("expected <word feature> event at line %d"
-                                               % (index + 1,))
-                    if event[1] not in _FEATURES:
-                        raise ModelFormatError("unknown word feature %r at line %d"
-                                               % (event[1], index + 1))
-                    table.add(context, Token(*event), count)
-                else:
-                    if len(event) != 1:
-                        raise ModelFormatError("expected single-component event at line %d"
-                                               % (index + 1,))
-                    if event[0] not in classes:
-                        raise ModelFormatError("class %r outside the inventory at line %d"
-                                               % (event[0], index + 1))
-                    table.add(context, event[0], count)
+                if event is None:
+                    event = events[parts[0]] = _checked_event(components, classes, index + 1)
+                table.add(context, event, count)
                 index += 1
         _check_table_set(tables, prefix)
     if index != len(lines):
@@ -231,8 +269,31 @@ def deserialize_model(text: str) -> TrainedModel:
 
 
 def write_model(model: TrainedModel, path):
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(serialize_model(model))
+    """Write the model file whole or not at all.
+
+    The text is serialized first and written to a new file beside
+    ``path``, which then replaces ``path`` in one rename.  A failure, or
+    a kill, before the rename leaves any earlier file at ``path`` as it
+    was; on a failure the new file is removed.  The file gets the mode
+    that a plain ``open`` would give it (0666 less the umask).  A
+    symbolic link at ``path`` stays a link: the file it names is the
+    one replaced.
+    """
+    text = serialize_model(model)
+    target = os.path.realpath(path)
+    temporary = "%s.%s.tmp" % (target, secrets.token_hex(8))
+    try:
+        fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:  # name the file asked for, not the new one
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    try:
+        with open(fd, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(temporary, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(temporary)
+        raise
 
 
 def read_model(path) -> TrainedModel:

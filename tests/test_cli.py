@@ -100,6 +100,15 @@ class TestTrain:
         assert code == EXIT_IO
         assert "cannot read corpus" in capsys.readouterr().err
 
+    def test_unwritable_model_path(self, workspace, tmp_path, capsys):
+        model = tmp_path / "absent" / "m.nf"
+        code = main(["train", str(workspace["train"]), "--model", str(model)])
+        assert code == EXIT_IO
+        assert capsys.readouterr().err == (
+            "namefinder: cannot write model: [Errno 2] No such file or directory: %r\n"
+            % str(model))
+        assert not (tmp_path / "absent").exists()
+
     def test_non_utf8_corpus(self, tmp_path, capsys):
         code = main(["train", not_utf8(tmp_path / "c.ann"),
                      "--model", str(tmp_path / "m.nf")])

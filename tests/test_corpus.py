@@ -252,26 +252,29 @@ def test_punctuation_run_time_is_linear(split, run):
     of n punctuation marks; stripping one mark per slice reads about 4.
     Text that is one run of n ``&amp;`` entities or n ``Mr.`` words, or
     one word of 5n characters (200k at n = 40k), is held to the same
-    bound.  Median of alternating pairs, as in test_parse_time_is_linear.
+    bound.  Median of 5 samples, as in test_parse_time_is_linear.
 
     One call at n takes only a few milliseconds, so each sample times
-    enough calls for the one at n to last about 50 ms, and the same
-    number at 2n: a short stall of a shared machine then moves a sample
-    by a small fraction, not by a multiple."""
+    enough calls for those at n to last about 50 ms (counted from the
+    fastest of 3 single calls, so that one slow call does not set it),
+    and the same number at 2n.  The n and 2n calls alternate within a
+    sample, so both sides of its ratio see the same load."""
     small, large = run(40000), run(80000)
 
-    def timed_split(text, calls):
-        gc.collect()
+    def timed_split(text):
         begin = time.perf_counter()
-        for _ in range(calls):
-            split(text)
+        split(text)
         return time.perf_counter() - begin
 
-    calls = max(1, math.ceil(0.05 / timed_split(small, 1)))
+    calls = max(1, math.ceil(0.05 / min(timed_split(small) for _ in range(3))))
     ratios = []
     for _ in range(5):
-        t_small = timed_split(small, calls)
-        ratios.append(timed_split(large, calls) / t_small)
+        gc.collect()
+        t_small = t_large = 0.0
+        for _ in range(calls):
+            t_small += timed_split(small)
+            t_large += timed_split(large)
+        ratios.append(t_large / t_small)
     assert statistics.median(ratios) <= 2.5, (calls, ratios)
 
 

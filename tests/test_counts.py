@@ -27,7 +27,9 @@ from namefinder import (
     segment_classes,
     train,
 )
+from namefinder import counts
 from namefinder.counts import build_vocabulary
+from namefinder.features import FeatureConfig, compute_feature
 from reference import WORD_POOL, random_corpus, ref_train_walks
 
 NAN = NOT_A_NAME
@@ -217,6 +219,30 @@ class TestCountConsistency:
         corpus = [sent([]), sent(["a"]), sent([])]
         tables = collect_counts(corpus, full_vocab(corpus), map_unknown=False)
         assert tables.class_marginal.total(()) == 2
+
+    def test_each_distinct_word_and_flag_is_featured_once(self, monkeypatch):
+        # A feature depends on the word, its first-word flag and the config
+        # only, so one call computes each (word, flag) once, held-out
+        # mapping or not; the counts are those of a plain walk.
+        calls = []
+
+        def counted(word, is_first_word=False, config=FeatureConfig()):
+            calls.append((word, is_first_word))
+            return compute_feature(word, is_first_word, config)
+
+        corpus = generate_corpus(80, seed=3) + [sent(["the", "The", "the"])]
+        pairs = {(word, i == 0) for s in corpus for i, word in enumerate(s.tokens)}
+        monkeypatch.setattr(counts, "compute_feature", counted)
+        for vocab, map_unknown in ((full_vocab(corpus), False),
+                                   (full_vocab(corpus[:40]), True)):
+            del calls[:]
+            tables = collect_counts(corpus, vocab, map_unknown)
+            assert len(calls) == len(pairs) < sum(len(s.tokens) for s in corpus)
+            assert set(calls) == pairs
+        walk = ref_train_walks(corpus)[0]
+        main = collect_counts(corpus, full_vocab(corpus), map_unknown=False)
+        for name in main.NAMES:
+            assert getattr(main, name) == walk[name], name
 
 
 class TestPooledLevels:

@@ -1,19 +1,24 @@
 """Model persistence: canonical text format, byte-stable round trips."""
 
 import math
+import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from namefinder import (
     AnnotatedSentence,
+    END_WORD,
     FeatureConfig,
     ModelFormatError,
+    NAME_CLASSES,
     NOT_A_NAME,
     PERSON,
     START_OF_SENTENCE,
     Decoder,
+    Region,
     Token,
+    UNKNOWN_WORD,
     Vocabulary,
     deserialize_model,
     p_class_transition,
@@ -24,6 +29,7 @@ from namefinder import (
     train,
     write_model,
 )
+from namefinder import model_io
 from reference import random_corpus
 
 
@@ -60,6 +66,24 @@ _words = st.text(alphabet=_AWKWARD, min_size=1, max_size=4)
 _sentences = st.lists(_words, min_size=1, max_size=4).map(
     lambda tokens: AnnotatedSentence(tokens=tokens, regions=[]))
 _corpora = st.lists(_sentences, min_size=2, max_size=4)
+
+# Words that need escapes or spell a sentinel, in and out of name regions.
+_escaped_words = st.one_of(
+    st.sampled_from(["\\", "a\\s", "\\\\n", END_WORD, UNKNOWN_WORD, "+end+\\",
+                     "Smith", "said", "1,00", "."]),
+    st.text(alphabet="\\ +aAeknu1.,", min_size=1, max_size=5))
+
+
+@st.composite
+def _annotated_sentences(draw):
+    tokens = draw(st.lists(_escaped_words, min_size=1, max_size=6))
+    regions, start = [], 0
+    while start < len(tokens):
+        end = draw(st.integers(min_value=start + 1, max_value=len(tokens)))
+        if draw(st.booleans()):
+            regions.append(Region(start, end, draw(st.sampled_from(NAME_CLASSES))))
+        start = end
+    return AnnotatedSentence(tokens=tokens, regions=regions)
 
 
 class TestRoundTrip:
@@ -142,6 +166,25 @@ class TestRoundTrip:
         path = tmp_path_factory.mktemp("model") / "model.nf"
         write_model(deserialize_model(text), path)
         assert serialize_model(read_model(path)) == text
+
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(corpus=st.lists(_annotated_sentences(), min_size=2, max_size=6),
+           swap=st.booleans())
+    def test_trained_model_round_trips(self, corpus, swap):
+        model = train(corpus, FeatureConfig(swap_comma_period=swap))
+        text = serialize_model(model)
+        loaded = deserialize_model(text)
+        assert serialize_model(loaded) == text
+        assert loaded == model
+
+    def test_loaded_events_are_shared_within_a_section(self, rng):
+        loaded = deserialize_model(serialize_model(train(random_corpus(rng, 60))))
+        for tables in (loaded.main, loaded.unknown):
+            for name, table in tables.tables().items():
+                first = {}
+                for _, event, _ in table.items():
+                    assert first.setdefault(event, event) is event, (name, event)
+                assert len(first) < len(table), name  # some event repeats
 
     def test_reloaded_model_compares_equal(self, tiny_model, rng):
         for model in (tiny_model, train(random_corpus(rng, 30))):
@@ -252,6 +295,47 @@ class TestFormatErrors:
             deserialize_model(broken)
 
 
+def refused_at(text, match):
+    """The line number that the refusal of ``text`` names."""
+    with pytest.raises(ModelFormatError, match=match) as info:
+        deserialize_model(text)
+    return int(str(info.value).rsplit(" ", 1)[1])
+
+
+class TestRowChecks:
+    """Checks run per section and per row, so the first bad row is named."""
+
+    def test_event_accepted_in_one_section_is_checked_in_the_next(self, tiny_model):
+        text = with_row(serialize_model(tiny_model), "main.class_transitions",
+                        "PERSON\tNOT-A-NAME said\t1")
+        deserialize_model(text)
+        text = with_row(text, "main.first_words", "PERSON\tPERSON NOT-A-NAME\t1")
+        lines = text.split("\n")
+        assert refused_at(text, "expected <word feature> event") == \
+            lines.index("[main.first_words]") + 2
+
+    def test_two_identical_bad_rows_name_the_first(self, tiny_model):
+        row = "hello shouting\tsaid lowerCase PERSON\t1"
+        text = with_row(with_row(serialize_model(tiny_model), "main.word_bigrams", row),
+                        "main.word_bigrams", row)
+        lines = text.split("\n")
+        first = lines.index(row) + 1
+        assert lines[first] == row
+        assert refused_at(text, "unknown word feature") == first
+
+    @pytest.mark.parametrize("count, match", [("0", "non-positive count"),
+                                              ("x", "bad count")])
+    def test_every_row_checks_its_count(self, tiny_model, count, match):
+        # The second row's event and context are the first row's.
+        text = serialize_model(tiny_model)
+        lines = text.split("\n")
+        first = lines.index("[main.word_bigrams]") + 1
+        event, context, _ = lines[first].split("\t")
+        text = with_row(text, "main.word_bigrams", "%s\t%s\t%s" % (event, context, count))
+        text = with_row(text, "main.word_bigrams", "%s\t%s\t1" % (event, context))
+        assert refused_at(text, match) == first + 2
+
+
 class TestUnusableModels:
     """Files that parse but that the estimator cannot use are refused."""
 
@@ -349,3 +433,53 @@ class TestUnusableModels:
                     continue
                 for result in Decoder(model).decode_document(text):
                     assert math.isfinite(result.log_score) and result.log_score < 0
+
+
+class TestWriteModel:
+    """A model file is replaced whole or not at all."""
+
+    @pytest.fixture
+    def old_file(self, tmp_path):
+        path = tmp_path / "model.nf"
+        path.write_bytes(b"the previous model\n")
+        return path
+
+    def test_failed_serialization_keeps_the_old_file(self, tiny_model, old_file,
+                                                     monkeypatch):
+        def broken(model):
+            raise RuntimeError("serialization failed")
+
+        monkeypatch.setattr(model_io, "serialize_model", broken)
+        with pytest.raises(RuntimeError, match="serialization failed"):
+            write_model(tiny_model, old_file)
+        assert old_file.read_bytes() == b"the previous model\n"
+        assert os.listdir(old_file.parent) == ["model.nf"]
+
+    def test_failed_write_keeps_the_old_file(self, tiny_model, old_file, monkeypatch):
+        def broken(source, target):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(os, "replace", broken)
+        with pytest.raises(OSError, match="rename failed"):
+            write_model(tiny_model, old_file)
+        assert old_file.read_bytes() == b"the previous model\n"
+        assert os.listdir(old_file.parent) == ["model.nf"]
+
+    def test_new_file_replaces_the_old_with_the_umask_mode(self, tiny_model, old_file):
+        old_file.chmod(0o600)
+        umask = os.umask(0o027)
+        try:
+            write_model(tiny_model, old_file)
+        finally:
+            os.umask(umask)
+        assert old_file.read_text(encoding="utf-8") == serialize_model(tiny_model)
+        assert old_file.stat().st_mode & 0o777 == 0o640
+        assert os.listdir(old_file.parent) == ["model.nf"]
+
+    def test_a_link_to_the_model_stays_a_link(self, tiny_model, old_file):
+        link = old_file.parent / "current.nf"
+        link.symlink_to(old_file.name)
+        write_model(tiny_model, link)
+        assert link.is_symlink()
+        assert old_file.read_text(encoding="utf-8") == serialize_model(tiny_model)
+        assert sorted(os.listdir(old_file.parent)) == ["current.nf", "model.nf"]
