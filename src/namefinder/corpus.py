@@ -141,22 +141,42 @@ def _split_chunk(chunk):
     return tokens
 
 
+def _split_text(text):
+    """(tokens, breaks): the tokens of text's whitespace-delimited chunks,
+    and after each chunk that ends in a terminal the count of tokens up
+    to it.
+
+    A chunk that neither starts with an opener nor ends with a trailer
+    is one token, and never a terminal, since every terminal is a
+    trailer; only the other chunks are split.
+    """
+    tokens = []
+    breaks = []
+    for chunk in text.split():
+        if chunk[0] in _OPENERS or chunk[-1] in _TRAILERS:
+            split = _split_chunk(chunk)
+            tokens += split
+            if split[-1] in TERMINALS:
+                breaks.append(len(tokens))
+        else:
+            tokens.append(chunk)
+    return tokens, breaks
+
+
 def tokenize(text: str) -> list:
     """Split raw text into sentences of word tokens.
 
     Total function: any input yields a (possibly empty) list of non-empty
     sentences.
     """
+    tokens, breaks = _split_text(text)
     sentences = []
-    current = []
-    for chunk in text.split():
-        tokens = _split_chunk(chunk)
-        current.extend(tokens)
-        if tokens and tokens[-1] in TERMINALS:
-            sentences.append(current)
-            current = []
-    if current:
-        sentences.append(current)
+    start = 0
+    for end in breaks:
+        sentences.append(tokens[start:end])
+        start = end
+    if start < len(tokens):
+        sentences.append(tokens[start:])
     return sentences
 
 
@@ -198,12 +218,16 @@ class _SentenceBuilder:
         self.open_start = None
 
     def add_text(self, text):
-        for chunk in text.split():
-            toks = _split_chunk(chunk)
-            self.tokens.extend(toks)
-            # A break inside an open region would split it across sentences.
-            if toks and toks[-1] in TERMINALS and self.open_class is None:
-                self.flush()
+        tokens, breaks = _split_text(text)
+        # A break inside an open region would split it across sentences.
+        if self.open_class is not None:
+            breaks = ()
+        start = 0
+        for end in breaks:
+            self.tokens += tokens[start:end]
+            self.flush()
+            start = end
+        self.tokens += tokens[start:]
 
     def open_region(self, name_class):
         self.open_class = name_class
@@ -278,25 +302,29 @@ def _escape(token):
 
 
 def emit_annotated(sentences) -> str:
-    """Render AnnotatedSentences back to inline-markup text, one per line."""
+    """Render AnnotatedSentences back to inline-markup text, one per line.
+
+    Escaping never touches a space, so each region, and each run of
+    tokens between regions, is joined and then escaped in one piece.
+    Regions that overlap, are unsorted or run past the tokens raise
+    ValueError, as ``AnnotatedSentence.validate`` does.
+    """
     lines = []
     for sentence in sentences:
-        if not sentence.tokens:
+        tokens = sentence.validate().tokens
+        if not tokens:
             continue
-        starts = {r.start: r for r in sentence.regions}
-        ends = {r.end: r for r in sentence.regions}
         parts = []
-        for i, token in enumerate(sentence.tokens):
-            if i in ends:
-                parts[-1] += "</%s>" % _ELEMENT_OF_CLASS[ends[i].name_class]
-            if i in starts:
-                region = starts[i]
-                parts.append('<%s TYPE="%s">%s'
-                             % (_ELEMENT_OF_CLASS[region.name_class],
-                                region.name_class, _escape(token)))
-            else:
-                parts.append(_escape(token))
-        if len(sentence.tokens) in ends:
-            parts[-1] += "</%s>" % _ELEMENT_OF_CLASS[ends[len(sentence.tokens)].name_class]
+        pos = 0
+        for region in sentence.regions:
+            if region.start > pos:
+                parts.append(_escape(" ".join(tokens[pos:region.start])))
+            element = _ELEMENT_OF_CLASS[region.name_class]
+            parts.append('<%s TYPE="%s">%s</%s>'
+                         % (element, region.name_class,
+                            _escape(" ".join(tokens[region.start:region.end])), element))
+            pos = region.end
+        if pos < len(tokens):
+            parts.append(_escape(" ".join(tokens[pos:])))
         lines.append(" ".join(parts))
     return "\n".join(lines) + ("\n" if lines else "")

@@ -22,12 +22,13 @@ family has one sum (``transition_row``, ``first_word_rows``,
 ``next_word_cell``) that adds coefficient * (count / c) from the most
 specific level down, plus residual * floor, for every weighted context
 or successor it is given; the next-word sum takes one context at a
-time, since a next-word row sums only the classes with evidence.  A
-``TableView`` weights a trained context the first time a row reads it
-and passes whole rows to the sums; ``TrainedModel.table_views`` holds
-the pair of views for its main and unknown-word tables.  The scalar
-``p_*_from`` functions weigh the one context a query needs and read the
-single cell of the same sum, so both give bit-identical results.
+time, since a next-word row sums only the classes with evidence (a
+view's continuation rows repeat it inline).  A ``TableView`` weights a
+trained context the first time a row reads it and passes whole rows to
+the sums; ``TrainedModel.table_views`` holds the pair of views for its
+main and unknown-word tables.  The scalar ``p_*_from`` functions weigh
+the one context a query needs and read the single cell of the same
+sum, so both give bit-identical results.
 
 The decoder works in natural logs, and a ``TableView`` also builds its
 rows in logs, from evidence only.  A cell whose token (or successor)
@@ -40,11 +41,13 @@ are first read.  A class's word-unigram level sums its first-word
 chain, and every event but ``+end+`` of its next-word chain
 (``CountTables``), so a class whose unigram level did not count a token
 other than ``+end+`` has no count of it at any level of either chain.
-The view keeps, per token, the classes that counted it
-(``counted_in``); a first-word grid or continuation row starts as the
-row of log constants, and only those classes go through the row sums
-and ``math.log``.  A token no class counted gets the constant row
-itself, a shared object.  The unigram levels count ``+end+`` only for
+The view keeps, per token, each class that counted it paired with
+the token's unigram count / c in that class (``unigram_ratios``); a
+first-word grid or continuation row starts as the row of log
+constants, and only those classes go through the row sums and
+``math.log``, a continuation cell reading its unigram term from the
+pair.  A token no class counted gets the constant row itself, a shared
+object.  The unigram levels count ``+end+`` only for
 literal ``+end+`` words, so a region-end row sums every class.
 
 Every log row lives in a ``RowStore``: a dict whose ``__missing__``
@@ -52,8 +55,8 @@ builds the row and keeps it, the one row memo.  The stores keyed by the
 vocabulary are the view's, shared by every decoder over the model: the
 transition blocks by previous word (``transition_blocks``), the
 first-word grids by token (``first_word_grids``), each stored with the
-maxima of its rows, the classes that counted each token
-(``counted_in``), and by previous token its weighted word-bigram
+maxima of its rows, each token's (class, unigram count / c) pairs
+(``unigram_ratios``), and by previous token its weighted word-bigram
 contexts (``next_contexts``) and its region-end row, Pr(+end+ | prev,
 nc) per class (``end_rows``).  The decoder maps every out-of-vocabulary
 word to ``+unk+`` before it asks, so these stores hold at most |V| + 2
@@ -277,15 +280,15 @@ class TableView:
     bound the decoder's BOUNDARY candidates:
       transition_blocks[w_prev][1][j]     max_i transition_blocks[w_prev][0][j][i]
       first_word_grids[token][1][j]       max_i first_word_grids[token][0][j][i]
-    Every decoder over the view shares these.  ``counted_in[token]``
-    holds the indexes of the classes whose word-unigram level counted
-    the token.  ``next_contexts`` holds, per previous token, its
-    weighted word-bigram context of each class and the log row of their
-    floor terms, which is the shared next-word row of every token no
-    class counted; ``next_log_row`` builds a decoder's own continuation
-    rows from them.  The stores' builders close over
-    the weighted levels and the row stores, not the view, so no
-    reference cycle keeps a discarded view alive.
+    Every decoder over the view shares these.  ``unigram_ratios[token]``
+    holds a (j, count / c) pair for each class j whose word-unigram
+    level counted the token, in class order.  ``next_contexts`` holds,
+    per previous token, its weighted word-bigram context of each class
+    and the log row of their floor terms, which is the shared next-word
+    row of every token no class counted; ``next_log_row`` builds a
+    decoder's own continuation rows from them.  The stores' builders
+    close over the weighted levels and the row stores, not the view, so
+    no reference cycle keeps a discarded view alive.
     """
 
     def __init__(self, tables: CountTables, vocab_size: int):
@@ -295,8 +298,7 @@ class TableView:
         class_bigrams = {
             nc_prev: _class_level(tables.class_bigrams, (nc_prev,), SUCCESSOR_CLASSES)
             for nc_prev in PREVIOUS_CLASSES}
-        self._unigrams = unigram_levels = [_stats(tables.word_unigrams, (nc,))
-                                           for nc in INTERNAL_CLASSES]
+        unigram_levels = [_stats(tables.word_unigrams, (nc,)) for nc in INTERNAL_CLASSES]
         # Per class: (its context per previous class, begin level, unigram
         # level), and the log row of a token its unigram level did not count.
         first = []
@@ -340,7 +342,7 @@ class TableView:
         def first_word_grid(token):
             # The row of a class whose unigram level did not count the
             # token is the class's shared row of log floors.
-            seen = counted_in[token]
+            seen = [j for j, _ in unigram_ratios[token]]
             grid = list(first_log_floors)
             rows = first_word_rows(token, [first[j] for j in seen])
             for j, row in zip(seen, rows):
@@ -367,8 +369,9 @@ class TableView:
             return tuple([log(next_word_cell(END_TOKEN, context, unigrams))
                           for context, unigrams in zip(contexts, unigram_levels)])
 
-        self.counted_in = counted_in = RowStore(lambda token: tuple(
-            [j for j, unigrams in enumerate(unigram_levels) if token in unigrams[0]]))
+        self.unigram_ratios = unigram_ratios = RowStore(lambda token: tuple(
+            [(j, _ratio(events[token], c_u))
+             for j, (events, c_u, _) in enumerate(unigram_levels) if token in events]))
         self.transition_blocks = RowStore(transition_block)
         self.first_word_grids = RowStore(first_word_grid)
         self.next_contexts = next_contexts = RowStore(weigh_next_contexts)
@@ -379,18 +382,24 @@ class TableView:
         (prev, token); the builder of a decoder's continuation ``RowStore``.
         The row is prev's row of log floor terms with the mixture sum written
         over the classes that counted the token, and that row itself when
-        none did; +end+, a literal word here, reads prev's region-end row."""
+        none did; +end+, a literal word here, reads prev's region-end row.
+        Each sum is ``next_word_cell``'s, in its order, with the unigram
+        term read from ``unigram_ratios``."""
         prev, token = key
         if token == END_TOKEN:
             return self.end_rows[prev]
         contexts, log_floors = self.next_contexts[prev]
-        classes = self.counted_in[token]
-        if not classes:
+        pairs = self.unigram_ratios[token]
+        if not pairs:
             return log_floors
         row = list(log_floors)
-        unigrams = self._unigrams
-        for j in classes:
-            row[j] = math.log(next_word_cell(token, contexts[j], unigrams[j]))
+        log = math.log
+        for j, p_u in pairs:
+            events, c_w, k1, k2, floor_term = contexts[j]
+            count = events.get(token)
+            total = k1 * (count / c_w) if count else 0.0
+            total += k2 * p_u
+            row[j] = log(total + floor_term)
         return row
 
 

@@ -22,8 +22,10 @@ encodes each distinct event or context once per call, and the reader
 decodes each context text once per file and each event text once per
 section.  An event is checked against its own section's shape before it
 is kept, so equal events of a section share one object, and a refusal
-still names the first bad row.  Counts are checked on every row.
-``write_model`` replaces a file only with a complete one.
+still names the first bad row.  Each distinct count text is decoded
+once per file.  A count or ``vocab_size`` is read only in the form the
+writer gives it (ASCII digits, no sign, no leading zero), so each
+number has one text.  ``write_model`` replaces a file only with a complete one.
 """
 
 import contextlib
@@ -180,6 +182,32 @@ def _checked_event(components, classes, line):
     return components[0]
 
 
+def _natural(text):
+    """The value of a count field written as ``%d`` writes a natural
+    number (ASCII digits, no sign, no leading zero), or None."""
+    if text.isascii() and text.isdigit() and (text[0] != "0" or text == "0"):
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            return None
+    return None
+
+
+def _count(text, line):
+    """The count of a row at ``line``: a positive integer as
+    ``serialize_model`` writes it."""
+    count = _natural(text)
+    if count:
+        return count
+    try:
+        value = int(text)
+    except ValueError:
+        value = 1
+    if value <= 0:
+        raise ModelFormatError("non-positive count at line %d" % (line,))
+    raise ModelFormatError("bad count at line %d" % (line,))
+
+
 def deserialize_model(text: str) -> TrainedModel:
     lines = text.split("\n")
     if lines[-1] == "":  # the newline that ends the last row
@@ -199,10 +227,9 @@ def deserialize_model(text: str) -> TrainedModel:
     classes = tuple(_expect(lines, 2, "classes").split(" "))
     if classes != INTERNAL_CLASSES:
         raise ModelFormatError("unexpected class inventory %r" % (classes,))
-    try:
-        vocab_size = int(_expect(lines, 3, "vocab_size"))
-    except ValueError:
-        raise ModelFormatError("vocab_size is not an integer") from None
+    vocab_size = _natural(_expect(lines, 3, "vocab_size"))
+    if vocab_size is None:
+        raise ModelFormatError("vocab_size is not an integer")
 
     index = 4
     if index >= len(lines) or lines[index] != "[vocabulary]":
@@ -229,6 +256,7 @@ def deserialize_model(text: str) -> TrainedModel:
 
     main, unknown = CountTables(), CountTables()
     contexts = {}  # context text -> its components, for the whole file
+    counts = {}  # count text -> its value, for the whole file
     for prefix, tables in (("main", main), ("unknown", unknown)):
         for name, table in tables.tables().items():
             header = "[%s.%s]" % (prefix, name)
@@ -252,12 +280,9 @@ def deserialize_model(text: str) -> TrainedModel:
                 context = contexts.get(parts[1])
                 if context is None:
                     context = contexts[parts[1]] = _decode(parts[1])
-                try:
-                    count = int(parts[2])
-                except ValueError:
-                    raise ModelFormatError("bad count at line %d" % (index + 1,)) from None
-                if count <= 0:
-                    raise ModelFormatError("non-positive count at line %d" % (index + 1,))
+                count = counts.get(parts[2])
+                if count is None:
+                    count = counts[parts[2]] = _count(parts[2], index + 1)
                 if event is None:
                     event = events[parts[0]] = _checked_event(components, classes, index + 1)
                 table.add(context, event, count)

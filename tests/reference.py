@@ -6,11 +6,14 @@ are re-summed from raw event dictionaries, the count oracle walks a
 corpus once and counts every back-off level as its own table, the
 word-feature classifier is a separate predicate list, the path oracle
 enumerates every labeled segmentation of a sentence, and the recurrence
-oracle is the Viterbi step that reads every candidate.  Production code
-is imported only for type constructors, for the word features the
-count, path and recurrence oracles tag tokens with, in the path oracle
-for the probability queries the search is defined over, and in the
-recurrence oracle for the rows a decoder reads.
+oracle is the Viterbi step that reads every candidate, and the corpus
+oracles split every chunk alone and emit one token at a time.
+Production code is imported only for type constructors, for the word
+features the count, path and recurrence oracles tag tokens with, in the
+path oracle for the probability queries the search is defined over, in
+the recurrence oracle for the rows a decoder reads, and in the
+tokenizing oracles for the chunk split and the parser's sentence
+builder.
 """
 
 import math
@@ -23,8 +26,11 @@ from namefinder.corpus import (
     NAME_CLASSES,
     NOT_A_NAME,
     START_OF_SENTENCE,
+    TERMINALS,
     AnnotatedSentence,
     Region,
+    _SentenceBuilder,
+    _split_chunk,
 )
 from namefinder.estimator import p_class_transition, p_first_word, p_next_word
 from namefinder.features import (
@@ -383,6 +389,71 @@ def ref_viterbi(decoder, words):
         bounds.append(is_boundary)
     return (best_final, tuple(INTERNAL_CLASSES[c] for c in reversed(classes)),
             (True, *reversed(bounds)))
+
+
+# --- Tokenizing and emit oracles ---------------------------------------------
+
+
+def ref_tokenize(text):
+    """Sentences of text, each chunk split on its own, breaking after
+    every chunk whose last token is a terminal."""
+    sentences, current = [], []
+    for chunk in text.split():
+        tokens = _split_chunk(chunk)
+        current.extend(tokens)
+        if tokens and tokens[-1] in TERMINALS:
+            sentences.append(current)
+            current = []
+    if current:
+        sentences.append(current)
+    return sentences
+
+
+class RefSentenceBuilder(_SentenceBuilder):
+    """The parser's sentence builder, adding text one chunk at a time
+    and breaking after a terminal chunk while no region is open."""
+
+    def add_text(self, text):
+        for chunk in text.split():
+            tokens = _split_chunk(chunk)
+            self.tokens.extend(tokens)
+            if tokens and tokens[-1] in TERMINALS and self.open_class is None:
+                self.flush()
+
+
+_REF_ELEMENTS = {"PERSON": "ENAMEX", "ORGANIZATION": "ENAMEX", "LOCATION": "ENAMEX",
+                 "DATE": "TIMEX", "TIME": "TIMEX", "MONEY": "NUMEX", "PERCENT": "NUMEX"}
+
+
+def _ref_escape(token):
+    return "".join({"&": "&amp;", "<": "&lt;", ">": "&gt;"}.get(ch, ch) for ch in token)
+
+
+def ref_emit_annotated(sentences):
+    """Inline markup, one line per non-empty sentence, escaped one token
+    at a time: a region's open tag prefixes its first token and its
+    close tag suffixes its last."""
+    lines = []
+    for sentence in sentences:
+        if not sentence.tokens:
+            continue
+        starts = {r.start: r for r in sentence.regions}
+        ends = {r.end: r for r in sentence.regions}
+        parts = []
+        for i, token in enumerate(sentence.tokens):
+            if i in ends:
+                parts[-1] += "</%s>" % _REF_ELEMENTS[ends[i].name_class]
+            if i in starts:
+                region = starts[i]
+                parts.append('<%s TYPE="%s">%s' % (_REF_ELEMENTS[region.name_class],
+                                                   region.name_class, _ref_escape(token)))
+            else:
+                parts.append(_ref_escape(token))
+        n = len(sentence.tokens)
+        if n in ends:
+            parts[-1] += "</%s>" % _REF_ELEMENTS[ends[n].name_class]
+        lines.append(" ".join(parts))
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 # --- Random corpora for property tests ---------------------------------------

@@ -183,6 +183,18 @@ class TestDecode:
         assert code == EXIT_FORMAT
         assert "bad model file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("count", ["1_0", "07", "+3"])
+    def test_count_not_in_the_written_form(self, workspace, tmp_path, capsys, count):
+        lines = workspace["model"].read_text(encoding="utf-8").split("\n")
+        row = lines.index("[main.word_bigrams]") + 1
+        event, context, _ = lines[row].split("\t")
+        lines[row] = "%s\t%s\t%s" % (event, context, count)
+        bad = tmp_path / "bad.nf"
+        bad.write_text("\n".join(lines), encoding="utf-8")
+        code = main(["decode", str(workspace["plain"]), "--model", str(bad)])
+        assert code == EXIT_FORMAT
+        assert "bad model file" in capsys.readouterr().err
+
     def test_count_too_large_to_decode(self, workspace, tmp_path, capsys):
         # The count loads as an integer, but its weight rounds to 1 and a
         # probability to 0; the loader refuses the file before decoding.

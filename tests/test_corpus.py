@@ -4,6 +4,7 @@ import gc
 import math
 import statistics
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,10 +26,18 @@ from namefinder import (
     generate_corpus,
     tokenize,
 )
-from namefinder.corpus import TERMINALS
+from namefinder import corpus as corpus_module
+from namefinder.corpus import (
+    ABBREVIATIONS,
+    TERMINALS,
+    _OPENERS,
+    _TRAILERS,
+    _split_chunk,
+    _split_text,
+)
 from namefinder.features import END_WORD, UNKNOWN_WORD
 from conftest import ANNOTATED_FIXTURE
-from reference import random_corpus
+from reference import RefSentenceBuilder, random_corpus, ref_emit_annotated, ref_tokenize
 
 
 def terminated(corpus):
@@ -367,6 +376,100 @@ class TestEmit:
             ' <ENAMEX TYPE="LOCATION">Boston</ENAMEX> .\n'
         )
         assert parse_annotated(text) == [sentence]
+
+
+# --- Plain chunks and run-escaped emit: the per-chunk and per-token
+# paths are the oracles ------------------------------------------------------
+
+# Chunks of openers, trailers, abbreviations and letters: plain ones,
+# and every kind of split.
+_chunks = st.lists(st.sampled_from(sorted(_OPENERS | _TRAILERS) + sorted(ABBREVIATIONS)
+                                   + ["a", "Z", "9", "-"]),
+                   min_size=1, max_size=5).map("".join)
+
+
+# Runs of text that parse, bar the odd bare '&'.
+_markup_runs = st.lists(st.tuples(st.one_of(
+    st.sampled_from(["...", "?!", "Mr.", "U.S.", "&amp;", "&lt;", "&", "(", ")", '"',
+                     "'s", ",", ".", "!", "?", "+end+"]),
+    st.text(alphabet="abXZ9é日-.,!?'();", min_size=1, max_size=6),
+), _raw_spaces), max_size=8).map(lambda parts: "".join(p + s for p, s in parts))
+
+
+@st.composite
+def _annotated_text(draw):
+    """Markup of runs of text, some inside a region (adjacent regions
+    included), sometimes malformed."""
+    pieces = []
+    for run, tagged in draw(st.lists(st.tuples(_markup_runs, st.booleans()), max_size=6)):
+        if tagged:
+            name_class = draw(st.sampled_from(NAME_CLASSES))
+            element = ("ENAMEX" if name_class in (PERSON, ORGANIZATION, LOCATION)
+                       else "TIMEX" if name_class in (DATE, TIME) else "NUMEX")
+            run = '<%s TYPE="%s">%s</%s>' % (element, name_class, run, element)
+        pieces.append(run)
+    return draw(st.sampled_from(["", " ", "\n"])).join(pieces)
+
+
+def parsed(text):
+    """parse_annotated's sentences, or the message of its ParseError."""
+    try:
+        return parse_annotated(text)
+    except ParseError as exc:
+        return str(exc)
+
+
+@st.composite
+def _valid_sentences(draw):
+    """A sentence whose tokens hold markup characters, with regions
+    over any runs of it, adjacent ones included."""
+    tokens = draw(st.lists(st.text(alphabet="ab&<>;.é", min_size=1, max_size=4),
+                           max_size=6))
+    cuts = draw(st.sets(st.integers(0, len(tokens)), max_size=4))
+    bounds = sorted(cuts | {0, len(tokens)})
+    regions = [Region(start, end, draw(st.sampled_from(NAME_CLASSES)))
+               for start, end in zip(bounds, bounds[1:])
+               if start < end and draw(st.booleans())]
+    return AnnotatedSentence(tokens=tokens, regions=regions).validate()
+
+
+class TestFastPaths:
+    @settings(derandomize=True, deadline=None, max_examples=500)
+    @given(chunks=st.lists(_chunks, max_size=6))
+    def test_plain_chunks_split_as_split_chunk(self, chunks):
+        for chunk in chunks:
+            if chunk[0] not in _OPENERS and chunk[-1] not in _TRAILERS:
+                assert _split_chunk(chunk) == [chunk] and chunk not in TERMINALS
+        tokens, breaks = [], []
+        for chunk in chunks:
+            tokens += _split_chunk(chunk)
+            if tokens[-1] in TERMINALS:
+                breaks.append(len(tokens))
+        text = " ".join(chunks)
+        assert _split_text(text) == (tokens, breaks)
+        assert tokenize(text) == ref_tokenize(text)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(text=_annotated_text())
+    def test_parse_is_the_chunk_by_chunk_parse(self, text):
+        with mock.patch.object(corpus_module, "_SentenceBuilder", RefSentenceBuilder):
+            expected = parsed(text)
+        assert parsed(text) == expected
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(sentences=st.lists(_valid_sentences(), max_size=4))
+    def test_emit_is_the_token_by_token_emit(self, sentences):
+        assert emit_annotated(sentences) == ref_emit_annotated(sentences)
+
+    @pytest.mark.parametrize("regions", [
+        [Region(0, 2, PERSON), Region(1, 3, LOCATION)],
+        [Region(2, 3, PERSON), Region(0, 1, LOCATION)],
+        [Region(2, 4, PERSON)],
+    ], ids=["overlapping", "unsorted", "past-the-end"])
+    def test_emit_refuses_regions_that_fail_validation(self, regions):
+        # A run would repeat or drop a token without a word of warning.
+        with pytest.raises(ValueError, match="overlap|exceeds"):
+            emit_annotated([AnnotatedSentence(["a", "b", "c"], regions)])
 
 
 class TestRegionValidation:

@@ -441,7 +441,7 @@ class TestSharedViews:
         for view in model.table_views:
             assert len(view.transition_blocks) <= bound
             for tokens in (view.first_word_grids, view.next_contexts, view.end_rows,
-                           view.counted_in):
+                           view.unigram_ratios):
                 assert len(tokens) <= bound * len(WORD_FEATURES)
                 assert all(word in words and feature in WORD_FEATURES
                            for word, feature in tokens)
@@ -608,6 +608,35 @@ class TestPrunedSearch:
         result = decode_as_oracle(decoder, ["the", "plan"])
         assert result.log_score == 0.0
         assert result.path_classes == (INTERNAL_CLASSES[2], INTERNAL_CLASSES[0])
+        assert result.path_boundaries == (True, True)
+
+    @pytest.mark.parametrize("top_transition, winner", [(0.0, 2), (-1.0, 5)])
+    def test_a_tie_for_the_best_bscore_rescans(self, tiny_model, top_transition, winner):
+        # Classes 2 and 5 tie for the best bscore, so the runner-up's
+        # bound equals the best one's and every class rescans.  With
+        # equal candidates the lowest class, 2, keeps the win; with 2's
+        # transition lower, only the rescan finds class 5.
+        reads = [0]
+
+        class CountingRow(tuple):
+            def __getitem__(self, i):
+                if type(i) is int and i != K:  # not the START column, nor a slice
+                    reads[0] += 1
+                return tuple.__getitem__(self, i)
+
+        start = tuple(0.0 if i in (2, 5) else -10.0 for i in range(K))
+        transition = tuple(top_transition if i == 2 else 0.0 for i in range(K))
+        decoder = hand_built(
+            tiny_model, start, constant((transition,) * K + ((0.0,) * K,)),
+            constant(tuple(CountingRow((0.0,) * (K + 1)) for _ in range(K))),
+            constant((0.0,) * K), constant((-100.0,) * K))
+        result = decoder.decode_sentence(["the", "plan"])
+        # The best predecessor alone reads one grid cell per class.
+        assert reads[0] > K
+        assert (result.log_score, result.path_classes, result.path_boundaries) == \
+            ref_viterbi(decoder, ["the", "plan"])
+        assert result.log_score == 0.0
+        assert result.path_classes == (INTERNAL_CLASSES[winner], INTERNAL_CLASSES[0])
         assert result.path_boundaries == (True, True)
 
 

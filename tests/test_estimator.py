@@ -504,7 +504,9 @@ class TestLogRows:
                 counted.setdefault(token, []).append(j)
         token = next(token for token, classes in sorted(counted.items())
                      if 1 < len(classes) < len(INTERNAL_CLASSES))
-        assert view.counted_in[token] == tuple(counted[token])
+        assert view.unigram_ratios[token] == tuple(
+            (j, unigrams[j][token] / tables.word_unigrams.total((INTERNAL_CLASSES[j],)))
+            for j in counted[token])
         floors = 0
         for prev in sorted({Token(word, feature)
                             for word, feature, _ in tables.word_bigrams.contexts()})[:40]:

@@ -324,7 +324,9 @@ class TestRowChecks:
         assert refused_at(text, "unknown word feature") == first
 
     @pytest.mark.parametrize("count, match", [("0", "non-positive count"),
-                                              ("x", "bad count")])
+                                              ("-3", "non-positive count"),
+                                              ("x", "bad count"),
+                                              ("07", "bad count")])
     def test_every_row_checks_its_count(self, tiny_model, count, match):
         # The second row's event and context are the first row's.
         text = serialize_model(tiny_model)
@@ -390,6 +392,33 @@ class TestUnusableModels:
         text = with_row(serialize_model(tiny_model), section, row)
         with pytest.raises(ModelFormatError, match=match):
             deserialize_model(text)
+
+    # int() reads each of these as a positive count, but serialize_model
+    # never writes one, so a loaded file would not reserialize to itself.
+    @pytest.mark.parametrize("count", ["1_0", " 7 ", "7 ", "\u0663", "07", "+3",
+                                       pytest.param("1" * 5000, id="5000-digits")])
+    def test_counts_not_in_the_written_form(self, tiny_model, count):
+        row = "hello lowerCase\tsaid lowerCase PERSON\t%s" % count
+        text = with_row(serialize_model(tiny_model), "main.word_bigrams", row)
+        with pytest.raises(ModelFormatError, match="bad count"):
+            deserialize_model(text)
+        deserialize_model(text.replace(row, row.rsplit("\t", 1)[0] + "\t3"))
+
+    # Each spells the true size, which int() would read.
+    @pytest.mark.parametrize("spell", [
+        "0{}".format, " {}".format, "{} ".format, "+{}".format,
+        lambda size: size[0] + "_" + size[1:],
+        lambda size: "".join(chr(ord(digit) - ord("0") + 0x660) for digit in size)],
+        ids=["leading-zero", "leading-space", "trailing-space", "plus-sign", "underscore",
+             "arabic-indic-digits"])
+    def test_vocab_size_not_in_the_written_form(self, tiny_model, spell):
+        text = serialize_model(tiny_model)
+        size = str(len(tiny_model.vocabulary))
+        assert len(size) > 1 and int(spell(size)) == int(size)
+        written = "vocab_size %s\n" % size
+        assert written in text
+        with pytest.raises(ModelFormatError, match="vocab_size is not an integer"):
+            deserialize_model(text.replace(written, "vocab_size %s\n" % spell(size), 1))
 
     def test_sample_size_limit_on_both_sides_of_its_edge(self, tiny_model):
         # The class marginal sums every class-transition count, and a
