@@ -88,11 +88,13 @@ class CondTable:
 
     Contexts and events are strings or flat tuples of strings.  A
     context's total (sample size) and unique-outcome count are read off
-    its events when asked; nothing else is stored.
+    its events when asked; nothing else is stored.  ``events``, when
+    given, is a ``{context: {event: count}}`` dict with no empty event
+    dict, and the table takes it over without a copy.
     """
 
-    def __init__(self):
-        self._events = {}
+    def __init__(self, events=None):
+        self._events = {} if events is None else events
 
     def add(self, context, event, count=1):
         bucket = self._events.setdefault(context, {})
@@ -141,8 +143,8 @@ class CondTable:
 class _PooledLevel(CondTable):
     """A pooled back-off level: a derived table's events, read-only."""
 
-    def __init__(self, table: CondTable, counted: str):
-        self._events = table._events
+    def __init__(self, events: dict, counted: str):
+        super().__init__(events)
         self._counted = counted
 
     def add(self, *args, **kwargs):
@@ -168,7 +170,13 @@ class CountTables:
     whose classes or length no query can ask for adds to no level a
     query reads.  The read-only levels are summed when one is first
     read, so every count must be in by then: a count added to a counted
-    table afterwards leaves them stale.
+    table afterwards leaves them stale.  ``_pooled`` sums each counted
+    table in one pass, every word-bigram event included, and then sets
+    each class's +end+ unigram count: its begin level's +end+ (regions
+    whose first word is +end+) plus the closing +end+ beyond the class's
+    region count.  Subtracting the region count from the summed +end+
+    instead agrees only while the closing +end+ are at least the region
+    count, as in every trained model; a model file can hold fewer.
     """
 
     class_transitions: CondTable = field(default_factory=CondTable)
@@ -182,31 +190,45 @@ class CountTables:
 
     @cached_property
     def _pooled(self):
-        """(class_bigrams, class_marginal, begin_bigrams, word_unigrams)."""
-        class_bigrams, class_marginal = CondTable(), CondTable()
-        begin_bigrams, word_unigrams = CondTable(), CondTable()
-        transitions, first_words, bigrams = self.tables().values()
-        for context in transitions.contexts():
-            class_bigrams.add_events(context[:1], transitions.events(context))
+        """(class_bigrams, class_marginal, begin_bigrams, word_unigrams),
+        each summed in one pass over the events it pools."""
+        transitions, first_words, bigrams = (table._events for table in self.tables().values())
+        class_bigrams = {}
+        for context, events in transitions.items():
+            pooled = class_bigrams.get(context[:1])
+            if pooled is None:
+                pooled = class_bigrams[context[:1]] = {}
+            for nc, count in events.items():
+                pooled[nc] = pooled.get(nc, 0) + count
+        marginal = {}
         for nc_prev in PREVIOUS_CLASSES:
-            class_marginal.add_events((), class_bigrams.events((nc_prev,)))
+            for nc, count in class_bigrams.get((nc_prev,), {}).items():
+                marginal[nc] = marginal.get(nc, 0) + count
+        begin_bigrams, word_unigrams = {}, {}
         for nc in INTERNAL_CLASSES:
+            pooled = {}
             for nc_prev in PREVIOUS_CLASSES:
-                begin_bigrams.add_events((nc,), first_words.events((nc, nc_prev)))
-            word_unigrams.add_events((nc,), begin_bigrams.events((nc,)))
-        ends = {}
-        for context in bigrams.contexts():
-            events = bigrams.events(context)
-            if END_TOKEN in events:
-                ends[context[2:]] = ends.get(context[2:], 0) + events[END_TOKEN]
-                events = {token: n for token, n in events.items() if token != END_TOKEN}
-            word_unigrams.add_events(context[2:], events)
+                for token, count in first_words.get((nc, nc_prev), {}).items():
+                    pooled[token] = pooled.get(token, 0) + count
+            if pooled:
+                begin_bigrams[(nc,)] = pooled
+                word_unigrams[(nc,)] = dict(pooled)
+        for context, events in bigrams.items():
+            pooled = word_unigrams.get(context[2:])
+            if pooled is None:
+                pooled = word_unigrams[context[2:]] = {}
+            for token, count in events.items():
+                pooled[token] = pooled.get(token, 0) + count
         # One +end+ closes each region; any others are +end+ words of the text.
-        for context, count in ends.items():
-            if count > begin_bigrams.total(context):
-                word_unigrams.add(context, END_TOKEN, count - begin_bigrams.total(context))
+        for context, pooled in word_unigrams.items():
+            begin = begin_bigrams.get(context, {})
+            opening = begin.get(END_TOKEN, 0)
+            closing = pooled.pop(END_TOKEN, 0) - opening
+            count = opening + max(0, closing - sum(begin.values()))
+            if count:
+                pooled[END_TOKEN] = count
         return (_PooledLevel(class_bigrams, "class_transitions"),
-                _PooledLevel(class_marginal, "class_transitions"),
+                _PooledLevel({(): marginal} if marginal else {}, "class_transitions"),
                 _PooledLevel(begin_bigrams, "first_words"),
                 _PooledLevel(word_unigrams, "first_words and word_bigrams"))
 

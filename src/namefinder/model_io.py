@@ -16,26 +16,36 @@ The reader refuses what the estimator cannot use: a class name outside
 the inventory, in an event or a context; a context of the wrong shape;
 a word feature outside ``WORD_FEATURES``; and a table set with a
 context, counted or pooled, of ``SAMPLE_SIZE_LIMIT`` samples or more.
+It also refuses two kinds of row that no writer produces: a word, in
+an event or a context, that is neither in the [vocabulary] section nor
+a sentinel (``+end+``, ``+unk+``), and a repeated row, an event that a
+section already holds under the same context.  Row order is not
+checked.
 
 Far fewer components are distinct than are written, so the writer
 encodes each distinct event or context once per call, and the reader
-decodes each context text once per file and each event text once per
-section.  An event is checked against its own section's shape before it
-is kept, so equal events of a section share one object, and a refusal
-still names the first bad row.  Each distinct count text is decoded
-once per file.  A count or ``vocab_size`` is read only in the form the
-writer gives it (ASCII digits, no sign, no leading zero), so each
-number has one text.  ``write_model`` replaces a file only with a complete one.
+decodes each context text and each event text once per table name,
+for its main and its unknown section alike.  A text is checked when it
+is first decoded, so a refusal names the line of the first row that
+holds it, and equal events of a table share one object.  Each row then
+costs one split and a few dict operations, and puts its count straight
+into its context's events.  Each distinct count text is decoded once
+per file, and checked before the row's event.  A count or
+``vocab_size`` is read only in the form the writer gives it (ASCII
+digits, no sign, no leading zero), so each number has one text.
+``write_model`` replaces a file only with a complete one.
 """
 
 import contextlib
+import itertools
 import os
 import secrets
+from operator import contains
 
 from .counts import CondTable, CountTables, TrainedModel, Vocabulary
 from .corpus import INTERNAL_CLASSES
 from .estimator import PREVIOUS_CLASSES, SUCCESSOR_CLASSES
-from .features import FeatureConfig, Token, WORD_FEATURES
+from .features import END_WORD, FeatureConfig, Token, UNKNOWN_WORD, WORD_FEATURES
 
 MAGIC = "namefinder-model"
 VERSION = 3
@@ -47,9 +57,10 @@ VERSION = 3
 # not see a probability of 0.
 SAMPLE_SIZE_LIMIT = 2 ** 53
 
-# Per table: the allowed values of each context component (None: any
-# word), and of the event, a class name, or None for a <word feature>
-# token, whose feature must be a word feature.
+# Per table: the allowed values of each context component (None: a
+# word, which the reader takes from the vocabulary or the sentinels),
+# and of the event, a class name, or None for a <word feature> token,
+# whose feature must be a word feature.
 _PREVIOUS, _SUCCESSORS = frozenset(PREVIOUS_CLASSES), frozenset(SUCCESSOR_CLASSES)
 _CLASSES, _FEATURES = frozenset(INTERNAL_CLASSES), frozenset(WORD_FEATURES)
 _SHAPES = {
@@ -98,7 +109,9 @@ def _encode(value) -> str:
 
 
 def _decode(text: str) -> tuple:
-    return tuple(_unescape(c) for c in text.split(" "))
+    if "\\" not in text:  # most texts: nothing to undo
+        return tuple(text.split(" "))
+    return tuple([_unescape(c) for c in text.split(" ")])
 
 
 def _table_lines(table: CondTable, encoded: dict) -> list:
@@ -145,17 +158,9 @@ def _expect(lines, index, prefix):
     return lines[index][len(prefix) + 1:]
 
 
-def _check_table_set(tables: CountTables, prefix):
-    """Refuse a context of the wrong shape, and a class marginal or word
-    unigrams (no context above holds more samples) at SAMPLE_SIZE_LIMIT."""
-    for name, table in tables.tables().items():
-        shape = _SHAPES[name][0]
-        checks = [(i, allowed) for i, allowed in enumerate(shape) if allowed is not None]
-        for context in table.contexts():
-            if len(context) != len(shape) or any(context[i] not in allowed
-                                                 for i, allowed in checks):
-                raise ModelFormatError("context %r does not fit section [%s.%s]"
-                                       % (context, prefix, name))
+def _check_sample_sizes(tables: CountTables, prefix):
+    """Refuse a class marginal or word unigrams (no context above holds
+    more samples) at SAMPLE_SIZE_LIMIT."""
     for name in ("class_marginal", "word_unigrams"):
         table = getattr(tables, name)
         for context in table.contexts():
@@ -164,15 +169,35 @@ def _check_table_set(tables: CountTables, prefix):
                                        % (prefix, name, context))
 
 
-def _checked_event(components, classes, line):
-    """The event of a row at ``line``: a class name in ``classes``, or a
-    <word feature> token when ``classes`` is None."""
+def _checked_context(text, allowed, words, section, line):
+    """The context of a row at ``line``: each component in its set of
+    ``allowed``, which for a word is ``words``."""
+    context = _decode(text)
+    if len(context) == len(allowed) and all(map(contains, allowed, context)):
+        return context
+    if len(context) != len(allowed) or any(
+            choices is not words and component not in choices
+            for component, choices in zip(context, allowed)):
+        raise ModelFormatError("context %r does not fit section [%s] at line %d"
+                               % (context, section, line))
+    word = next(component for component, choices in zip(context, allowed)
+                if component not in choices)
+    raise ModelFormatError("word %r outside the vocabulary at line %d" % (word, line))
+
+
+def _checked_event(text, classes, words, line):
+    """The event of a row at ``line``: a class name in ``classes``, or,
+    when ``classes`` is None, a <word feature> token of one of ``words``."""
+    components = _decode(text)
     if classes is None:
         if len(components) != 2:
             raise ModelFormatError("expected <word feature> event at line %d" % (line,))
         if components[1] not in _FEATURES:
             raise ModelFormatError("unknown word feature %r at line %d"
                                    % (components[1], line))
+        if components[0] not in words:
+            raise ModelFormatError("word %r outside the vocabulary at line %d"
+                                   % (components[0], line))
         return Token(*components)
     if len(components) != 1:
         raise ModelFormatError("expected single-component event at line %d" % (line,))
@@ -231,66 +256,102 @@ def deserialize_model(text: str) -> TrainedModel:
     if vocab_size is None:
         raise ModelFormatError("vocab_size is not an integer")
 
-    index = 4
-    if index >= len(lines) or lines[index] != "[vocabulary]":
-        raise ModelFormatError("expected [vocabulary] at line %d" % (index + 1,))
-    index += 1
+    if len(lines) < 5 or lines[4] != "[vocabulary]":
+        raise ModelFormatError("expected [vocabulary] at line 5")
+    numbered = enumerate(itertools.islice(lines, 5, None), 6)
     words = {}
+    header = None  # (line, text) of the line that ends a section
     # Rows hold a tab and section headers never do, so a word or event
     # that starts with "[" stays a row.
-    while index < len(lines) and "\t" in lines[index]:
-        parts = lines[index].split("\t")
-        if len(parts) != 2:
-            raise ModelFormatError("bad vocabulary row at line %d" % (index + 1,))
-        if parts[1] != str(len(words) + 1):
+    for line, row in numbered:
+        try:
+            word, position = row.split("\t")
+        except ValueError:
+            if "\t" not in row:
+                header = line, row
+                break
+            raise ModelFormatError("bad vocabulary row at line %d" % (line,)) from None
+        if position != str(len(words) + 1):
             raise ModelFormatError("vocabulary id %r at line %d is not its position %d"
-                                   % (parts[1], index + 1, len(words) + 1))
-        word = _unescape(parts[0])
+                                   % (position, line, len(words) + 1))
+        word = _unescape(word)
         if word in words:
-            raise ModelFormatError("repeated vocabulary word at line %d" % (index + 1,))
+            raise ModelFormatError("repeated vocabulary word at line %d" % (line,))
         words[word] = None
-        index += 1
     if len(words) != vocab_size:
         raise ModelFormatError("vocab_size %d does not match %d vocabulary rows"
                                % (vocab_size, len(words)))
+    vocabulary = Vocabulary(words)
+    # From here on ``words`` holds every word a row may hold, as
+    # ``Vocabulary.known`` reads them: the vocabulary and the sentinels.
+    words[END_WORD] = words[UNKNOWN_WORD] = None
+    shapes = {name: (tuple(words if allowed is None else allowed for allowed in context),
+                     event)
+              for name, (context, event) in _SHAPES.items()}
 
-    main, unknown = CountTables(), CountTables()
-    contexts = {}  # context text -> its components, for the whole file
+    # Per table name, shared by its main and unknown sections: context
+    # text -> its context, and event text -> its event, each checked when
+    # first seen, so equal events share one object and a refusal names
+    # the first row that holds the text.
+    memos = {name: ({}, {}) for name in CountTables.NAMES}
     counts = {}  # count text -> its value, for the whole file
-    for prefix, tables in (("main", main), ("unknown", unknown)):
-        for name, table in tables.tables().items():
-            header = "[%s.%s]" % (prefix, name)
-            if index >= len(lines) or lines[index] != header:
-                found = lines[index] if index < len(lines) else "<end of file>"
-                raise ModelFormatError("expected section %s at line %d, found %r"
-                                       % (header, index + 1, found))
-            index += 1
-            classes = _SHAPES[name][1]
-            # Event text -> its event, checked against this section's shape,
-            # so equal events share one object.  A bad event never enters,
-            # so the first row that holds it is the one refused.
-            events = {}
-            while index < len(lines) and "\t" in lines[index]:
-                parts = lines[index].split("\t")
-                if len(parts) != 3:
-                    raise ModelFormatError("bad count row at line %d" % (index + 1,))
-                event = events.get(parts[0])
-                if event is None:
-                    components = _decode(parts[0])
-                context = contexts.get(parts[1])
-                if context is None:
-                    context = contexts[parts[1]] = _decode(parts[1])
-                count = counts.get(parts[2])
-                if count is None:
-                    count = counts[parts[2]] = _count(parts[2], index + 1)
-                if event is None:
-                    event = events[parts[0]] = _checked_event(components, classes, index + 1)
-                table.add(context, event, count)
-                index += 1
-        _check_table_set(tables, prefix)
-    if index != len(lines):
-        raise ModelFormatError("trailing content at line %d" % (index + 1,))
-    return TrainedModel(Vocabulary(words), main, unknown, config)
+    tables = []
+    for prefix in ("main", "unknown"):
+        for name in CountTables.NAMES:
+            section = "%s.%s" % (prefix, name)
+            if header is None or header[1] != "[%s]" % section:
+                line, found = header or (len(lines) + 1, "<end of file>")
+                raise ModelFormatError("expected section [%s] at line %d, found %r"
+                                       % (section, line, found))
+            table, header = _read_rows(numbered, section, shapes[name], *memos[name],
+                                       counts, words)
+            tables.append(CondTable(table))
+    if header is not None:
+        raise ModelFormatError("trailing content at line %d" % (header[0],))
+    main, unknown = CountTables(*tables[:3]), CountTables(*tables[3:])
+    _check_sample_sizes(main, "main")
+    _check_sample_sizes(unknown, "unknown")
+    return TrainedModel(vocabulary, main, unknown, config)
+
+
+def _read_rows(numbered, section, shape, contexts, events, counts, words):
+    """({context: {event: count}} of one section's rows, (line, text) of
+    the line that ends it or None at the end of the file).
+
+    ``contexts``, ``events`` and ``counts`` are the memos of the row
+    texts; each row puts its count straight into its context's events.
+    """
+    context_shape, classes = shape
+    table = {}
+    buckets = {}  # context text -> its events, for this section
+    buckets_get, contexts_get, events_get, counts_get = (
+        buckets.get, contexts.get, events.get, counts.get)
+    for line, row in numbered:
+        try:
+            event_text, context_text, count_text = row.split("\t")
+        except ValueError:
+            if "\t" not in row:
+                return table, (line, row)
+            raise ModelFormatError("bad count row at line %d" % (line,)) from None
+        count = counts_get(count_text)
+        if count is None:
+            count = counts[count_text] = _count(count_text, line)
+        bucket = buckets_get(context_text)
+        if bucket is None:
+            context = contexts_get(context_text)
+            if context is None:
+                context = contexts[context_text] = _checked_context(
+                    context_text, context_shape, words, section, line)
+            # Two texts of one context (a literal and an escaped carriage
+            # return) share its events.
+            bucket = buckets[context_text] = table.setdefault(context, {})
+        event = events_get(event_text)
+        if event is None:
+            event = events[event_text] = _checked_event(event_text, classes, words, line)
+        if event in bucket:
+            raise ModelFormatError("repeated row at line %d" % (line,))
+        bucket[event] = count
+    return table, None
 
 
 def write_model(model: TrainedModel, path):

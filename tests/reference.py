@@ -6,20 +6,23 @@ are re-summed from raw event dictionaries, the count oracle walks a
 corpus once and counts every back-off level as its own table, the
 word-feature classifier is a separate predicate list, the path oracle
 enumerates every labeled segmentation of a sentence, and the recurrence
-oracle is the Viterbi step that reads every candidate, and the corpus
-oracles split every chunk alone and emit one token at a time.
-Production code is imported only for type constructors, for the word
-features the count, path and recurrence oracles tag tokens with, in the
-path oracle for the probability queries the search is defined over, in
-the recurrence oracle for the rows a decoder reads, and in the
-tokenizing oracles for the chunk split and the parser's sentence
-builder.
+oracle is the Viterbi step that reads every candidate, the corpus
+oracles split every chunk alone and emit one token at a time, and the
+loading oracle adds a model file's rows one at a time and sums the
+pooled levels a context at a time.  Production code is imported only
+for type constructors, for the word features the count, path and
+recurrence oracles tag tokens with, in the path oracle for the
+probability queries the search is defined over, in the recurrence
+oracle for the rows a decoder reads, in the tokenizing oracles for the
+chunk split and the parser's sentence builder, and in the loading
+oracle for the format's constants, section shapes and field readers.
 """
 
 import math
 import random
+from functools import cached_property
 
-from namefinder.counts import CondTable, Vocabulary
+from namefinder.counts import CondTable, CountTables, TrainedModel, Vocabulary
 from namefinder.corpus import (
     END_OF_SENTENCE,
     INTERNAL_CLASSES,
@@ -32,7 +35,12 @@ from namefinder.corpus import (
     _SentenceBuilder,
     _split_chunk,
 )
-from namefinder.estimator import p_class_transition, p_first_word, p_next_word
+from namefinder.estimator import (
+    PREVIOUS_CLASSES,
+    p_class_transition,
+    p_first_word,
+    p_next_word,
+)
 from namefinder.features import (
     END_TOKEN,
     END_WORD,
@@ -40,7 +48,19 @@ from namefinder.features import (
     NUM_WORD_FEATURES,
     Token,
     UNKNOWN_WORD,
+    WORD_FEATURES,
     compute_feature,
+)
+from namefinder.model_io import (
+    MAGIC,
+    SAMPLE_SIZE_LIMIT,
+    VERSION,
+    ModelFormatError,
+    _SHAPES,
+    _count,
+    _expect,
+    _natural,
+    _unescape,
 )
 
 # --- Back-off mixture oracle -------------------------------------------------
@@ -206,6 +226,160 @@ def ref_train_walks(sentences, config=FeatureConfig()):
     for name, table in ref_count_walk(part_a, words(part_b), True, config).items():
         unknown[name].update(table)
     return main, unknown
+
+
+# --- Model-loading oracle ----------------------------------------------------
+
+class RefCountTables(CountTables):
+    """Count tables whose pooled levels are summed a context at a time,
+    dropping +end+ from a copy of each word-bigram context that holds it."""
+
+    @cached_property
+    def _pooled(self):
+        class_bigrams, class_marginal = CondTable(), CondTable()
+        begin_bigrams, word_unigrams = CondTable(), CondTable()
+        transitions, first_words, bigrams = self.tables().values()
+        for context in transitions.contexts():
+            class_bigrams.add_events(context[:1], transitions.events(context))
+        for nc_prev in PREVIOUS_CLASSES:
+            class_marginal.add_events((), class_bigrams.events((nc_prev,)))
+        for nc in INTERNAL_CLASSES:
+            for nc_prev in PREVIOUS_CLASSES:
+                begin_bigrams.add_events((nc,), first_words.events((nc, nc_prev)))
+            word_unigrams.add_events((nc,), begin_bigrams.events((nc,)))
+        ends = {}
+        for context in bigrams.contexts():
+            events = bigrams.events(context)
+            if END_TOKEN in events:
+                ends[context[2:]] = ends.get(context[2:], 0) + events[END_TOKEN]
+                events = {token: n for token, n in events.items() if token != END_TOKEN}
+            word_unigrams.add_events(context[2:], events)
+        for context, count in ends.items():
+            if count > begin_bigrams.total(context):
+                word_unigrams.add(context, END_TOKEN, count - begin_bigrams.total(context))
+        return class_bigrams, class_marginal, begin_bigrams, word_unigrams
+
+
+def _ref_decode(text):
+    return tuple(_unescape(c) for c in text.split(" "))
+
+
+def _ref_checked_event(components, classes, line):
+    if classes is None:
+        if len(components) != 2:
+            raise ModelFormatError("expected <word feature> event at line %d" % (line,))
+        if components[1] not in WORD_FEATURES:
+            raise ModelFormatError("unknown word feature %r at line %d"
+                                   % (components[1], line))
+        return Token(*components)
+    if len(components) != 1:
+        raise ModelFormatError("expected single-component event at line %d" % (line,))
+    if components[0] not in classes:
+        raise ModelFormatError("class %r outside the inventory at line %d"
+                               % (components[0], line))
+    return components[0]
+
+
+def _ref_check_table_set(tables, prefix):
+    for name, table in tables.tables().items():
+        shape = _SHAPES[name][0]
+        checks = [(i, allowed) for i, allowed in enumerate(shape) if allowed is not None]
+        for context in table.contexts():
+            if len(context) != len(shape) or any(context[i] not in allowed
+                                                 for i, allowed in checks):
+                raise ModelFormatError("context %r does not fit section [%s.%s]"
+                                       % (context, prefix, name))
+    for name in ("class_marginal", "word_unigrams"):
+        table = getattr(tables, name)
+        for context in table.contexts():
+            if table.total(context) >= SAMPLE_SIZE_LIMIT:
+                raise ModelFormatError("sample size of %s.%s context %r reaches 2**53"
+                                       % (prefix, name, context))
+
+
+def ref_deserialize_model(text):
+    """The loader that adds each row's count through ``CondTable.add``
+    and checks every context's shape once its table set is read.  It
+    loads a repeated row as the sum of its counts, and a word outside
+    the vocabulary as any other word; its table sets are
+    ``RefCountTables``."""
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if not lines:
+        raise ModelFormatError("empty model file")
+    magic = lines[0].split(" ")
+    if len(magic) != 2 or magic[0] != MAGIC:
+        raise ModelFormatError("not a model file (bad magic line %r)" % (lines[0],))
+    if magic[1] != str(VERSION):
+        raise ModelFormatError("unsupported model version: expected %d, found %s"
+                               % (VERSION, magic[1]))
+    swap = _expect(lines, 1, "swap_comma_period")
+    if swap not in ("0", "1"):
+        raise ModelFormatError("swap_comma_period must be 0 or 1, found %r" % (swap,))
+    config = FeatureConfig(swap_comma_period=(swap == "1"))
+    classes = tuple(_expect(lines, 2, "classes").split(" "))
+    if classes != INTERNAL_CLASSES:
+        raise ModelFormatError("unexpected class inventory %r" % (classes,))
+    vocab_size = _natural(_expect(lines, 3, "vocab_size"))
+    if vocab_size is None:
+        raise ModelFormatError("vocab_size is not an integer")
+
+    index = 4
+    if index >= len(lines) or lines[index] != "[vocabulary]":
+        raise ModelFormatError("expected [vocabulary] at line %d" % (index + 1,))
+    index += 1
+    words = {}
+    while index < len(lines) and "\t" in lines[index]:
+        parts = lines[index].split("\t")
+        if len(parts) != 2:
+            raise ModelFormatError("bad vocabulary row at line %d" % (index + 1,))
+        if parts[1] != str(len(words) + 1):
+            raise ModelFormatError("vocabulary id %r at line %d is not its position %d"
+                                   % (parts[1], index + 1, len(words) + 1))
+        word = _unescape(parts[0])
+        if word in words:
+            raise ModelFormatError("repeated vocabulary word at line %d" % (index + 1,))
+        words[word] = None
+        index += 1
+    if len(words) != vocab_size:
+        raise ModelFormatError("vocab_size %d does not match %d vocabulary rows"
+                               % (vocab_size, len(words)))
+
+    main, unknown = RefCountTables(), RefCountTables()
+    contexts, counts = {}, {}
+    for prefix, tables in (("main", main), ("unknown", unknown)):
+        for name, table in tables.tables().items():
+            header = "[%s.%s]" % (prefix, name)
+            if index >= len(lines) or lines[index] != header:
+                found = lines[index] if index < len(lines) else "<end of file>"
+                raise ModelFormatError("expected section %s at line %d, found %r"
+                                       % (header, index + 1, found))
+            index += 1
+            classes = _SHAPES[name][1]
+            events = {}
+            while index < len(lines) and "\t" in lines[index]:
+                parts = lines[index].split("\t")
+                if len(parts) != 3:
+                    raise ModelFormatError("bad count row at line %d" % (index + 1,))
+                event = events.get(parts[0])
+                if event is None:
+                    components = _ref_decode(parts[0])
+                context = contexts.get(parts[1])
+                if context is None:
+                    context = contexts[parts[1]] = _ref_decode(parts[1])
+                count = counts.get(parts[2])
+                if count is None:
+                    count = counts[parts[2]] = _count(parts[2], index + 1)
+                if event is None:
+                    event = events[parts[0]] = _ref_checked_event(components, classes,
+                                                                  index + 1)
+                table.add(context, event, count)
+                index += 1
+        _ref_check_table_set(tables, prefix)
+    if index != len(lines):
+        raise ModelFormatError("trailing content at line %d" % (index + 1,))
+    return TrainedModel(Vocabulary(words), main, unknown, config)
 
 
 # --- Word-feature oracle -----------------------------------------------------

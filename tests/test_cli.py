@@ -195,6 +195,23 @@ class TestDecode:
         assert code == EXIT_FORMAT
         assert "bad model file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mutation", ["repeated-row", "word-outside-the-vocabulary"])
+    def test_row_no_training_writes(self, workspace, tmp_path, capsys, mutation):
+        lines = workspace["model"].read_text(encoding="utf-8").split("\n")
+        row = lines.index("[main.word_bigrams]") + 1
+        if mutation == "repeated-row":
+            lines.insert(row, lines[row])
+        else:
+            event, context, count = lines[row].split("\t")
+            lines[row] = "Zzzz initCap\t%s\t%s" % (context, count)
+        bad = tmp_path / "bad.nf"
+        bad.write_text("\n".join(lines), encoding="utf-8")
+        code = main(["decode", str(workspace["plain"]), "--model", str(bad)])
+        assert code == EXIT_FORMAT
+        err = capsys.readouterr().err
+        assert "bad model file" in err
+        assert ("repeated row" if mutation == "repeated-row" else "outside the vocabulary") in err
+
     def test_count_too_large_to_decode(self, workspace, tmp_path, capsys):
         # The count loads as an integer, but its weight rounds to 1 and a
         # probability to 0; the loader refuses the file before decoding.

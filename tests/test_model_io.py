@@ -1,7 +1,10 @@
 """Model persistence: canonical text format, byte-stable round trips."""
 
+import gc
 import math
 import os
+import statistics
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,21 +19,27 @@ from namefinder import (
     PERSON,
     START_OF_SENTENCE,
     Decoder,
+    END_TOKEN,
     Region,
     Token,
     UNKNOWN_WORD,
     Vocabulary,
     deserialize_model,
+    generate_corpus,
     p_class_transition,
     p_first_word,
     p_next_word,
+    parse_annotated,
     read_model,
     serialize_model,
     train,
     write_model,
 )
 from namefinder import model_io
-from reference import random_corpus
+from conftest import ANNOTATED_FIXTURE
+from reference import RefCountTables, random_corpus, ref_deserialize_model
+
+POOLED = ("class_bigrams", "class_marginal", "begin_bigrams", "word_unigrams")
 
 
 def reserialize(model):
@@ -323,6 +332,19 @@ class TestRowChecks:
         assert lines[first] == row
         assert refused_at(text, "unknown word feature") == first
 
+    def test_a_context_is_checked_where_it_is_first_seen(self, tiny_model):
+        # Main and unknown sections of a table share their contexts, so
+        # a context already read in main is not read again.
+        text = serialize_model(tiny_model)
+        lines = text.split("\n")
+        _, context, _ = lines[lines.index("[main.word_bigrams]") + 1].split("\t")
+        text = with_row(text, "unknown.word_bigrams", "said lowerCase\t%s\t1" % context)
+        deserialize_model(text)
+        text = with_row(text, "unknown.word_bigrams", "said lowerCase\tsaid lowerCase\t1")
+        lines = text.split("\n")
+        assert refused_at(text, r"does not fit section \[unknown.word_bigrams\]") == \
+            lines.index("[unknown.word_bigrams]") + 2
+
     @pytest.mark.parametrize("count, match", [("0", "non-positive count"),
                                               ("-3", "non-positive count"),
                                               ("x", "bad count"),
@@ -393,6 +415,43 @@ class TestUnusableModels:
         with pytest.raises(ModelFormatError, match=match):
             deserialize_model(text)
 
+    @pytest.mark.parametrize("section", ["main.class_transitions", "main.word_bigrams",
+                                         "unknown.first_words"])
+    @pytest.mark.parametrize("count", ["same", "other"])
+    def test_a_repeated_row(self, tiny_model, section, count):
+        # The reference loader adds the two counts, and the model then
+        # does not reserialize to the file.
+        text = serialize_model(tiny_model)
+        lines = text.split("\n")
+        first = lines.index("[%s]" % section) + 1
+        event, context, written = lines[first].split("\t")
+        row = "%s\t%s\t%s" % (event, context,
+                              written if count == "same" else int(written) + 1)
+        text = with_row(text, section, row)
+        loaded = ref_deserialize_model(text)
+        assert serialize_model(loaded) != serialize_model(tiny_model)
+        assert refused_at(text, "repeated row") == first + 2
+
+    @pytest.mark.parametrize("section, row", [
+        ("main.class_transitions", "PERCENT\tTIME Zzzz\t1"),
+        ("main.first_words", "Zzzz initCap\tPERSON NOT-A-NAME\t1"),
+        ("main.word_bigrams", "Zzzz initCap\tsaid lowerCase NOT-A-NAME\t5"),
+        ("main.word_bigrams", "said lowerCase\tZzzz initCap PERSON\t1"),
+        ("unknown.class_transitions", "PERCENT\tTIME Zzzz\t1"),
+        ("unknown.first_words", "Zzzz allCaps\tPERSON NOT-A-NAME\t1"),
+        ("unknown.word_bigrams", "Zzzz allCaps\t+unk+ initCap PERSON\t1"),
+        ("unknown.word_bigrams", "+unk+ allCaps\tZzzz initCap PERSON\t1"),
+    ], ids=["transition-context", "first-word-event", "bigram-event", "bigram-context",
+            "unknown-transition-context", "unknown-first-word-event",
+            "unknown-bigram-event", "unknown-bigram-context"])
+    def test_words_outside_the_vocabulary(self, tiny_model, section, row):
+        text = with_row(serialize_model(tiny_model), section, row)
+        ref_deserialize_model(text)
+        assert refused_at(text, "word 'Zzzz' outside the vocabulary") == \
+            text.split("\n").index(row) + 1
+        for sentinel in ("+unk+", "+end+"):
+            deserialize_model(text.replace("Zzzz", sentinel))
+
     # int() reads each of these as a positive count, but serialize_model
     # never writes one, so a loaded file would not reserialize to itself.
     @pytest.mark.parametrize("count", ["1_0", " 7 ", "7 ", "\u0663", "07", "+3",
@@ -462,6 +521,109 @@ class TestUnusableModels:
                     continue
                 for result in Decoder(model).decode_document(text):
                     assert math.isfinite(result.log_score) and result.log_score < 0
+
+
+def _mutations(lines):
+    """One mutation of the lines of a model file."""
+    rows = [i for i, line in enumerate(lines) if line.count("\t") == 2]
+    line = st.integers(min_value=0, max_value=len(lines) - 1)
+    chars = st.sampled_from("\t \\\r[]1ab+-:XZsnt\u00e9")
+
+    def with_count(i, count):
+        event, context, _ = lines[i].split("\t")
+        return lines[:i] + ["%s\t%s\t%s" % (event, context, count)] + lines[i + 1:]
+
+    def with_char(i, at, char, replace):
+        at = min(at, len(lines[i]))
+        text = lines[i][:at] + char + lines[i][at + replace:]
+        return lines[:i] + [text] + lines[i + 1:]
+
+    def swapped(i, j):
+        mutated = list(lines)
+        mutated[i], mutated[j] = lines[j], lines[i]
+        return mutated
+
+    return st.one_of(
+        line.map(lambda i: lines[:i] + lines[i + 1:]),
+        st.tuples(line, line).map(lambda ij: lines[:ij[0]] + [lines[ij[1]]] + lines[ij[0]:]),
+        st.tuples(line, line).map(lambda ij: swapped(*ij)),
+        st.tuples(st.sampled_from(rows),
+                  st.sampled_from(["0", "1", "2", "7", "07", "x", str(2 ** 53)])).map(
+            lambda ic: with_count(*ic)),
+        st.tuples(line, st.integers(min_value=0, max_value=40), chars, st.booleans()).map(
+            lambda args: with_char(*args)))
+
+
+class TestAgainstTheReferenceLoader:
+    """The loader against ``reference.ref_deserialize_model``, which adds
+    each row through ``CondTable.add`` and sums the pooled levels a
+    context at a time."""
+
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(data=st.data())
+    def test_mutated_files_load_alike_or_are_refused(self, tiny_model, data):
+        lines = serialize_model(tiny_model).split("\n")
+        text = "\n".join(data.draw(_mutations(lines)))
+        try:
+            reference = ref_deserialize_model(text)
+        except ModelFormatError:
+            reference = None
+        try:
+            loaded = deserialize_model(text)
+        except ModelFormatError as exc:
+            # Only the checks the reference lacks may refuse what it loads.
+            assert reference is None or "repeated row" in str(exc) or \
+                "outside the vocabulary" in str(exc), str(exc)
+            return
+        assert reference is not None
+        assert loaded.vocabulary == reference.vocabulary
+        assert loaded.feature_config == reference.feature_config
+        for side in ("main", "unknown"):
+            tables, expected = getattr(loaded, side), getattr(reference, side)
+            for name in tables.NAMES + POOLED:
+                assert getattr(tables, name) == getattr(expected, name), (side, name)
+
+    def test_pooled_levels_of_a_file_no_training_writes(self):
+        # A region that opens with the word +end+ counts +end+ at the
+        # begin level.  With John's first-word count raised to 40, the
+        # class's 42 regions exceed its 3 closing +end+, which no trained
+        # model allows; the word unigrams still hold the opening +end+.
+        corpus = parse_annotated(ANNOTATED_FIXTURE +
+                                 'Jones met <ENAMEX TYPE="PERSON">+end+</ENAMEX> at noon .\n')
+        row = "John initCap\tPERSON NOT-A-NAME\t1"
+        text = serialize_model(train(corpus))
+        assert row in text
+        loaded = deserialize_model(text.replace(row, row[:-1] + "40", 1))
+        expected = RefCountTables(*loaded.main.tables().values())
+        for name in POOLED:
+            assert getattr(loaded.main, name) == getattr(expected, name), name
+        assert loaded.main.begin_bigrams.total((PERSON,)) == 42
+        assert loaded.main.word_unigrams.count((PERSON,), END_TOKEN) == 1
+
+
+def test_load_time_is_linear(tmp_path):
+    """time(2n)/time(n) <= 2.5 for ``read_model`` of the files of models
+    trained on ``generate_corpus(n)`` and ``generate_corpus(2n)``.
+
+    n is chosen so that one load takes about 20 ms or more.  Sizes
+    alternate, and the gate takes the median of the per-pair ratios, as
+    ``test_decode_time_is_linear`` does.
+    """
+    small, large = tmp_path / "small.nf", tmp_path / "large.nf"
+    write_model(train(generate_corpus(2000, seed=31)), small)
+    write_model(train(generate_corpus(4000, seed=31)), large)
+
+    def timed_load(path):
+        gc.collect()
+        begin = time.perf_counter()
+        read_model(path)
+        return time.perf_counter() - begin
+
+    ratios = []
+    for _ in range(5):
+        t_small = timed_load(small)
+        ratios.append(timed_load(large) / t_small)
+    assert statistics.median(ratios) <= 2.5, ratios
 
 
 class TestWriteModel:
