@@ -38,23 +38,20 @@ The decoder reads rows of log probabilities under canonical keys: a
 route flag (main or unknown-word tables) plus the token as looked up,
 with every out-of-vocabulary word mapped to ``+unk+``.  A transition
 block holds every class pair for one previous word, a first-word grid
-every class pair (and the sentence start) for one token, a region-end
-row every class's Pr(+end+ | previous token) for one previous token,
-and a continuation row every class for one (previous token, token)
-pair.  Each block and grid is stored with its row maxima, Tmax and
-Fmax above, so one read gives both.  The
-estimator's ``TableView`` for the route flag builds each of them in one
-pass, from evidence only, weighting the contexts it reads the first
-time it reads them.  Every row lives in a ``RowStore``, a dict that
-builds a missing row the first time it is read and keeps it, so the
-recurrence reads rows by plain subscripts.  The views are the model's
-(``table_views``): built by the first decoder over a model and shared
-by every later one, together with the start row, the stores of
-transition blocks, first-word grids and region-end rows, and the
-weighted contexts of each previous token.  So a fresh decoder refills
-none of those; it starts with only its own continuation stores empty,
-and builds a continuation row from the previous token's shared row of
-log floor terms, summing only the classes that counted the token.
+every class pair (and the sentence start) for one token, and a
+region-end row every class's Pr(+end+ | previous token) for one
+previous token; each block and grid comes with its row maxima, Tmax
+and Fmax above.  They live on the model's views (``table_views``),
+built by the first decoder over a model and shared by every later one:
+the estimator's ``TableView`` for the route flag builds a row in one
+pass, from evidence only, the first time it is read, and keeps it in a
+``RowStore``, a dict, so the recurrence reads rows by plain subscripts.
+A continuation row, one per (previous token, token) pair, is never
+stored: each step starts from the previous token's shared row of log
+floor terms and sums only the classes that counted the token, reading
+the views' weighted contexts and unigram shares.  So a decoder keeps
+no row of its own, and every store it reads is keyed by the
+vocabulary, which bounds its memory however much text it decodes.
 All out-of-vocabulary words of one feature share their rows, and a
 literal ``+unk+`` in the text, which the main tables answer, never
 shares a row with them.
@@ -81,7 +78,7 @@ from .corpus import (
     tokenize,
 )
 from .counts import TrainedModel
-from .estimator import RowStore, p_class_transition, p_first_word, p_next_word, route
+from .estimator import p_class_transition, p_first_word, p_next_word, route
 from .features import END_TOKEN, END_WORD, Token, compute_feature
 
 _K = len(INTERNAL_CLASSES)
@@ -144,11 +141,11 @@ class Decoder:
     """Reusable decoder over one trained model.
 
     Each pair of row stores is indexed by the route flag: main tables,
-    then unknown-word tables.  The transition-block and first-word-grid
-    stores, whose entries are (rows, row maxima), the region-end stores,
-    keyed by previous token, and the start row are the model's views'
-    and shared; the continuation stores, keyed (previous token, token),
-    are this decoder's.
+    then unknown-word tables.  Every store, and the start row, is the
+    model's views': the transition-block and first-word-grid stores,
+    whose entries are (rows, row maxima), the region-end and
+    next-context stores, keyed by previous token, and the unigram-ratio
+    stores, keyed by token.  The decoder holds references only.
     """
 
     def __init__(self, model: TrainedModel):
@@ -158,7 +155,8 @@ class Decoder:
         self._blocks = tuple(view.transition_blocks for view in views)
         self._grids = tuple(view.first_word_grids for view in views)
         self._ends = tuple(view.end_rows for view in views)
-        self._nexts = tuple(RowStore(view.next_log_row) for view in views)
+        self._contexts = tuple(view.next_contexts for view in views)
+        self._ratios = tuple(view.unigram_ratios for view in views)
         self._start_row = views[False].start_row
         self._token_keys = model.token_keys
 
@@ -181,7 +179,9 @@ class Decoder:
                     table[w] = key
             keys.append(key)
         n = len(keys)
-        blocks, grids, ends, nexts = self._blocks, self._grids, self._ends, self._nexts
+        blocks, grids, ends = self._blocks, self._grids, self._ends
+        contexts_of, ratios = self._contexts, self._ratios
+        log = math.log
 
         unknown, tok = keys[0]
         fw = grids[unknown][tok][0]
@@ -191,7 +191,22 @@ class Decoder:
             prev_unknown, prev_tok = keys[t - 1]
             unknown, tok = keys[t]
             end_vec = ends[prev_unknown][prev_tok]
-            cont_vec = nexts[prev_unknown or unknown][prev_tok, tok]
+            # prev's row of log floor terms, with the mixture sum over each
+            # class that counted tok; a literal +end+ reads the region end.
+            route_flag = prev_unknown or unknown
+            if tok == END_TOKEN:
+                cont_vec = ends[route_flag][prev_tok]
+            else:
+                contexts, cont_vec = contexts_of[route_flag][prev_tok]
+                pairs = ratios[route_flag][tok]
+                if pairs:
+                    cont_vec = list(cont_vec)
+                    for j, p_u in pairs:
+                        events, c_w, k1, k2, floor_term = contexts[j]
+                        count = events.get(tok)
+                        total = k1 * (count / c_w) if count else 0.0
+                        total += k2 * p_u
+                        cont_vec[j] = log(total + floor_term)
             by_target, t_max = blocks[prev_unknown][prev_tok.word]
             fw, f_max = grids[unknown][tok]
             bscore = [scores[i] + end_vec[i] for i in range(_K)]

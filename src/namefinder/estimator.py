@@ -22,8 +22,8 @@ family has one sum (``transition_row``, ``first_word_rows``,
 ``next_word_cell``) that adds coefficient * (count / c) from the most
 specific level down, plus residual * floor, for every weighted context
 or successor it is given; the next-word sum takes one context at a
-time, since a next-word row sums only the classes with evidence (a
-view's continuation rows repeat it inline).  A ``TableView`` weights a
+time, since a next-word row sums only the classes with evidence (the
+decoder's continuation step repeats it inline).  A ``TableView`` weights a
 trained context the first time a row reads it and passes whole rows to
 the sums; ``TrainedModel.table_views`` holds the pair of views for its
 main and unknown-word tables.  The scalar ``p_*_from`` functions weigh
@@ -43,8 +43,8 @@ chain, and every event but ``+end+`` of its next-word chain
 other than ``+end+`` has no count of it at any level of either chain.
 The view keeps, per token, each class that counted it paired with
 the token's unigram count / c in that class (``unigram_ratios``); a
-first-word grid or continuation row starts as the row of log
-constants, and only those classes go through the row sums and
+first-word grid, and the decoder's continuation row, start as the row
+of log constants, and only those classes go through the row sums and
 ``math.log``, a continuation cell reading its unigram term from the
 pair.  A token no class counted gets the constant row itself, a shared
 object.  The unigram levels count ``+end+`` only for
@@ -61,8 +61,9 @@ contexts (``next_contexts``) and its region-end row, Pr(+end+ | prev,
 nc) per class (``end_rows``).  The decoder maps every out-of-vocabulary
 word to ``+unk+`` before it asks, so these stores hold at most |V| + 2
 previous words and (|V| + 2) x 14 tokens per view and need no eviction.
-Continuation rows, keyed by a pair of tokens, go in a store each
-decoder keeps, built by ``next_log_row``.
+No store is keyed by a pair of tokens: the decoder computes each
+continuation row as it steps, from the previous token's weighted
+contexts and the token's pairs, so these are all the rows it reads.
 
 Queries route between the main tables and the held-out unknown-word
 tables: if any word involved in the conditioning bigram is outside the
@@ -285,8 +286,8 @@ class TableView:
     level counted the token, in class order.  ``next_contexts`` holds,
     per previous token, its weighted word-bigram context of each class
     and the log row of their floor terms, which is the shared next-word
-    row of every token no class counted; ``next_log_row`` builds a
-    decoder's own continuation rows from them.  The stores' builders
+    row of every token no class counted; the decoder computes each
+    continuation row from them and ``unigram_ratios``.  The stores' builders
     close over the weighted levels and the row stores, not the view, so
     no reference cycle keeps a discarded view alive.
     """
@@ -376,31 +377,6 @@ class TableView:
         self.first_word_grids = RowStore(first_word_grid)
         self.next_contexts = next_contexts = RowStore(weigh_next_contexts)
         self.end_rows = RowStore(end_row)
-
-    def next_log_row(self, key):
-        """[log Pr(token | prev, nc) for nc in INTERNAL_CLASSES], key being
-        (prev, token); the builder of a decoder's continuation ``RowStore``.
-        The row is prev's row of log floor terms with the mixture sum written
-        over the classes that counted the token, and that row itself when
-        none did; +end+, a literal word here, reads prev's region-end row.
-        Each sum is ``next_word_cell``'s, in its order, with the unigram
-        term read from ``unigram_ratios``."""
-        prev, token = key
-        if token == END_TOKEN:
-            return self.end_rows[prev]
-        contexts, log_floors = self.next_contexts[prev]
-        pairs = self.unigram_ratios[token]
-        if not pairs:
-            return log_floors
-        row = list(log_floors)
-        log = math.log
-        for j, p_u in pairs:
-            events, c_w, k1, k2, floor_term = contexts[j]
-            count = events.get(token)
-            total = k1 * (count / c_w) if count else 0.0
-            total += k2 * p_u
-            row[j] = log(total + floor_term)
-        return row
 
 
 # --- Routed public queries ---------------------------------------------------

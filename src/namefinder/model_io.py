@@ -16,11 +16,13 @@ The reader refuses what the estimator cannot use: a class name outside
 the inventory, in an event or a context; a context of the wrong shape;
 a word feature outside ``WORD_FEATURES``; and a table set with a
 context, counted or pooled, of ``SAMPLE_SIZE_LIMIT`` samples or more.
-It also refuses two kinds of row that no writer produces: a word, in
-an event or a context, that is neither in the [vocabulary] section nor
-a sentinel (``+end+``, ``+unk+``), and a repeated row, an event that a
-section already holds under the same context.  Row order is not
-checked.
+It also refuses three things that no writer produces: a word, in an
+event or a context, that is neither in the [vocabulary] section nor a
+sentinel (``+end+``, ``+unk+``); a repeated row, an event that a
+section already holds under the same context; and a literal carriage
+return, which the writer always escapes, so each context has one text.
+``read_model`` reads with universal newlines, so a file whose lines end
+in CRLF still loads from disk.  Row order is not checked.
 
 Far fewer components are distinct than are written, so the writer
 encodes each distinct event or context once per call, and the reader
@@ -234,6 +236,9 @@ def _count(text, line):
 
 
 def deserialize_model(text: str) -> TrainedModel:
+    if "\r" in text:
+        raise ModelFormatError("carriage return at line %d"
+                               % (text.count("\n", 0, text.index("\r")) + 1,))
     lines = text.split("\n")
     if lines[-1] == "":  # the newline that ends the last row
         lines.pop()
@@ -342,9 +347,7 @@ def _read_rows(numbered, section, shape, contexts, events, counts, words):
             if context is None:
                 context = contexts[context_text] = _checked_context(
                     context_text, context_shape, words, section, line)
-            # Two texts of one context (a literal and an escaped carriage
-            # return) share its events.
-            bucket = buckets[context_text] = table.setdefault(context, {})
+            bucket = buckets[context_text] = table[context] = {}
         event = events_get(event_text)
         if event is None:
             event = events[event_text] = _checked_event(event_text, classes, words, line)

@@ -503,6 +503,32 @@ def ref_best_path(words, model):
 # --- Plain recurrence oracle -------------------------------------------------
 
 
+def ref_next_log_row(contexts, ratios, ends, prev, token):
+    """[log Pr(token | prev, nc) for nc in INTERNAL_CLASSES] from one
+    route flag's next-context, unigram-ratio and region-end stores.
+
+    The row is prev's row of log floor terms with the mixture sum
+    written over each class that counted the token, and that row itself
+    when none did; +end+, a literal word here, reads prev's region-end
+    row.  Each sum is ``next_word_cell``'s, in its order, with the
+    unigram term read from the token's (class, count / c) pairs.
+    """
+    if token == END_TOKEN:
+        return ends[prev]
+    weighted, log_floors = contexts[prev]
+    pairs = ratios[token]
+    if not pairs:
+        return log_floors
+    row = list(log_floors)
+    for j, p_u in pairs:
+        events, c_w, k1, k2, floor_term = weighted[j]
+        count = events.get(token)
+        total = k1 * (count / c_w) if count else 0.0
+        total += k2 * p_u
+        row[j] = math.log(total + floor_term)
+    return row
+
+
 def ref_viterbi(decoder, words):
     """(log_score, path_classes, path_boundaries) of the plain recurrence
     over a decoder's row stores.
@@ -511,9 +537,10 @@ def ref_viterbi(decoder, words):
     candidates at every token: CONTINUE first, then BOUNDARY in class
     order, and only a strictly greater score replaces the incumbent.
     The keys are restated here (route flag, and the token with an
-    out-of-vocabulary word as +unk+); the rows are the decoder's own
-    stores, so this checks the search alone.  It reads the rows of each
-    (rows, maxima) entry and never the maxima.
+    out-of-vocabulary word as +unk+); the rows are read from the
+    decoder's own stores, each continuation row through
+    ``ref_next_log_row``, so this checks the search alone.  It reads the
+    rows of each (rows, maxima) entry and never the maxima.
     """
     model = decoder.model
     k = len(INTERNAL_CLASSES)
@@ -522,7 +549,8 @@ def ref_viterbi(decoder, words):
         unknown = word not in model.vocabulary and word not in (END_WORD, UNKNOWN_WORD)
         feature = compute_feature(word, i == 0, model.feature_config)
         keys.append((unknown, Token(UNKNOWN_WORD if unknown else word, feature)))
-    blocks, grids, ends, nexts = decoder._blocks, decoder._grids, decoder._ends, decoder._nexts
+    blocks, grids, ends = decoder._blocks, decoder._grids, decoder._ends
+    contexts, ratios = decoder._contexts, decoder._ratios
 
     unknown, tok = keys[0]
     fw = grids[unknown][tok][0]
@@ -532,7 +560,8 @@ def ref_viterbi(decoder, words):
         prev_unknown, prev_tok = keys[t - 1]
         unknown, tok = keys[t]
         end_vec = ends[prev_unknown][prev_tok]
-        cont_vec = nexts[prev_unknown or unknown][prev_tok, tok]
+        r = prev_unknown or unknown
+        cont_vec = ref_next_log_row(contexts[r], ratios[r], ends[r], prev_tok, tok)
         by_target = blocks[prev_unknown][prev_tok.word][0]
         fw = grids[unknown][tok][0]
         bscore = [scores[i] + end_vec[i] for i in range(k)]

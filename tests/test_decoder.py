@@ -5,6 +5,8 @@ over one model, and the model's token table."""
 
 import copy
 import gc
+import operator
+import random
 import statistics
 import time
 import weakref
@@ -267,13 +269,11 @@ class TestDeterminismAndReuse:
         decoder.decode_sentence(["the", "plan", "."])
         first_word_rows = sum(map(len, decoder._grids))
         decoder.decode_sentence(["the", oov[0], "plan", "."])
-        sizes = (sum(map(len, decoder._grids)), sum(map(len, decoder._blocks)),
-                 sum(map(len, decoder._ends)), sum(map(len, decoder._nexts)))
+        sizes = [len(store) for store in decoder_stores(decoder)]
         for word in oov[1:]:
             decoder.decode_sentence(["the", word, "plan", "."])
         assert sum(map(len, decoder._grids)) <= first_word_rows + 1
-        assert (sum(map(len, decoder._grids)), sum(map(len, decoder._blocks)),
-                sum(map(len, decoder._ends)), sum(map(len, decoder._nexts))) == sizes
+        assert [len(store) for store in decoder_stores(decoder)] == sizes
 
     def test_empty_sentence_rejected(self, tiny_model):
         with pytest.raises(ValueError):
@@ -295,8 +295,19 @@ def has_views(model):
 
 
 def shared_rows(decoder):
-    """The decoder's row stores and start row that belong to the views."""
-    return (*decoder._blocks, *decoder._grids, *decoder._ends, decoder._start_row)
+    """The decoder's row stores and start row, which belong to the views."""
+    return (*decoder._blocks, *decoder._grids, *decoder._ends, *decoder._contexts,
+            *decoder._ratios, decoder._start_row)
+
+
+def decoder_stores(decoder):
+    """Every dict that the decoder holds, on either route flag: each
+    store that it reads rows or keys from."""
+    stores = []
+    for value in vars(decoder).values():
+        stores.extend(store for store in (value if isinstance(value, tuple) else (value,))
+                      if isinstance(store, dict))
+    return stores
 
 
 TEXT = "Mr. John Smith said hello .\n+unk+ Zqx opened in Boston +end+ ."
@@ -309,12 +320,14 @@ class TestSharedViews:
         views = model.table_views
         expected = (*(view.transition_blocks for view in views),
                     *(view.first_word_grids for view in views),
-                    *(view.end_rows for view in views), views[False].start_row)
+                    *(view.end_rows for view in views),
+                    *(view.next_contexts for view in views),
+                    *(view.unigram_ratios for view in views), views[False].start_row)
+        assert len(shared_rows(first)) == len(expected)
         assert all(a is b is c for a, b, c in zip(shared_rows(first), shared_rows(second),
                                                   expected))
         other = Decoder(train(tiny_corpus))
         assert not any(a is b for a, b in zip(shared_rows(other), shared_rows(first)))
-        assert not any(a is b for a, b in zip(first._nexts, second._nexts))
 
     def test_a_fresh_decoder_weighs_no_context_a_row_has_not_read(self, tiny_corpus):
         model = train(tiny_corpus)
@@ -449,6 +462,21 @@ class TestSharedViews:
         assert {word for word, _ in unknown.first_word_grids} <= {UNKNOWN_WORD}
         # Out-of-vocabulary words reached the unknown-word store.
         assert unknown.transition_blocks and unknown.first_word_grids
+        # One long-lived decoder reads random vocabulary bigrams, then twice
+        # as many new ones: no store that it reads outgrows the bound, and
+        # a second decoder reads the very same stores, so it keeps none of
+        # its own.
+        decoder = Decoder(model)
+        vocabulary = sorted(model.vocabulary.words())
+        for seed, n_sentences in ((5, 200), (6, 400)):
+            rng = random.Random(seed)
+            for _ in range(n_sentences):
+                decoder.decode_sentence([rng.choice(vocabulary) for _ in range(20)])
+            stores = decoder_stores(decoder)
+            assert stores and all(len(store) <= bound * len(WORD_FEATURES)
+                                  for store in stores)
+        others = decoder_stores(Decoder(model))
+        assert len(others) == len(stores) and all(map(operator.is_, others, stores))
 
 
 def test_decode_time_is_linear():
@@ -529,13 +557,17 @@ def decode_as_oracle(decoder, words):
 def hand_built(model, start_row, block, grid, end_row, next_row):
     """A decoder over model whose stores build every row with the given
     builders, on either route flag, each block and grid stored with the
-    maxima of its rows over the internal previous classes."""
+    maxima of its rows over the internal previous classes.  No class
+    counts any token, so the continuation row of a previous token is its
+    row of floor terms, ``next_row(prev)``, whatever the token, unless
+    the token is a literal +end+, which reads ``end_row(prev)``."""
     decoder = Decoder(model)
     blocks = RowStore(lambda w_prev: with_maxima(block(w_prev)))
     grids = RowStore(lambda token: with_maxima(grid(token)))
     decoder._blocks, decoder._grids = (blocks, blocks), (grids, grids)
     decoder._ends = (RowStore(end_row),) * 2
-    decoder._nexts = (RowStore(next_row),) * 2
+    decoder._contexts = (RowStore(lambda prev: ((), next_row(prev))),) * 2
+    decoder._ratios = (RowStore(lambda token: ()),) * 2
     decoder._start_row = start_row
     return decoder
 
@@ -585,7 +617,7 @@ class TestPrunedSearch:
             tiny_model, _drawn_row(data, K),
             lambda w_prev: tuple(_drawn_row(data, K) for _ in range(K + 1)),
             lambda token: tuple(_drawn_row(data, K + 1) for _ in range(K)),
-            lambda prev: _drawn_row(data, K), lambda key: _drawn_row(data, K))
+            lambda prev: _drawn_row(data, K), lambda prev: _drawn_row(data, K))
         decode_as_oracle(decoder, words)
 
     def test_continue_wins_when_every_candidate_ties(self, tiny_model):

@@ -17,6 +17,7 @@ import pytest
 from namefinder import (
     AnnotatedSentence,
     CountTables,
+    Decoder,
     END_OF_SENTENCE,
     END_TOKEN,
     END_WORD,
@@ -384,11 +385,54 @@ def log_next_words(tables, prev, token, size):
             for nc in INTERNAL_CLASSES]
 
 
+def always(row):
+    """A store that gives ``row`` under every key."""
+    return RowStore(lambda key: row)
+
+
+def next_cells(model, view, prev, token):
+    """The continuation row that a decoder over model computes for
+    (prev, token) from ``view``'s stores, each class's cell read as the
+    log_score of a two-token path that the decoder's other rows force
+    through that class.
+
+    For class j, prev opens j (the start row and prev's START column are
+    0.0 for j and -inf elsewhere), every BOUNDARY candidate is -inf (the
+    first-word cells of the internal previous classes), and closing j
+    after token costs 0.0 (its region-end row and the END-OF-SENTENCE
+    block row).  So the path CONTINUEs, and its score, 0.0 + cell + 0.0
+    + 0.0, is the cell bit for bit.  prev takes the unknown-word route
+    flag, so the step reads ``view``'s stores, and token the main one,
+    whose region-end row is the forced one.
+    """
+    k = len(INTERNAL_CLASSES)
+    no_boundary = ((-math.inf,) * k,) * k
+    blocks = always((no_boundary + ((0.0,) * k,), (-math.inf,) * k))
+    cells = []
+    for j in range(k):
+        opens = tuple(0.0 if i == j else -math.inf for i in range(k))
+        grids = always((tuple(row + (cell,) for row, cell in zip(no_boundary, opens)),
+                        (-math.inf,) * k))
+        decoder = Decoder(model)
+        decoder._start_row = opens
+        decoder._blocks, decoder._grids = (blocks, blocks), (grids, grids)
+        decoder._ends = (always(opens), view.end_rows)
+        decoder._contexts = (view.next_contexts,) * 2
+        decoder._ratios = (view.unigram_ratios,) * 2
+        decoder._token_keys = ({"b": (False, token)}, {"a": (True, prev)})
+        result = decoder.decode_sentence(["a", "b"])
+        assert result.path_classes == (INTERNAL_CLASSES[j],) * 2
+        assert result.path_boundaries == (True, False)
+        cells.append(result.log_score)
+    return cells
+
+
 class TestLogRows:
-    """Every stored row, and the start row, equals math.log of the scalar
-    queries exactly (==), cell by cell, on both table sets, for trained
-    and untrained contexts alike; a row once stored is the same object,
-    and each row's stored maximum is the maximum of those logs."""
+    """Every stored row, the start row, and every continuation row that a
+    decoder computes, equals math.log of the scalar queries exactly (==),
+    cell by cell, on both table sets, for trained and untrained contexts
+    alike; a row once stored is the same object, and each row's stored
+    maximum is the maximum of those logs."""
 
     @pytest.fixture(params=["tiny", "synthetic"])
     def model(self, request, tiny_model, synthetic_model):
@@ -440,7 +484,6 @@ class TestLogRows:
     def test_next_rows(self, model, table_set):
         tables, view = tables_and_view(model, table_set)
         size = len(model.vocabulary)
-        nexts = RowStore(view.next_log_row)
         bigrams = tables.word_bigrams
         trained = set(bigrams.contexts())
         prevs = {Token(word, feature) for word, feature, _ in trained}
@@ -456,9 +499,8 @@ class TestLogRows:
                 seen[(prev.word, prev.feature, nc) in trained] += 1
                 tokens.update(sorted(bigrams.events((prev.word, prev.feature, nc)))[:3])
             for token in sorted(tokens):
-                row = nexts[prev, token]
-                assert list(row) == log_next_words(tables, prev, token, size)
-                assert nexts[prev, token] is row
+                assert next_cells(model, view, prev, token) == log_next_words(
+                    tables, prev, token, size)
         assert seen[True] and seen[False]
 
     @pytest.mark.parametrize("table_set", ["main", "unknown"])
@@ -474,7 +516,7 @@ class TestLogRows:
             assert list(row) == log_next_words(tables, prev, END_TOKEN, size)
             assert view.end_rows[prev] is row
             # A literal +end+ inside a region reads the same row.
-            assert view.next_log_row((prev, END_TOKEN)) is row
+            assert next_cells(model, view, prev, END_TOKEN) == list(row)
             closed += any(END_TOKEN in bigrams.events((prev.word, prev.feature, nc))
                           for nc in INTERNAL_CLASSES)
         assert closed
@@ -496,7 +538,6 @@ class TestLogRows:
             self, synthetic_model):
         tables, view = tables_and_view(synthetic_model, "main")
         size = len(synthetic_model.vocabulary)
-        nexts = RowStore(view.next_log_row)
         unigrams = [tables.word_unigrams.events((nc,)) for nc in INTERNAL_CLASSES]
         counted = {}
         for j, events in enumerate(unigrams):
@@ -510,26 +551,26 @@ class TestLogRows:
         floors = 0
         for prev in sorted({Token(word, feature)
                             for word, feature, _ in tables.word_bigrams.contexts()})[:40]:
-            row = nexts[prev, token]
-            assert list(row) == log_next_words(tables, prev, token, size)
+            row = next_cells(synthetic_model, view, prev, token)
+            assert row == log_next_words(tables, prev, token, size)
             log_floors = view.next_contexts[prev][1]
             for j in range(len(INTERNAL_CLASSES)):
                 if j not in counted[token]:
-                    assert row[j] is log_floors[j]
+                    assert row[j] == log_floors[j]
                     floors += 1
         assert floors
 
     def test_tokens_no_level_counted_share_one_row_per_previous_token(self, tiny_model):
         tables, view = tables_and_view(tiny_model, "main")
-        nexts = RowStore(view.next_log_row)
         said = Token("said", "lowerCase")
         assert any(tables.word_bigrams.events(("said", "lowerCase", nc))
                    for nc in INTERNAL_CLASSES)
         unseen = Token("never-seen", "lowerCase"), Token("never-seen-either", "initCap")
-        assert nexts[said, unseen[0]] is nexts[said, unseen[1]]
-        for token in unseen:
-            assert list(nexts[said, token]) == log_next_words(
-                tables, said, token, len(tiny_model.vocabulary))
+        rows = [next_cells(tiny_model, view, said, token) for token in unseen]
+        # Both read said's row of log floor terms.
+        assert rows[0] == rows[1] == list(view.next_contexts[said][1])
+        for token, row in zip(unseen, rows):
+            assert row == log_next_words(tables, said, token, len(tiny_model.vocabulary))
 
     def test_every_level_counts_as_evidence(self, tiny_model):
         # A token counted in only one first-word context, or after only
@@ -543,13 +584,13 @@ class TestLogRows:
         tables.class_transitions.add((PERSON, "said"), END_OF_SENTENCE)
         size = len(tiny_model.vocabulary)
         view = TableView(tables, size)
-        nexts = RowStore(view.next_log_row)
         said = Token("said", "lowerCase")
         for token in (only_first, only_bigram):
             assert [list(row) for row in view.first_word_grids[token][0]] == log_first_words(
                 tables, token, size)
             for prev in (said, Token("never-seen", "lowerCase")):
-                assert list(nexts[prev, token]) == log_next_words(tables, prev, token, size)
+                assert next_cells(tiny_model, view, prev, token) == log_next_words(
+                    tables, prev, token, size)
         columns = [log_transitions(tables, nc_prev, "said") for nc_prev in INTERNAL_CLASSES]
         assert [list(row) for row in view.transition_blocks["said"][0]] == [
             list(row) for row in zip(*columns)]

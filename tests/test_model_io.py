@@ -432,6 +432,22 @@ class TestUnusableModels:
         assert serialize_model(loaded) != serialize_model(tiny_model)
         assert refused_at(text, "repeated row") == first + 2
 
+    def test_a_literal_carriage_return(self):
+        # The reference loader reads a literal carriage return as its
+        # escape, so the file loads to the trained model, which does not
+        # reserialize to the file.
+        model = train([AnnotatedSentence(["Mr.", "a\rb", "said"], [Region(1, 2, PERSON)]),
+                       AnnotatedSentence(["a\rb", "left", "."], [])])
+        text = serialize_model(model)
+        assert "\r" not in text and "\\r" in text
+        literal = text.replace("\\r", "\r")
+        assert serialize_model(ref_deserialize_model(literal)) == text != literal
+        assert refused_at(literal, "carriage return") == \
+            literal.split("\n").index("a\rb\t2") + 1  # its vocabulary row
+        # Any carriage return, a CRLF line end too: read_model reads with
+        # universal newlines, so only text handed over directly holds one.
+        assert refused_at(text.replace("\n", "\r\n"), "carriage return") == 1
+
     @pytest.mark.parametrize("section, row", [
         ("main.class_transitions", "PERCENT\tTIME Zzzz\t1"),
         ("main.first_words", "Zzzz initCap\tPERSON NOT-A-NAME\t1"),
@@ -573,7 +589,8 @@ class TestAgainstTheReferenceLoader:
         except ModelFormatError as exc:
             # Only the checks the reference lacks may refuse what it loads.
             assert reference is None or "repeated row" in str(exc) or \
-                "outside the vocabulary" in str(exc), str(exc)
+                "outside the vocabulary" in str(exc) or \
+                "carriage return" in str(exc), str(exc)
             return
         assert reference is not None
         assert loaded.vocabulary == reference.vocabulary
