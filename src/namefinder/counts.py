@@ -2,18 +2,21 @@
 
 Training walks each sentence as the generative story tells it: a class
 transition at every region boundary (conditioned on the previous class
-and the previous real word), a first-word event per region, a bigram
-event per subsequent word, and a ``+end+`` event closing each region.
-Only these three tables are counted.  The pooled back-off levels below
-them (class bigrams and marginals, begin-bigrams and word unigrams) are
-their sums, which ``CountTables`` derives once per table set.
+and the previous real word, ``END_WORD`` at a sentence start), a
+first-word event per region, a bigram event per subsequent word, and an
+``END_TOKEN`` event closing each region.  Only these three tables are
+counted.  The pooled back-off levels below them (class bigrams and
+marginals, begin-bigrams and word unigrams) are their sums, which
+``CountTables`` derives once per table set.
 
 The unknown-word tables come from a two-pass held-out scheme: build a
 vocabulary on the first half of the corpus and count the second half
-against it (out-of-vocabulary words becoming the ``+unk+`` sentinel,
-keeping their real word-feature), then swap the halves and add the two
-sets of counts together.  The main tables use all sentences and the
-full vocabulary.
+against it (out-of-vocabulary words becoming ``UNKNOWN_WORD``, keeping
+their real word-feature), then swap the halves and add the two sets of
+counts together.  The main tables use all sentences and the full
+vocabulary.  Only a hand-built ``AnnotatedSentence`` can hold a word
+spelling a sentinel (``features``); one spelling ``UNKNOWN_WORD`` shares
+the held-out counts of the out-of-vocabulary words.
 
 Each ``collect_counts`` call computes a word's feature once per
 distinct (word, first-word flag), the only inputs a feature has besides
@@ -54,18 +57,18 @@ class Vocabulary:
     """The training words in first-seen order.
 
     A word's position in ``words()`` (from 1) is its row in the model
-    file.  Size counts distinct observed words, never sentinels.
+    file.  Size counts distinct observed words.
     """
 
     def __init__(self, words=()):
         self._words = dict.fromkeys(words)
 
     def known(self, word: str) -> bool:
-        """Sentinels count as known; they are never out-of-vocabulary."""
-        return word in self._words or word in (END_WORD, UNKNOWN_WORD)
+        """END_WORD is known: the sentence-start context is the main tables'."""
+        return word in self._words or word == END_WORD
 
     def map(self, word: str) -> str:
-        """Replace an out-of-vocabulary word by the unknown sentinel."""
+        """Replace an out-of-vocabulary word by UNKNOWN_WORD."""
         return word if self.known(word) else UNKNOWN_WORD
 
     def words(self):
@@ -160,23 +163,22 @@ class CountTables:
     the four pooled back-off levels derived from them.  Context -> event:
       class_transitions  (nc_prev, w_prev) -> nc
       first_words        (nc, nc_prev)     -> Token
-      word_bigrams       (w_prev, f_prev, nc) -> Token (includes +end+ events)
+      word_bigrams       (w_prev, f_prev, nc) -> Token (END_TOKEN closes a region)
       class_bigrams   (nc_prev,) -> nc     class_transitions summed over w_prev
       class_marginal  ()         -> nc     class_bigrams summed over nc_prev
       begin_bigrams   (nc,)      -> Token  first_words summed over nc_prev
       word_unigrams   (nc,)      -> Token  first_words and word_bigrams by class,
-                                           less the +end+ closing each region
+                                           less the END_TOKEN closing each region
     So no context holds more samples than a level below it.  A context
     whose classes or length no query can ask for adds to no level a
     query reads.  The read-only levels are summed when one is first
     read, so every count must be in by then: a count added to a counted
     table afterwards leaves them stale.  ``_pooled`` sums each counted
-    table in one pass, every word-bigram event included, and then sets
-    each class's +end+ unigram count: its begin level's +end+ (regions
-    whose first word is +end+) plus the closing +end+ beyond the class's
-    region count.  Subtracting the region count from the summed +end+
-    instead agrees only while the closing +end+ are at least the region
-    count, as in every trained model; a model file can hold fewer.
+    table in one pass, every word-bigram event included, and then keeps
+    only a class's closing END_TOKEN beyond its region count, which no
+    trained model has: one closes each region.  A model file can hold
+    more, and keeping the surplus keeps the unigram level at least as
+    large as every word-bigram context above it.
     """
 
     class_transitions: CondTable = field(default_factory=CondTable)
@@ -219,13 +221,10 @@ class CountTables:
                 pooled = word_unigrams[context[2:]] = {}
             for token, count in events.items():
                 pooled[token] = pooled.get(token, 0) + count
-        # One +end+ closes each region; any others are +end+ words of the text.
+        # One END_TOKEN closes each region, and each region has one first word.
         for context, pooled in word_unigrams.items():
-            begin = begin_bigrams.get(context, {})
-            opening = begin.get(END_TOKEN, 0)
-            closing = pooled.pop(END_TOKEN, 0) - opening
-            count = opening + max(0, closing - sum(begin.values()))
-            if count:
+            count = pooled.pop(END_TOKEN, 0) - sum(begin_bigrams.get(context, {}).values())
+            if count > 0:
                 pooled[END_TOKEN] = count
         return (_PooledLevel(class_bigrams, "class_transitions"),
                 _PooledLevel({(): marginal} if marginal else {}, "class_transitions"),
@@ -264,9 +263,9 @@ class TrainedModel:
         """Per first-word flag (False, then True), word -> the decoder's
         canonical key (route flag, Token) of that word.
 
-        Filled by the decoders over this model with vocabulary words and
-        sentinels only, so each dict holds at most |V| + 2 keys; not a
-        field, so equality and the model file ignore it.
+        Filled by the decoders over this model with vocabulary words
+        only, so each dict holds at most |V| keys; not a field, so
+        equality and the model file ignore it.
         """
         return {}, {}
 

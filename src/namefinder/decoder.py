@@ -36,12 +36,12 @@ NOT-A-NAME stretches produce no Region records.
 
 The decoder reads rows of log probabilities under canonical keys: a
 route flag (main or unknown-word tables) plus the token as looked up,
-with every out-of-vocabulary word mapped to ``+unk+``.  A transition
-block holds every class pair for one previous word, a first-word grid
-every class pair (and the sentence start) for one token, and a
-region-end row every class's Pr(+end+ | previous token) for one
-previous token; each block and grid comes with its row maxima, Tmax
-and Fmax above.  They live on the model's views (``table_views``),
+with every out-of-vocabulary word mapped to ``UNKNOWN_WORD``.  A
+transition block holds every class pair for one previous word, a
+first-word grid every class pair (and the sentence start) for one
+token, and a region-end row every class's Pr(END_TOKEN | previous
+token) for one previous token; each block and grid comes with its row
+maxima, Tmax and Fmax above.  They live on the model's views (``table_views``),
 built by the first decoder over a model and shared by every later one:
 the estimator's ``TableView`` for the route flag builds a row in one
 pass, from evidence only, the first time it is read, and keeps it in a
@@ -52,16 +52,17 @@ floor terms and sums only the classes that counted the token, reading
 the views' weighted contexts and unigram shares.  So a decoder keeps
 no row of its own, and every store it reads is keyed by the
 vocabulary, which bounds its memory however much text it decodes.
-All out-of-vocabulary words of one feature share their rows, and a
-literal ``+unk+`` in the text, which the main tables answer, never
-shares a row with them.
+All out-of-vocabulary words of one feature share their rows.  No word
+of the text spells a sentinel (``features``), so every step reads its
+continuation row the same way, and a word shaped like one is an
+ordinary word.
 
 A word's key depends only on the word, on whether it opens the
 sentence, and on the model's feature configuration.  The model's token
-table (``token_keys``) keeps the key of every vocabulary word and
-sentinel the decoders have met, one dict per first-word flag, so it
-holds at most 2 x (|V| + 2) keys; an out-of-vocabulary word has its
-feature computed at every occurrence and is never kept.
+table (``token_keys``) keeps the key of every vocabulary word the
+decoders have met, one dict per first-word flag, so it holds at most
+2 x |V| keys; an out-of-vocabulary word has its feature computed at
+every occurrence and is never kept.
 Decoding time is linear in token count.
 """
 
@@ -165,8 +166,8 @@ class Decoder:
         if not words:
             raise ValueError("cannot decode an empty sentence")
         # Canonical keys: the route flag, and the token with an
-        # out-of-vocabulary word mapped to +unk+.  Only the keys of
-        # known words are kept.
+        # out-of-vocabulary word mapped to UNKNOWN_WORD.  Only the keys
+        # of known words are kept.
         keys = []
         for i, w in enumerate(words):
             table = self._token_keys[i == 0]
@@ -192,21 +193,18 @@ class Decoder:
             unknown, tok = keys[t]
             end_vec = ends[prev_unknown][prev_tok]
             # prev's row of log floor terms, with the mixture sum over each
-            # class that counted tok; a literal +end+ reads the region end.
+            # class that counted tok.
             route_flag = prev_unknown or unknown
-            if tok == END_TOKEN:
-                cont_vec = ends[route_flag][prev_tok]
-            else:
-                contexts, cont_vec = contexts_of[route_flag][prev_tok]
-                pairs = ratios[route_flag][tok]
-                if pairs:
-                    cont_vec = list(cont_vec)
-                    for j, p_u in pairs:
-                        events, c_w, k1, k2, floor_term = contexts[j]
-                        count = events.get(tok)
-                        total = k1 * (count / c_w) if count else 0.0
-                        total += k2 * p_u
-                        cont_vec[j] = log(total + floor_term)
+            contexts, cont_vec = contexts_of[route_flag][prev_tok]
+            pairs = ratios[route_flag][tok]
+            if pairs:
+                cont_vec = list(cont_vec)
+                for j, p_u in pairs:
+                    events, c_w, k1, k2, floor_term = contexts[j]
+                    count = events.get(tok)
+                    total = k1 * (count / c_w) if count else 0.0
+                    total += k2 * p_u
+                    cont_vec[j] = log(total + floor_term)
             by_target, t_max = blocks[prev_unknown][prev_tok.word]
             fw, f_max = grids[unknown][tok]
             bscore = [scores[i] + end_vec[i] for i in range(_K)]

@@ -38,17 +38,16 @@ floor, so its log is a constant of the context.  The view computes the
 constants of the first-word contexts and of the untrained defaults
 once, and a previous token's constants when its word-bigram contexts
 are first read.  A class's word-unigram level sums its first-word
-chain, and every event but ``+end+`` of its next-word chain
-(``CountTables``), so a class whose unigram level did not count a token
-other than ``+end+`` has no count of it at any level of either chain.
+chain, and every event but the closing ``END_TOKEN`` of its next-word
+chain (``CountTables``), so a class whose unigram level did not count a
+word's token has no count of it at any level of either chain.
 The view keeps, per token, each class that counted it paired with
 the token's unigram count / c in that class (``unigram_ratios``); a
 first-word grid, and the decoder's continuation row, start as the row
 of log constants, and only those classes go through the row sums and
 ``math.log``, a continuation cell reading its unigram term from the
 pair.  A token no class counted gets the constant row itself, a shared
-object.  The unigram levels count ``+end+`` only for
-literal ``+end+`` words, so a region-end row sums every class.
+object.  A region-end row sums every class.
 
 Every log row lives in a ``RowStore``: a dict whose ``__missing__``
 builds the row and keeps it, the one row memo.  The stores keyed by the
@@ -57,10 +56,11 @@ transition blocks by previous word (``transition_blocks``), the
 first-word grids by token (``first_word_grids``), each stored with the
 maxima of its rows, each token's (class, unigram count / c) pairs
 (``unigram_ratios``), and by previous token its weighted word-bigram
-contexts (``next_contexts``) and its region-end row, Pr(+end+ | prev,
-nc) per class (``end_rows``).  The decoder maps every out-of-vocabulary
-word to ``+unk+`` before it asks, so these stores hold at most |V| + 2
-previous words and (|V| + 2) x 14 tokens per view and need no eviction.
+contexts (``next_contexts``) and its region-end row, Pr(END_TOKEN |
+prev, nc) per class (``end_rows``).  The decoder maps every
+out-of-vocabulary word to ``UNKNOWN_WORD`` before it asks, so these
+stores hold at most |V| + 1 previous words and (|V| + 1) x 14 tokens
+per view and need no eviction.
 No store is keyed by a pair of tokens: the decoder computes each
 continuation row as it steps, from the previous token's weighted
 contexts and the token's pairs, so these are all the rows it reads.
@@ -68,12 +68,12 @@ contexts and the token's pairs, so these are all the rows it reads.
 Queries route between the main tables and the held-out unknown-word
 tables: if any word involved in the conditioning bigram is outside the
 training vocabulary, the unknown tables answer, with out-of-vocabulary
-words mapped to the ``+unk+`` sentinel for lookup (``route``).
+words mapped to ``UNKNOWN_WORD`` for lookup (``route``).
 
 The uniform floors are 1/(number of successor classes) for class
 transitions and (1/|V|)(1/14) for both word families.  The word-family
 floor is used exactly as written by default even though the augmented
-event space (vocabulary plus the unknown sentinel, plus ``+end+`` for
+event space (vocabulary plus ``UNKNOWN_WORD``, plus ``END_TOKEN`` for
 the subsequent-word family) is slightly larger; pass normalized_floor
 to ``p_first_word_from`` or ``p_next_word_from`` to renormalize it over
 the augmented space, which makes each family sum to exactly 1.
@@ -231,9 +231,9 @@ def p_first_word_from(tables: CountTables, token: Token, nc: str, nc_prev: str,
 
 def p_next_word_from(tables: CountTables, token: Token, prev: Token, nc: str,
                      vocab_size: int, normalized_floor: bool = False) -> float:
-    """Pr(<w,f> | previous <w,f>, NC); token may be the +end+ sentinel."""
+    """Pr(<w,f> | previous <w,f>, NC); token may be END_TOKEN."""
     if normalized_floor:
-        # +1 for the unknown sentinel, +1 outcome for <+end+, other>.
+        # +1 for UNKNOWN_WORD, +1 outcome for END_TOKEN.
         floor = 1.0 / ((vocab_size + 1) * NUM_WORD_FEATURES + 1)
     else:
         floor = _word_floor(vocab_size)
@@ -271,10 +271,10 @@ class TableView:
     A row holds, for every class at once, the log of what the scalar
     ``p_*_from`` functions give with the default floor, built from
     evidence only (see the module docstring):
-      start_row[i]                      (nc_i | START-OF-SENTENCE, +end+)
+      start_row[i]                      (nc_i | START-OF-SENTENCE, END_WORD)
       transition_blocks[w_prev][0][j][i]  (SUCCESSOR_CLASSES[j] | nc_i, w_prev)
       first_word_grids[token][0][j][i]    (token opens nc_j | nc_j, PREVIOUS_CLASSES[i])
-      end_rows[prev][i]                   (+end+ | prev, nc_i)
+      end_rows[prev][i]                   (END_TOKEN | prev, nc_i)
     where nc_i is INTERNAL_CLASSES[i].  Each entry's second item holds
     the maxima of the rows of each internal successor or class j over
     the internal previous classes i (the START column left out), which
@@ -364,8 +364,8 @@ class TableView:
             return contexts, tuple(log(context[-1]) for context in contexts)
 
         def end_row(prev):
-            # The unigram levels pool +end+ only for literal +end+ words,
-            # so every class takes the mixture sum.
+            # Every class takes the mixture sum: the bigram contexts count
+            # END_TOKEN, which only a file's surplus puts in a unigram level.
             contexts = next_contexts[prev][0]
             return tuple([log(next_word_cell(END_TOKEN, context, unigrams))
                           for context, unigrams in zip(contexts, unigram_levels)])
@@ -386,7 +386,7 @@ def route(model: TrainedModel, word: str):
 
     unknown is True when the word is outside the training vocabulary:
     the unknown-word tables answer any query it takes part in, and it is
-    looked up as the +unk+ sentinel.  Sentinels count as known.
+    looked up as UNKNOWN_WORD.  END_WORD counts as known.
     """
     if model.vocabulary.known(word):
         return False, word
@@ -399,7 +399,7 @@ def _tables(model: TrainedModel, unknown: bool) -> CountTables:
 
 def p_class_transition(nc: str, nc_prev: str, w_prev: str, model: TrainedModel) -> float:
     """Pr(NC | NC_prev, w_prev), conditioned on the word only, never its
-    feature.  w_prev is +end+ exactly when NC_prev is START-OF-SENTENCE."""
+    feature.  w_prev is END_WORD exactly when NC_prev is START-OF-SENTENCE."""
     unknown, w_prev = route(model, w_prev)
     return p_class_transition_from(_tables(model, unknown), nc, nc_prev, w_prev)
 
@@ -412,7 +412,7 @@ def p_first_word(token: Token, nc: str, nc_prev: str, model: TrainedModel) -> fl
 
 
 def p_next_word(token: Token, prev: Token, nc: str, model: TrainedModel) -> float:
-    """Pr(token | prev token, NC) inside a region; query the +end+ sentinel
+    """Pr(token | prev token, NC) inside a region; query END_TOKEN
     as token to get the region-closing probability."""
     unknown, word = route(model, token.word)
     prev_unknown, prev_word = route(model, prev.word)

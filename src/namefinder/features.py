@@ -69,11 +69,13 @@ class Token(NamedTuple):
     feature: str
 
 
-# Sentinel pseudo-words.  +end+ closes every region (and is the previous
-# word at a sentence start); +unk+ stands for every out-of-vocabulary word
-# in the unknown-word tables.  compute_feature gives both "other".
-END_WORD = "+end+"
-UNKNOWN_WORD = "+unk+"
+# Sentinel pseudo-words.  The one rule: a word is never empty
+# (compute_feature refuses it) and, being split on whitespace, never holds
+# a space, so no word of any text spells a sentinel.  END_WORD closes every
+# region (and is the previous word at a sentence start); UNKNOWN_WORD
+# stands for every out-of-vocabulary word in the unknown-word tables.
+END_WORD = ""
+UNKNOWN_WORD = "unknown word"
 
 END_TOKEN = Token(END_WORD, OTHER)
 

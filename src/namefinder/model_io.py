@@ -1,10 +1,10 @@
 """Line-oriented model file format.
 
-Layout: a fixed header (magic+version, feature config, class inventory,
-vocabulary size), a [vocabulary] section of word<TAB>id rows, where a
-word's id is its position in the section (1, 2, ...), then one section
-per counted table (``CountTables.NAMES``; the pooled levels are derived
-on load), main tables before unknown tables, each row
+Layout: a fixed header (magic+version, feature config, class
+inventory), a [vocabulary] section of word<TAB>id rows, where a word's
+id is its position in the section (1, 2, ...), then one section per
+counted table (``CountTables.NAMES``; the pooled levels are derived on
+load), main tables before unknown tables, each row
 `event<TAB>context<TAB>count`.  Rows end at ``\n`` only.  Event and
 context components are space-joined, with backslash escapes for
 characters that would collide with the framing (backslash, space, tab,
@@ -16,13 +16,15 @@ The reader refuses what the estimator cannot use: a class name outside
 the inventory, in an event or a context; a context of the wrong shape;
 a word feature outside ``WORD_FEATURES``; and a table set with a
 context, counted or pooled, of ``SAMPLE_SIZE_LIMIT`` samples or more.
-It also refuses three things that no writer produces: a word, in an
-event or a context, that is neither in the [vocabulary] section nor a
-sentinel (``+end+``, ``+unk+``); a repeated row, an event that a
-section already holds under the same context; and a literal carriage
-return, which the writer always escapes, so each context has one text.
+It also refuses what no writer produces, so a file loads only as the
+writer's text of its model: an empty vocabulary word; a word outside
+the [vocabulary] section other than ``UNKNOWN_WORD``, and ``END_WORD``
+where ``_SHAPES`` allows it; a row not strictly greater than the one
+before it in its section; an event that a section already holds under
+the same context; a last line that does not end at ``\n``; and a
+literal carriage return, which the writer always escapes.
 ``read_model`` reads with universal newlines, so a file whose lines end
-in CRLF still loads from disk.  Row order is not checked.
+in CRLF still loads from disk.
 
 Far fewer components are distinct than are written, so the writer
 encodes each distinct event or context once per call, and the reader
@@ -32,9 +34,9 @@ is first decoded, so a refusal names the line of the first row that
 holds it, and equal events of a table share one object.  Each row then
 costs one split and a few dict operations, and puts its count straight
 into its context's events.  Each distinct count text is decoded once
-per file, and checked before the row's event.  A count or
-``vocab_size`` is read only in the form the writer gives it (ASCII
-digits, no sign, no leading zero), so each number has one text.
+per file, and checked before the row's event.  A count is read only
+in the form the writer gives it (ASCII digits, no sign, no leading
+zero), so each number has one text.
 ``write_model`` replaces a file only with a complete one.
 """
 
@@ -50,7 +52,7 @@ from .estimator import PREVIOUS_CLASSES, SUCCESSOR_CLASSES
 from .features import END_WORD, FeatureConfig, Token, UNKNOWN_WORD, WORD_FEATURES
 
 MAGIC = "namefinder-model"
-VERSION = 3
+VERSION = 4
 
 # Below 2**53, unique / c > 2**-53 for every context (unique >= 1), so
 # 1 + unique / c rounds above 1, every back-off weight stays below 1 and
@@ -59,16 +61,18 @@ VERSION = 3
 # not see a probability of 0.
 SAMPLE_SIZE_LIMIT = 2 ** 53
 
-# Per table: the allowed values of each context component (None: a
-# word, which the reader takes from the vocabulary or the sentinels),
-# and of the event, a class name, or None for a <word feature> token,
-# whose feature must be a word feature.
+# Per table: the allowed values of each context component and of the
+# event, a set of names or a word: a vocabulary word or UNKNOWN_WORD, or
+# with _WORD_OR_END also END_WORD (after START-OF-SENTENCE, and in
+# END_TOKEN, which never opens a region).  A word event is a <word
+# feature> token.
 _PREVIOUS, _SUCCESSORS = frozenset(PREVIOUS_CLASSES), frozenset(SUCCESSOR_CLASSES)
 _CLASSES, _FEATURES = frozenset(INTERNAL_CLASSES), frozenset(WORD_FEATURES)
+_WORD, _WORD_OR_END = "word", "word or END_WORD"
 _SHAPES = {
-    "class_transitions": ((_PREVIOUS, None), _SUCCESSORS),
-    "first_words": ((_CLASSES, _PREVIOUS), None),
-    "word_bigrams": ((None, _FEATURES, _CLASSES), None),
+    "class_transitions": ((_PREVIOUS, _WORD_OR_END), _SUCCESSORS),
+    "first_words": ((_CLASSES, _PREVIOUS), _WORD),
+    "word_bigrams": ((_WORD, _FEATURES, _CLASSES), _WORD_OR_END),
 }
 
 
@@ -139,7 +143,6 @@ def serialize_model(model: TrainedModel) -> str:
         "%s %d" % (MAGIC, VERSION),
         "swap_comma_period %d" % int(model.feature_config.swap_comma_period),
         "classes %s" % " ".join(INTERNAL_CLASSES),
-        "vocab_size %d" % len(model.vocabulary),
         "[vocabulary]",
     ]
     for position, word in enumerate(model.vocabulary.words(), 1):
@@ -171,14 +174,14 @@ def _check_sample_sizes(tables: CountTables, prefix):
                                        % (prefix, name, context))
 
 
-def _checked_context(text, allowed, words, section, line):
+def _checked_context(text, allowed, section, line):
     """The context of a row at ``line``: each component in its set of
-    ``allowed``, which for a word is ``words``."""
+    ``allowed``, which for a word is a dict of words."""
     context = _decode(text)
     if len(context) == len(allowed) and all(map(contains, allowed, context)):
         return context
     if len(context) != len(allowed) or any(
-            choices is not words and component not in choices
+            not isinstance(choices, dict) and component not in choices
             for component, choices in zip(context, allowed)):
         raise ModelFormatError("context %r does not fit section [%s] at line %d"
                                % (context, section, line))
@@ -187,45 +190,37 @@ def _checked_context(text, allowed, words, section, line):
     raise ModelFormatError("word %r outside the vocabulary at line %d" % (word, line))
 
 
-def _checked_event(text, classes, words, line):
-    """The event of a row at ``line``: a class name in ``classes``, or,
-    when ``classes`` is None, a <word feature> token of one of ``words``."""
+def _checked_event(text, allowed, line):
+    """The event of a row at ``line``: a class name in ``allowed``, or,
+    when ``allowed`` is a dict of words, a <word feature> token of one."""
     components = _decode(text)
-    if classes is None:
+    if isinstance(allowed, dict):
         if len(components) != 2:
             raise ModelFormatError("expected <word feature> event at line %d" % (line,))
         if components[1] not in _FEATURES:
             raise ModelFormatError("unknown word feature %r at line %d"
                                    % (components[1], line))
-        if components[0] not in words:
+        if components[0] not in allowed:
             raise ModelFormatError("word %r outside the vocabulary at line %d"
                                    % (components[0], line))
         return Token(*components)
     if len(components) != 1:
         raise ModelFormatError("expected single-component event at line %d" % (line,))
-    if components[0] not in classes:
+    if components[0] not in allowed:
         raise ModelFormatError("class %r outside the inventory at line %d"
                                % (components[0], line))
     return components[0]
 
 
-def _natural(text):
-    """The value of a count field written as ``%d`` writes a natural
-    number (ASCII digits, no sign, no leading zero), or None."""
-    if text.isascii() and text.isdigit() and (text[0] != "0" or text == "0"):
+def _count(text, line):
+    """The count of a row at ``line``: a positive integer as
+    ``serialize_model`` writes it (ASCII digits, no sign, no leading
+    zero)."""
+    if text.isascii() and text.isdigit() and text[0] != "0":
         try:
             return int(text)
         except ValueError:  # more digits than int() converts
-            return None
-    return None
-
-
-def _count(text, line):
-    """The count of a row at ``line``: a positive integer as
-    ``serialize_model`` writes it."""
-    count = _natural(text)
-    if count:
-        return count
+            pass
     try:
         value = int(text)
     except ValueError:
@@ -240,8 +235,8 @@ def deserialize_model(text: str) -> TrainedModel:
         raise ModelFormatError("carriage return at line %d"
                                % (text.count("\n", 0, text.index("\r")) + 1,))
     lines = text.split("\n")
-    if lines[-1] == "":  # the newline that ends the last row
-        lines.pop()
+    if lines.pop():
+        raise ModelFormatError("no newline at the end of line %d" % (len(lines) + 1,))
     if not lines:
         raise ModelFormatError("empty model file")
     magic = lines[0].split(" ")
@@ -257,13 +252,10 @@ def deserialize_model(text: str) -> TrainedModel:
     classes = tuple(_expect(lines, 2, "classes").split(" "))
     if classes != INTERNAL_CLASSES:
         raise ModelFormatError("unexpected class inventory %r" % (classes,))
-    vocab_size = _natural(_expect(lines, 3, "vocab_size"))
-    if vocab_size is None:
-        raise ModelFormatError("vocab_size is not an integer")
 
-    if len(lines) < 5 or lines[4] != "[vocabulary]":
-        raise ModelFormatError("expected [vocabulary] at line 5")
-    numbered = enumerate(itertools.islice(lines, 5, None), 6)
+    if len(lines) < 4 or lines[3] != "[vocabulary]":
+        raise ModelFormatError("expected [vocabulary] at line 4")
+    numbered = enumerate(itertools.islice(lines, 4, None), 5)
     words = {}
     header = None  # (line, text) of the line that ends a section
     # Rows hold a tab and section headers never do, so a word or event
@@ -282,16 +274,14 @@ def deserialize_model(text: str) -> TrainedModel:
         word = _unescape(word)
         if word in words:
             raise ModelFormatError("repeated vocabulary word at line %d" % (line,))
+        if not word:
+            raise ModelFormatError("empty vocabulary word at line %d" % (line,))
         words[word] = None
-    if len(words) != vocab_size:
-        raise ModelFormatError("vocab_size %d does not match %d vocabulary rows"
-                               % (vocab_size, len(words)))
     vocabulary = Vocabulary(words)
-    # From here on ``words`` holds every word a row may hold, as
-    # ``Vocabulary.known`` reads them: the vocabulary and the sentinels.
-    words[END_WORD] = words[UNKNOWN_WORD] = None
-    shapes = {name: (tuple(words if allowed is None else allowed for allowed in context),
-                     event)
+    words[UNKNOWN_WORD] = None
+    kinds = {_WORD: words, _WORD_OR_END: {**words, END_WORD: None}}
+    shapes = {name: (tuple(kinds.get(allowed, allowed) for allowed in context),
+                     kinds.get(event, event))
               for name, (context, event) in _SHAPES.items()}
 
     # Per table name, shared by its main and unknown sections: context
@@ -309,7 +299,7 @@ def deserialize_model(text: str) -> TrainedModel:
                 raise ModelFormatError("expected section [%s] at line %d, found %r"
                                        % (section, line, found))
             table, header = _read_rows(numbered, section, shapes[name], *memos[name],
-                                       counts, words)
+                                       counts)
             tables.append(CondTable(table))
     if header is not None:
         raise ModelFormatError("trailing content at line %d" % (header[0],))
@@ -319,18 +309,19 @@ def deserialize_model(text: str) -> TrainedModel:
     return TrainedModel(vocabulary, main, unknown, config)
 
 
-def _read_rows(numbered, section, shape, contexts, events, counts, words):
+def _read_rows(numbered, section, shape, contexts, events, counts):
     """({context: {event: count}} of one section's rows, (line, text) of
     the line that ends it or None at the end of the file).
 
     ``contexts``, ``events`` and ``counts`` are the memos of the row
     texts; each row puts its count straight into its context's events.
     """
-    context_shape, classes = shape
+    context_shape, event_shape = shape
     table = {}
     buckets = {}  # context text -> its events, for this section
     buckets_get, contexts_get, events_get, counts_get = (
         buckets.get, contexts.get, events.get, counts.get)
+    previous = ""
     for line, row in numbered:
         try:
             event_text, context_text, count_text = row.split("\t")
@@ -338,6 +329,9 @@ def _read_rows(numbered, section, shape, contexts, events, counts, words):
             if "\t" not in row:
                 return table, (line, row)
             raise ModelFormatError("bad count row at line %d" % (line,)) from None
+        if row <= previous:
+            raise ModelFormatError("row out of order at line %d" % (line,))
+        previous = row
         count = counts_get(count_text)
         if count is None:
             count = counts[count_text] = _count(count_text, line)
@@ -346,11 +340,11 @@ def _read_rows(numbered, section, shape, contexts, events, counts, words):
             context = contexts_get(context_text)
             if context is None:
                 context = contexts[context_text] = _checked_context(
-                    context_text, context_shape, words, section, line)
+                    context_text, context_shape, section, line)
             bucket = buckets[context_text] = table[context] = {}
         event = events_get(event_text)
         if event is None:
-            event = events[event_text] = _checked_event(event_text, classes, words, line)
+            event = events[event_text] = _checked_event(event_text, event_shape, line)
         if event in bucket:
             raise ModelFormatError("repeated row at line %d" % (line,))
         bucket[event] = count

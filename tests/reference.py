@@ -59,7 +59,6 @@ from namefinder.model_io import (
     _SHAPES,
     _count,
     _expect,
-    _natural,
     _unescape,
 )
 
@@ -147,15 +146,14 @@ def ref_p_next_word(tables, token, prev, nc, vocab_size, normalized_floor=False)
 
 def ref_tables(model, *words):
     """Independent restatement of the routing rule."""
-    sentinels = (END_WORD, UNKNOWN_WORD)
     for word in words:
-        if word not in model.vocabulary and word not in sentinels:
+        if word not in model.vocabulary and word != END_WORD:
             return model.unknown
     return model.main
 
 
 def ref_lookup(model, token):
-    if token.word in model.vocabulary or token.word in (END_WORD, UNKNOWN_WORD):
+    if token.word in model.vocabulary or token.word == END_WORD:
         return token
     return Token(UNKNOWN_WORD, token.feature)
 
@@ -232,7 +230,8 @@ def ref_train_walks(sentences, config=FeatureConfig()):
 
 class RefCountTables(CountTables):
     """Count tables whose pooled levels are summed a context at a time,
-    dropping +end+ from a copy of each word-bigram context that holds it."""
+    dropping END_TOKEN from a copy of each word-bigram context that holds
+    it."""
 
     @cached_property
     def _pooled(self):
@@ -265,7 +264,7 @@ def _ref_decode(text):
 
 
 def _ref_checked_event(components, classes, line):
-    if classes is None:
+    if isinstance(classes, str):  # a kind of word: a <word feature> token
         if len(components) != 2:
             raise ModelFormatError("expected <word feature> event at line %d" % (line,))
         if components[1] not in WORD_FEATURES:
@@ -283,7 +282,8 @@ def _ref_checked_event(components, classes, line):
 def _ref_check_table_set(tables, prefix):
     for name, table in tables.tables().items():
         shape = _SHAPES[name][0]
-        checks = [(i, allowed) for i, allowed in enumerate(shape) if allowed is not None]
+        checks = [(i, allowed) for i, allowed in enumerate(shape)
+                  if not isinstance(allowed, str)]  # a str names a kind of word
         for context in table.contexts():
             if len(context) != len(shape) or any(context[i] not in allowed
                                                  for i, allowed in checks):
@@ -321,11 +321,8 @@ def ref_deserialize_model(text):
     classes = tuple(_expect(lines, 2, "classes").split(" "))
     if classes != INTERNAL_CLASSES:
         raise ModelFormatError("unexpected class inventory %r" % (classes,))
-    vocab_size = _natural(_expect(lines, 3, "vocab_size"))
-    if vocab_size is None:
-        raise ModelFormatError("vocab_size is not an integer")
 
-    index = 4
+    index = 3
     if index >= len(lines) or lines[index] != "[vocabulary]":
         raise ModelFormatError("expected [vocabulary] at line %d" % (index + 1,))
     index += 1
@@ -342,9 +339,6 @@ def ref_deserialize_model(text):
             raise ModelFormatError("repeated vocabulary word at line %d" % (index + 1,))
         words[word] = None
         index += 1
-    if len(words) != vocab_size:
-        raise ModelFormatError("vocab_size %d does not match %d vocabulary rows"
-                               % (vocab_size, len(words)))
 
     main, unknown = RefCountTables(), RefCountTables()
     contexts, counts = {}, {}
@@ -402,8 +396,6 @@ def ref_feature(word, is_first_word=False, config=FeatureConfig()):
     wins.  firstWord neutralizes the initial-capital signal only: it
     applies exactly where initCap would, when the word opens a sentence.
     """
-    if word in (END_WORD, UNKNOWN_WORD):
-        return "other"
     comma_char, period_char = ("," , ".") if not config.swap_comma_period else (".", ",")
     has_digit = _has(word, _DIGITS)
     letters = _letters(word)
@@ -503,18 +495,15 @@ def ref_best_path(words, model):
 # --- Plain recurrence oracle -------------------------------------------------
 
 
-def ref_next_log_row(contexts, ratios, ends, prev, token):
+def ref_next_log_row(contexts, ratios, prev, token):
     """[log Pr(token | prev, nc) for nc in INTERNAL_CLASSES] from one
-    route flag's next-context, unigram-ratio and region-end stores.
+    route flag's next-context and unigram-ratio stores.
 
     The row is prev's row of log floor terms with the mixture sum
     written over each class that counted the token, and that row itself
-    when none did; +end+, a literal word here, reads prev's region-end
-    row.  Each sum is ``next_word_cell``'s, in its order, with the
-    unigram term read from the token's (class, count / c) pairs.
+    when none did.  Each sum is ``next_word_cell``'s, in its order, with
+    the unigram term read from the token's (class, count / c) pairs.
     """
-    if token == END_TOKEN:
-        return ends[prev]
     weighted, log_floors = contexts[prev]
     pairs = ratios[token]
     if not pairs:
@@ -537,7 +526,7 @@ def ref_viterbi(decoder, words):
     candidates at every token: CONTINUE first, then BOUNDARY in class
     order, and only a strictly greater score replaces the incumbent.
     The keys are restated here (route flag, and the token with an
-    out-of-vocabulary word as +unk+); the rows are read from the
+    out-of-vocabulary word as UNKNOWN_WORD); the rows are read from the
     decoder's own stores, each continuation row through
     ``ref_next_log_row``, so this checks the search alone.  It reads the
     rows of each (rows, maxima) entry and never the maxima.
@@ -546,7 +535,7 @@ def ref_viterbi(decoder, words):
     k = len(INTERNAL_CLASSES)
     keys = []
     for i, word in enumerate(words):
-        unknown = word not in model.vocabulary and word not in (END_WORD, UNKNOWN_WORD)
+        unknown = word not in model.vocabulary
         feature = compute_feature(word, i == 0, model.feature_config)
         keys.append((unknown, Token(UNKNOWN_WORD if unknown else word, feature)))
     blocks, grids, ends = decoder._blocks, decoder._grids, decoder._ends
@@ -561,7 +550,7 @@ def ref_viterbi(decoder, words):
         unknown, tok = keys[t]
         end_vec = ends[prev_unknown][prev_tok]
         r = prev_unknown or unknown
-        cont_vec = ref_next_log_row(contexts[r], ratios[r], ends[r], prev_tok, tok)
+        cont_vec = ref_next_log_row(contexts[r], ratios[r], prev_tok, tok)
         by_target = blocks[prev_unknown][prev_tok.word][0]
         fw = grids[unknown][tok][0]
         bscore = [scores[i] + end_vec[i] for i in range(k)]

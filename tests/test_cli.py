@@ -157,12 +157,13 @@ class TestDecode:
         assert capsys.readouterr().out == ""
 
     def test_corrupt_model_file(self, workspace, tmp_path, capsys):
-        # Version 1 and 2 files are refused; their models must be retrained.
-        v3 = workspace["model"].read_text(encoding="utf-8")
-        v1, v2 = (v3.replace("namefinder-model 3\n", "namefinder-model %d\n" % version, 1)
-                  for version in (1, 2))
-        assert v1.startswith("namefinder-model 1\n") and v2.startswith("namefinder-model 2\n")
-        for text in ("namefinder-model 99\n", v1, v2):
+        # Version 1, 2 and 3 files are refused; their models must be retrained.
+        v4 = workspace["model"].read_text(encoding="utf-8")
+        old = [v4.replace("namefinder-model 4\n", "namefinder-model %d\n" % version, 1)
+               for version in (1, 2, 3)]
+        assert [text[:19] for text in old] == ["namefinder-model %d\n" % version
+                                              for version in (1, 2, 3)]
+        for text in ["namefinder-model 99\n"] + old:
             bad = tmp_path / "bad.nf"
             bad.write_text(text, encoding="utf-8")
             code = main(["decode", str(workspace["plain"]), "--model", str(bad)])
@@ -195,22 +196,34 @@ class TestDecode:
         assert code == EXIT_FORMAT
         assert "bad model file" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("mutation", ["repeated-row", "word-outside-the-vocabulary"])
-    def test_row_no_training_writes(self, workspace, tmp_path, capsys, mutation):
+    @pytest.mark.parametrize("mutation, refusal", [
+        pytest.param(mutation, refusal, id=mutation) for mutation, refusal in (
+            ("repeated-row", "repeated row"),
+            ("word-outside-the-vocabulary", "outside the vocabulary"),
+            ("rows-out-of-order", "row out of order"),
+            ("end-token-opens-a-region", "word '' outside the vocabulary"))])
+    def test_row_no_training_writes(self, workspace, tmp_path, capsys, mutation, refusal):
         lines = workspace["model"].read_text(encoding="utf-8").split("\n")
         row = lines.index("[main.word_bigrams]") + 1
-        if mutation == "repeated-row":
-            lines.insert(row, lines[row])
-        else:
-            event, context, count = lines[row].split("\t")
+        event, context, count = lines[row].split("\t")
+        if mutation == "repeated-row":  # the same event and context, sorted after
+            lines.insert(row + 1, "%s\t%s\t%s0" % (event, context, count))
+        elif mutation == "word-outside-the-vocabulary":
             lines[row] = "Zzzz initCap\t%s\t%s" % (context, count)
+        elif mutation == "rows-out-of-order":
+            lines[row], lines[row + 1] = lines[row + 1], lines[row]
+        else:
+            # END_TOKEN as a first word, sorted first: loaded, its count
+            # would outweigh the class's unigram level.
+            lines.insert(lines.index("[main.first_words]") + 1,
+                         " other\tPERSON START-OF-SENTENCE\t100000")
         bad = tmp_path / "bad.nf"
         bad.write_text("\n".join(lines), encoding="utf-8")
         code = main(["decode", str(workspace["plain"]), "--model", str(bad)])
         assert code == EXIT_FORMAT
         err = capsys.readouterr().err
         assert "bad model file" in err
-        assert ("repeated row" if mutation == "repeated-row" else "outside the vocabulary") in err
+        assert refusal in err
 
     def test_count_too_large_to_decode(self, workspace, tmp_path, capsys):
         # The count loads as an integer, but its weight rounds to 1 and a

@@ -35,7 +35,6 @@ from namefinder.corpus import (
     _split_chunk,
     _split_text,
 )
-from namefinder.features import END_WORD, UNKNOWN_WORD
 from conftest import ANNOTATED_FIXTURE
 from reference import RefSentenceBuilder, random_corpus, ref_emit_annotated, ref_tokenize
 
@@ -287,11 +286,11 @@ def test_punctuation_run_time_is_linear(split, run):
     assert statistics.median(ratios) <= 2.5, (calls, ratios)
 
 
-# Tokens the tokenizer leaves whole and that are not terminals, and the
-# sentinel strings, which text may hold like any other word.
+# Tokens the tokenizer leaves whole and that are not terminals, words
+# shaped like sentinels among them.
 _inner_words = st.one_of(
     st.text(alphabet="ab&<>é日.,-+", min_size=1, max_size=4),
-    st.sampled_from([END_WORD, UNKNOWN_WORD]),
+    st.sampled_from(["+end+", "+unk+"]),
 ).filter(lambda word: word not in TERMINALS and tokenize(word) == [[word]])
 
 

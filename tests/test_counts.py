@@ -255,9 +255,10 @@ class TestPooledLevels:
     def test_derived_levels_equal_a_seven_table_walk(self, size, seed, sentinels):
         corpus = generate_corpus(size, seed)
         if sentinels:
-            # +end+ and +unk+ as words of the text, inside and outside regions.
+            # Words shaped like sentinels, and UNKNOWN_WORD in hand-built
+            # sentences, inside and outside regions.
             corpus += random_corpus(random.Random(seed), 8,
-                                    pool=WORD_POOL + [END_WORD, UNKNOWN_WORD])
+                                    pool=WORD_POOL + ["+end+", "+unk+", UNKNOWN_WORD])
         model = train(corpus)
         for tables, walk in zip((model.main, model.unknown), ref_train_walks(corpus)):
             for name in tables.NAMES + POOLED:
@@ -300,12 +301,13 @@ class TestVocabulary:
         assert vocab.map("x") == "x"
         assert "y" not in vocab and "x" in vocab
 
-    def test_sentinels_always_known(self):
+    def test_end_word_always_known(self):
+        # So the sentence-start context routes to the main tables.
         vocab = Vocabulary()
-        for w in (END_WORD, UNKNOWN_WORD):
-            assert vocab.known(w)
-            assert vocab.map(w) == w
-        assert not vocab.known("word")
+        assert vocab.known(END_WORD) and vocab.map(END_WORD) == END_WORD
+        for w in (UNKNOWN_WORD, "+end+", "+unk+", "word"):
+            assert not vocab.known(w)
+            assert vocab.map(w) == UNKNOWN_WORD
 
 
 class TestCondTable:

@@ -32,7 +32,7 @@ from namefinder import (
     train,
 )
 from namefinder.estimator import RowStore
-from namefinder.features import END_WORD, UNKNOWN_WORD
+from namefinder.features import UNKNOWN_WORD
 from namefinder.model_io import ModelFormatError, deserialize_model, serialize_model
 from namefinder.synthetic import generate_corpus
 from reference import OOV_POOL, WORD_POOL, random_corpus, ref_best_path, ref_viterbi
@@ -220,13 +220,10 @@ class TestDeterminismAndReuse:
 
     def test_warm_caches_change_nothing(self):
         # Fresh money, date and percent tokens are out of vocabulary and
-        # share rows by feature; literal sentinels are in vocabulary and
-        # are answered by the main tables, so the same +unk+ lookup word
-        # must not share a row with them.
+        # share rows by feature, as do words shaped like sentinels.
         model = train(generate_corpus(300, seed=11))
-        # The sentinel sentences come first, so that a cache key without
-        # the route flag would hand their main-table rows to the
-        # out-of-vocabulary tokens that follow.
+        # The sentinel-shaped sentences come first, so that their rows are
+        # the ones the out-of-vocabulary tokens that follow share.
         sentences = [
             ["the", "+unk+", "said", "+end+", "to", "+begin+", "."],
             ["the", "~zq~", "said", "~qz~", "to", "@@", "."],
@@ -446,8 +443,8 @@ class TestSharedViews:
         text += "\n+end+ +unk+ +begin+ Zqx said $9,999 1999 ZQX Zq."
         for line in text.split("\n"):
             Decoder(model).decode_document(line)
-        words = set(model.vocabulary.words()) | {END_WORD, UNKNOWN_WORD}
-        bound = len(model.vocabulary) + 2
+        words = set(model.vocabulary.words()) | {UNKNOWN_WORD}
+        bound = len(model.vocabulary) + 1
         main, unknown = model.table_views
         assert set(main.transition_blocks) <= words
         assert set(unknown.transition_blocks) <= {UNKNOWN_WORD}
@@ -519,12 +516,12 @@ def property_model():
 
 _OOV_WORDS = ["Zqx", "zqx", "$9,999", "1999", "77", "ZQX", "Zq.", "zq-9", "9/9/99",
               "4.5%", "x9", ",", "+endx+"]
-_SENTINELS = ["+end+", "+unk+", "+begin+"]
+_SHAPED_LIKE_SENTINELS = ["+end+", "+unk+", "+begin+"]
 
 
 @st.composite
 def _sentences(draw, vocabulary):
-    pool = st.sampled_from(vocabulary + _OOV_WORDS + _SENTINELS)
+    pool = st.sampled_from(vocabulary + _OOV_WORDS + _SHAPED_LIKE_SENTINELS)
     return draw(st.lists(st.lists(pool, min_size=1, max_size=8), min_size=1, max_size=4))
 
 
@@ -559,8 +556,7 @@ def hand_built(model, start_row, block, grid, end_row, next_row):
     builders, on either route flag, each block and grid stored with the
     maxima of its rows over the internal previous classes.  No class
     counts any token, so the continuation row of a previous token is its
-    row of floor terms, ``next_row(prev)``, whatever the token, unless
-    the token is a literal +end+, which reads ``end_row(prev)``."""
+    row of floor terms, ``next_row(prev)``, whatever the token."""
     decoder = Decoder(model)
     blocks = RowStore(lambda w_prev: with_maxima(block(w_prev)))
     grids = RowStore(lambda token: with_maxima(grid(token)))
@@ -686,7 +682,7 @@ def oov_heavy_text(n_sentences, seed):
 class TestTokenTable:
     def test_holds_only_known_words_however_much_text_is_decoded(self):
         model = train(generate_corpus(200, seed=3))
-        known = set(model.vocabulary.words()) | {END_WORD, UNKNOWN_WORD}
+        known = set(model.vocabulary.words())
         # 50 sentences, then twice as many of other words through fresh
         # decoders: the words outside the vocabulary never get an entry.
         Decoder(model).decode_document(oov_heavy_text(50, seed=101) + " +end+ +unk+ .")

@@ -274,9 +274,12 @@ class TestRouting:
         assert route(tiny_model, "zzz") == (True, UNKNOWN_WORD)
         assert route(tiny_model, "yyy") == (True, UNKNOWN_WORD)
 
-    def test_sentinels_never_route_to_unknown(self, tiny_model):
+    def test_end_word_routes_to_the_main_tables(self, tiny_model):
+        # The sentence-start context is the main tables'.  UNKNOWN_WORD is
+        # no vocabulary word, and words shaped like sentinels are words.
         assert route(tiny_model, END_WORD) == (False, END_WORD)
-        assert route(tiny_model, UNKNOWN_WORD) == (False, UNKNOWN_WORD)
+        for word in (UNKNOWN_WORD, "+end+", "+unk+"):
+            assert route(tiny_model, word) == (True, UNKNOWN_WORD)
 
     def test_oov_condition_word_maps_to_sentinel(self, tiny_model):
         p = p_class_transition(PERSON, NAN, "zzz", tiny_model)
@@ -487,17 +490,19 @@ class TestLogRows:
         bigrams = tables.word_bigrams
         trained = set(bigrams.contexts())
         prevs = {Token(word, feature) for word, feature, _ in trained}
-        prevs |= {Token("never-seen", "lowerCase"), Token(UNKNOWN_WORD, "initCap"), END_TOKEN}
+        prevs |= {Token("never-seen", "lowerCase"), Token(UNKNOWN_WORD, "initCap")}
         unigram_tokens = sorted({token for _, token, _ in tables.word_unigrams.items()})
         seen = {True: 0, False: 0}
         for prev in sorted(prevs):
             # Up to three events of each of the previous token's contexts,
-            # plus tokens that no context saw.
-            tokens = {END_TOKEN, Token(UNKNOWN_WORD, "lowerCase"),
+            # plus tokens that no context saw.  No text holds END_TOKEN,
+            # so no continuation step reads it.
+            tokens = {Token(UNKNOWN_WORD, "lowerCase"),
                       Token("never-seen", "initCap"), *unigram_tokens[:3]}
             for nc in INTERNAL_CLASSES:
                 seen[(prev.word, prev.feature, nc) in trained] += 1
                 tokens.update(sorted(bigrams.events((prev.word, prev.feature, nc)))[:3])
+            tokens.discard(END_TOKEN)
             for token in sorted(tokens):
                 assert next_cells(model, view, prev, token) == log_next_words(
                     tables, prev, token, size)
@@ -509,30 +514,34 @@ class TestLogRows:
         size = len(model.vocabulary)
         bigrams = tables.word_bigrams
         prevs = {Token(word, feature) for word, feature, _ in bigrams.contexts()}
-        prevs |= {Token("never-seen", "lowerCase"), Token(UNKNOWN_WORD, "initCap"), END_TOKEN}
+        prevs |= {Token("never-seen", "lowerCase"), Token(UNKNOWN_WORD, "initCap")}
         closed = 0
         for prev in sorted(prevs):
             row = view.end_rows[prev]
             assert list(row) == log_next_words(tables, prev, END_TOKEN, size)
             assert view.end_rows[prev] is row
-            # A literal +end+ inside a region reads the same row.
-            assert next_cells(model, view, prev, END_TOKEN) == list(row)
             closed += any(END_TOKEN in bigrams.events((prev.word, prev.feature, nc))
                           for nc in INTERNAL_CLASSES)
         assert closed
 
     def test_region_end_rows_with_a_literal_end_word(self):
-        # A literal +end+ in a PERSON region is pooled into PERSON's
-        # unigram level only; every class still takes the row sum.
+        # A literal +end+ in a PERSON region is an ordinary word: its token
+        # is pooled into PERSON's unigram level, and END_TOKEN into no
+        # unigram level.  Every class still takes the row sum.
         corpus = generate_corpus(100, seed=8) + [AnnotatedSentence(
-            ["Mr.", END_WORD, "said", "."], [Region(0, 2, PERSON)])]
+            ["Mr.", "+end+", "said", "."], [Region(0, 2, PERSON)])]
         model = train(corpus)
         tables, view = tables_and_view(model, "main")
-        assert END_TOKEN in tables.word_unigrams.events((PERSON,))
+        literal = Token("+end+", compute_feature("+end+"))
+        assert literal in tables.word_unigrams.events((PERSON,))
+        assert not any(END_TOKEN in tables.word_unigrams.events((nc,))
+                       for nc in INTERNAL_CLASSES)
         mr = Token("Mr.", compute_feature("Mr.", True))
-        for prev in (mr, END_TOKEN, Token("said", "lowerCase")):
+        for prev in (mr, literal, Token("said", "lowerCase")):
             assert list(view.end_rows[prev]) == log_next_words(
                 tables, prev, END_TOKEN, len(model.vocabulary))
+            assert next_cells(model, view, prev, literal) == log_next_words(
+                tables, prev, literal, len(model.vocabulary))
 
     def test_cells_of_classes_that_did_not_count_the_token_are_the_floor(
             self, synthetic_model):

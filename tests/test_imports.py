@@ -1,7 +1,7 @@
 """Every module-level import is used.
 
 No linter ships with the project, so this walks the syntax trees of the
-package, the tests and the demos with ``ast``.  The package's
+package, the tests, the demos and the tools with ``ast``.  The package's
 ``__init__.py`` is exempt: its imports are the public API.
 """
 
@@ -12,7 +12,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 EXEMPT = {ROOT / "src" / "namefinder" / "__init__.py"}
-FILES = sorted(path for pattern in ("src/namefinder/*.py", "tests/*.py", "demos/*.py")
+FILES = sorted(path for pattern in ("src/namefinder/*.py", "tests/*.py", "demos/*.py",
+                                    "tools/*.py")
                for path in ROOT.glob(pattern) if path not in EXEMPT)
 
 
