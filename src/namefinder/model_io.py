@@ -63,9 +63,9 @@ SAMPLE_SIZE_LIMIT = 2 ** 53
 
 # Per table: the allowed values of each context component and of the
 # event, a set of names or a word: a vocabulary word or UNKNOWN_WORD, or
-# with _WORD_OR_END also END_WORD (after START-OF-SENTENCE, and in
-# END_TOKEN, which never opens a region).  A word event is a <word
-# feature> token.
+# with _WORD_OR_END also END_WORD, beside any class or feature.  A
+# first_words event never holds END_WORD: no region opens with
+# END_TOKEN.  A word event is a <word feature> token.
 _PREVIOUS, _SUCCESSORS = frozenset(PREVIOUS_CLASSES), frozenset(SUCCESSOR_CLASSES)
 _CLASSES, _FEATURES = frozenset(INTERNAL_CLASSES), frozenset(WORD_FEATURES)
 _WORD, _WORD_OR_END = "word", "word or END_WORD"

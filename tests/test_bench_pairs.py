@@ -2,7 +2,10 @@
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
@@ -75,3 +78,19 @@ def test_a_run_is_read_from_its_output_and_its_full_record(tmp_path):
     assert bench_pairs.parse_run(stdout, str(tmp_path)) == {
         "correct": True, "attempted": 100, "failed": 0, "metrics": {"setup_s": 0.04},
         "paths_sha256": "0123", "log_scores_sha256": "abc"}
+
+
+def test_only_a_clean_git_checkout_is_measured(tmp_path):
+    with pytest.raises(SystemExit, match="not a git checkout"):
+        bench_pairs.commit_of(str(tmp_path))
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false"]
+    subprocess.run(git + ["init", "-q"], cwd=tmp_path, check=True)
+    (tmp_path / "a.txt").write_text("1\n", encoding="utf-8")
+    subprocess.run(git + ["add", "a.txt"], cwd=tmp_path, check=True)
+    subprocess.run(git + ["commit", "-q", "-m", "a"], cwd=tmp_path, check=True)
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=tmp_path, check=True,
+                          capture_output=True, text=True).stdout.strip()
+    assert bench_pairs.commit_of(str(tmp_path)) == head
+    (tmp_path / "a.txt").write_text("2\n", encoding="utf-8")
+    with pytest.raises(SystemExit, match="differ from HEAD"):
+        bench_pairs.commit_of(str(tmp_path))

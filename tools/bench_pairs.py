@@ -3,19 +3,21 @@
     python3 tools/bench_pairs.py PARENT CHANGE --pairs 10 --first-seed 9301 \\
         --out pairs.json
 
-PARENT and CHANGE are two checkouts of this repository.  For each
-workload (``--workloads``, by default every one in CHANGE's
-BENCHMARK.json) and each pair i, it runs
+PARENT and CHANGE are two clean git checkouts of this repository.  For
+each workload in CHANGE's BENCHMARK.json and each pair i, it runs
 
-    python3 bench/run.py --workload W --seed FIRST_SEED+i --seconds 10 --trace 0
+    python3 bench/run.py --workload W --seed FIRST_SEED+i --seconds S --trace 0
 
-once in each checkout, the parent first in even pairs and the change
-first in odd ones, and reads each run's last JSON line, its printed
-paths digest, and the log-score digest of the full record it names.
-Only the standard library is used, and ``bench/`` runs as it is.
+with S the file's ``run_seconds``, once in each checkout, the parent
+first in even pairs and the change first in odd ones, and reads each
+run's last JSON line, its printed paths digest, and the log-score
+digest of the full record it names.  Only the standard library is
+used, and ``bench/`` runs as it is.
 
-The output holds the two checkouts' commits, every run's values, and
-per workload:
+A checkout that is not a git work tree, or whose tracked files differ
+from its HEAD commit, is refused, so the output names the trees it
+measured.  The output holds the two checkouts' commits, every run's
+values, and per workload:
   - per end-to-end metric of BENCHMARK.json, the parent's and the
     change's median and quartiles, and the pairs the change won by the
     metric's ``better`` direction (a tie wins for neither);
@@ -106,10 +108,17 @@ def aggregate(pairs, better):
     return {"metrics": metrics, "pairs": checks}
 
 
-def _commit(checkout):
-    result = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout,
-                            capture_output=True, text=True)
-    return result.stdout.strip() or None
+def commit_of(checkout):
+    """The HEAD commit of ``checkout``; SystemExit if it has none or its
+    tracked files differ from it."""
+    head = subprocess.run(["git", "rev-parse", "--verify", "HEAD"], cwd=checkout,
+                          capture_output=True, text=True)
+    if head.returncode != 0:
+        raise SystemExit("%s: not a git checkout with a commit" % (checkout,))
+    if subprocess.run(["git", "diff", "--quiet", "HEAD"], cwd=checkout).returncode != 0:
+        raise SystemExit("%s: tracked files differ from HEAD %s"
+                         % (checkout, head.stdout.strip()))
+    return head.stdout.strip()
 
 
 def main(argv=None):
@@ -118,25 +127,23 @@ def main(argv=None):
     parser.add_argument("change")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=10)
-    parser.add_argument("--workloads", nargs="+")
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
     with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as handle:
         declared = json.load(handle)
     better = {metric["name"]: metric["better"] for metric in declared["end_to_end"]}
-    workloads = args.workloads or [workload["name"] for workload in declared["workloads"]]
+    seconds = declared["run_seconds"]
     checkouts = {"parent": args.parent, "change": args.change}
-    output = {"commits": {side: _commit(checkouts[side]) for side in PAIR_SIDES},
-              "seconds": args.seconds, "workloads": {}}
-    for workload in workloads:
+    output = {"commits": {side: commit_of(checkouts[side]) for side in PAIR_SIDES},
+              "seconds": seconds, "workloads": {}}
+    for workload in (workload["name"] for workload in declared["workloads"]):
         pairs = []
         for i in range(args.pairs):
             seed = args.first_seed + i
             order = PAIR_SIDES if i % 2 == 0 else PAIR_SIDES[::-1]
             pair = {"seed": seed, "first": order[0]}
             for side in order:
-                pair[side] = run_bench(checkouts[side], workload, seed, args.seconds)
+                pair[side] = run_bench(checkouts[side], workload, seed, seconds)
             pairs.append(pair)
             print("%s seed %d: %s" % (workload, seed, " ".join(
                 "%s failed %d" % (side, pair[side]["failed"]) for side in PAIR_SIDES)),
