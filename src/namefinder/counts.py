@@ -56,7 +56,7 @@ class TrainingError(ValueError):
 class Vocabulary:
     """The training words in first-seen order.
 
-    A word's position in ``words()`` (from 1) is its row in the model
+    A word's position in ``words()`` (from 1) is its id in the model
     file.  Size counts distinct observed words.
     """
 
@@ -82,7 +82,7 @@ class Vocabulary:
         return len(self._words)
 
     def __eq__(self, other):
-        """Equal when the words and their order (their file rows) agree."""
+        """Equal when the words and their order (their file ids) agree."""
         return isinstance(other, Vocabulary) and list(self._words) == list(other._words)
 
 

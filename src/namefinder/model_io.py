@@ -1,42 +1,44 @@
-"""Line-oriented model file format.
+"""Line-oriented model file format, version 5.
 
 Layout: a fixed header (magic+version, feature config, class
-inventory), a [vocabulary] section of word<TAB>id rows, where a word's
-id is its position in the section (1, 2, ...), then one section per
-counted table (``CountTables.NAMES``; the pooled levels are derived on
-load), main tables before unknown tables, each row
-`event<TAB>context<TAB>count`.  Rows end at ``\n`` only.  Event and
-context components are space-joined, with backslash escapes for
-characters that would collide with the framing (backslash, space, tab,
-newline, and carriage return, which a universal-newline read would turn
-into a line break).  Rows within a section are sorted, so serialization
-is deterministic and write→read→write is byte-identical.
+inventory), a ``words`` line, then one section per counted table
+(``CountTables.NAMES``; the pooled levels are derived on load), main
+tables before unknown tables.
 
-The reader refuses what the estimator cannot use: a class name outside
-the inventory, in an event or a context; a context of the wrong shape;
-a word feature outside ``WORD_FEATURES``; and a table set with a
-context, counted or pooled, of ``SAMPLE_SIZE_LIMIT`` samples or more.
-It also refuses what no writer produces, so a file loads only as the
-writer's text of its model: an empty vocabulary word; a word outside
-the [vocabulary] section other than ``UNKNOWN_WORD``, and ``END_WORD``
-where ``_SHAPES`` allows it; a row not strictly greater than the one
-before it in its section; an event that a section already holds under
-the same context; a last line that does not end at ``\n``; and a
-literal carriage return, which the writer always escapes.
-``read_model`` reads with universal newlines, so a file whose lines end
-in CRLF still loads from disk.
+The ``words`` line lists the vocabulary in first-seen order, space
+separated, and a word's id is its position (1, 2, ...).  Only this line
+holds text, so only it has escapes: backslash, space, tab, newline and
+carriage return (which a universal-newline read would turn into a line
+break) are written ``\\\\``, ``\\s``, ``\\t``, ``\\n`` and ``\\r``.  Every
+table field is an id: a word's, ``0`` for ``UNKNOWN_WORD`` and ``-`` for
+``END_WORD``; a class's index in ``_CLASS_IDS``; a feature's index in
+``WORD_FEATURES``.  A section holds one line per context: its ids, then
+one tab-separated ``event count`` per event, where a word event is
+``word-id feature-id`` and ``END_TOKEN`` is a bare ``-``.  Lines are
+sorted by context text and each line's events by event text, so
+serialization is deterministic and write→read→write is byte-identical.
 
-Far fewer components are distinct than are written, so the writer
-encodes each distinct event or context once per call, and the reader
-decodes each context text and each event text once per table name,
-for its main and its unknown section alike.  A text is checked when it
-is first decoded, so a refusal names the line of the first row that
-holds it, and equal events of a table share one object.  Each row then
-costs one split and a few dict operations, and puts its count straight
-into its context's events.  Each distinct count text is decoded once
-per file, and checked before the row's event.  A count is read only
-in the form the writer gives it (ASCII digits, no sign, no leading
-zero), so each number has one text.
+The reader looks each field up among the ids its slot may hold
+(``_layouts``), so a missed lookup is the refusal of a value the
+estimator cannot use or no writer produces: a class outside the
+inventory or its slot; a feature outside ``WORD_FEATURES``; a word
+outside the vocabulary; ``UNKNOWN_WORD`` in a main table; ``END_WORD``
+anywhere but the sentence-start context ``START-OF-SENTENCE -`` of a
+class transition, and the end token, which closes a region and never
+opens one; and a context or event of the wrong length.  It also refuses
+what no writer produces, so a file loads only as the writer's text of
+its model: an empty or repeated word, or a literal tab on the ``words``
+line; a context or event not strictly greater than the one before it
+(which covers a repeated one); a count not in the written form (ASCII
+digits, no sign, no leading zero); a last line that does not end at
+``\\n``; and a literal carriage return.  And it refuses a table set with
+a context, counted or pooled, of ``SAMPLE_SIZE_LIMIT`` samples or more.
+Each refusal in the tables names its line.  ``read_model`` reads with
+universal newlines, so a file whose lines end in CRLF still loads from
+disk.
+
+The reader decodes each event text once per section, so equal events of
+a table share one object, and each count text once per file.
 ``write_model`` replaces a file only with a complete one.
 """
 
@@ -44,15 +46,14 @@ import contextlib
 import itertools
 import os
 import secrets
-from operator import contains
 
+from .corpus import END_OF_SENTENCE, INTERNAL_CLASSES, START_OF_SENTENCE
 from .counts import CondTable, CountTables, TrainedModel, Vocabulary
-from .corpus import INTERNAL_CLASSES
 from .estimator import PREVIOUS_CLASSES, SUCCESSOR_CLASSES
-from .features import END_WORD, FeatureConfig, Token, UNKNOWN_WORD, WORD_FEATURES
+from .features import END_TOKEN, END_WORD, FeatureConfig, Token, UNKNOWN_WORD, WORD_FEATURES
 
 MAGIC = "namefinder-model"
-VERSION = 4
+VERSION = 5
 
 # Below 2**53, unique / c > 2**-53 for every context (unique >= 1), so
 # 1 + unique / c rounds above 1, every back-off weight stays below 1 and
@@ -61,23 +62,13 @@ VERSION = 4
 # not see a probability of 0.
 SAMPLE_SIZE_LIMIT = 2 ** 53
 
-# Per table: the allowed values of each context component and of the
-# event, a set of names or a word: a vocabulary word or UNKNOWN_WORD, or
-# with _WORD_OR_END also END_WORD, beside any class or feature.  A
-# first_words event never holds END_WORD: no region opens with
-# END_TOKEN.  A word event is a <word feature> token.
-_PREVIOUS, _SUCCESSORS = frozenset(PREVIOUS_CLASSES), frozenset(SUCCESSOR_CLASSES)
-_CLASSES, _FEATURES = frozenset(INTERNAL_CLASSES), frozenset(WORD_FEATURES)
-_WORD, _WORD_OR_END = "word", "word or END_WORD"
-_SHAPES = {
-    "class_transitions": ((_PREVIOUS, _WORD_OR_END), _SUCCESSORS),
-    "first_words": ((_CLASSES, _PREVIOUS), _WORD),
-    "word_bigrams": ((_WORD, _FEATURES, _CLASSES), _WORD_OR_END),
-}
+# A class's id is its index here.
+_CLASS_IDS = INTERNAL_CLASSES + (START_OF_SENTENCE, END_OF_SENTENCE)
 
 
 class ModelFormatError(ValueError):
-    """Raised for syntactically or semantically invalid model files."""
+    """Raised for invalid model files, and for a model that holds a value
+    no file can name."""
 
 
 _ESCAPES = (("\\", "\\\\"), (" ", "\\s"), ("\t", "\\t"), ("\n", "\\n"),
@@ -85,14 +76,14 @@ _ESCAPES = (("\\", "\\\\"), (" ", "\\s"), ("\t", "\\t"), ("\n", "\\n"),
 _UNESCAPES = {"\\": "\\", "s": " ", "t": "\t", "n": "\n", "r": "\r"}
 
 
-def _escape(component: str) -> str:
+def _escape(word: str) -> str:
     for char, replacement in _ESCAPES:
-        component = component.replace(char, replacement)
-    return component
+        word = word.replace(char, replacement)
+    return word
 
 
 def _unescape(text: str) -> str:
-    if "\\" not in text:  # most components: nothing to undo
+    if "\\" not in text:  # most words: nothing to undo
         return text
     out = []
     i = 0
@@ -100,7 +91,7 @@ def _unescape(text: str) -> str:
         ch = text[i]
         if ch == "\\":
             if i + 1 >= len(text) or text[i + 1] not in _UNESCAPES:
-                raise ModelFormatError("bad escape in %r" % (text,))
+                raise ModelFormatError("bad escape in %r at line 4" % (text,))
             out.append(_UNESCAPES[text[i + 1]])
             i += 2
         else:
@@ -109,49 +100,76 @@ def _unescape(text: str) -> str:
     return "".join(out)
 
 
-def _encode(value) -> str:
-    components = value if isinstance(value, tuple) else (value,)
-    return " ".join(_escape(c) for c in components)
+def _layouts(words):
+    """Per table set, main then unknown, and per table name, the layout
+    of its lines: for the context, then for the event, a dict of whole
+    texts and one lookup per field, each text -> the value it stands for.
+
+    A whole text stands for what no field lookup gives: the
+    sentence-start context and the end token.  Ids are written only
+    where training counts them, and ``UNKNOWN_WORD`` as 0 only when it is
+    no vocabulary word.
+    """
+    internal, previous, successors = (
+        {str(_CLASS_IDS.index(nc)): nc for nc in names}
+        for names in (INTERNAL_CLASSES, PREVIOUS_CLASSES, SUCCESSOR_CLASSES))
+    features = {str(i): feature for i, feature in enumerate(WORD_FEATURES)}
+    start = {"%d -" % _CLASS_IDS.index(START_OF_SENTENCE): (START_OF_SENTENCE, END_WORD)}
+    known = {str(i): word for i, word in enumerate(words, 1)}
+    return [{
+        "class_transitions": ((start, internal, table_words), ({}, successors)),
+        "first_words": (({}, internal, previous), ({}, table_words, features)),
+        "word_bigrams": (({}, table_words, features, internal),
+                         ({"-": END_TOKEN}, table_words, features)),
+    } for table_words in (known, known if UNKNOWN_WORD in words
+                          else {"0": UNKNOWN_WORD, **known})]
 
 
-def _decode(text: str) -> tuple:
-    if "\\" not in text:  # most texts: nothing to undo
-        return tuple(text.split(" "))
-    return tuple([_unescape(c) for c in text.split(" ")])
+def _ids(values, lookups) -> str:
+    """The ids of ``values`` in their fields' inverted lookups; KeyError
+    or ValueError for a value or a length that has no id."""
+    return " ".join([ids[value] for ids, value in zip(lookups, values, strict=True)])
 
 
-def _table_lines(table: CondTable, encoded: dict) -> list:
-    """The table's sorted rows; ``encoded`` memoizes each event's and
-    context's text (equal values encode alike, so one memo serves both)."""
+def _table_lines(table: CondTable, layout) -> list:
+    """The table's lines as ``_read_section`` reads them with ``layout``:
+    sorted by context text, each with its events sorted by event text."""
+    (contexts, *context_ids), (events, *event_ids) = (
+        [{value: text for text, value in lookup.items()} for lookup in part]
+        for part in layout)
     lines = []
     for context in table.contexts():
-        text = encoded.get(context)
-        if text is None:
-            text = encoded[context] = _encode(context)
-        context_field = "\t%s\t" % text
+        entries = []
         for event, count in table.events(context).items():
-            text = encoded.get(event)
+            text = events.get(event)  # a memo of event texts from here on
             if text is None:
-                text = encoded[event] = _encode(event)
-            lines.append("%s%s%d" % (text, context_field, count))
+                text = events[event] = _ids(event if len(event_ids) > 1 else (event,),
+                                            event_ids)
+            entries.append((text, count))
+        entries.sort()
+        lines.append((contexts.get(context) or _ids(context, context_ids),
+                      "".join(["\t%s %d" % entry for entry in entries])))
     lines.sort()
-    return lines
+    return ["".join(line) for line in lines]
 
 
 def serialize_model(model: TrainedModel) -> str:
+    words = model.vocabulary.words()
     lines = [
         "%s %d" % (MAGIC, VERSION),
         "swap_comma_period %d" % int(model.feature_config.swap_comma_period),
         "classes %s" % " ".join(INTERNAL_CLASSES),
-        "[vocabulary]",
+        " ".join(["words"] + [_escape(word) for word in words]),
     ]
-    for position, word in enumerate(model.vocabulary.words(), 1):
-        lines.append("%s\t%d" % (_escape(word), position))
-    encoded = {}
-    for prefix, tables in (("main", model.main), ("unknown", model.unknown)):
+    for prefix, tables, layouts in zip(("main", "unknown"), (model.main, model.unknown),
+                                       _layouts(words)):
         for name, table in tables.tables().items():
             lines.append("[%s.%s]" % (prefix, name))
-            lines.extend(_table_lines(table, encoded))
+            try:
+                lines.extend(_table_lines(table, layouts[name]))
+            except (KeyError, ValueError):
+                raise ModelFormatError("[%s.%s] holds a value that has no id"
+                                       % (prefix, name)) from None
     return "\n".join(lines) + "\n"
 
 
@@ -174,46 +192,8 @@ def _check_sample_sizes(tables: CountTables, prefix):
                                        % (prefix, name, context))
 
 
-def _checked_context(text, allowed, section, line):
-    """The context of a row at ``line``: each component in its set of
-    ``allowed``, which for a word is a dict of words."""
-    context = _decode(text)
-    if len(context) == len(allowed) and all(map(contains, allowed, context)):
-        return context
-    if len(context) != len(allowed) or any(
-            not isinstance(choices, dict) and component not in choices
-            for component, choices in zip(context, allowed)):
-        raise ModelFormatError("context %r does not fit section [%s] at line %d"
-                               % (context, section, line))
-    word = next(component for component, choices in zip(context, allowed)
-                if component not in choices)
-    raise ModelFormatError("word %r outside the vocabulary at line %d" % (word, line))
-
-
-def _checked_event(text, allowed, line):
-    """The event of a row at ``line``: a class name in ``allowed``, or,
-    when ``allowed`` is a dict of words, a <word feature> token of one."""
-    components = _decode(text)
-    if isinstance(allowed, dict):
-        if len(components) != 2:
-            raise ModelFormatError("expected <word feature> event at line %d" % (line,))
-        if components[1] not in _FEATURES:
-            raise ModelFormatError("unknown word feature %r at line %d"
-                                   % (components[1], line))
-        if components[0] not in allowed:
-            raise ModelFormatError("word %r outside the vocabulary at line %d"
-                                   % (components[0], line))
-        return Token(*components)
-    if len(components) != 1:
-        raise ModelFormatError("expected single-component event at line %d" % (line,))
-    if components[0] not in allowed:
-        raise ModelFormatError("class %r outside the inventory at line %d"
-                               % (components[0], line))
-    return components[0]
-
-
 def _count(text, line):
-    """The count of a row at ``line``: a positive integer as
+    """The count of an event at ``line``: a positive integer as
     ``serialize_model`` writes it (ASCII digits, no sign, no leading
     zero)."""
     if text.isascii() and text.isdigit() and text[0] != "0":
@@ -228,6 +208,18 @@ def _count(text, line):
     if value <= 0:
         raise ModelFormatError("non-positive count at line %d" % (line,))
     raise ModelFormatError("bad count at line %d" % (line,))
+
+
+def _looked_up(text, lookups):
+    """The value of each space-separated id of ``text`` in its field's
+    lookup, or None for an id a lookup misses or a wrong number of ids."""
+    ids = text.split(" ")
+    if len(ids) == len(lookups):
+        try:
+            return tuple(map(dict.__getitem__, lookups, ids))
+        except KeyError:
+            pass
+    return None
 
 
 def deserialize_model(text: str) -> TrainedModel:
@@ -253,101 +245,81 @@ def deserialize_model(text: str) -> TrainedModel:
     if classes != INTERNAL_CLASSES:
         raise ModelFormatError("unexpected class inventory %r" % (classes,))
 
-    if len(lines) < 4 or lines[3] != "[vocabulary]":
-        raise ModelFormatError("expected [vocabulary] at line 4")
-    numbered = enumerate(itertools.islice(lines, 4, None), 5)
+    if len(lines) < 4 or lines[3].split(" ")[0] != "words":
+        raise ModelFormatError("expected 'words ...' at line 4")
+    if "\t" in lines[3]:
+        raise ModelFormatError("literal tab in a word at line 4")
     words = {}
-    header = None  # (line, text) of the line that ends a section
-    # Rows hold a tab and section headers never do, so a word or event
-    # that starts with "[" stays a row.
-    for line, row in numbered:
-        try:
-            word, position = row.split("\t")
-        except ValueError:
-            if "\t" not in row:
-                header = line, row
-                break
-            raise ModelFormatError("bad vocabulary row at line %d" % (line,)) from None
-        if position != str(len(words) + 1):
-            raise ModelFormatError("vocabulary id %r at line %d is not its position %d"
-                                   % (position, line, len(words) + 1))
-        word = _unescape(word)
-        if word in words:
-            raise ModelFormatError("repeated vocabulary word at line %d" % (line,))
+    for word in map(_unescape, lines[3].split(" ")[1:]):
         if not word:
-            raise ModelFormatError("empty vocabulary word at line %d" % (line,))
+            raise ModelFormatError("empty vocabulary word at line 4")
+        if word in words:
+            raise ModelFormatError("repeated vocabulary word %r at line 4" % (word,))
         words[word] = None
-    vocabulary = Vocabulary(words)
-    words[UNKNOWN_WORD] = None
-    kinds = {_WORD: words, _WORD_OR_END: {**words, END_WORD: None}}
-    shapes = {name: (tuple(kinds.get(allowed, allowed) for allowed in context),
-                     kinds.get(event, event))
-              for name, (context, event) in _SHAPES.items()}
 
-    # Per table name, shared by its main and unknown sections: context
-    # text -> its context, and event text -> its event, each checked when
-    # first seen, so equal events share one object and a refusal names
-    # the first row that holds the text.
-    memos = {name: ({}, {}) for name in CountTables.NAMES}
+    numbered = enumerate(itertools.islice(lines, 4, None), 5)
+    header = next(numbered, None)  # (line, text) of the line that starts a section
     counts = {}  # count text -> its value, for the whole file
     tables = []
-    for prefix in ("main", "unknown"):
+    for prefix, layouts in zip(("main", "unknown"), _layouts(words)):
         for name in CountTables.NAMES:
             section = "%s.%s" % (prefix, name)
             if header is None or header[1] != "[%s]" % section:
                 line, found = header or (len(lines) + 1, "<end of file>")
                 raise ModelFormatError("expected section [%s] at line %d, found %r"
                                        % (section, line, found))
-            table, header = _read_rows(numbered, section, shapes[name], *memos[name],
-                                       counts)
+            table, header = _read_section(numbered, section, layouts[name], counts)
             tables.append(CondTable(table))
     if header is not None:
         raise ModelFormatError("trailing content at line %d" % (header[0],))
     main, unknown = CountTables(*tables[:3]), CountTables(*tables[3:])
     _check_sample_sizes(main, "main")
     _check_sample_sizes(unknown, "unknown")
-    return TrainedModel(vocabulary, main, unknown, config)
+    return TrainedModel(Vocabulary(words), main, unknown, config)
 
 
-def _read_rows(numbered, section, shape, contexts, events, counts):
-    """({context: {event: count}} of one section's rows, (line, text) of
+def _read_section(numbered, section, layout, counts):
+    """({context: {event: count}} of one section's lines, (line, text) of
     the line that ends it or None at the end of the file).
 
-    ``contexts``, ``events`` and ``counts`` are the memos of the row
-    texts; each row puts its count straight into its context's events.
+    A line without a tab ends the section: every context line holds an
+    event, and no header holds a tab.  ``counts`` is the file's memo of
+    count texts.
     """
-    context_shape, event_shape = shape
+    (contexts, *context_lookups), (events, *event_lookups) = layout
+    events = dict(events)  # event text -> its event, for this section
+    events_get, counts_get = events.get, counts.get
     table = {}
-    buckets = {}  # context text -> its events, for this section
-    buckets_get, contexts_get, events_get, counts_get = (
-        buckets.get, contexts.get, events.get, counts.get)
     previous = ""
-    for line, row in numbered:
-        try:
-            event_text, context_text, count_text = row.split("\t")
-        except ValueError:
-            if "\t" not in row:
-                return table, (line, row)
-            raise ModelFormatError("bad count row at line %d" % (line,)) from None
-        if row <= previous:
-            raise ModelFormatError("row out of order at line %d" % (line,))
-        previous = row
-        count = counts_get(count_text)
-        if count is None:
-            count = counts[count_text] = _count(count_text, line)
-        bucket = buckets_get(context_text)
-        if bucket is None:
-            context = contexts_get(context_text)
-            if context is None:
-                context = contexts[context_text] = _checked_context(
-                    context_text, context_shape, section, line)
-            bucket = buckets[context_text] = table[context] = {}
-        event = events_get(event_text)
-        if event is None:
-            event = events[event_text] = _checked_event(event_text, event_shape, line)
-        if event in bucket:
-            raise ModelFormatError("repeated row at line %d" % (line,))
-        bucket[event] = count
+    for line, text in numbered:
+        context_text, *entries = text.split("\t")
+        if not entries:
+            return table, (line, text)
+        context = contexts.get(context_text) or _looked_up(context_text, context_lookups)
+        if context is None:
+            raise ModelFormatError("bad context %r in [%s] at line %d"
+                                   % (context_text, section, line))
+        if context_text <= previous:
+            raise ModelFormatError("context out of order at line %d" % (line,))
+        previous = context_text
+        bucket = table[context] = {}
+        last = ""
+        for entry in entries:
+            event_text, _, count_text = entry.rpartition(" ")
+            event = events_get(event_text)
+            if event is None:
+                values = _looked_up(event_text, event_lookups)
+                if values is None:
+                    raise ModelFormatError("bad event %r in [%s] at line %d"
+                                           % (event_text, section, line))
+                event = events[event_text] = Token(*values) if len(values) > 1 else values[0]
+            if event_text <= last:
+                raise ModelFormatError("event out of order at line %d" % (line,))
+            last = event_text
+            count = counts_get(count_text)
+            if count is None:
+                count = counts[count_text] = _count(count_text, line)
+            bucket[event] = count
     return table, None
 
 

@@ -15,7 +15,7 @@ recurrence oracles tag tokens with, in the path oracle for the
 probability queries the search is defined over, in the recurrence
 oracle for the rows a decoder reads, in the tokenizing oracles for the
 chunk split and the parser's sentence builder, and in the loading
-oracle for the format's constants, section shapes and field readers.
+oracle for the format's constants and field readers.
 """
 
 import math
@@ -37,6 +37,7 @@ from namefinder.corpus import (
 )
 from namefinder.estimator import (
     PREVIOUS_CLASSES,
+    SUCCESSOR_CLASSES,
     p_class_transition,
     p_first_word,
     p_next_word,
@@ -56,7 +57,6 @@ from namefinder.model_io import (
     SAMPLE_SIZE_LIMIT,
     VERSION,
     ModelFormatError,
-    _SHAPES,
     _count,
     _expect,
     _unescape,
@@ -259,36 +259,32 @@ class RefCountTables(CountTables):
         return class_bigrams, class_marginal, begin_bigrams, word_unigrams
 
 
-def _ref_decode(text):
-    return tuple(_unescape(c) for c in text.split(" "))
+# Per table: the id space of each context field, then of the event.
+_REF_FIELDS = {"class_transitions": (("class", "word"), ("class",)),
+               "first_words": (("class", "class"), ("word", "feature")),
+               "word_bigrams": (("word", "feature", "class"), ("word", "feature"))}
 
 
-def _ref_checked_event(components, classes, line):
-    if isinstance(classes, str):  # a kind of word: a <word feature> token
-        if len(components) != 2:
-            raise ModelFormatError("expected <word feature> event at line %d" % (line,))
-        if components[1] not in WORD_FEATURES:
-            raise ModelFormatError("unknown word feature %r at line %d"
-                                   % (components[1], line))
-        return Token(*components)
-    if len(components) != 1:
-        raise ModelFormatError("expected single-component event at line %d" % (line,))
-    if components[0] not in classes:
-        raise ModelFormatError("class %r outside the inventory at line %d"
-                               % (components[0], line))
-    return components[0]
+def _ref_fits(name, context, event):
+    """Whether training can count ``event`` under ``context`` in table ``name``."""
+    if name == "class_transitions":
+        return event in SUCCESSOR_CLASSES and (
+            context == (START_OF_SENTENCE, END_WORD)
+            or context[0] in INTERNAL_CLASSES and context[1] != END_WORD)
+    if name == "first_words":
+        return context[0] in INTERNAL_CLASSES and context[1] in PREVIOUS_CLASSES
+    return context[0] != END_WORD and context[2] in INTERNAL_CLASSES
 
 
-def _ref_check_table_set(tables, prefix):
+def _ref_check_table_set(tables, prefix, vocabulary):
     for name, table in tables.tables().items():
-        shape = _SHAPES[name][0]
-        checks = [(i, allowed) for i, allowed in enumerate(shape)
-                  if not isinstance(allowed, str)]  # a str names a kind of word
-        for context in table.contexts():
-            if len(context) != len(shape) or any(context[i] not in allowed
-                                                 for i, allowed in checks):
-                raise ModelFormatError("context %r does not fit section [%s.%s]"
-                                       % (context, prefix, name))
+        for context, event, _ in table.items():
+            words = context + (event if isinstance(event, Token) else ())
+            if not _ref_fits(name, context, event) or (
+                    prefix == "main" and UNKNOWN_WORD in words
+                    and UNKNOWN_WORD not in vocabulary):
+                raise ModelFormatError("%r under %r does not fit [%s.%s]"
+                                       % (event, context, prefix, name))
     for name in ("class_marginal", "word_unigrams"):
         table = getattr(tables, name)
         for context in table.contexts():
@@ -298,11 +294,11 @@ def _ref_check_table_set(tables, prefix):
 
 
 def ref_deserialize_model(text):
-    """The loader that adds each row's count through ``CondTable.add``
-    and checks every context's shape once its table set is read.  It
-    loads a repeated row as the sum of its counts, and a word outside
-    the vocabulary as any other word; its table sets are
-    ``RefCountTables``."""
+    """The loader that decodes every id of every field, adds each event's
+    count through ``CondTable.add``, and checks what each table set holds
+    once it is read.  It loads contexts and events in any order, summing
+    a repeated event's counts, an empty word and a literal tab on the
+    ``words`` line; its table sets are ``RefCountTables``."""
     lines = text.split("\n")
     if lines[-1] == "":
         lines.pop()
@@ -322,26 +318,32 @@ def ref_deserialize_model(text):
     if classes != INTERNAL_CLASSES:
         raise ModelFormatError("unexpected class inventory %r" % (classes,))
 
-    index = 3
-    if index >= len(lines) or lines[index] != "[vocabulary]":
-        raise ModelFormatError("expected [vocabulary] at line %d" % (index + 1,))
-    index += 1
+    if len(lines) < 4 or lines[3].split(" ")[0] != "words":
+        raise ModelFormatError("expected 'words ...' at line 4")
     words = {}
-    while index < len(lines) and "\t" in lines[index]:
-        parts = lines[index].split("\t")
-        if len(parts) != 2:
-            raise ModelFormatError("bad vocabulary row at line %d" % (index + 1,))
-        if parts[1] != str(len(words) + 1):
-            raise ModelFormatError("vocabulary id %r at line %d is not its position %d"
-                                   % (parts[1], index + 1, len(words) + 1))
-        word = _unescape(parts[0])
+    for word in lines[3].split(" ")[1:]:
+        word = _unescape(word)
         if word in words:
-            raise ModelFormatError("repeated vocabulary word at line %d" % (index + 1,))
+            raise ModelFormatError("repeated vocabulary word at line 4")
         words[word] = None
-        index += 1
+    ids = {"class": {str(i): nc for i, nc in enumerate(
+               INTERNAL_CLASSES + (START_OF_SENTENCE, END_OF_SENTENCE))},
+           "feature": {str(i): feature for i, feature in enumerate(WORD_FEATURES)},
+           "word": {"-": END_WORD}}
+    if UNKNOWN_WORD not in words:
+        ids["word"]["0"] = UNKNOWN_WORD
+    ids["word"].update((str(i), word) for i, word in enumerate(words, 1))
 
+    def decoded(fields, kinds, line):
+        if len(fields) != len(kinds):
+            raise ModelFormatError("expected %d ids at line %d" % (len(kinds), line))
+        try:
+            return tuple(ids[kind][field] for kind, field in zip(kinds, fields))
+        except KeyError:
+            raise ModelFormatError("unknown id at line %d" % (line,)) from None
+
+    index = 4
     main, unknown = RefCountTables(), RefCountTables()
-    contexts, counts = {}, {}
     for prefix, tables in (("main", main), ("unknown", unknown)):
         for name, table in tables.tables().items():
             header = "[%s.%s]" % (prefix, name)
@@ -350,27 +352,24 @@ def ref_deserialize_model(text):
                 raise ModelFormatError("expected section %s at line %d, found %r"
                                        % (header, index + 1, found))
             index += 1
-            classes = _SHAPES[name][1]
-            events = {}
+            context_kinds, event_kinds = _REF_FIELDS[name]
             while index < len(lines) and "\t" in lines[index]:
-                parts = lines[index].split("\t")
-                if len(parts) != 3:
-                    raise ModelFormatError("bad count row at line %d" % (index + 1,))
-                event = events.get(parts[0])
-                if event is None:
-                    components = _ref_decode(parts[0])
-                context = contexts.get(parts[1])
-                if context is None:
-                    context = contexts[parts[1]] = _ref_decode(parts[1])
-                count = counts.get(parts[2])
-                if count is None:
-                    count = counts[parts[2]] = _count(parts[2], index + 1)
-                if event is None:
-                    event = events[parts[0]] = _ref_checked_event(components, classes,
-                                                                  index + 1)
-                table.add(context, event, count)
+                fields = lines[index].split("\t")
+                context = decoded(fields[0].split(" "), context_kinds, index + 1)
+                for entry in fields[1:]:
+                    *event, count = entry.split(" ")
+                    if event == ["-"] and name == "word_bigrams":
+                        event = END_TOKEN
+                    elif len(event_kinds) == 1:
+                        event = decoded(event, event_kinds, index + 1)[0]
+                    else:
+                        event = Token(*decoded(event, event_kinds, index + 1))
+                        if event.word == END_WORD:
+                            raise ModelFormatError("end word with a feature at line %d"
+                                                   % (index + 1,))
+                    table.add(context, event, _count(count, index + 1))
                 index += 1
-        _ref_check_table_set(tables, prefix)
+        _ref_check_table_set(tables, prefix, words)
     if index != len(lines):
         raise ModelFormatError("trailing content at line %d" % (index + 1,))
     return TrainedModel(Vocabulary(words), main, unknown, config)

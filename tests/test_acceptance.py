@@ -5,7 +5,9 @@ expensive fixtures (the 5,000-sentence synthetic corpus and the model
 trained on its first 4,000 sentences) are shared across criteria.
 """
 
+import gc
 import random
+import statistics
 import time
 from fractions import Fraction
 
@@ -329,6 +331,7 @@ def test_criterion_09_throughput_and_linearity(synth_model):
 
     def timed_decode(text):
         decoder = Decoder(synth_model)
+        gc.collect()
         begin = time.perf_counter()
         decoder.decode_document(text)
         return time.perf_counter() - begin
@@ -341,12 +344,15 @@ def test_criterion_09_throughput_and_linearity(synth_model):
     assert throughput >= 60.0
     assert elapsed < 120.0
 
+    # Sizes alternate and the gate takes the median of the per-pair
+    # ratios, so a drift in the machine's speed between timings enters
+    # one pair, not the gate.
     ratios = []
     for n in (10_000, 100_000):
-        t_small = min(timed_decode(take_tokens(n)) for _ in range(2))
-        t_large = min(timed_decode(take_tokens(2 * n)) for _ in range(2))
-        ratios.append(t_large / t_small)
-        assert t_large <= 2.5 * t_small, (n, t_small, t_large)
+        small, large = take_tokens(n), take_tokens(2 * n)
+        pairs = [(timed_decode(small), timed_decode(large)) for _ in range(3)]
+        ratios.append(statistics.median(t_large / t_small for t_small, t_large in pairs))
+        assert ratios[-1] <= 2.5, (n, pairs)
     print("PASS criterion 9: %.2f MB decoded in %.1fs = %d MB/hr >= 60; "
           "time(2n)/time(n) = %.2f, %.2f <= 2.5"
           % (megabytes, elapsed, throughput, ratios[0], ratios[1]))

@@ -18,6 +18,13 @@ def record(failed=0, paths="p", scores="s", **metrics):
             "paths_sha256": paths, "log_scores_sha256": scores}
 
 
+def declared(**better):
+    """End-to-end metrics as BENCHMARK.json declares them, each with a
+    bound of 0.15."""
+    return [{"name": name, "better": direction, "bound": 0.15}
+            for name, direction in better.items()]
+
+
 def pair(seed, parent, change):
     return {"seed": seed, "first": "parent" if seed % 2 == 0 else "change",
             "parent": parent, "change": change}
@@ -28,8 +35,8 @@ def test_medians_quartiles_and_pairs_won_follow_the_better_direction():
                   record(doc_ms_p50=change, f_full=0.99))
              for seed, parent, change in ((0, 3.0, 2.0), (1, 4.0, 4.5), (2, 5.0, 4.0),
                                           (3, 6.0, 5.0), (4, 7.0, 7.0))]
-    summary = bench_pairs.aggregate(pairs, {"doc_ms_p50": "lower", "f_full": "higher",
-                                            "train_tok_per_s": "higher"})
+    summary = bench_pairs.aggregate(pairs, declared(doc_ms_p50="lower", f_full="higher",
+                                                    train_tok_per_s="higher"))
     latency = summary["metrics"]["doc_ms_p50"]
     assert latency["parent"] == {"median": 5.0, "q1": 3.5, "q3": 6.5}
     assert latency["change"] == {"median": 4.5, "q1": 3.0, "q3": 6.0}
@@ -43,7 +50,7 @@ def test_medians_quartiles_and_pairs_won_follow_the_better_direction():
 def test_higher_is_better_counts_increases():
     pairs = [pair(0, record(train_tok_per_s=100.0), record(train_tok_per_s=120.0)),
              pair(1, record(train_tok_per_s=100.0), record(train_tok_per_s=90.0))]
-    metric = bench_pairs.aggregate(pairs, {"train_tok_per_s": "higher"})["metrics"][
+    metric = bench_pairs.aggregate(pairs, declared(train_tok_per_s="higher"))["metrics"][
         "train_tok_per_s"]
     assert metric["pairs_won"] == 1
     assert metric["parent"] == {"median": 100.0, "q1": 100.0, "q3": 100.0}
@@ -53,11 +60,47 @@ def test_each_pair_reports_failures_and_digest_matches():
     pairs = [pair(0, record(), record()),
              pair(1, record(), record(failed=2, paths="q")),
              pair(2, record(scores="t"), record())]
-    checks = bench_pairs.aggregate(pairs, {})["pairs"]
+    checks = bench_pairs.aggregate(pairs, [])["pairs"]
     assert [(c["seed"], c["first"], c["parent_failed"], c["change_failed"]) for c in checks] == \
         [(0, "parent", 0, 0), (1, "change", 0, 2), (2, "parent", 0, 0)]
     assert [(c["paths_match"], c["log_scores_match"]) for c in checks] == \
         [(True, True), (False, True), (True, False)]
+
+
+@pytest.mark.parametrize("parent, change, better, expected", [
+    # Medians 10 and 11.6: worse by 16% against a bound of 15%.
+    ([9.0, 10.0, 10.0, 10.0, 11.0], [11.0, 11.6, 11.6, 11.6, 12.0], "lower", "worse"),
+    # The same 16% on a higher-is-better metric is a gain.
+    ([9.0, 10.0, 10.0, 10.0, 11.0], [11.0, 11.6, 11.6, 11.6, 12.0], "higher", "within_bound"),
+    # Medians 11.6 and 9.5: 18% lower on a higher-is-better metric.
+    ([11.0, 11.6, 11.6, 11.6, 12.0], [9.0, 9.5, 9.5, 9.5, 11.0], "higher", "worse"),
+    # Parent quartiles 8 and 12, 40% of the median, wider than the bound.
+    ([7.0, 9.0, 10.0, 11.0, 13.0], [9.5, 10.0, 10.5, 10.0, 10.0], "lower", "unresolved"),
+    # As wide, but every change run beats every parent run.
+    ([7.0, 9.0, 10.0, 11.0, 13.0], [6.0, 6.5, 6.0, 6.9, 6.0], "lower", "within_bound"),
+    ([7.0, 9.0, 10.0, 11.0, 13.0], [13.5, 14.0, 14.0, 13.1, 14.0], "higher", "within_bound"),
+    # Narrow parent spread, median 5% worse.
+    ([9.9, 10.0, 10.0, 10.0, 10.1], [10.5, 10.5, 10.4, 10.6, 10.5], "lower", "within_bound"),
+])
+def test_each_verdict_is_reached(parent, change, better, expected):
+    assert bench_pairs.verdict(parent, change, better, 0.15) == expected
+    pairs = [pair(seed, record(doc_ms_p50=p), record(doc_ms_p50=c))
+             for seed, (p, c) in enumerate(zip(parent, change))]
+    metric = bench_pairs.aggregate(
+        pairs, [{"name": "doc_ms_p50", "better": better, "bound": 0.15}])["metrics"]["doc_ms_p50"]
+    assert (metric["verdict"], metric["bound"]) == (expected, 0.15)
+
+
+def test_flags_over_every_workload():
+    clean = bench_pairs.aggregate([pair(0, record(), record())], [])
+    failed = bench_pairs.aggregate([pair(1, record(failed=1), record())], [])
+    differed = bench_pairs.aggregate([pair(2, record(), record(scores="t"))], [])
+    assert bench_pairs.flags({"stream": clean, "docs": clean}) == \
+        {"any_failed": False, "any_digest_differed": False}
+    assert bench_pairs.flags({"stream": clean, "docs": failed}) == \
+        {"any_failed": True, "any_digest_differed": False}
+    assert bench_pairs.flags({"train": differed}) == \
+        {"any_failed": False, "any_digest_differed": True}
 
 
 def test_spread_of_one_value():

@@ -157,12 +157,12 @@ class TestDecode:
         assert capsys.readouterr().out == ""
 
     def test_corrupt_model_file(self, workspace, tmp_path, capsys):
-        # Version 1, 2 and 3 files are refused; their models must be retrained.
-        v4 = workspace["model"].read_text(encoding="utf-8")
-        old = [v4.replace("namefinder-model 4\n", "namefinder-model %d\n" % version, 1)
-               for version in (1, 2, 3)]
+        # Version 1 to 4 files are refused; their models must be retrained.
+        v5 = workspace["model"].read_text(encoding="utf-8")
+        old = [v5.replace("namefinder-model 5\n", "namefinder-model %d\n" % version, 1)
+               for version in (1, 2, 3, 4)]
         assert [text[:19] for text in old] == ["namefinder-model %d\n" % version
-                                              for version in (1, 2, 3)]
+                                              for version in (1, 2, 3, 4)]
         for text in ["namefinder-model 99\n"] + old:
             bad = tmp_path / "bad.nf"
             bad.write_text(text, encoding="utf-8")
@@ -176,20 +176,21 @@ class TestDecode:
         assert code == EXIT_IO
 
     def test_non_integer_vocabulary_id(self, workspace, tmp_path, capsys):
+        # A word's id in a table field is its position on the words line.
         lines = workspace["model"].read_text(encoding="utf-8").split("\n")
-        lines[lines.index("[vocabulary]") + 1] = "a\tone"
+        row = lines.index("[main.word_bigrams]") + 1
+        lines[row] = "one" + lines[row][lines[row].index(" "):]
         bad = tmp_path / "bad.nf"
         bad.write_text("\n".join(lines), encoding="utf-8")
         code = main(["decode", str(workspace["plain"]), "--model", str(bad)])
         assert code == EXIT_FORMAT
-        assert "bad model file" in capsys.readouterr().err
+        assert "bad context 'one " in capsys.readouterr().err
 
     @pytest.mark.parametrize("count", ["1_0", "07", "+3"])
     def test_count_not_in_the_written_form(self, workspace, tmp_path, capsys, count):
         lines = workspace["model"].read_text(encoding="utf-8").split("\n")
         row = lines.index("[main.word_bigrams]") + 1
-        event, context, _ = lines[row].split("\t")
-        lines[row] = "%s\t%s\t%s" % (event, context, count)
+        lines[row] = "%s %s" % (lines[row].rpartition(" ")[0], count)
         bad = tmp_path / "bad.nf"
         bad.write_text("\n".join(lines), encoding="utf-8")
         code = main(["decode", str(workspace["plain"]), "--model", str(bad)])
@@ -198,25 +199,37 @@ class TestDecode:
 
     @pytest.mark.parametrize("mutation, refusal", [
         pytest.param(mutation, refusal, id=mutation) for mutation, refusal in (
-            ("repeated-row", "repeated row"),
-            ("word-outside-the-vocabulary", "outside the vocabulary"),
-            ("rows-out-of-order", "row out of order"),
-            ("end-token-opens-a-region", "word '' outside the vocabulary"))])
+            ("repeated-row", "event out of order"),
+            ("word-outside-the-vocabulary", "bad context"),
+            ("rows-out-of-order", "context out of order"),
+            ("end-token-opens-a-region", "bad event '-'"),
+            ("unknown-word-in-a-main-table", "bad event '0 12'"),
+            ("end-word-after-a-class", "bad context '7 -'"),
+            ("real-word-after-the-sentence-start", "bad context '8 1'"),
+            ("end-token-with-a-feature", "bad event '- 8'"))])
     def test_row_no_training_writes(self, workspace, tmp_path, capsys, mutation, refusal):
         lines = workspace["model"].read_text(encoding="utf-8").split("\n")
+        size = len(lines[3].split(" ")) - 1  # the words on the words line
         row = lines.index("[main.word_bigrams]") + 1
-        event, context, count = lines[row].split("\t")
-        if mutation == "repeated-row":  # the same event and context, sorted after
-            lines.insert(row + 1, "%s\t%s\t%s0" % (event, context, count))
+        context, _, entries = lines[row].partition("\t")
+        if mutation == "repeated-row":  # the same event, sorted after
+            lines[row] = "%s\t%s0" % (lines[row], entries.split("\t")[-1])
         elif mutation == "word-outside-the-vocabulary":
-            lines[row] = "Zzzz initCap\t%s\t%s" % (context, count)
+            lines[row] = "%d%s\t%s" % (size + 1, context[context.index(" "):], entries)
         elif mutation == "rows-out-of-order":
             lines[row], lines[row + 1] = lines[row + 1], lines[row]
-        else:
+        elif mutation == "end-token-opens-a-region":
             # END_TOKEN as a first word, sorted first: loaded, its count
             # would outweigh the class's unigram level.
-            lines.insert(lines.index("[main.first_words]") + 1,
-                         " other\tPERSON START-OF-SENTENCE\t100000")
+            lines.insert(lines.index("[main.first_words]") + 1, "0 0\t- 100000")
+        elif mutation == "unknown-word-in-a-main-table":
+            lines[row] = "%s\t0 12 1\t%s" % (context, entries)
+        elif mutation == "end-word-after-a-class":  # NOT-A-NAME, then the end word
+            lines.insert(lines.index("[main.class_transitions]") + 1, "7 -\t0 1")
+        elif mutation == "real-word-after-the-sentence-start":
+            lines.insert(lines.index("[main.first_words]"), "8 1\t0 1")
+        else:  # the end token with allCaps
+            lines[row] = "%s\t- 8 1\t%s" % (context, entries)
         bad = tmp_path / "bad.nf"
         bad.write_text("\n".join(lines), encoding="utf-8")
         code = main(["decode", str(workspace["plain"]), "--model", str(bad)])
@@ -230,8 +243,7 @@ class TestDecode:
         # probability to 0; the loader refuses the file before decoding.
         lines = workspace["model"].read_text(encoding="utf-8").split("\n")
         row = lines.index("[main.class_transitions]") + 1
-        event, context, _ = lines[row].split("\t")
-        lines[row] = "%s\t%s\t%d" % (event, context, 10 ** 400)
+        lines[row] = "%s %d" % (lines[row].rpartition(" ")[0], 10 ** 400)
         bad = tmp_path / "bad.nf"
         bad.write_text("\n".join(lines), encoding="utf-8")
         code = main(["decode", str(workspace["plain"]), "--model", str(bad)])

@@ -12,8 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 from namefinder import (
     AnnotatedSentence,
-    CountTables,
+    END_OF_SENTENCE,
     FeatureConfig,
+    INTERNAL_CLASSES,
     ModelFormatError,
     NAME_CLASSES,
     NOT_A_NAME,
@@ -25,6 +26,7 @@ from namefinder import (
     Token,
     UNKNOWN_WORD,
     Vocabulary,
+    WORD_FEATURES,
     deserialize_model,
     generate_corpus,
     p_class_transition,
@@ -41,6 +43,7 @@ from conftest import ANNOTATED_FIXTURE
 from reference import RefCountTables, random_corpus, ref_deserialize_model
 
 POOLED = ("class_bigrams", "class_marginal", "begin_bigrams", "word_unigrams")
+CLASS_IDS = INTERNAL_CLASSES + (START_OF_SENTENCE, END_OF_SENTENCE)
 
 
 def reserialize(model):
@@ -48,29 +51,73 @@ def reserialize(model):
 
 
 def vocabulary_rows(text):
-    """The (word, id) fields of a model text's [vocabulary] section."""
-    lines = text.split("\n")
-    start = lines.index("[vocabulary]") + 1
-    end = lines.index("[main.class_transitions]")
-    return [tuple(line.split("\t")) for line in lines[start:end]]
+    """The words of a model text's ``words`` line, as written."""
+    return text.split("\n")[3].split(" ")[1:]
 
 
-def with_row(text, section, row):
-    """The model text with ``row`` added to ``section`` at its sorted
-    place, after any equal row."""
-    lines = text.split("\n")
-    start = lines.index("[%s]" % section) + 1
-    end = start
+def spelled(text, names):
+    """The ids of the space-separated ``names`` as the model text writes
+    them: a class or a word feature by its index, a word of the text by
+    its position, ``unknown\\sword`` as 0 and the empty word as -.  Any
+    other name is kept, so a lookup misses it."""
+    ids = {word: str(i) for i, word in enumerate(vocabulary_rows(text), 1)}
+    ids.update({"unknown\\sword": "0", "": "-"})
+    ids.update((name, str(i)) for i, name in enumerate(CLASS_IDS))
+    ids.update((name, str(i)) for i, name in enumerate(WORD_FEATURES))
+    return " ".join(ids.get(name, name) for name in names.split(" "))
+
+
+def section_lines(lines, section):
+    """(first, end) line indices of a section's context lines."""
+    start = end = lines.index("[%s]" % section) + 1
     while "\t" in lines[end]:  # the last line of a text is empty
         end += 1
-    lines.insert(bisect.bisect_right(lines, row, start, end), row)
+    return start, end
+
+
+def with_entry(text, section, context, entry):
+    """The model text with ``entry`` (``event count``, in ids) added under
+    ``context`` in ``section``: into the context's line at the event's
+    sorted place, after any equal event, or on a new line at the
+    context's sorted place."""
+    lines = text.split("\n")
+    start, end = section_lines(lines, section)
+    contexts = [line.split("\t", 1)[0] for line in lines[start:end]]
+    if context in contexts:
+        i = start + contexts.index(context)
+        fields = lines[i].split("\t")
+        events = [field.rpartition(" ")[0] for field in fields[1:]]
+        fields.insert(1 + bisect.bisect_right(events, entry.rpartition(" ")[0]), entry)
+        lines[i] = "\t".join(fields)
+    else:
+        lines.insert(bisect.bisect_right(contexts, context) + start, "%s\t%s" % (context, entry))
     return "\n".join(lines)
 
 
-def with_vocabulary_row(text, index, row):
-    """The model text with vocabulary row ``index`` replaced by ``row``."""
+def with_row(text, section, row):
+    """The model text with ``row``, an ``event<TAB>context<TAB>count`` of
+    names (``spelled``; the event `` other`` is the end token), added to
+    ``section`` by ``with_entry``."""
+    event, context, count = row.split("\t")
+    event = "-" if event == " other" else spelled(text, event)
+    return with_entry(text, section, spelled(text, context), "%s %s" % (event, count))
+
+
+def line_of(text, section, context):
+    """The line number of the line of ``context`` (ids, or names for
+    ``spelled``) in ``section``."""
     lines = text.split("\n")
-    lines[lines.index("[vocabulary]") + 1 + index] = row
+    start, end = section_lines(lines, section)
+    contexts = [line.split("\t", 1)[0] for line in lines[start:end]]
+    if context not in contexts:
+        context = spelled(text, context)
+    return start + contexts.index(context) + 1
+
+
+def with_words(text, words):
+    """The model text with ``words`` as its ``words`` line's words."""
+    lines = text.split("\n")
+    lines[3] = " ".join(["words"] + words)
     return "\n".join(lines)
 
 
@@ -109,8 +156,8 @@ class TestRoundTrip:
     def test_serialization_is_byte_stable(self, tiny_model):
         text = serialize_model(tiny_model)
         assert reserialize(tiny_model) == text
-        assert text.startswith("namefinder-model 4\nswap_comma_period 0\nclasses ")
-        assert text.split("\n")[3] == "[vocabulary]"
+        assert text.startswith("namefinder-model 5\nswap_comma_period 0\nclasses ")
+        assert text.split("\n")[3].startswith("words Mr. John Smith ")
         assert text.endswith("\n")
 
     def test_random_model_round_trips(self, rng):
@@ -135,12 +182,17 @@ class TestRoundTrip:
                 p_next_word(token, prev_token, NOT_A_NAME, tiny_model)
 
     def test_vocabulary_ids_survive(self, tiny_model):
-        # A word's id is its position in the [vocabulary] section.
+        # A word's id is its position on the words line.  "Mr." (id 1,
+        # firstWord) is the one-word NOT-A-NAME region that opens the
+        # first sentence, so the end token follows it once.
         text = serialize_model(tiny_model)
         reloaded = deserialize_model(text)
         assert reloaded.vocabulary.words() == tiny_model.vocabulary.words()
-        ids = [row[1] for row in vocabulary_rows(text)]
-        assert ids == [str(i) for i in range(1, len(tiny_model.vocabulary) + 1)]
+        assert vocabulary_rows(text) == tiny_model.vocabulary.words()
+        assert spelled(text, "Mr. firstWord NOT-A-NAME") == "1 10 7"
+        assert "\n1 10 7\t- 1\n" in text
+        assert reloaded.main.word_bigrams.events(("Mr.", "firstWord", NOT_A_NAME)) == \
+            {END_TOKEN: 1}
 
     def test_file_round_trip(self, tiny_model, tmp_path):
         path = tmp_path / "model.nf"
@@ -159,9 +211,9 @@ class TestRoundTrip:
         assert "swap_comma_period 1" in serialize_model(model)
 
     def test_awkward_token_text_round_trips(self):
-        # Backslashes, tabs, spaces, and newlines inside table keys must
-        # survive the escaped space-joined encoding, and words that start
-        # like a section header stay rows.
+        # Backslashes, tabs, spaces, and newlines inside words must
+        # survive the escaped words line, and words shaped like a
+        # section header stay words.
         corpus = [
             AnnotatedSentence(tokens=["a\\b", "two words", "café"],
                               regions=[]),
@@ -177,6 +229,7 @@ class TestRoundTrip:
         assert reloaded.vocabulary.words().index("two words") == 1
         assert reloaded.main.word_unigrams.count(
             (NOT_A_NAME,), Token("line\nbreak", "lowerCase")) == 1
+        assert vocabulary_rows(text)[:4] == ["a\\\\b", "two\\swords", "café", "tab\\there"]
 
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(corpus=_corpora)
@@ -227,10 +280,10 @@ class TestRoundTrip:
 class TestFormatErrors:
     def test_version_mismatch_names_both_versions(self, tiny_model):
         text = serialize_model(tiny_model).replace(
-            "namefinder-model 4", "namefinder-model 3", 1)
+            "namefinder-model 5", "namefinder-model 4", 1)
         with pytest.raises(ModelFormatError) as info:
             deserialize_model(text)
-        assert "3" in str(info.value) and "4" in str(info.value)
+        assert "4" in str(info.value) and "5" in str(info.value)
 
     def test_bad_magic(self):
         with pytest.raises(ModelFormatError):
@@ -247,46 +300,43 @@ class TestFormatErrors:
             deserialize_model(truncated)
 
     def test_nonpositive_count_rejected(self, tiny_model):
-        text = serialize_model(tiny_model)
-        lines = text.splitlines()
-        for i, line in enumerate(lines):
-            if line.startswith("[main.class_transitions]"):
-                event, context, _ = lines[i + 1].split("\t")
-                lines[i + 1] = "%s\t%s\t0" % (event, context)
-                break
-        with pytest.raises(ModelFormatError):
-            deserialize_model("\n".join(lines) + "\n")
+        lines = serialize_model(tiny_model).split("\n")
+        i = lines.index("[main.class_transitions]") + 1
+        lines[i] = lines[i].rsplit(" ", 1)[0] + " 0"
+        with pytest.raises(ModelFormatError, match="non-positive count at line %d" % (i + 1)):
+            deserialize_model("\n".join(lines))
 
     def test_bad_escapes_rejected(self, tiny_model):
-        lines = serialize_model(tiny_model).splitlines()
-        i = lines.index("[main.class_transitions]") + 1
-        _, context, count = lines[i].split("\t")
-        for event in ("PERSON\\q", "PERSON\\"):
-            lines[i] = "%s\t%s\t%s" % (event, context, count)
-            with pytest.raises(ModelFormatError, match="bad escape"):
-                deserialize_model("\n".join(lines) + "\n")
+        text = serialize_model(tiny_model)
+        for word in ("PERSON\\q", "PERSON\\"):
+            with pytest.raises(ModelFormatError, match="bad escape .* at line 4"):
+                deserialize_model(with_words(text, vocabulary_rows(text) + [word]))
 
     def test_noncontiguous_vocabulary_ids_rejected(self, tiny_model):
+        # Ids are positions, written in one form: the id after the last
+        # word names no word, and a leading zero no word either.
         text = serialize_model(tiny_model)
-        lines = text.splitlines()
-        for i, line in enumerate(lines):
-            if "\t" in line and line.split("\t")[1] == "2":
-                lines[i] = line.split("\t")[0] + "\t99"
-                break
-        with pytest.raises(ModelFormatError):
-            deserialize_model("\n".join(lines) + "\n")
+        size = len(tiny_model.vocabulary)
+        for word_id in (str(size + 1), "01"):
+            bad = with_entry(text, "main.word_bigrams", spelled(text, "said lowerCase NOT-A-NAME"),
+                             "%s 12 1" % word_id)
+            assert refused_at(bad, "bad event '%s 12'" % word_id) == \
+                line_of(bad, "main.word_bigrams", "said lowerCase NOT-A-NAME")
+        assert deserialize_model(with_entry(text, "main.word_bigrams",
+                                            spelled(text, "said lowerCase NOT-A-NAME"),
+                                            "%d 12 1" % size))
 
     def test_non_integer_vocabulary_id_rejected(self, tiny_model):
-        text = with_vocabulary_row(serialize_model(tiny_model), 0, "a\tone")
-        with pytest.raises(ModelFormatError, match="vocabulary id 'one'"):
-            deserialize_model(text)
+        lines = serialize_model(tiny_model).split("\n")
+        i = lines.index("[main.word_bigrams]") + 1
+        lines[i] = "one" + lines[i][lines[i].index(" "):]
+        assert refused_at("\n".join(lines), "bad context 'one ") == i + 1
 
     def test_repeated_vocabulary_word_rejected(self, tiny_model):
         text = serialize_model(tiny_model)
-        first = vocabulary_rows(text)[0][0]
-        text = with_vocabulary_row(text, 1, "%s\t2" % first)
-        with pytest.raises(ModelFormatError, match="repeated vocabulary word"):
-            deserialize_model(text)
+        words = vocabulary_rows(text)
+        text = with_words(text, words[:1] + words[:1] + words[2:])
+        assert refused_at(text, "repeated vocabulary word 'Mr.'") == 4
 
     def test_non_utf8_file_rejected(self, tiny_model, tmp_path):
         path = tmp_path / "model.nf"
@@ -302,9 +352,8 @@ class TestFormatErrors:
     def test_unreadable_rows_rejected(self, tiny_model):
         text = serialize_model(tiny_model)
         head, _, rest = text.partition("[main.class_transitions]\n")
-        broken = head + "[main.class_transitions]\nnot a row\n" + \
-            rest.split("\n", 1)[1] if rest else head
-        with pytest.raises(ModelFormatError):
+        broken = head + "[main.class_transitions]\nnot a row\n" + rest.split("\n", 1)[1]
+        with pytest.raises(ModelFormatError, match="expected section"):
             deserialize_model(broken)
 
 
@@ -316,50 +365,48 @@ def refused_at(text, match):
 
 
 class TestRowChecks:
-    """Checks run per section and per row, so the first bad row is named."""
+    """Each context line is checked on its own, against the lookups of
+    its own section, so the first bad line is named."""
 
     def test_event_accepted_in_one_section_is_checked_in_the_next(self, tiny_model):
+        # PERSON (0) is a class-transition event, not a first word.
         text = with_row(serialize_model(tiny_model), "main.class_transitions",
                         "PERSON\tNOT-A-NAME said\t1")
         deserialize_model(text)
         text = with_row(text, "main.first_words", "PERSON\tPERSON NOT-A-NAME\t1")
-        assert refused_at(text, "expected <word feature> event") == \
-            text.split("\n").index("PERSON\tPERSON NOT-A-NAME\t1") + 1
+        assert refused_at(text, "bad event '0' in \\[main.first_words\\]") == \
+            line_of(text, "main.first_words", "PERSON NOT-A-NAME")
 
     def test_two_identical_bad_rows_name_the_first(self, tiny_model):
-        row = "hello shouting\tsaid lowerCase PERSON\t1"
-        text = with_row(with_row(serialize_model(tiny_model), "main.word_bigrams", row),
-                        "main.word_bigrams", row)
-        lines = text.split("\n")
-        first = lines.index(row) + 1
-        assert lines[first] == row
-        assert refused_at(text, "unknown word feature") == first
+        lines = serialize_model(tiny_model).split("\n")
+        start = lines.index("[main.word_bigrams]") + 1
+        row = "4 12 BOGUS\t5 12 1"
+        lines[start:start] = [row, row]
+        assert refused_at("\n".join(lines), "bad context '4 12 BOGUS'") == start + 1
 
     def test_a_context_is_checked_where_it_is_first_seen(self, tiny_model):
-        # Main and unknown sections of a table share their contexts, so
-        # a context already read in main is not read again.
+        # An unknown-word context loads in its own section and is refused
+        # on its line in the main one.
         text = serialize_model(tiny_model)
-        lines = text.split("\n")
-        _, context, _ = lines[lines.index("[main.word_bigrams]") + 1].split("\t")
-        text = with_row(text, "unknown.word_bigrams", "said lowerCase\t%s\t1" % context)
-        deserialize_model(text)
-        text = with_row(text, "unknown.word_bigrams", "said lowerCase\tsaid lowerCase\t1")
-        assert refused_at(text, r"does not fit section \[unknown.word_bigrams\]") == \
-            text.split("\n").index("said lowerCase\tsaid lowerCase\t1") + 1
+        row = "said lowerCase\tunknown\\sword lowerCase NOT-A-NAME\t1"
+        deserialize_model(with_row(text, "unknown.word_bigrams", row))
+        text = with_row(text, "main.word_bigrams", row)
+        assert refused_at(text, r"bad context '0 12 7' in \[main.word_bigrams\]") == \
+            line_of(text, "main.word_bigrams", "0 12 7")
 
     @pytest.mark.parametrize("count, match", [("0", "non-positive count"),
                                               ("-3", "non-positive count"),
                                               ("x", "bad count"),
                                               ("07", "bad count")])
     def test_every_row_checks_its_count(self, tiny_model, count, match):
-        # The row's event and context are those of the first main row of
-        # its table, so both texts have been read before it.
+        # The event and context are those of the first main word-bigram
+        # line, so both texts have been read before.
         text = serialize_model(tiny_model)
         lines = text.split("\n")
-        event, context, _ = lines[lines.index("[main.word_bigrams]") + 1].split("\t")
-        row = "%s\t%s\t%s" % (event, context, count)
-        text = with_row(text, "unknown.word_bigrams", row)
-        assert refused_at(text, match) == text.split("\n").index(row) + 1
+        context, entry = lines[lines.index("[main.word_bigrams]") + 1].split("\t")[:2]
+        text = with_entry(text, "unknown.word_bigrams", context,
+                          "%s %s" % (entry.rpartition(" ")[0], count))
+        assert refused_at(text, match) == line_of(text, "unknown.word_bigrams", context)
 
 
 class TestUnusableModels:
@@ -373,7 +420,7 @@ class TestUnusableModels:
     ])
     def test_class_events_outside_the_inventory(self, tiny_model, section, row):
         text = with_row(serialize_model(tiny_model), section, row)
-        with pytest.raises(ModelFormatError, match="outside the inventory"):
+        with pytest.raises(ModelFormatError, match="bad event"):
             deserialize_model(text)
 
     @pytest.mark.parametrize("section, row", [
@@ -387,7 +434,7 @@ class TestUnusableModels:
     ])
     def test_class_names_in_contexts_outside_the_inventory(self, tiny_model, section, row):
         text = with_row(serialize_model(tiny_model), section, row)
-        with pytest.raises(ModelFormatError, match="does not fit section"):
+        with pytest.raises(ModelFormatError, match="bad context"):
             deserialize_model(text)
 
     @pytest.mark.parametrize("section, row", [
@@ -402,16 +449,13 @@ class TestUnusableModels:
     ])
     def test_contexts_of_the_wrong_shape(self, tiny_model, section, row):
         text = with_row(serialize_model(tiny_model), section, row)
-        with pytest.raises(ModelFormatError, match="does not fit section"):
+        with pytest.raises(ModelFormatError, match="bad context"):
             deserialize_model(text)
 
     @pytest.mark.parametrize("section, row, match", [
-        ("main.word_bigrams", "hello shouting\tsaid lowerCase PERSON\t1",
-         "unknown word feature"),
-        ("unknown.first_words", "unknown\\sword \tPERSON NOT-A-NAME\t1",
-         "unknown word feature"),
-        ("main.word_bigrams", "hello lowerCase\tsaid shouting PERSON\t1",
-         "does not fit section"),
+        ("main.word_bigrams", "hello shouting\tsaid lowerCase PERSON\t1", "bad event"),
+        ("unknown.first_words", "unknown\\sword \tPERSON NOT-A-NAME\t1", "bad event"),
+        ("main.word_bigrams", "hello lowerCase\tsaid shouting PERSON\t1", "bad context"),
     ])
     def test_features_outside_the_word_features(self, tiny_model, section, row, match):
         text = with_row(serialize_model(tiny_model), section, row)
@@ -423,23 +467,23 @@ class TestUnusableModels:
     @pytest.mark.parametrize("count", ["same", "other"])
     def test_a_repeated_row(self, tiny_model, section, count):
         # The reference loader adds the two counts, and the model then
-        # does not reserialize to the file.  The same row is no greater
-        # than the row before it, so it is out of order.
+        # does not reserialize to the file.  The repeated event is no
+        # greater than the one before it, so it is out of order.
         text = serialize_model(tiny_model)
         lines = text.split("\n")
         first = lines.index("[%s]" % section) + 1
-        event, context, written = lines[first].split("\t")
-        row = "%s\t%s\t%s" % (event, context,
-                              written if count == "same" else int(written) + 1)
-        text = with_row(text, section, row)
+        context, entry = lines[first].split("\t")[:2]
+        event, _, written = entry.rpartition(" ")
+        text = with_entry(text, section, context, "%s %s" % (
+            event, written if count == "same" else int(written) + 1))
         loaded = ref_deserialize_model(text)
         assert serialize_model(loaded) != serialize_model(tiny_model)
-        assert refused_at(text, "row out of order" if count == "same" else "repeated row") == \
-            first + 2
+        assert refused_at(text, "event out of order") == first + 1
 
     def test_rows_out_of_order(self, tiny_model):
-        # The reference loader reads the swapped rows as the sorted ones,
-        # so the file loads to the trained model but is not its text.
+        # The reference loader reads the swapped lines or events as the
+        # sorted ones, so the file loads to the trained model but is not
+        # its text.
         text = serialize_model(tiny_model)
         lines = text.split("\n")
         for section in ("main.class_transitions", "unknown.word_bigrams"):
@@ -448,26 +492,35 @@ class TestUnusableModels:
             swapped[first], swapped[first + 1] = lines[first + 1], lines[first]
             swapped = "\n".join(swapped)
             assert serialize_model(ref_deserialize_model(swapped)) == text
-            assert refused_at(swapped, "row out of order") == first + 2
+            assert refused_at(swapped, "context out of order") == first + 2
+        i = next(i for i, line in enumerate(lines) if line.count("\t") > 1)
+        context, first, second, *rest = lines[i].split("\t")
+        swapped = lines[:i] + ["\t".join([context, second, first] + rest)] + lines[i + 1:]
+        swapped = "\n".join(swapped)
+        assert serialize_model(ref_deserialize_model(swapped)) == text
+        assert refused_at(swapped, "event out of order") == i + 1
 
     def test_an_empty_vocabulary_word(self, tiny_model):
         # The empty word is END_WORD, which no text holds.
         text = serialize_model(tiny_model)
-        size = len(tiny_model.vocabulary)
-        text = with_vocabulary_row(text, size - 1, "%s\t%d\n\t%d" % (
-            vocabulary_rows(text)[-1][0], size, size + 1))
-        assert refused_at(text, "empty vocabulary word") == 4 + size + 1
+        for words in (vocabulary_rows(text) + [""], [""] + vocabulary_rows(text)):
+            assert refused_at(with_words(text, words), "empty vocabulary word") == 4
 
-    def test_the_end_token_opens_no_region(self, tiny_model):
+    def test_the_end_token_opens_no_region(self, tiny_corpus, tiny_model):
         # Loaded, END_TOKEN as a first word would outweigh the class's
         # unigram level, whose pooled END_TOKEN are only the closings
-        # beyond the region count.
+        # beyond the region count.  No first word has the end token's
+        # id, so no file holds it.
+        model = train(tiny_corpus)
+        model.main.first_words.add((PERSON, START_OF_SENTENCE), END_TOKEN, 100000)
+        assert model.main.begin_bigrams.total((PERSON,)) > \
+            model.main.word_unigrams.total((PERSON,))
+        with pytest.raises(ModelFormatError, match=r"\[main.first_words\] holds a value"):
+            serialize_model(model)
         row = " other\tPERSON START-OF-SENTENCE\t100000"
         text = with_row(serialize_model(tiny_model), "main.first_words", row)
-        tables = CountTables(*ref_deserialize_model(text).main.tables().values())
-        assert tables.begin_bigrams.total((PERSON,)) > tables.word_unigrams.total((PERSON,))
-        assert refused_at(text, "word '' outside the vocabulary") == \
-            text.split("\n").index(row) + 1
+        assert refused_at(text, r"bad event '-' in \[main.first_words\]") == \
+            line_of(text, "main.first_words", "PERSON START-OF-SENTENCE")
 
     def test_a_literal_carriage_return(self):
         # The reference loader reads a literal carriage return as its
@@ -479,11 +532,21 @@ class TestUnusableModels:
         assert "\r" not in text and "\\r" in text
         literal = text.replace("\\r", "\r")
         assert serialize_model(ref_deserialize_model(literal)) == text != literal
-        assert refused_at(literal, "carriage return") == \
-            literal.split("\n").index("a\rb\t2") + 1  # its vocabulary row
+        assert refused_at(literal, "carriage return") == 4  # the words line
         # Any carriage return, a CRLF line end too: read_model reads with
         # universal newlines, so only text handed over directly holds one.
         assert refused_at(text.replace("\n", "\r\n"), "carriage return") == 1
+
+    def test_a_literal_tab_in_a_word(self):
+        # As with a carriage return: the reference loader reads a literal
+        # tab as its escape, and the writer never writes one.
+        model = train([AnnotatedSentence(["Mr.", "a\tb", "said"], [Region(1, 2, PERSON)]),
+                       AnnotatedSentence(["a\tb", "left", "."], [])])
+        text = serialize_model(model)
+        assert vocabulary_rows(text)[1] == "a\\tb"
+        literal = text.replace("a\\tb", "a\tb")
+        assert serialize_model(ref_deserialize_model(literal)) == text != literal
+        assert refused_at(literal, "literal tab in a word") == 4
 
     @pytest.mark.parametrize("section, row", [
         ("main.class_transitions", "PERCENT\tTIME Zzzz\t1"),
@@ -498,22 +561,19 @@ class TestUnusableModels:
             "unknown-transition-context", "unknown-first-word-event",
             "unknown-bigram-event", "unknown-bigram-context"])
     def test_words_outside_the_vocabulary(self, tiny_model, section, row):
-        # UNKNOWN_WORD may stand wherever a word does, and END_WORD only
-        # where the tables hold it: as the previous word of a transition,
-        # and as the word of the token that closes a region.
+        # Where a word goes, UNKNOWN_WORD (0) loads in the unknown-word
+        # tables only, and END_WORD (-) in none of these places.
         base = serialize_model(tiny_model)
-        text = with_row(base, section, row)
-        ref_deserialize_model(text)
-        assert refused_at(text, "word 'Zzzz' outside the vocabulary") == \
-            text.split("\n").index(row) + 1
-        deserialize_model(with_row(base, section, row.replace("Zzzz", "unknown\\sword")))
-        end = with_row(base, section, row.replace("Zzzz", ""))
-        if section.endswith("class_transitions") or \
-                section.endswith("word_bigrams") and row.startswith("Zzzz"):
-            deserialize_model(end)
-        else:
-            assert refused_at(end, "word '' outside the vocabulary") == \
-                end.split("\n").index(row.replace("Zzzz", "")) + 1
+        event, context, _ = row.split("\t")
+        for word, loads in (("Zzzz", False), ("unknown\\sword", section.startswith("unknown")),
+                            ("", False)):
+            text = with_row(base, section, row.replace("Zzzz", word))
+            if loads:
+                deserialize_model(text)
+            else:
+                refusal = "bad context" if "Zzzz" in context else "bad event"
+                assert refused_at(text, refusal) == \
+                    line_of(text, section, context.replace("Zzzz", word))
 
     # int() reads each of these as a positive count, but serialize_model
     # never writes one, so a loaded file would not reserialize to itself.
@@ -522,9 +582,10 @@ class TestUnusableModels:
     def test_counts_not_in_the_written_form(self, tiny_model, count):
         row = "hello lowerCase\tsaid lowerCase PERSON\t%s" % count
         text = with_row(serialize_model(tiny_model), "main.word_bigrams", row)
-        with pytest.raises(ModelFormatError, match="bad count"):
+        with pytest.raises(ModelFormatError, match="bad count|bad event"):
             deserialize_model(text)
-        deserialize_model(text.replace(row, row.rsplit("\t", 1)[0] + "\t3"))
+        deserialize_model(with_row(serialize_model(tiny_model), "main.word_bigrams",
+                                   row.rsplit("\t", 1)[0] + "\t3"))
 
     def test_sample_size_limit_on_both_sides_of_its_edge(self, tiny_model):
         # The class marginal sums every class-transition count, and a
@@ -534,13 +595,14 @@ class TestUnusableModels:
                                ("unknown.first_words", "word_unigrams")):
             lines = text.split("\n")
             start = lines.index("[%s]" % section) + 1
-            event, context, count = lines[start].split("\t")
+            context, first, *rest = lines[start].split("\t")
+            event, _, count = first.rpartition(" ")
             table_set, _ = section.split(".")
-            pooled = () if level == "class_marginal" else (context.split(" ")[0],)
+            pooled = () if level == "class_marginal" else (CLASS_IDS[int(context.split(" ")[0])],)
             others = getattr(getattr(tiny_model, table_set), level).total(pooled) - int(count)
 
             def with_total(total):
-                lines[start] = "%s\t%s\t%d" % (event, context, total - others)
+                lines[start] = "\t".join([context, "%s %d" % (event, total - others)] + rest)
                 return "\n".join(lines)
 
             model = deserialize_model(with_total(2 ** 53 - 1))
@@ -556,12 +618,13 @@ class TestUnusableModels:
         # reads the unknown-word tables.
         text = "Smith John Smith said . Boston Boston .\nZqx Smith Qwv said ."
         lines = serialize_model(tiny_model).split("\n")
-        rows = [i for i, line in enumerate(lines) if line.count("\t") == 2]
-        assert len(rows) > 100
-        for i in rows:
-            event, context, _ = lines[i].split("\t")
+        entries = [(i, j) for i, line in enumerate(lines) for j in range(1, line.count("\t") + 1)]
+        assert len(entries) > 100
+        for i, j in entries:
+            fields = lines[i].split("\t")
             for count in (7, 10 ** 6, 10 ** 12):
-                mutated = lines[:i] + ["%s\t%s\t%d" % (event, context, count)] + lines[i + 1:]
+                fields[j] = "%s %d" % (fields[j].rpartition(" ")[0], count)
+                mutated = lines[:i] + ["\t".join(fields)] + lines[i + 1:]
                 try:
                     model = deserialize_model("\n".join(mutated))
                 except ModelFormatError:
@@ -570,15 +633,43 @@ class TestUnusableModels:
                     assert math.isfinite(result.log_score) and result.log_score < 0
 
 
+@pytest.mark.parametrize("section, row, refusal", [
+    ("main.word_bigrams", "said lowerCase\tunknown\\sword lowerCase NOT-A-NAME\t1",
+     "bad context '0 12 7'"),
+    ("main.word_bigrams", "unknown\\sword lowerCase\tsaid lowerCase NOT-A-NAME\t1",
+     "bad event '0 12'"),
+    ("main.first_words", "unknown\\sword initCap\tPERSON NOT-A-NAME\t1", "bad event '0 11'"),
+    ("main.class_transitions", "PERSON\tNOT-A-NAME unknown\\sword\t1", "bad context '7 0'"),
+    ("main.class_transitions", "PERSON\tNOT-A-NAME \t1", "bad context '7 -'"),
+    ("unknown.class_transitions", "PERSON\tSTART-OF-SENTENCE said\t1", "bad context '8 4'"),
+    ("main.word_bigrams", " allCaps\tsaid lowerCase PERSON\t1", "bad event '- 8'"),
+], ids=["unknown-word-in-a-main-context", "unknown-word-in-a-main-event",
+        "unknown-word-as-a-main-first-word", "unknown-word-in-a-main-transition",
+        "end-word-after-a-class", "real-word-after-the-sentence-start",
+        "end-token-with-a-feature"])
+def test_rows_no_training_writes(tiny_model, section, row, refusal):
+    """Rows that no training counts: UNKNOWN_WORD in a main table, the
+    end word after a class other than START-OF-SENTENCE or a real word
+    after it, and an end token with a feature.  Each has no id where it
+    stands, so its line is refused, and none enters the pooled levels."""
+    text = with_row(serialize_model(tiny_model), section, row)
+    context = row.split("\t")[1]
+    assert refused_at(text, refusal) == line_of(text, section, context)
+
+
 def _mutations(lines):
     """One mutation of the lines of a model file."""
-    rows = [i for i, line in enumerate(lines) if line.count("\t") == 2]
+    rows = [i for i, line in enumerate(lines) if "\t" in line]
     line = st.integers(min_value=0, max_value=len(lines) - 1)
-    chars = st.sampled_from("\t \\\r[]1ab+-:XZsnt\u00e9")
+    chars = st.sampled_from("\t \\\r[]01ab+-:XZsnté")
 
     def with_count(i, count):
-        event, context, _ = lines[i].split("\t")
-        return lines[:i] + ["%s\t%s\t%s" % (event, context, count)] + lines[i + 1:]
+        return lines[:i] + ["%s %s" % (lines[i].rpartition(" ")[0], count)] + lines[i + 1:]
+
+    def with_entry_repeated(i, j):
+        fields = lines[i].split("\t")
+        j = 1 + j % (len(fields) - 1)
+        return lines[:i] + ["\t".join(fields[:j + 1] + fields[j:])] + lines[i + 1:]
 
     def with_char(i, at, char, replace):
         at = min(at, len(lines[i]))
@@ -597,13 +688,15 @@ def _mutations(lines):
         st.tuples(st.sampled_from(rows),
                   st.sampled_from(["0", "1", "2", "7", "07", "x", str(2 ** 53)])).map(
             lambda ic: with_count(*ic)),
+        st.tuples(st.sampled_from(rows), st.integers(min_value=0, max_value=9)).map(
+            lambda ij: with_entry_repeated(*ij)),
         st.tuples(line, st.integers(min_value=0, max_value=40), chars, st.booleans()).map(
             lambda args: with_char(*args)))
 
 
 class TestAgainstTheReferenceLoader:
     """The loader against ``reference.ref_deserialize_model``, which adds
-    each row through ``CondTable.add`` and sums the pooled levels a
+    each event through ``CondTable.add`` and sums the pooled levels a
     context at a time."""
 
     @settings(derandomize=True, deadline=None, max_examples=400)
@@ -621,8 +714,8 @@ class TestAgainstTheReferenceLoader:
             # Only the checks the reference lacks may refuse what it loads.
             assert reference is None or any(
                 refusal in str(exc) for refusal in (
-                    "repeated row", "outside the vocabulary", "carriage return",
-                    "row out of order", "empty vocabulary word", "no newline")), str(exc)
+                    "out of order", "carriage return", "empty vocabulary word",
+                    "literal tab", "no newline")), str(exc)
             return
         assert reference is not None
         assert loaded.vocabulary == reference.vocabulary
@@ -653,11 +746,16 @@ class TestAgainstTheReferenceLoader:
         # closing END_TOKEN.
         corpus = parse_annotated(ANNOTATED_FIXTURE)
         text = serialize_model(train(corpus))
-        closing = " other\tSmith initCap PERSON\t1"
-        opening = "John initCap\tPERSON NOT-A-NAME\t1"
-        assert closing in text and opening in text
-        for row, surplus in ((closing, 39), (opening, 0)):
-            loaded = deserialize_model(text.replace(row, row[:-1] + "40", 1))
+        for section, context, event, surplus in (
+                ("main.word_bigrams", "Smith initCap PERSON", "", 39),
+                ("main.first_words", "PERSON NOT-A-NAME", "John initCap", 0)):
+            lines = text.split("\n")
+            i = line_of(text, section, context) - 1
+            ids = spelled(text, event) if event else "-"
+            fields = lines[i].split("\t")
+            fields[fields.index(ids + " 1")] = ids + " 40"
+            lines[i] = "\t".join(fields)
+            loaded = deserialize_model("\n".join(lines))
             expected = RefCountTables(*loaded.main.tables().values())
             for name in POOLED:
                 assert getattr(loaded.main, name) == getattr(expected, name), name
@@ -669,17 +767,17 @@ class TestAgainstTheReferenceLoader:
 
 
 def test_load_time_is_linear(tmp_path):
-    """``read_model``'s time per table row grows at most 1.5-fold from a
-    model's file to the file of a model with four times its rows.
+    """``read_model``'s time per table event grows at most 1.5-fold from
+    a model's file to the file of a model with four times its events.
 
     The larger model is trained on the smaller one's corpus with each
     sentence followed by three copies of it, every word renamed, so its
-    file holds four times the rows, bar the few that the copies share;
+    file holds four times the events, bar the few that the copies share;
     more synthetic sentences would not do, because the synthetic
-    vocabulary saturates.  A loader
-    that scans the file's lines once per new context reads about 3.4
-    here, and a linear one about 1.1.  n is chosen so that one load of
-    the smaller file takes about 20 ms or more.  Sizes alternate, and
+    vocabulary saturates.  Each event is one tab of a file.  A loader
+    that scans the file's lines once per new context reads about 3.0
+    here, and a linear one about 1.0.  n is chosen so that one load of
+    the smaller file takes about 15 ms or more.  Sizes alternate, and
     the gate takes the median of the per-pair ratios, as
     ``test_decode_time_is_linear`` does.
     """
@@ -690,9 +788,8 @@ def test_load_time_is_linear(tmp_path):
     write_model(train(corpus), small)
     write_model(train([sentence for i, original in enumerate(corpus)
                        for sentence in [original] + copies[3 * i:3 * i + 3]]), large)
-    rows = [sum(line.count("\t") == 2 for line in path.read_text(encoding="utf-8").split("\n"))
-            for path in (small, large)]
-    assert 3.99 < rows[1] / rows[0] <= 4
+    events = [path.read_text(encoding="utf-8").count("\t") for path in (small, large)]
+    assert 3.99 < events[1] / events[0] <= 4
 
     def timed_load(path):
         gc.collect()
@@ -703,7 +800,7 @@ def test_load_time_is_linear(tmp_path):
     ratios = []
     for _ in range(5):
         t_small = timed_load(small)
-        ratios.append(timed_load(large) / rows[1] / (t_small / rows[0]))
+        ratios.append(timed_load(large) / events[1] / (t_small / events[0]))
     assert statistics.median(ratios) <= 1.5, ratios
 
 

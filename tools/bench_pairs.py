@@ -19,10 +19,13 @@ from its HEAD commit, is refused, so the output names the trees it
 measured.  The output holds the two checkouts' commits, every run's
 values, and per workload:
   - per end-to-end metric of BENCHMARK.json, the parent's and the
-    change's median and quartiles, and the pairs the change won by the
-    metric's ``better`` direction (a tie wins for neither);
+    change's median and quartiles, the pairs the change won by the
+    metric's ``better`` direction (a tie wins for neither), and a
+    verdict against the metric's ``bound`` (``verdict``);
   - per pair, ``failed`` on each side and whether the paths and
     log-score digests matched.
+At the top, ``any_failed`` says whether any run failed an operation,
+and ``any_digest_differed`` whether any pair's digests differed.
 """
 
 import argparse
@@ -73,28 +76,56 @@ def spread(values):
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def aggregate(pairs, better):
+def verdict(parent, change, better, bound):
+    """The change's runs against the parent's on one metric, with
+    ``bound`` a share of the parent's median:
+
+      "worse"        the change's median is worse than the parent's by
+                     more than the bound;
+      "unresolved"   the parent's interquartile range is wider than the
+                     bound, and not every change run beats every parent
+                     run;
+      "within_bound" any other case.
+    """
+    sign = 1 if better == "higher" else -1
+    base = spread(parent)
+    limit = bound * abs(base["median"])
+    if sign * (base["median"] - spread(change)["median"]) > limit:
+        return "worse"
+    beats_all = min(sign * value for value in change) > max(sign * value for value in parent)
+    if base["q3"] - base["q1"] > limit and not beats_all:
+        return "unresolved"
+    return "within_bound"
+
+
+def aggregate(pairs, declared):
     """The summary of one workload's pairs.
 
     ``pairs`` holds one {"seed", "first", "parent", "change"} per pair,
-    each side a run record; ``better`` maps each end-to-end metric to
-    "lower" or "higher".  A metric that a run lacks is left out of that
-    run's pair.
+    each side a run record; ``declared`` is the ``end_to_end`` list of
+    BENCHMARK.json, each metric's "name", "better" ("lower" or
+    "higher") and "bound".  A metric that a run lacks is left out of
+    that run's pair.
     """
     metrics = {}
-    for name, direction in better.items():
+    for metric in declared:
+        name, direction = metric["name"], metric["better"]
         both = [(pair["parent"]["metrics"][name], pair["change"]["metrics"][name])
                 for pair in pairs
                 if name in pair["parent"]["metrics"] and name in pair["change"]["metrics"]]
         if not both:
             continue
         sign = 1 if direction == "higher" else -1
+        parent_values = [parent for parent, _ in both]
+        change_values = [change for _, change in both]
         metrics[name] = {
             "better": direction,
-            "parent": spread([parent for parent, _ in both]),
-            "change": spread([change for _, change in both]),
+            "bound": metric["bound"],
+            "parent": spread(parent_values),
+            "change": spread(change_values),
             "pairs_won": sum(sign * (change - parent) > 0 for parent, change in both),
             "pairs": len(both),
+            "verdict": verdict(parent_values, change_values, direction, metric["bound"]),
         }
     checks = [{
         "seed": pair["seed"],
@@ -106,6 +137,17 @@ def aggregate(pairs, better):
                              == pair["change"].get("log_scores_sha256")),
     } for pair in pairs]
     return {"metrics": metrics, "pairs": checks}
+
+
+def flags(workloads):
+    """{"any_failed", "any_digest_differed"} over every pair of the
+    workload summaries that ``aggregate`` gives."""
+    checks = [check for summary in workloads.values() for check in summary["pairs"]]
+    return {
+        "any_failed": any(check["parent_failed"] or check["change_failed"] for check in checks),
+        "any_digest_differed": not all(check["paths_match"] and check["log_scores_match"]
+                                       for check in checks),
+    }
 
 
 def commit_of(checkout):
@@ -131,7 +173,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as handle:
         declared = json.load(handle)
-    better = {metric["name"]: metric["better"] for metric in declared["end_to_end"]}
     seconds = declared["run_seconds"]
     checkouts = {"parent": args.parent, "change": args.change}
     output = {"commits": {side: commit_of(checkouts[side]) for side in PAIR_SIDES},
@@ -148,9 +189,10 @@ def main(argv=None):
             print("%s seed %d: %s" % (workload, seed, " ".join(
                 "%s failed %d" % (side, pair[side]["failed"]) for side in PAIR_SIDES)),
                 file=sys.stderr)
-        summary = aggregate(pairs, better)
+        summary = aggregate(pairs, declared["end_to_end"])
         summary["runs"] = pairs
         output["workloads"][workload] = summary
+    output.update(flags(output["workloads"]))
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(output, handle, indent=1, sort_keys=True)
         handle.write("\n")
