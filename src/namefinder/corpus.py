@@ -10,6 +10,15 @@ TIME) and NUMEX (MONEY, PERCENT).  Tags never nest and never span a
 sentence boundary.  Literal ``&``, ``<`` and ``>`` in text must be
 written ``&amp;``, ``&lt;`` and ``&gt;``.
 
+A tag's text runs from a ``<`` to the next ``>``, since no tag of the
+grammar holds a ``>`` before its last character.  The parser looks each
+tag text up in a memo, filled from the grammar's regular expression the
+first time the text is seen, so a corpus's few distinct tags are
+matched once each.  Then the tag is checked against the open region,
+as every tag is, so a malformed or misplaced tag gets the same message
+and position whether or not its text was seen before.  Text between
+tags with no ``&`` or ``>`` needs no unescaping and is taken as it is.
+
 The tokenizer is rule-based: it splits on whitespace, detaches clause
 and sentence punctuation, and keeps digits, commas, periods, slashes
 and dashes inside tokens so that numeric strings like ``23,000.00`` or
@@ -200,6 +209,8 @@ def _position(text, offset):
 
 def _unescape(text, raw, raw_offset):
     """Replace entities; reject bare markup characters."""
+    if "&" not in text and ">" not in text:
+        return text
     bare = _BARE_RE.search(text)
     if bare:
         line, col = _position(raw, raw_offset + bare.start())
@@ -249,29 +260,43 @@ class _SentenceBuilder:
         self.regions = []
 
 
-def _tag_problem(m, builder):
-    """Why the tag at this point is malformed or out of place, or None."""
+def _read_tag(tag):
+    """(element, TYPE) of an opening tag's text, (element, None) of a
+    closing one's, or None if the text is no tag of the grammar."""
+    m = _TAG_RE.fullmatch(tag)
     if not m:
-        return "malformed tag"
+        return None
     if m.group("close"):
+        return m.group("close"), None
+    return m.group("element"), m.group("type")
+
+
+def _tag_problem(tag, builder):
+    """Why the tag (as ``_read_tag`` gives it) is malformed or out of
+    place at this point, or None."""
+    if tag is None:
+        return "malformed tag"
+    element, name_class = tag
+    if name_class is None:
         if builder.open_class is None:
             return "closing tag without an open region"
-        element = _ELEMENT_OF_CLASS[builder.open_class]
-        if m.group("close") != element:
-            return "closing tag %s does not match open %s" % (m.group("close"), element)
+        open_element = _ELEMENT_OF_CLASS[builder.open_class]
+        if element != open_element:
+            return "closing tag %s does not match open %s" % (element, open_element)
         if builder.open_start == len(builder.tokens):
             return "empty region"
         return None
     if builder.open_class is not None:
         return "nested tags are not allowed"
-    if m.group("type") not in _CLASSES_OF_ELEMENT[m.group("element")]:
-        return "unknown TYPE %r for %s" % (m.group("type"), m.group("element"))
+    if name_class not in _CLASSES_OF_ELEMENT[element]:
+        return "unknown TYPE %r for %s" % (name_class, element)
     return None
 
 
 def parse_annotated(text: str) -> list:
     """Parse inline-markup annotated text into AnnotatedSentences."""
     builder = _SentenceBuilder()
+    tags = {}  # tag text -> _read_tag of it
     pos = 0
     while pos < len(text):
         lt = text.find("<", pos)
@@ -280,17 +305,22 @@ def parse_annotated(text: str) -> list:
             break
         if lt > pos:
             builder.add_text(_unescape(text[pos:lt], text, pos))
-        m = _TAG_RE.match(text, lt)
-        problem = _tag_problem(m, builder)
+        pos = text.find(">", lt) + 1  # past the tag; 0 if no '>' ends it
+        tag = None
+        if pos:
+            raw = text[lt:pos]
+            tag = tags.get(raw)
+            if tag is None:
+                tag = tags[raw] = _read_tag(raw)
+        problem = _tag_problem(tag, builder)
         if problem:
             # The position lookup scans from the start of the text, so
             # only an error pays for it and parsing stays linear.
             raise ParseError(problem, *_position(text, lt))
-        if m.group("close"):
+        if tag[1] is None:
             builder.close_region()
         else:
-            builder.open_region(m.group("type"))
-        pos = m.end()
+            builder.open_region(tag[1])
     if builder.open_class is not None:
         raise ParseError("unclosed tag at end of document", *_position(text, len(text)))
     builder.flush()

@@ -9,20 +9,23 @@ counted.  The pooled back-off levels below them (class bigrams and
 marginals, begin-bigrams and word unigrams) are their sums, which
 ``CountTables`` derives once per table set.
 
-The unknown-word tables come from a two-pass held-out scheme: build a
-vocabulary on the first half of the corpus and count the second half
-against it (out-of-vocabulary words becoming ``UNKNOWN_WORD``, keeping
-their real word-feature), then swap the halves and add the two sets of
-counts together.  The main tables use all sentences and the full
-vocabulary.  Only a hand-built ``AnnotatedSentence`` can hold a word
-spelling a sentinel (``features``); one spelling ``UNKNOWN_WORD`` shares
-the held-out counts of the out-of-vocabulary words.
+The unknown-word tables come from a held-out scheme: each half of the
+corpus is counted as if the other half were all the training there
+was, so its words outside the other half's vocabulary become
+``UNKNOWN_WORD``, keeping their real word-feature, and the two halves'
+counts are added together.  Renaming a word changes no event but the
+word, so ``train`` counts each half once, with its real words, and
+derives both sets from those counts: the main tables are the two
+halves' sum, and each half's held-out counts are its own tables with
+the unseen words renamed, where every event whose renamed key collides
+with another adds to it.  Only a hand-built ``AnnotatedSentence`` can
+hold a word spelling a sentinel (``features``); one spelling
+``UNKNOWN_WORD`` shares the held-out counts of the out-of-vocabulary
+words.
 
 Each ``collect_counts`` call computes a word's feature once per
 distinct (word, first-word flag), the only inputs a feature has besides
-the config, and counts straight into the tables' event dicts.  The
-main set and each held-out half stay separate calls, so each pass can
-still be timed on its own.
+the config, and counts straight into the tables' event dicts.
 """
 
 from dataclasses import dataclass, field
@@ -66,10 +69,6 @@ class Vocabulary:
     def known(self, word: str) -> bool:
         """END_WORD is known: the sentence-start context is the main tables'."""
         return word in self._words or word == END_WORD
-
-    def map(self, word: str) -> str:
-        """Replace an out-of-vocabulary word by UNKNOWN_WORD."""
-        return word if self.known(word) else UNKNOWN_WORD
 
     def words(self):
         """Words in first-seen order."""
@@ -288,13 +287,8 @@ def segment_classes(sentence: AnnotatedSentence):
     return segments
 
 
-def collect_counts(sentences, vocab: Vocabulary, map_unknown: bool,
-                   config: FeatureConfig = FeatureConfig()) -> CountTables:
+def collect_counts(sentences, config: FeatureConfig = FeatureConfig()) -> CountTables:
     """Count every event the generative story produces for the corpus.
-
-    With map_unknown, out-of-vocabulary words are replaced by the
-    unknown sentinel before counting; the word-feature is computed from
-    the real word first, so the sentinel keeps the original feature.
 
     A word's feature depends only on the word, its first-word flag and
     the config, so each call computes it, and builds the word's token,
@@ -313,7 +307,7 @@ def collect_counts(sentences, vocab: Vocabulary, map_unknown: bool,
             token = known.get(word)
             if token is None:
                 feature = compute_feature(word, is_first_word=not tokens, config=config)
-                token = known[word] = Token(vocab.map(word) if map_unknown else word, feature)
+                token = known[word] = Token(word, feature)
             tokens.append(token)
         nc_prev, w_prev = START_OF_SENTENCE, END_WORD
         for nc, start, end in segment_classes(sentence):
@@ -340,23 +334,56 @@ def build_vocabulary(sentences) -> Vocabulary:
     return Vocabulary(word for sentence in sentences for word in sentence.tokens)
 
 
+def _add_held_out(unknown: CountTables, half: CountTables, unseen: set):
+    """Add one half's counts to the unknown-word tables, each word in
+    ``unseen`` (the half's words that the other half lacks) renamed
+    ``UNKNOWN_WORD`` with its feature kept.  That is the transition
+    context's previous word, the first-word tokens and the word-bigram
+    context word and event tokens; counts whose renamed keys collide
+    are summed."""
+    transitions, first_words, bigrams = (table._events for table in unknown.tables().values())
+    for (nc_prev, w_prev), events in half.class_transitions._events.items():
+        bucket = transitions.setdefault(
+            (nc_prev, UNKNOWN_WORD if w_prev in unseen else w_prev), {})
+        for nc, count in events.items():
+            bucket[nc] = bucket.get(nc, 0) + count
+    for context, events in half.first_words._events.items():
+        bucket = first_words.setdefault(context, {})
+        for token, count in events.items():
+            if token[0] in unseen:
+                token = Token(UNKNOWN_WORD, token[1])
+            bucket[token] = bucket.get(token, 0) + count
+    for (w_prev, f_prev, nc), events in half.word_bigrams._events.items():
+        bucket = bigrams.setdefault(
+            (UNKNOWN_WORD if w_prev in unseen else w_prev, f_prev, nc), {})
+        for token, count in events.items():
+            if token[0] in unseen:
+                token = Token(UNKNOWN_WORD, token[1])
+            bucket[token] = bucket.get(token, 0) + count
+
+
 def train(sentences, config: FeatureConfig = FeatureConfig()) -> TrainedModel:
     """Build a full model: main tables plus held-out unknown-word tables.
 
-    Main tables use all sentences and the full vocabulary.  Unknown
-    tables add two passes: the second half counted against the first
-    half's vocabulary, and vice versa.
+    Each half of the corpus is counted once, with its real words.  The
+    unknown-word tables are the second half's counts with its words
+    outside the first half's vocabulary renamed ``UNKNOWN_WORD``, plus
+    the first half's renamed against the second's (``_add_held_out``);
+    the main tables are then the first half's own tables with the
+    second half's counts added.  Both sets equal counting the whole corpus, and each
+    half against the other's vocabulary.
     """
     sentences = [s for s in sentences if s.tokens]
     if len(sentences) < 2:
         raise TrainingError("need at least 2 sentences to form held-out halves, got %d"
                             % len(sentences))
-    vocabulary = build_vocabulary(sentences)
-    main = collect_counts(sentences, vocabulary, map_unknown=False, config=config)
     half = (len(sentences) + 1) // 2
     part_a, part_b = sentences[:half], sentences[half:]
-    unknown = collect_counts(part_b, build_vocabulary(part_a), map_unknown=True, config=config)
-    held_out = collect_counts(part_a, build_vocabulary(part_b), map_unknown=True, config=config)
-    for name, table in unknown.tables().items():
-        table.update(getattr(held_out, name))
-    return TrainedModel(vocabulary, main, unknown, config)
+    words_a, words_b = build_vocabulary(part_a), build_vocabulary(part_b)
+    counted_a, counted_b = collect_counts(part_a, config), collect_counts(part_b, config)
+    unknown = CountTables()
+    _add_held_out(unknown, counted_b, {word for word in words_b.words() if word not in words_a})
+    _add_held_out(unknown, counted_a, {word for word in words_a.words() if word not in words_b})
+    for name, table in counted_a.tables().items():
+        table.update(getattr(counted_b, name))
+    return TrainedModel(Vocabulary(words_a.words() + words_b.words()), counted_a, unknown, config)

@@ -7,19 +7,21 @@ corpus once and counts every back-off level as its own table, the
 word-feature classifier is a separate predicate list, the path oracle
 enumerates every labeled segmentation of a sentence, and the recurrence
 oracle is the Viterbi step that reads every candidate, the corpus
-oracles split every chunk alone and emit one token at a time, and the
-loading oracle adds a model file's rows one at a time and sums the
+oracles split every chunk alone, match the tag grammar afresh at every
+tag and emit one token at a time, and the loading oracle adds a model file's rows one at a time and sums the
 pooled levels a context at a time.  Production code is imported only
 for type constructors, for the word features the count, path and
 recurrence oracles tag tokens with, in the path oracle for the
 probability queries the search is defined over, in the recurrence
 oracle for the rows a decoder reads, in the tokenizing oracles for the
-chunk split and the parser's sentence builder, and in the loading
+chunk split, the parser's sentence builder and the tag grammar's
+regular expression, and in the loading
 oracle for the format's constants and field readers.
 """
 
 import math
 import random
+import re
 from functools import cached_property
 
 from namefinder.counts import CondTable, CountTables, TrainedModel, Vocabulary
@@ -31,8 +33,10 @@ from namefinder.corpus import (
     START_OF_SENTENCE,
     TERMINALS,
     AnnotatedSentence,
+    ParseError,
     Region,
     _SentenceBuilder,
+    _TAG_RE,
     _split_chunk,
 )
 from namefinder.estimator import (
@@ -174,8 +178,8 @@ def ref_count_walk(sentences, vocab, map_unknown, config=FeatureConfig()):
         tokens = []
         for i, word in enumerate(sentence.tokens):
             feature = compute_feature(word, is_first_word=(i == 0), config=config)
-            if map_unknown:
-                word = vocab.map(word)
+            if map_unknown and word not in vocab and word != END_WORD:
+                word = UNKNOWN_WORD
             tokens.append(Token(word, feature))
         segments, pos = [], 0
         for region in sentence.regions:
@@ -614,6 +618,71 @@ class RefSentenceBuilder(_SentenceBuilder):
 
 _REF_ELEMENTS = {"PERSON": "ENAMEX", "ORGANIZATION": "ENAMEX", "LOCATION": "ENAMEX",
                  "DATE": "TIMEX", "TIME": "TIMEX", "MONEY": "NUMEX", "PERCENT": "NUMEX"}
+
+
+def _ref_position(text, offset):
+    """1-based (line, column) of an offset."""
+    before = text[:offset].split("\n")
+    return len(before), len(before[-1]) + 1
+
+
+def _ref_unescape(text, raw, raw_offset):
+    """Entities replaced, or ParseError at a bare '&' or '>'."""
+    bare = re.search(r"&(?!(?:amp|lt|gt);)|>", text)
+    if bare:
+        use = "&amp;" if bare.group() == "&" else "&gt;"
+        raise ParseError("bare '%s' (use %s)" % (bare.group(), use),
+                         *_ref_position(raw, raw_offset + bare.start()))
+    return re.sub(r"&(amp|lt|gt);", lambda m: {"amp": "&", "lt": "<", "gt": ">"}[m.group(1)],
+                  text)
+
+
+def _ref_tag_problem(m, builder):
+    """Why the tag matched (or not) at this point is malformed or out of
+    place, or None."""
+    if not m:
+        return "malformed tag"
+    if m.group("close"):
+        if builder.open_class is None:
+            return "closing tag without an open region"
+        element = _REF_ELEMENTS[builder.open_class]
+        if m.group("close") != element:
+            return "closing tag %s does not match open %s" % (m.group("close"), element)
+        if builder.open_start == len(builder.tokens):
+            return "empty region"
+        return None
+    if builder.open_class is not None:
+        return "nested tags are not allowed"
+    if _REF_ELEMENTS.get(m.group("type")) != m.group("element"):
+        return "unknown TYPE %r for %s" % (m.group("type"), m.group("element"))
+    return None
+
+
+def ref_parse_annotated(text):
+    """Sentences of annotated text, matching the tag grammar afresh at
+    every '<' and adding text one chunk at a time."""
+    builder = RefSentenceBuilder()
+    pos = 0
+    while pos < len(text):
+        lt = text.find("<", pos)
+        end = len(text) if lt == -1 else lt
+        if end > pos:
+            builder.add_text(_ref_unescape(text[pos:end], text, pos))
+        if lt == -1:
+            break
+        m = _TAG_RE.match(text, lt)
+        problem = _ref_tag_problem(m, builder)
+        if problem:
+            raise ParseError(problem, *_ref_position(text, lt))
+        if m.group("close"):
+            builder.close_region()
+        else:
+            builder.open_region(m.group("type"))
+        pos = m.end()
+    if builder.open_class is not None:
+        raise ParseError("unclosed tag at end of document", *_ref_position(text, len(text)))
+    builder.flush()
+    return builder.sentences
 
 
 def _ref_escape(token):

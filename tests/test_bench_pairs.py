@@ -70,8 +70,9 @@ def test_each_pair_reports_failures_and_digest_matches():
 @pytest.mark.parametrize("parent, change, better, expected", [
     # Medians 10 and 11.6: worse by 16% against a bound of 15%.
     ([9.0, 10.0, 10.0, 10.0, 11.0], [11.0, 11.6, 11.6, 11.6, 12.0], "lower", "worse"),
-    # The same 16% on a higher-is-better metric is a gain.
-    ([9.0, 10.0, 10.0, 10.0, 11.0], [11.0, 11.6, 11.6, 11.6, 12.0], "higher", "within_bound"),
+    # The same 16% on a higher-is-better metric is a gain: every pair
+    # won, and the medians 1.6 apart against parent quartiles 9.5 and 10.5.
+    ([9.0, 10.0, 10.0, 10.0, 11.0], [11.0, 11.6, 11.6, 11.6, 12.0], "higher", "improved"),
     # Medians 11.6 and 9.5: 18% lower on a higher-is-better metric.
     ([11.0, 11.6, 11.6, 11.6, 12.0], [9.0, 9.5, 9.5, 9.5, 11.0], "higher", "worse"),
     # Parent quartiles 8 and 12, 40% of the median, wider than the bound.
@@ -81,6 +82,16 @@ def test_each_pair_reports_failures_and_digest_matches():
     ([7.0, 9.0, 10.0, 11.0, 13.0], [13.5, 14.0, 14.0, 13.1, 14.0], "higher", "within_bound"),
     # Narrow parent spread, median 5% worse.
     ([9.9, 10.0, 10.0, 10.0, 10.1], [10.5, 10.5, 10.4, 10.6, 10.5], "lower", "within_bound"),
+    # 9 of 10 pairs won, medians 2.0 apart against parent quartiles 9.75
+    # and 10.25: improved, on either direction.
+    ([10.0] * 4 + [9.5, 10.5] * 3, [8.0] * 9 + [11.0], "lower", "improved"),
+    ([10.0] * 4 + [9.5, 10.5] * 3, [12.0] * 9 + [9.0], "higher", "improved"),
+    # 8 of 10 pairs won: a gain as large, not claimed.
+    ([10.0] * 4 + [9.5, 10.5] * 3, [8.0] * 8 + [11.0] * 2, "lower", "within_bound"),
+    # Every pair won, but the medians 0.4 apart inside quartiles 9.5 and 10.5.
+    ([9.0, 10.0, 10.0, 10.0, 11.0], [9.5, 10.4, 10.4, 10.4, 11.5], "higher", "within_bound"),
+    # 9 of 10 pairs won, but the one lost drags the median from 10 to 6.
+    ([0.0] * 4 + [10.0] * 5 + [100.0], [1.0] * 4 + [11.0] * 5 + [0.0], "higher", "worse"),
 ])
 def test_each_verdict_is_reached(parent, change, better, expected):
     assert bench_pairs.verdict(parent, change, better, 0.15) == expected

@@ -36,7 +36,13 @@ from namefinder.corpus import (
     _split_text,
 )
 from conftest import ANNOTATED_FIXTURE
-from reference import RefSentenceBuilder, random_corpus, ref_emit_annotated, ref_tokenize
+from reference import (
+    RefSentenceBuilder,
+    random_corpus,
+    ref_emit_annotated,
+    ref_parse_annotated,
+    ref_tokenize,
+)
 
 
 def terminated(corpus):
@@ -395,27 +401,44 @@ _markup_runs = st.lists(st.tuples(st.one_of(
 ), _raw_spaces), max_size=8).map(lambda parts: "".join(p + s for p, s in parts))
 
 
+# Whitespace a tag may hold, and stray markup that no tag of the grammar
+# reads: a '<' that no '>' closes, one that runs into the next tag, and
+# a bare '>' or '&'.
+_tag_spaces = st.sampled_from([" ", " ", "\t", "\n", "  ", " \t\n"])
+_tag_ends = st.sampled_from(["", "", "", " ", "\n", "\t "])
+_stray_markup = st.sampled_from([""] * 40 + ["<", "<<", "< ", "<ENAMEX", '<TIMEX TYPE="DATE"',
+                                              "</NUMEX", "<>", ">", "&"])
+
+
 @st.composite
 def _annotated_text(draw):
-    """Markup of runs of text, some inside a region (adjacent regions
-    included), sometimes malformed."""
+    """Markup of runs of text, some inside a region (adjacent and empty
+    regions included) whose tags hold any whitespace the grammar allows,
+    and sometimes malformed: stray markup, an unknown TYPE or a
+    mismatched close."""
     pieces = []
     for run, tagged in draw(st.lists(st.tuples(_markup_runs, st.booleans()), max_size=6)):
         if tagged:
-            name_class = draw(st.sampled_from(NAME_CLASSES))
-            element = ("ENAMEX" if name_class in (PERSON, ORGANIZATION, LOCATION)
-                       else "TIMEX" if name_class in (DATE, TIME) else "NUMEX")
-            run = '<%s TYPE="%s">%s</%s>' % (element, name_class, run, element)
-        pieces.append(run)
+            name_class = draw(st.sampled_from(NAME_CLASSES * 3 + ("ANIMAL",)))
+            element = ("TIMEX" if name_class in (DATE, TIME)
+                       else "NUMEX" if name_class in (MONEY, PERCENT) else "ENAMEX")
+            close = draw(st.sampled_from([element] * 20 + ["ENAMEX", "TIMEX", "NUMEX"]))
+            run = '<%s%sTYPE="%s"%s>%s</%s%s>' % (element, draw(_tag_spaces), name_class,
+                                                 draw(_tag_ends), run, close, draw(_tag_ends))
+        pieces.append(run + draw(_stray_markup))
     return draw(st.sampled_from(["", " ", "\n"])).join(pieces)
 
 
-def parsed(text):
-    """parse_annotated's sentences, or the message of its ParseError."""
+def parsed(text, parse=parse_annotated):
+    """The sentences of a parse, or the message of its ParseError."""
     try:
-        return parse_annotated(text)
+        return parse(text)
     except ParseError as exc:
         return str(exc)
+
+
+def ref_parsed(text):
+    return parsed(text, ref_parse_annotated)
 
 
 @st.composite
@@ -454,6 +477,33 @@ class TestFastPaths:
         with mock.patch.object(corpus_module, "_SentenceBuilder", RefSentenceBuilder):
             expected = parsed(text)
         assert parsed(text) == expected
+
+    @settings(derandomize=True, deadline=None, max_examples=500)
+    @given(text=_annotated_text())
+    def test_parse_is_the_regex_parse(self, text):
+        # The same sentences, or the same message at the same line and column.
+        assert parsed(text) == ref_parsed(text)
+
+    @pytest.mark.parametrize("text", [
+        '<ENAMEX\tTYPE="PERSON" >Ann</ENAMEX> met <TIMEX TYPE="DATE">May</TIMEX\n> .',
+        'a\n<NUMEX \n TYPE="MONEY"\t\n>$5</NUMEX > .',
+        'a < b', 'a <', 'a > b', 'x <<ENAMEX TYPE="PERSON">b</ENAMEX>',
+        '<ENAMEX TYPE="PERSON"\n', '<ENAMEX TYPE= "PERSON">a</ENAMEX>',
+        '<enamex TYPE="PERSON">a</enamex>', '<ENAMEX TYPE="ANIMAL">a</ENAMEX>',
+        'ok .\n<TIMEX  TYPE="PERSON">a</TIMEX>', '<ENAMEX TYPE="PERSON">a</NUMEX\t>',
+        '<ENAMEX TYPE="PERSON"> \n</ENAMEX>', '<ENAMEX TYPE="PERSON">a</ENAMEX></ENAMEX>',
+        '<ENAMEX TYPE="PERSON">a <TIMEX\tTYPE="DATE">b</TIMEX></ENAMEX>',
+    ])
+    def test_tag_variants_parse_as_the_regex_parse(self, text):
+        assert parsed(text) == ref_parsed(text)
+
+    def test_whitespace_inside_tags_is_the_grammars(self):
+        assert parse_annotated('<ENAMEX\tTYPE="PERSON" >Ann</ENAMEX> met '
+                               '<TIMEX TYPE="DATE">May</TIMEX\n> .') == [
+            AnnotatedSentence(["Ann", "met", "May", "."],
+                              [Region(0, 1, PERSON), Region(2, 3, DATE)])]
+        assert parsed("a\n<ENAMEX TYPE= \"PERSON\">b</ENAMEX>") == \
+            "line 2, column 1: malformed tag"
 
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(sentences=st.lists(_valid_sentences(), max_size=4))

@@ -1,6 +1,9 @@
 """Count collection: the event streams behind every probability table."""
 
+import gc
 import random
+import statistics
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -40,10 +43,6 @@ def sent(tokens, regions=()):
     return AnnotatedSentence(tokens=list(tokens), regions=list(regions))
 
 
-def full_vocab(sentences):
-    return build_vocabulary(sentences)
-
-
 def marginal(tables, nc, part):
     """Per-word (part "word") or per-feature (part "feature") counts of a
     class's word unigrams."""
@@ -77,14 +76,14 @@ class TestSegmentClasses:
 @pytest.fixture(scope="module")
 def single_region_tables():
     corpus = [sent(["John", "runs"], [Region(0, 1, PERSON)])]
-    return collect_counts(corpus, full_vocab(corpus), map_unknown=False)
+    return collect_counts(corpus)
 
 
 @pytest.fixture(scope="module")
 def multi_token_tables():
     corpus = [sent(["Mr.", "John", "Smith", "said", "hello", "."],
                    [Region(1, 3, PERSON)])]
-    return collect_counts(corpus, full_vocab(corpus), map_unknown=False)
+    return collect_counts(corpus)
 
 
 class TestSingleRegionSentence:
@@ -173,7 +172,7 @@ class TestMultiTokenRegion:
 class TestCountConsistency:
     def test_totals_and_uniques_match_event_sums(self, rng):
         corpus = random_corpus(rng, 60)
-        tables = collect_counts(corpus, full_vocab(corpus), map_unknown=False)
+        tables = collect_counts(corpus)
         for name in tables.NAMES + POOLED:
             table = getattr(tables, name)
             for context in table.contexts():
@@ -184,7 +183,7 @@ class TestCountConsistency:
 
     def test_class_chain_totals_agree(self, rng):
         corpus = random_corpus(rng, 60)
-        tables = collect_counts(corpus, full_vocab(corpus), map_unknown=False)
+        tables = collect_counts(corpus)
         # Collapsing transition contexts over the conditioned word gives
         # the class-bigram table; collapsing again gives the marginal.
         for nc_prev in INTERNAL_CLASSES + (START_OF_SENTENCE,):
@@ -202,28 +201,27 @@ class TestCountConsistency:
 
     def test_first_word_totals_match_class_arrivals(self, rng):
         corpus = random_corpus(rng, 60)
-        tables = collect_counts(corpus, full_vocab(corpus), map_unknown=False)
+        tables = collect_counts(corpus)
         for nc, nc_prev in tables.first_words.contexts():
             assert tables.first_words.total((nc, nc_prev)) == \
                 tables.class_bigrams.count((nc_prev,), nc)
 
     def test_order_insensitive(self, rng):
         corpus = random_corpus(rng, 40)
-        vocab = full_vocab(corpus)
-        a = collect_counts(corpus, vocab, map_unknown=False)
-        b = collect_counts(list(reversed(corpus)), vocab, map_unknown=False)
+        a = collect_counts(corpus)
+        b = collect_counts(list(reversed(corpus)))
         for name in a.NAMES:
             assert getattr(a, name) == getattr(b, name)
 
     def test_empty_sentences_are_skipped(self):
         corpus = [sent([]), sent(["a"]), sent([])]
-        tables = collect_counts(corpus, full_vocab(corpus), map_unknown=False)
+        tables = collect_counts(corpus)
         assert tables.class_marginal.total(()) == 2
 
     def test_each_distinct_word_and_flag_is_featured_once(self, monkeypatch):
         # A feature depends on the word, its first-word flag and the config
-        # only, so one call computes each (word, flag) once, held-out
-        # mapping or not; the counts are those of a plain walk.
+        # only, so one call computes each (word, flag) once; the counts
+        # are those of a plain walk.
         calls = []
 
         def counted(word, is_first_word=False, config=FeatureConfig()):
@@ -233,14 +231,10 @@ class TestCountConsistency:
         corpus = generate_corpus(80, seed=3) + [sent(["the", "The", "the"])]
         pairs = {(word, i == 0) for s in corpus for i, word in enumerate(s.tokens)}
         monkeypatch.setattr(counts, "compute_feature", counted)
-        for vocab, map_unknown in ((full_vocab(corpus), False),
-                                   (full_vocab(corpus[:40]), True)):
-            del calls[:]
-            tables = collect_counts(corpus, vocab, map_unknown)
-            assert len(calls) == len(pairs) < sum(len(s.tokens) for s in corpus)
-            assert set(calls) == pairs
+        main = collect_counts(corpus)
+        assert len(calls) == len(pairs) < sum(len(s.tokens) for s in corpus)
+        assert set(calls) == pairs
         walk = ref_train_walks(corpus)[0]
-        main = collect_counts(corpus, full_vocab(corpus), map_unknown=False)
         for name in main.NAMES:
             assert getattr(main, name) == walk[name], name
 
@@ -295,19 +289,17 @@ class TestVocabulary:
         assert vocab.words() == ["b", "a", "c"]
         assert len(vocab) == 3
 
-    def test_frozen_vocab_maps_oov_to_sentinel(self):
+    def test_membership(self):
         vocab = Vocabulary(["x"])
-        assert vocab.map("y") == UNKNOWN_WORD
-        assert vocab.map("x") == "x"
         assert "y" not in vocab and "x" in vocab
+        assert vocab.known("x") and not vocab.known("y")
 
     def test_end_word_always_known(self):
         # So the sentence-start context routes to the main tables.
         vocab = Vocabulary()
-        assert vocab.known(END_WORD) and vocab.map(END_WORD) == END_WORD
+        assert vocab.known(END_WORD) and END_WORD not in vocab
         for w in (UNKNOWN_WORD, "+end+", "+unk+", "word"):
             assert not vocab.known(w)
-            assert vocab.map(w) == UNKNOWN_WORD
 
 
 class TestCondTable:
@@ -364,6 +356,24 @@ class TestTrain:
             Token("gamma", "lowerCase"): 1,
         }
 
+    def test_renamed_keys_that_collide_add_up(self):
+        # Halves [s1, s2] and [s3, s4]: each half's first words are unseen
+        # in the other, so they share one sentinel token and one bigram
+        # context, and the renamed counts add up.
+        corpus = [sent(["alpha", "beta"]), sent(["alpha", "gamma"]),
+                  sent(["delta", "beta"]), sent(["epsilon", "beta"])]
+        model = train(corpus)
+        unknown = Token(UNKNOWN_WORD, "lowerCase")
+        assert model.unknown.first_words.events((NAN, START_OF_SENTENCE)) == {unknown: 4}
+        assert model.unknown.word_bigrams.events((UNKNOWN_WORD, "lowerCase", NAN)) == {
+            Token("beta", "lowerCase"): 3, unknown: 1, END_TOKEN: 1}
+        t = model.unknown.class_transitions
+        assert t.events((NAN, "beta")) == {END_OF_SENTENCE: 3}
+        assert t.events((NAN, UNKNOWN_WORD)) == {END_OF_SENTENCE: 1}
+        walk = ref_train_walks(corpus)[1]
+        for name in model.unknown.NAMES + POOLED:
+            assert getattr(model.unknown, name) == walk[name], name
+
     def test_main_tables_see_every_word(self):
         corpus = [
             sent(["alpha", "beta"]),
@@ -403,3 +413,27 @@ class TestTrain:
         assert marginal(model.main, ORGANIZATION, "word").get("Acme", 0) == 1
         assert model.main.first_words.count(
             (ORGANIZATION, START_OF_SENTENCE), Token("Acme", "firstWord")) == 1
+
+
+def test_train_time_is_linear():
+    """time(2n)/time(n) <= 2.5 for training, as criterion 9 asks of
+    decoding.
+
+    Small and large corpora alternate, and the gate takes the median of
+    the per-pair ratios, so that a burst of load on a shared machine
+    does not decide it.
+    """
+    large = generate_corpus(6000, seed=31)
+    small = large[:3000]
+
+    def timed_train(corpus):
+        gc.collect()
+        begin = time.perf_counter()
+        train(corpus)
+        return time.perf_counter() - begin
+
+    ratios = []
+    for _ in range(5):
+        t_small = timed_train(small)
+        ratios.append(timed_train(large) / t_small)
+    assert statistics.median(ratios) <= 2.5, ratios

@@ -21,7 +21,8 @@ values, and per workload:
   - per end-to-end metric of BENCHMARK.json, the parent's and the
     change's median and quartiles, the pairs the change won by the
     metric's ``better`` direction (a tie wins for neither), and a
-    verdict against the metric's ``bound`` (``verdict``);
+    verdict against the metric's ``bound`` and the parent's spread
+    (``verdict``);
   - per pair, ``failed`` on each side and whether the paths and
     log-score digests matched.
 At the top, ``any_failed`` says whether any run failed an operation,
@@ -78,10 +79,14 @@ def spread(values):
 
 def verdict(parent, change, better, bound):
     """The change's runs against the parent's on one metric, with
-    ``bound`` a share of the parent's median:
+    ``bound`` a share of the parent's median and ``parent[i]`` paired
+    with ``change[i]``:
 
       "worse"        the change's median is worse than the parent's by
                      more than the bound;
+      "improved"     the change won at least 9 of every 10 pairs, and
+                     its median beats the parent's by more than the
+                     parent's interquartile range;
       "unresolved"   the parent's interquartile range is wider than the
                      bound, and not every change run beats every parent
                      run;
@@ -89,9 +94,13 @@ def verdict(parent, change, better, bound):
     """
     sign = 1 if better == "higher" else -1
     base = spread(parent)
+    gain = sign * (spread(change)["median"] - base["median"])
     limit = bound * abs(base["median"])
-    if sign * (base["median"] - spread(change)["median"]) > limit:
+    if -gain > limit:
         return "worse"
+    won = sum(sign * (new - old) > 0 for old, new in zip(parent, change))
+    if 10 * won >= 9 * len(parent) and gain > base["q3"] - base["q1"]:
+        return "improved"
     beats_all = min(sign * value for value in change) > max(sign * value for value in parent)
     if base["q3"] - base["q1"] > limit and not beats_all:
         return "unresolved"
