@@ -437,10 +437,6 @@ def parsed(text, parse=parse_annotated):
         return str(exc)
 
 
-def ref_parsed(text):
-    return parsed(text, ref_parse_annotated)
-
-
 @st.composite
 def _valid_sentences(draw):
     """A sentence whose tokens hold markup characters, with regions
@@ -482,7 +478,7 @@ class TestFastPaths:
     @given(text=_annotated_text())
     def test_parse_is_the_regex_parse(self, text):
         # The same sentences, or the same message at the same line and column.
-        assert parsed(text) == ref_parsed(text)
+        assert parsed(text) == parsed(text, ref_parse_annotated)
 
     @pytest.mark.parametrize("text", [
         '<ENAMEX\tTYPE="PERSON" >Ann</ENAMEX> met <TIMEX TYPE="DATE">May</TIMEX\n> .',
@@ -495,7 +491,7 @@ class TestFastPaths:
         '<ENAMEX TYPE="PERSON">a <TIMEX\tTYPE="DATE">b</TIMEX></ENAMEX>',
     ])
     def test_tag_variants_parse_as_the_regex_parse(self, text):
-        assert parsed(text) == ref_parsed(text)
+        assert parsed(text) == parsed(text, ref_parse_annotated)
 
     def test_whitespace_inside_tags_is_the_grammars(self):
         assert parse_annotated('<ENAMEX\tTYPE="PERSON" >Ann</ENAMEX> met '
