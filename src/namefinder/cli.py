@@ -1,8 +1,10 @@
 """Command-line surface: train, decode, score, learning-curve.
 
-Exit codes: 0 success, 1 usage, 2 parse or format problem (corpus,
-model file, alignment, unusable corpus, a file that is not UTF-8),
-3 I/O failure.
+Exit codes: 0 success, 1 usage (from ``_Parser``), 2 parse or format
+problem (corpus, model file, alignment, unusable corpus, a file that is
+not UTF-8), 3 I/O failure.  A command raises every other failure it
+expects as ``_Failure(code, message)``; ``main`` alone prints it as
+``namefinder: <message>`` to stderr and returns the code.
 """
 
 import argparse
@@ -14,7 +16,7 @@ from .corpus import NAME_CLASSES, ParseError, emit_annotated, parse_annotated
 from .counts import TrainingError, train
 from .decoder import Decoder
 from .features import FeatureConfig
-from .model_io import ModelFormatError, read_model, write_model
+from .model_io import ModelFormatError, read_model, serialize_model, write_whole
 from .scorer import AlignmentError, check_beta, format_report, score
 
 EXIT_OK = 0
@@ -22,35 +24,45 @@ EXIT_USAGE = 1
 EXIT_FORMAT = 2
 EXIT_IO = 3
 
-def _fail(code, message):
-    print("namefinder: %s" % message, file=sys.stderr)
-    return code
+
+class _Failure(Exception):
+    """An expected failure, raised with its exit code and message."""
 
 
-def _read_text(path, kind):
-    """The file's text; bytes that are not UTF-8 are a ParseError."""
+def _read_text(path, role):
+    """The text of the ``role`` file at ``path``."""
     try:
         with open(path, encoding="utf-8") as handle:
             return handle.read()
     except UnicodeDecodeError as exc:
-        raise ParseError("%s is not UTF-8: %s" % (kind, exc)) from None
+        raise _Failure(EXIT_FORMAT, "%s is not UTF-8: %s" % (role, exc)) from None
+    except OSError as exc:
+        raise _Failure(EXIT_IO, "cannot read %s: %s" % (role, exc)) from None
+
+
+def _parsed(path, role):
+    """The annotated sentences of the ``role`` file at ``path``."""
+    try:
+        return parse_annotated(_read_text(path, role))
+    except ParseError as exc:
+        raise _Failure(EXIT_FORMAT, "%s parse failed: %s" % (role, exc)) from None
+
+
+def _write(path, text, role):
+    """Replace the ``role`` file at ``path`` with ``text``, whole or not at all."""
+    try:
+        write_whole(path, text)
+    except OSError as exc:
+        raise _Failure(EXIT_IO, "cannot write %s: %s" % (role, exc)) from None
 
 
 def cmd_train(corpus_path, model_path, feature_config: FeatureConfig) -> int:
-    try:
-        sentences = parse_annotated(_read_text(corpus_path, "corpus"))
-    except OSError as exc:
-        return _fail(EXIT_IO, "cannot read corpus: %s" % exc)
-    except ParseError as exc:
-        return _fail(EXIT_FORMAT, "corpus parse failed: %s" % exc)
+    sentences = _parsed(corpus_path, "corpus")
     try:
         model = train(sentences, feature_config)
     except TrainingError as exc:
-        return _fail(EXIT_FORMAT, str(exc))
-    try:
-        write_model(model, model_path)
-    except OSError as exc:
-        return _fail(EXIT_IO, "cannot write model: %s" % exc)
+        raise _Failure(EXIT_FORMAT, str(exc)) from None
+    _write(model_path, serialize_model(model), "model")
     print("vocabulary size: %d" % len(model.vocabulary))
     print("total words: %d" % sum(len(s.tokens) for s in sentences))
     for nc in NAME_CLASSES:
@@ -63,15 +75,10 @@ def cmd_decode(model_path, input_path, output_path=None) -> int:
     try:
         model = read_model(model_path)
     except ModelFormatError as exc:
-        return _fail(EXIT_FORMAT, "bad model file: %s" % exc)
+        raise _Failure(EXIT_FORMAT, "bad model file: %s" % exc) from None
     except OSError as exc:
-        return _fail(EXIT_IO, "cannot read model: %s" % exc)
-    try:
-        text = _read_text(input_path, "input")
-    except OSError as exc:
-        return _fail(EXIT_IO, "cannot read input: %s" % exc)
-    except ParseError as exc:
-        return _fail(EXIT_FORMAT, str(exc))
+        raise _Failure(EXIT_IO, "cannot read model: %s" % exc) from None
+    text = _read_text(input_path, "input")
     started = time.perf_counter()
     results = Decoder(model).decode_document(text)
     elapsed = max(time.perf_counter() - started, 1e-9)
@@ -79,11 +86,7 @@ def cmd_decode(model_path, input_path, output_path=None) -> int:
     if output_path is None:
         sys.stdout.write(output)
     else:
-        try:
-            with open(output_path, "w", encoding="utf-8") as handle:
-                handle.write(output)
-        except OSError as exc:
-            return _fail(EXIT_IO, "cannot write output: %s" % exc)
+        _write(output_path, output, "output")
     megabytes = len(text.encode("utf-8")) / 1e6
     print("throughput: %.1f MB/hr" % (megabytes / (elapsed / 3600.0)),
           file=sys.stderr)
@@ -91,17 +94,11 @@ def cmd_decode(model_path, input_path, output_path=None) -> int:
 
 
 def cmd_score(key_path, response_path, beta: float = 1.0) -> int:
-    try:
-        key = parse_annotated(_read_text(key_path, "key"))
-        response = parse_annotated(_read_text(response_path, "response"))
-    except ParseError as exc:
-        return _fail(EXIT_FORMAT, "parse failed: %s" % exc)
-    except OSError as exc:
-        return _fail(EXIT_IO, "cannot read file: %s" % exc)
+    key, response = _parsed(key_path, "key"), _parsed(response_path, "response")
     try:
         report = score(key, response, beta)
     except AlignmentError as exc:
-        return _fail(EXIT_FORMAT, "key/response mismatch: %s" % exc)
+        raise _Failure(EXIT_FORMAT, "key/response mismatch: %s" % exc) from None
     print(format_report(report))
     return EXIT_OK
 
@@ -109,24 +106,18 @@ def cmd_score(key_path, response_path, beta: float = 1.0) -> int:
 def cmd_learning_curve(corpus_path, test_path, fractions, beta: float,
                        feature_config: FeatureConfig) -> int:
     """fractions are sorted descending in (0, 1]."""
-    try:
-        training = parse_annotated(_read_text(corpus_path, "corpus"))
-        test = parse_annotated(_read_text(test_path, "test corpus"))
-    except ParseError as exc:
-        return _fail(EXIT_FORMAT, "parse failed: %s" % exc)
-    except OSError as exc:
-        return _fail(EXIT_IO, "cannot read file: %s" % exc)
+    training, test = _parsed(corpus_path, "corpus"), _parsed(test_path, "test corpus")
     print("fraction words F")
     for fraction in fractions:
         k = int(fraction * len(training) + Fraction(1, 2))
         prefix = training[:k]
-        try:
+        try:  # a prefix too small to form held-out halves
             model = train(prefix, feature_config)
-            decoder = Decoder(model)
-            response = [decoder.decode_sentence(s.tokens).sentence for s in test]
-            report = score(test, response, beta)
-        except (TrainingError, AlignmentError, ValueError) as exc:
-            return _fail(EXIT_FORMAT, "fraction %s failed: %s" % (fraction, exc))
+        except TrainingError as exc:
+            raise _Failure(EXIT_FORMAT, "fraction %s failed: %s" % (fraction, exc)) from None
+        decoder = Decoder(model)
+        response = [decoder.decode_sentence(s.tokens).sentence for s in test]
+        report = score(test, response, beta)
         words = sum(len(s.tokens) for s in prefix)
         print("%s %d %.4f" % (fraction, words, report.overall.f_measure))
     return EXIT_OK
@@ -200,15 +191,20 @@ def main(argv=None) -> int:
         parser.error("--beta: %s" % exc)
     feature_config = FeatureConfig(
         swap_comma_period=getattr(args, "spanish_numbers", False))
-    if args.command == "train":
-        return cmd_train(args.corpus, args.model, feature_config)
-    if args.command == "decode":
-        return cmd_decode(args.model, args.input, args.output)
-    if args.command == "score":
-        return cmd_score(args.key, args.response, args.beta)
-    return cmd_learning_curve(args.corpus, args.test,
-                              _parse_fractions(parser, args.fractions),
-                              args.beta, feature_config)
+    try:
+        if args.command == "train":
+            return cmd_train(args.corpus, args.model, feature_config)
+        if args.command == "decode":
+            return cmd_decode(args.model, args.input, args.output)
+        if args.command == "score":
+            return cmd_score(args.key, args.response, args.beta)
+        return cmd_learning_curve(args.corpus, args.test,
+                                  _parse_fractions(parser, args.fractions),
+                                  args.beta, feature_config)
+    except _Failure as failure:
+        code, message = failure.args
+        print("namefinder: %s" % message, file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

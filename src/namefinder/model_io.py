@@ -39,7 +39,7 @@ disk.
 
 The reader decodes each event text once per section, so equal events of
 a table share one object, and each count text once per file.
-``write_model`` replaces a file only with a complete one.
+``write_model`` replaces a file only with a complete one (``write_whole``).
 """
 
 import contextlib
@@ -323,18 +323,16 @@ def _read_section(numbered, section, layout, counts):
     return table, None
 
 
-def write_model(model: TrainedModel, path):
-    """Write the model file whole or not at all.
+def write_whole(path, text: str):
+    """Write ``text`` to the file at ``path`` whole or not at all.
 
-    The text is serialized first and written to a new file beside
-    ``path``, which then replaces ``path`` in one rename.  A failure, or
-    a kill, before the rename leaves any earlier file at ``path`` as it
-    was; on a failure the new file is removed.  The file gets the mode
-    that a plain ``open`` would give it (0666 less the umask).  A
-    symbolic link at ``path`` stays a link: the file it names is the
-    one replaced.
+    The text goes to a new file beside ``path``, which then replaces
+    ``path`` in one rename.  A failure, or a kill, before the rename
+    leaves any earlier file at ``path`` as it was; on a failure the new
+    file is removed.  The file gets the mode that a plain ``open`` would
+    give it (0666 less the umask).  A symbolic link at ``path`` stays a
+    link: the file it names is the one replaced.
     """
-    text = serialize_model(model)
     target = os.path.realpath(path)
     temporary = "%s.%s.tmp" % (target, secrets.token_hex(8))
     try:
@@ -349,6 +347,11 @@ def write_model(model: TrainedModel, path):
         with contextlib.suppress(OSError):
             os.unlink(temporary)
         raise
+
+
+def write_model(model: TrainedModel, path):
+    """Serialize the model, then write its file with ``write_whole``."""
+    write_whole(path, serialize_model(model))
 
 
 def read_model(path) -> TrainedModel:

@@ -1,7 +1,10 @@
 """End-to-end command-line tests, invoked in process through main()."""
 
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -113,8 +116,7 @@ class TestTrain:
         code = main(["train", not_utf8(tmp_path / "c.ann"),
                      "--model", str(tmp_path / "m.nf")])
         assert code == EXIT_FORMAT
-        assert "namefinder: corpus parse failed: corpus is not UTF-8" in \
-            capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("namefinder: corpus is not UTF-8: ")
         assert not (tmp_path / "m.nf").exists()
 
 
@@ -250,6 +252,40 @@ class TestDecode:
         assert code == EXIT_FORMAT
         assert "bad model file" in capsys.readouterr().err
 
+    def test_missing_input_file(self, workspace, tmp_path, capsys):
+        absent = tmp_path / "absent.txt"
+        code = main(["decode", str(absent), "--model", str(workspace["model"])])
+        assert code == EXIT_IO
+        assert capsys.readouterr().err == (
+            "namefinder: cannot read input: [Errno 2] No such file or directory: %r\n"
+            % str(absent))
+
+    def test_output_into_a_missing_directory(self, workspace, tmp_path, capsys):
+        out_path = tmp_path / "absent" / "decoded.ann"
+        code = main(["decode", str(workspace["plain"]),
+                     "--model", str(workspace["model"]), "--output", str(out_path)])
+        assert code == EXIT_IO
+        assert capsys.readouterr().err == (
+            "namefinder: cannot write output: [Errno 2] No such file or directory: %r\n"
+            % str(out_path))
+        assert not (tmp_path / "absent").exists()
+
+    def test_failed_output_write_keeps_the_old_file(self, workspace, tmp_path, capsys,
+                                                    monkeypatch):
+        out_path = tmp_path / "decoded.ann"
+        out_path.write_bytes(b"the previous output\n")
+
+        def broken(source, target):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(os, "replace", broken)
+        code = main(["decode", str(workspace["plain"]),
+                     "--model", str(workspace["model"]), "--output", str(out_path)])
+        assert code == EXIT_IO
+        assert capsys.readouterr().err == "namefinder: cannot write output: rename failed\n"
+        assert out_path.read_bytes() == b"the previous output\n"
+        assert os.listdir(tmp_path) == ["decoded.ann"]
+
     def test_non_utf8_input(self, workspace, tmp_path, capsys):
         code = main(["decode", not_utf8(tmp_path / "in.txt"),
                      "--model", str(workspace["model"])])
@@ -333,12 +369,19 @@ class TestScore:
                   "--beta", beta])
         assert info.value.code == EXIT_USAGE
 
+    def test_missing_key_file(self, workspace, tmp_path, capsys):
+        absent = tmp_path / "absent.ann"
+        code = main(["score", str(absent), str(workspace["test"])])
+        assert code == EXIT_IO
+        assert capsys.readouterr().err == (
+            "namefinder: cannot read key: [Errno 2] No such file or directory: %r\n"
+            % str(absent))
+
     def test_non_utf8_key(self, workspace, tmp_path, capsys):
         code = main(["score", not_utf8(tmp_path / "key.ann"),
                      str(workspace["test"])])
         assert code == EXIT_FORMAT
-        assert "namefinder: parse failed: key is not UTF-8" in \
-            capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("namefinder: key is not UTF-8: ")
 
 
 class TestLearningCurve:
@@ -399,12 +442,30 @@ class TestLearningCurve:
         assert code == EXIT_FORMAT
         assert "fraction 1/1000 failed" in capsys.readouterr().err
 
+    def test_decoder_bug_propagates(self, workspace, monkeypatch):
+        # Only a prefix too small to train is an expected failure; any
+        # other error in the loop is a bug, not a bad input.
+        def broken(decoder, words):
+            raise ValueError("math domain error")
+
+        monkeypatch.setattr(Decoder, "decode_sentence", broken)
+        with pytest.raises(ValueError, match="math domain error"):
+            main(["learning-curve", str(workspace["train"]), str(workspace["test"]),
+                  "--fractions", "1"])
+
+    def test_missing_corpus_file(self, workspace, tmp_path, capsys):
+        absent = tmp_path / "absent.ann"
+        code = main(["learning-curve", str(absent), str(workspace["test"])])
+        assert code == EXIT_IO
+        assert capsys.readouterr().err == (
+            "namefinder: cannot read corpus: [Errno 2] No such file or directory: %r\n"
+            % str(absent))
+
     def test_non_utf8_test_corpus(self, workspace, tmp_path, capsys):
         code = main(["learning-curve", str(workspace["train"]),
                      not_utf8(tmp_path / "test.ann")])
         assert code == EXIT_FORMAT
-        assert "namefinder: parse failed: test corpus is not UTF-8" in \
-            capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("namefinder: test corpus is not UTF-8: ")
 
 
 class TestUsage:
@@ -440,3 +501,12 @@ class TestUsage:
         result = subprocess.run([exe, "--help"], capture_output=True, text=True)
         assert result.returncode == 0
         assert "train" in result.stdout and "decode" in result.stdout
+
+    def test_module_entry_point(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        result = subprocess.run([sys.executable, "-m", "namefinder.cli", "--help"],
+                                capture_output=True, text=True, env=env)
+        assert result.returncode == 0
+        for command in ("train", "decode", "score", "learning-curve"):
+            assert command in result.stdout

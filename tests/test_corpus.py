@@ -1,9 +1,7 @@
 """Tokenizer, annotated-corpus parser and emitter."""
 
-import gc
 import math
 import statistics
-import time
 from unittest import mock
 
 import pytest
@@ -43,6 +41,7 @@ from reference import (
     ref_parse_annotated,
     ref_tokenize,
 )
+from timing import pair_ratios, timed
 
 
 def terminated(corpus):
@@ -241,17 +240,7 @@ def test_parse_time_is_linear():
     """
     lines = emit_annotated(generate_corpus(6000, seed=31)).splitlines(keepends=True)
     small, large = "".join(lines[:3000]), "".join(lines)
-
-    def timed_parse(text):
-        gc.collect()
-        begin = time.perf_counter()
-        parse_annotated(text)
-        return time.perf_counter() - begin
-
-    ratios = []
-    for _ in range(5):
-        t_small = timed_parse(small)
-        ratios.append(timed_parse(large) / t_small)
+    ratios = pair_ratios(parse_annotated, small, large)
     assert statistics.median(ratios) <= 2.5, ratios
 
 
@@ -274,21 +263,8 @@ def test_punctuation_run_time_is_linear(split, run):
     and the same number at 2n.  The n and 2n calls alternate within a
     sample, so both sides of its ratio see the same load."""
     small, large = run(40000), run(80000)
-
-    def timed_split(text):
-        begin = time.perf_counter()
-        split(text)
-        return time.perf_counter() - begin
-
-    calls = max(1, math.ceil(0.05 / min(timed_split(small) for _ in range(3))))
-    ratios = []
-    for _ in range(5):
-        gc.collect()
-        t_small = t_large = 0.0
-        for _ in range(calls):
-            t_small += timed_split(small)
-            t_large += timed_split(large)
-        ratios.append(t_large / t_small)
+    calls = max(1, math.ceil(0.05 / min(timed(split, small) for _ in range(3))))
+    ratios = pair_ratios(split, small, large, calls=calls, collect_per_call=False)
     assert statistics.median(ratios) <= 2.5, (calls, ratios)
 
 

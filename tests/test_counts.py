@@ -1,9 +1,7 @@
 """Count collection: the event streams behind every probability table."""
 
-import gc
 import random
 import statistics
-import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,6 +32,7 @@ from namefinder import counts
 from namefinder.counts import build_vocabulary
 from namefinder.features import FeatureConfig, compute_feature
 from reference import WORD_POOL, random_corpus, ref_train_walks
+from timing import pair_ratios
 
 NAN = NOT_A_NAME
 POOLED = ("class_bigrams", "class_marginal", "begin_bigrams", "word_unigrams")
@@ -425,15 +424,5 @@ def test_train_time_is_linear():
     """
     large = generate_corpus(6000, seed=31)
     small = large[:3000]
-
-    def timed_train(corpus):
-        gc.collect()
-        begin = time.perf_counter()
-        train(corpus)
-        return time.perf_counter() - begin
-
-    ratios = []
-    for _ in range(5):
-        t_small = timed_train(small)
-        ratios.append(timed_train(large) / t_small)
+    ratios = pair_ratios(train, small, large)
     assert statistics.median(ratios) <= 2.5, ratios

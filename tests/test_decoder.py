@@ -8,7 +8,6 @@ import gc
 import operator
 import random
 import statistics
-import time
 import weakref
 from dataclasses import replace
 
@@ -36,6 +35,7 @@ from namefinder.features import UNKNOWN_WORD
 from namefinder.model_io import ModelFormatError, deserialize_model, serialize_model
 from namefinder.synthetic import generate_corpus
 from reference import OOV_POOL, WORD_POOL, random_corpus, ref_best_path, ref_viterbi
+from timing import pair_ratios
 
 NAN = NOT_A_NAME
 K = len(INTERNAL_CLASSES)
@@ -491,19 +491,13 @@ def test_decode_time_is_linear():
     words = [word if i % 50 else "zq%d" % i for i, word in enumerate(words[:20000])]
     assert len(words) == 20000
     small, large = " ".join(words[:10000]), " ".join(words)
+    sentences = []  # per decode, checked after the timings
 
-    def timed_decode(text):
-        gc.collect()
-        begin = time.perf_counter()
-        results = Decoder(model).decode_document(text)
-        seconds = time.perf_counter() - begin
-        assert len(results) == 1
-        return seconds
+    def decode(text):
+        sentences.append(len(Decoder(model).decode_document(text)))
 
-    ratios = []
-    for _ in range(5):
-        t_small = timed_decode(small)
-        ratios.append(timed_decode(large) / t_small)
+    ratios = pair_ratios(decode, small, large)
+    assert sentences == [1] * 10
     assert statistics.median(ratios) <= 2.5, ratios
 
 

@@ -1,11 +1,9 @@
 """Model persistence: canonical text format, byte-stable round trips."""
 
 import bisect
-import gc
 import math
 import os
 import statistics
-import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -41,6 +39,7 @@ from namefinder import (
 from namefinder import model_io
 from conftest import ANNOTATED_FIXTURE
 from reference import RefCountTables, random_corpus, ref_deserialize_model
+from timing import pair_ratios
 
 POOLED = ("class_bigrams", "class_marginal", "begin_bigrams", "word_unigrams")
 CLASS_IDS = INTERNAL_CLASSES + (START_OF_SENTENCE, END_OF_SENTENCE)
@@ -284,6 +283,13 @@ class TestFormatErrors:
         with pytest.raises(ModelFormatError) as info:
             deserialize_model(text)
         assert "4" in str(info.value) and "5" in str(info.value)
+
+    def test_swap_comma_period_is_0_or_1(self, tiny_model):
+        text = serialize_model(tiny_model).replace(
+            "swap_comma_period 0\n", "swap_comma_period 2\n", 1)
+        with pytest.raises(ModelFormatError) as info:
+            deserialize_model(text)
+        assert str(info.value) == "swap_comma_period must be 0 or 1, found '2'"
 
     def test_bad_magic(self):
         with pytest.raises(ModelFormatError):
@@ -790,17 +796,7 @@ def test_load_time_is_linear(tmp_path):
                        for sentence in [original] + copies[3 * i:3 * i + 3]]), large)
     events = [path.read_text(encoding="utf-8").count("\t") for path in (small, large)]
     assert 3.99 < events[1] / events[0] <= 4
-
-    def timed_load(path):
-        gc.collect()
-        begin = time.perf_counter()
-        read_model(path)
-        return time.perf_counter() - begin
-
-    ratios = []
-    for _ in range(5):
-        t_small = timed_load(small)
-        ratios.append(timed_load(large) / events[1] / (t_small / events[0]))
+    ratios = [ratio * events[0] / events[1] for ratio in pair_ratios(read_model, small, large)]
     assert statistics.median(ratios) <= 1.5, ratios
 
 
