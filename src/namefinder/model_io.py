@@ -326,13 +326,16 @@ def _read_section(numbered, section, layout, counts):
 def write_whole(path, text: str):
     """Write ``text`` to the file at ``path`` whole or not at all.
 
-    The text goes to a new file beside ``path``, which then replaces
-    ``path`` in one rename.  A failure, or a kill, before the rename
-    leaves any earlier file at ``path`` as it was; on a failure the new
-    file is removed.  The file gets the mode that a plain ``open`` would
-    give it (0666 less the umask).  A symbolic link at ``path`` stays a
-    link: the file it names is the one replaced.
+    The text goes to a new file beside ``path`` (mode 0666 less the
+    umask; removed on a failure), which replaces ``path`` in one rename:
+    a failure or a kill leaves an earlier file as it was, and a hard
+    link to it keeps the earlier text.  A symbolic link stays a link to
+    the replaced file; a device or a pipe is written in place.
     """
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        return
     target = os.path.realpath(path)
     temporary = "%s.%s.tmp" % (target, secrets.token_hex(8))
     try:

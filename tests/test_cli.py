@@ -2,8 +2,10 @@
 
 import os
 import shutil
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -285,6 +287,23 @@ class TestDecode:
         assert capsys.readouterr().err == "namefinder: cannot write output: rename failed\n"
         assert out_path.read_bytes() == b"the previous output\n"
         assert os.listdir(tmp_path) == ["decoded.ann"]
+
+    def test_output_into_a_pipe_keeps_the_pipe(self, workspace, tmp_path, capsys):
+        fifo = tmp_path / "decoded.fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()),
+                                  daemon=True)
+        reader.start()
+        code = main(["decode", str(workspace["plain"]),
+                     "--model", str(workspace["model"]), "--output", str(fifo)])
+        reader.join(timeout=60)
+        assert code == EXIT_OK
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert os.listdir(tmp_path) == ["decoded.fifo"]
+        capsys.readouterr()
+        main(["decode", str(workspace["plain"]), "--model", str(workspace["model"])])
+        assert received == [capsys.readouterr().out.encode("utf-8")]
 
     def test_non_utf8_input(self, workspace, tmp_path, capsys):
         code = main(["decode", not_utf8(tmp_path / "in.txt"),

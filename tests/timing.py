@@ -19,8 +19,8 @@ def timed(run, arg, collect=False):
     return time.perf_counter() - begin
 
 
-def pair_ratios(run, small, large, pairs=5, calls=1, collect_per_call=True):
-    """``pairs`` ratios of the time ``run`` takes on ``large`` to the
+def pair_ratios(run, small, large, calls=1, collect_per_call=True):
+    """Five ratios of the time ``run`` takes on ``large`` to the
     time it takes on ``small``.
 
     Each side of a pair sums ``calls`` calls, the two sizes alternating
@@ -29,7 +29,7 @@ def pair_ratios(run, small, large, pairs=5, calls=1, collect_per_call=True):
     each pair.
     """
     ratios = []
-    for _ in range(pairs):
+    for _ in range(5):
         if not collect_per_call:
             gc.collect()
         t_small = t_large = 0.0
