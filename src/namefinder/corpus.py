@@ -27,7 +27,9 @@ both the punctuation split and the sentence break.  Sentences end
 after a bare ``.``, ``!`` or ``?`` token that was followed by
 whitespace in the input.  In annotated text a region's last token ends
 its sentence at the closing tag when it is such a terminal; a terminal
-inside a region does not break.
+inside a region does not break.  One builder cuts sentences for both
+entry points: ``tokenize`` feeds it plain text, and ``parse_annotated``
+feeds it the text between tags.
 """
 
 import re
@@ -176,17 +178,13 @@ def tokenize(text: str) -> list:
     """Split raw text into sentences of word tokens.
 
     Total function: any input yields a (possibly empty) list of non-empty
-    sentences.
+    sentences.  The sentences are cut by ``_SentenceBuilder``, as
+    annotated text's are, so plain text tokenizes as it parses.
     """
-    tokens, breaks = _split_text(text)
-    sentences = []
-    start = 0
-    for end in breaks:
-        sentences.append(tokens[start:end])
-        start = end
-    if start < len(tokens):
-        sentences.append(tokens[start:])
-    return sentences
+    builder = _SentenceBuilder()
+    builder.add_text(text)
+    builder.flush()
+    return [sentence.tokens for sentence in builder.sentences]
 
 
 # --- Annotated-markup parsing ----------------------------------------------

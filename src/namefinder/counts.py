@@ -25,7 +25,11 @@ words.
 
 Each ``collect_counts`` call computes a word's feature once per
 distinct (word, first-word flag), the only inputs a feature has besides
-the config, and counts straight into the tables' event dicts.
+the config, and counts straight into the tables' event dicts.  Every
+other sum of one event dict into another (``CondTable.add_events``, the
+pooled levels, the held-out class transitions) goes through ``_add``;
+only the held-out word renaming, where renamed keys can collide inside
+one dict, sums its events itself.
 """
 
 from dataclasses import dataclass, field
@@ -85,6 +89,12 @@ class Vocabulary:
         return isinstance(other, Vocabulary) and list(self._words) == list(other._words)
 
 
+def _add(bucket: dict, events: dict):
+    """Add every count of an event -> count dict into ``bucket``."""
+    for event, count in events.items():
+        bucket[event] = bucket.get(event, 0) + count
+
+
 class CondTable:
     """Integer event counts keyed by conditioning context.
 
@@ -99,15 +109,12 @@ class CondTable:
         self._events = {} if events is None else events
 
     def add(self, context, event, count=1):
-        bucket = self._events.setdefault(context, {})
-        bucket[event] = bucket.get(event, 0) + count
+        self.add_events(context, {event: count})
 
     def add_events(self, context, events: dict):
         """Add every count of an event -> count dict to one context."""
         if events:
-            bucket = self._events.setdefault(context, {})
-            for event, count in events.items():
-                bucket[event] = bucket.get(event, 0) + count
+            _add(self._events.setdefault(context, {}), events)
 
     def count(self, context, event) -> int:
         return self._events.get(context, {}).get(event, 0)
@@ -196,30 +203,20 @@ class CountTables:
         transitions, first_words, bigrams = (table._events for table in self.tables().values())
         class_bigrams = {}
         for context, events in transitions.items():
-            pooled = class_bigrams.get(context[:1])
-            if pooled is None:
-                pooled = class_bigrams[context[:1]] = {}
-            for nc, count in events.items():
-                pooled[nc] = pooled.get(nc, 0) + count
+            _add(class_bigrams.setdefault(context[:1], {}), events)
         marginal = {}
         for nc_prev in PREVIOUS_CLASSES:
-            for nc, count in class_bigrams.get((nc_prev,), {}).items():
-                marginal[nc] = marginal.get(nc, 0) + count
+            _add(marginal, class_bigrams.get((nc_prev,), {}))
         begin_bigrams, word_unigrams = {}, {}
         for nc in INTERNAL_CLASSES:
             pooled = {}
             for nc_prev in PREVIOUS_CLASSES:
-                for token, count in first_words.get((nc, nc_prev), {}).items():
-                    pooled[token] = pooled.get(token, 0) + count
+                _add(pooled, first_words.get((nc, nc_prev), {}))
             if pooled:
                 begin_bigrams[(nc,)] = pooled
                 word_unigrams[(nc,)] = dict(pooled)
         for context, events in bigrams.items():
-            pooled = word_unigrams.get(context[2:])
-            if pooled is None:
-                pooled = word_unigrams[context[2:]] = {}
-            for token, count in events.items():
-                pooled[token] = pooled.get(token, 0) + count
+            _add(word_unigrams.setdefault(context[2:], {}), events)
         # One END_TOKEN closes each region, and each region has one first word.
         for context, pooled in word_unigrams.items():
             count = pooled.pop(END_TOKEN, 0) - sum(begin_bigrams.get(context, {}).values())
@@ -343,10 +340,8 @@ def _add_held_out(unknown: CountTables, half: CountTables, unseen: set):
     are summed."""
     transitions, first_words, bigrams = (table._events for table in unknown.tables().values())
     for (nc_prev, w_prev), events in half.class_transitions._events.items():
-        bucket = transitions.setdefault(
-            (nc_prev, UNKNOWN_WORD if w_prev in unseen else w_prev), {})
-        for nc, count in events.items():
-            bucket[nc] = bucket.get(nc, 0) + count
+        _add(transitions.setdefault((nc_prev, UNKNOWN_WORD if w_prev in unseen else w_prev), {}),
+             events)
     for context, events in half.first_words._events.items():
         bucket = first_words.setdefault(context, {})
         for token, count in events.items():

@@ -6,12 +6,15 @@ inventory), a ``words`` line, then one section per counted table
 tables before unknown tables.
 
 The ``words`` line lists the vocabulary in first-seen order, space
-separated, and a word's id is its position (1, 2, ...).  Only this line
-holds text, so only it has escapes: backslash, space, tab, newline and
-carriage return (which a universal-newline read would turn into a line
-break) are written ``\\\\``, ``\\s``, ``\\t``, ``\\n`` and ``\\r``.  Every
-table field is an id: a word's, ``0`` for ``UNKNOWN_WORD`` and ``-`` for
-``END_WORD``; a class's index in ``_CLASS_IDS``; a feature's index in
+separated, and a word's id is its position (1, 2, ...).  It is read as
+the header lines above it are (``_expect``), so it lists at least one
+word.  Only this line holds text, so only it has escapes: backslash,
+space, tab, newline and carriage return (which a universal-newline read
+would turn into a line break) are written ``\\\\``, ``\\s``, ``\\t``,
+``\\n`` and ``\\r``.  One table, ``_ESCAPES``, holds them both ways, and
+a backslash that starts none of them is refused.  Every table field is
+an id: a word's, ``0`` for ``UNKNOWN_WORD`` and ``-`` for ``END_WORD``;
+a class's index in ``_CLASS_IDS``; a feature's index in
 ``WORD_FEATURES``.  A section holds one line per context: its ids, then
 one tab-separated ``event count`` per event, where a word event is
 ``word-id feature-id`` and ``END_TOKEN`` is a bare ``-``.  Lines are
@@ -45,6 +48,7 @@ a table share one object, and each count text once per file.
 import contextlib
 import itertools
 import os
+import re
 import secrets
 
 from .corpus import END_OF_SENTENCE, INTERNAL_CLASSES, START_OF_SENTENCE
@@ -71,33 +75,25 @@ class ModelFormatError(ValueError):
     no file can name."""
 
 
-_ESCAPES = (("\\", "\\\\"), (" ", "\\s"), ("\t", "\\t"), ("\n", "\\n"),
-            ("\r", "\\r"))
-_UNESCAPES = {"\\": "\\", "s": " ", "t": "\t", "n": "\n", "r": "\r"}
+# Backslash first, so the escapes' own backslashes are not escaped again.
+_ESCAPES = {"\\": "\\\\", " ": "\\s", "\t": "\\t", "\n": "\\n", "\r": "\\r"}
+_UNESCAPES = {escape: char for char, escape in _ESCAPES.items()}
+_ESCAPE_RE = re.compile(r"\\.?")  # ".?": a trailing backslash matches too, and is refused
 
 
 def _escape(word: str) -> str:
-    for char, replacement in _ESCAPES:
-        word = word.replace(char, replacement)
+    for char, escape in _ESCAPES.items():
+        word = word.replace(char, escape)
     return word
 
 
 def _unescape(text: str) -> str:
     if "\\" not in text:  # most words: nothing to undo
         return text
-    out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\\":
-            if i + 1 >= len(text) or text[i + 1] not in _UNESCAPES:
-                raise ModelFormatError("bad escape in %r at line 4" % (text,))
-            out.append(_UNESCAPES[text[i + 1]])
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+    try:
+        return _ESCAPE_RE.sub(lambda match: _UNESCAPES[match.group()], text)
+    except KeyError:
+        raise ModelFormatError("bad escape in %r at line 4" % (text,)) from None
 
 
 def _layouts(words):
@@ -245,12 +241,11 @@ def deserialize_model(text: str) -> TrainedModel:
     if classes != INTERNAL_CLASSES:
         raise ModelFormatError("unexpected class inventory %r" % (classes,))
 
-    if len(lines) < 4 or lines[3].split(" ")[0] != "words":
-        raise ModelFormatError("expected 'words ...' at line 4")
-    if "\t" in lines[3]:
+    listed = _expect(lines, 3, "words")
+    if "\t" in listed:
         raise ModelFormatError("literal tab in a word at line 4")
     words = {}
-    for word in map(_unescape, lines[3].split(" ")[1:]):
+    for word in map(_unescape, listed.split(" ")):
         if not word:
             raise ModelFormatError("empty vocabulary word at line 4")
         if word in words:

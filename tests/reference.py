@@ -322,10 +322,8 @@ def ref_deserialize_model(text):
     if classes != INTERNAL_CLASSES:
         raise ModelFormatError("unexpected class inventory %r" % (classes,))
 
-    if len(lines) < 4 or lines[3].split(" ")[0] != "words":
-        raise ModelFormatError("expected 'words ...' at line 4")
     words = {}
-    for word in lines[3].split(" ")[1:]:
+    for word in _expect(lines, 3, "words").split(" "):
         word = _unescape(word)
         if word in words:
             raise ModelFormatError("repeated vocabulary word at line 4")

@@ -174,6 +174,19 @@ class TestDecode:
             assert code == EXIT_FORMAT
             assert "bad model file" in capsys.readouterr().err
 
+    def test_model_file_without_words(self, workspace, tmp_path, capsys):
+        # Empty tables and a bare words line: refused on load, where it
+        # once loaded and then failed in the decoder with a traceback.
+        lines = workspace["model"].read_text(encoding="utf-8").split("\n")
+        lines = lines[:3] + ["words"] + [line for line in lines if line.startswith("[")]
+        bad = tmp_path / "bad.nf"
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = main(["decode", str(workspace["plain"]), "--model", str(bad)])
+        assert code == EXIT_FORMAT
+        err = capsys.readouterr().err
+        assert err == ("namefinder: bad model file: expected 'words ...' at line 4, "
+                       "found 'words'\n")
+
     def test_missing_model_file(self, workspace, tmp_path, capsys):
         code = main(["decode", str(workspace["plain"]),
                      "--model", str(tmp_path / "absent.nf")])

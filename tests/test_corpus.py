@@ -101,6 +101,15 @@ class TestTokenize:
             text = " ".join(sentence.tokens + ["."])
             assert tokenize(text) == [sentence.tokens + ["."]]
 
+    @settings(derandomize=True, deadline=None, max_examples=500)
+    @given(text=st.lists(st.one_of(
+        st.sampled_from(sorted(ABBREVIATIONS) + [" ", "\n", "\t", "\u00a0"]),
+        st.text(alphabet="ab.!?,;:()[]{}\"'-1é \n", max_size=6),
+        st.text(st.characters(blacklist_characters="<>&"), max_size=4)), max_size=12).map("".join))
+    def test_plain_text_parses_as_it_tokenizes(self, text):
+        # Text without markup characters is a document of one untagged run.
+        assert [sentence.tokens for sentence in parse_annotated(text)] == tokenize(text)
+
 
 class TestParse:
     def test_single_region(self):

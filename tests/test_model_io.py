@@ -291,6 +291,31 @@ class TestFormatErrors:
             deserialize_model(text)
         assert str(info.value) == "swap_comma_period must be 0 or 1, found '2'"
 
+    def test_class_inventory_is_the_packages(self, tiny_model):
+        # The decoder breaks ties by inventory order, so a reordered
+        # inventory is refused, not remapped.
+        reordered = INTERNAL_CLASSES[1::-1] + INTERNAL_CLASSES[2:]
+        text = serialize_model(tiny_model).replace(
+            "classes %s\n" % " ".join(INTERNAL_CLASSES),
+            "classes %s\n" % " ".join(reordered), 1)
+        with pytest.raises(ModelFormatError) as info:
+            deserialize_model(text)
+        assert str(info.value) == "unexpected class inventory %r" % (reordered,)
+
+    def test_words_line_lists_a_word(self, tiny_model):
+        # Tables that name no word load with one word on the words line;
+        # with none, the decoder's word floor would divide by zero.
+        lines = serialize_model(tiny_model).split("\n")[:3] + ["words x"] + [
+            "[%s.%s]" % (side, name) for side in ("main", "unknown")
+            for name in tiny_model.main.NAMES]
+        text = "\n".join(lines) + "\n"
+        assert len(deserialize_model(text).vocabulary) == 1
+        bare = text.replace("\nwords x\n", "\nwords\n")
+        for load in (deserialize_model, ref_deserialize_model):
+            with pytest.raises(ModelFormatError) as info:
+                load(bare)
+            assert str(info.value) == "expected 'words ...' at line 4, found 'words'"
+
     def test_bad_magic(self):
         with pytest.raises(ModelFormatError):
             deserialize_model("something-else 1\n")
