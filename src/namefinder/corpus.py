@@ -28,8 +28,14 @@ after a bare ``.``, ``!`` or ``?`` token that was followed by
 whitespace in the input.  In annotated text a region's last token ends
 its sentence at the closing tag when it is such a terminal; a terminal
 inside a region does not break.  One builder cuts sentences for both
-entry points: ``tokenize`` feeds it plain text, and ``parse_annotated``
-feeds it the text between tags.
+entry points: ``tokenize`` feeds it plain text and gets token lists,
+and ``parse_annotated`` feeds it the text between tags and gets
+``AnnotatedSentence``s.  Only the annotated path keeps its words
+through a per-call memo, so a parsed corpus holds one ``str`` per
+distinct word: a training corpus is parsed whole and kept while it is
+counted, whereas decoding keeps no tokenized text past its sentence.
+``Region``, ``AnnotatedSentence`` and the decoder's ``DecodeResult``
+are slotted dataclasses, with no per-instance ``__dict__``.
 """
 
 import re
@@ -81,7 +87,7 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Region:
     """A typed name span over token indices [start, end)."""
 
@@ -97,7 +103,7 @@ class Region:
             raise ValueError("not a name class: %r" % (self.name_class,))
 
 
-@dataclass
+@dataclass(slots=True)
 class AnnotatedSentence:
     """A token sequence plus disjoint, sorted name regions."""
 
@@ -184,7 +190,7 @@ def tokenize(text: str) -> list:
     builder = _SentenceBuilder()
     builder.add_text(text)
     builder.flush()
-    return [sentence.tokens for sentence in builder.sentences]
+    return builder.sentences
 
 
 # --- Annotated-markup parsing ----------------------------------------------
@@ -219,7 +225,18 @@ def _unescape(text, raw, raw_offset):
 
 
 class _SentenceBuilder:
-    def __init__(self):
+    """The one sentence cutter, fed text through ``add_text`` and region
+    tags through ``open_region`` and ``close_region``.
+
+    Without ``words`` it makes each sentence a token list, as
+    ``tokenize`` returns them.  With ``words``, a dict, it makes each an
+    ``AnnotatedSentence`` and keeps every token through the dict, so
+    equal words are one ``str``: a parsed corpus holds one string per
+    distinct word, not one per occurrence.
+    """
+
+    def __init__(self, words=None):
+        self.words = words
         self.sentences = []
         self.tokens = []
         self.regions = []
@@ -228,6 +245,8 @@ class _SentenceBuilder:
 
     def add_text(self, text):
         tokens, breaks = _split_text(text)
+        if self.words is not None:
+            tokens = list(map(self.words.setdefault, tokens, tokens))
         # A break inside an open region would split it across sentences.
         if self.open_class is not None:
             breaks = ()
@@ -253,7 +272,8 @@ class _SentenceBuilder:
 
     def flush(self):
         if self.tokens:
-            self.sentences.append(AnnotatedSentence(self.tokens, self.regions).validate())
+            self.sentences.append(self.tokens if self.words is None else
+                                  AnnotatedSentence(self.tokens, self.regions).validate())
         self.tokens = []
         self.regions = []
 
@@ -292,8 +312,9 @@ def _tag_problem(tag, builder):
 
 
 def parse_annotated(text: str) -> list:
-    """Parse inline-markup annotated text into AnnotatedSentences."""
-    builder = _SentenceBuilder()
+    """Parse inline-markup annotated text into AnnotatedSentences whose
+    equal words are one ``str`` object."""
+    builder = _SentenceBuilder(words={})
     tags = {}  # tag text -> _read_tag of it
     pos = 0
     while pos < len(text):

@@ -23,9 +23,10 @@ hold a word spelling a sentinel (``features``); one spelling
 ``UNKNOWN_WORD`` shares the held-out counts of the out-of-vocabulary
 words.
 
-Each ``collect_counts`` call computes a word's feature once per
-distinct (word, first-word flag), the only inputs a feature has besides
-the config, and counts straight into the tables' event dicts.  Every
+``collect_counts`` computes a word's feature once per distinct (word,
+first-word flag), the only inputs a feature has besides the config, and
+counts straight into the tables' event dicts; ``train`` gives both
+halves one memo of those tokens, so it features each pair once.  Every
 other sum of one event dict into another (``CondTable.add_events``, the
 pooled levels, the held-out class transitions) goes through ``_add``;
 only the held-out word renaming, where renamed keys can collide inside
@@ -284,17 +285,22 @@ def segment_classes(sentence: AnnotatedSentence):
     return segments
 
 
-def collect_counts(sentences, config: FeatureConfig = FeatureConfig()) -> CountTables:
+def collect_counts(sentences, config: FeatureConfig = FeatureConfig(), *,
+                   tokens_of=None) -> CountTables:
     """Count every event the generative story produces for the corpus.
 
     A word's feature depends only on the word, its first-word flag and
-    the config, so each call computes it, and builds the word's token,
-    once per distinct (word, flag).  Counts go straight into the three
-    tables' event dicts, in the order the story produces them.
+    the config, so each word's feature is computed, and its token
+    built, once per distinct (word, flag) and kept in ``tokens_of``:
+    per first-word flag (False, then True), word -> token.  Calls over
+    parts of one corpus with one config may share it; by default each
+    call has its own.  Counts go straight into the three tables' event
+    dicts, in the order the story produces them.
     """
     t = CountTables()
     transitions, first_words, bigrams = (table._events for table in t.tables().values())
-    tokens_of = ({}, {})  # per first-word flag: word -> its token
+    if tokens_of is None:
+        tokens_of = ({}, {})
     for sentence in sentences:
         if not sentence.tokens:
             continue
@@ -360,13 +366,14 @@ def _add_held_out(unknown: CountTables, half: CountTables, unseen: set):
 def train(sentences, config: FeatureConfig = FeatureConfig()) -> TrainedModel:
     """Build a full model: main tables plus held-out unknown-word tables.
 
-    Each half of the corpus is counted once, with its real words.  The
-    unknown-word tables are the second half's counts with its words
-    outside the first half's vocabulary renamed ``UNKNOWN_WORD``, plus
-    the first half's renamed against the second's (``_add_held_out``);
-    the main tables are then the first half's own tables with the
-    second half's counts added.  Both sets equal counting the whole corpus, and each
-    half against the other's vocabulary.
+    Each half of the corpus is counted once, with its real words, and
+    the two counts share one token memo.  The unknown-word tables are
+    the second half's counts with its words outside the first half's
+    vocabulary renamed ``UNKNOWN_WORD``, plus the first half's renamed
+    against the second's (``_add_held_out``); the main tables are then
+    the first half's own tables with the second half's counts added.
+    Both sets equal counting the whole corpus, and each half against
+    the other's vocabulary.
     """
     sentences = [s for s in sentences if s.tokens]
     if len(sentences) < 2:
@@ -375,7 +382,9 @@ def train(sentences, config: FeatureConfig = FeatureConfig()) -> TrainedModel:
     half = (len(sentences) + 1) // 2
     part_a, part_b = sentences[:half], sentences[half:]
     words_a, words_b = build_vocabulary(part_a), build_vocabulary(part_b)
-    counted_a, counted_b = collect_counts(part_a, config), collect_counts(part_b, config)
+    tokens_of = ({}, {})
+    counted_a = collect_counts(part_a, config, tokens_of=tokens_of)
+    counted_b = collect_counts(part_b, config, tokens_of=tokens_of)
     unknown = CountTables()
     _add_held_out(unknown, counted_b, {word for word in words_b.words() if word not in words_a})
     _add_held_out(unknown, counted_a, {word for word in words_a.words() if word not in words_b})

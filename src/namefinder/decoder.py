@@ -85,7 +85,7 @@ from .features import END_TOKEN, END_WORD, Token, compute_feature
 _K = len(INTERNAL_CLASSES)
 
 
-@dataclass
+@dataclass(slots=True)
 class DecodeResult:
     """Decoded sentence plus the path that produced it.
 

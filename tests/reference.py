@@ -658,8 +658,9 @@ def _ref_tag_problem(m, builder):
 
 def ref_parse_annotated(text):
     """Sentences of annotated text, matching the tag grammar afresh at
-    every '<' and adding text one chunk at a time."""
-    builder = RefSentenceBuilder()
+    every '<' and adding text one chunk at a time.  A word memo makes
+    the builder's sentences AnnotatedSentences, as the parser's are."""
+    builder = RefSentenceBuilder(words={})
     pos = 0
     while pos < len(text):
         lt = text.find("<", pos)

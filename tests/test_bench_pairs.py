@@ -148,3 +148,60 @@ def test_only_a_clean_git_checkout_is_measured(tmp_path):
     (tmp_path / "a.txt").write_text("2\n", encoding="utf-8")
     with pytest.raises(SystemExit, match="differ from HEAD"):
         bench_pairs.commit_of(str(tmp_path))
+
+
+_GIT = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false"]
+
+_RUN_OK = '''import json, os, sys
+os.makedirs("bench/out", exist_ok=True)
+with open("bench/out/w.json", "w") as handle:
+    json.dump({"log_scores_sha256": "abc"}, handle)
+print("  decoded paths sha256 0123")
+print("  full record: bench/out/w.json")
+print(json.dumps({"correct": True, "attempted": 10, "failed": 0,
+                  "metrics": {"doc_ms_p50": {"value": 2.0, "unit": "ms"}}}))
+'''
+
+_RUN_CRASHES = '''import sys
+print("Traceback (most recent call last):", file=sys.stderr)
+print("RuntimeError: the stub run failed", file=sys.stderr)
+sys.exit(1)
+'''
+
+
+def _checkout(path, run_py):
+    """A clean git checkout at ``path`` whose ``bench/run.py`` is ``run_py``."""
+    (path / "bench").mkdir(parents=True)
+    (path / "bench" / "run.py").write_text(run_py, encoding="utf-8")
+    (path / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 1, "workloads": [{"name": "w"}],
+        "end_to_end": [{"name": "doc_ms_p50", "better": "lower", "bound": 0.15}]}),
+        encoding="utf-8")
+    subprocess.run(_GIT + ["init", "-q"], cwd=path, check=True)
+    subprocess.run(_GIT + ["add", "bench/run.py", "BENCHMARK.json"], cwd=path, check=True)
+    subprocess.run(_GIT + ["commit", "-q", "-m", "stub"], cwd=path, check=True)
+    return str(path)
+
+
+def test_a_run_that_exits_non_zero_is_recorded_and_the_pairs_go_on(tmp_path):
+    parent = _checkout(tmp_path / "parent", _RUN_OK)
+    change = _checkout(tmp_path / "change", _RUN_CRASHES)
+    out = tmp_path / "pairs.json"
+    status = bench_pairs.main([parent, change, "--pairs", "2", "--first-seed", "7",
+                               "--out", str(out)])
+    assert status == 1
+    output = json.loads(out.read_text(encoding="utf-8"))
+    assert (output["any_failed"], output["any_digest_differed"]) == (True, False)
+    summary = output["workloads"]["w"]
+    assert [run["seed"] for run in summary["runs"]] == [7, 8]
+    for run in summary["runs"]:
+        assert run["parent"]["exit_code"] == 0 and run["parent"]["failed"] == 0
+        assert run["change"] == {
+            "exit_code": 1, "metrics": {},
+            "stderr_tail": ["Traceback (most recent call last):",
+                            "RuntimeError: the stub run failed"]}
+    assert [(check["parent_exit_code"], check["change_exit_code"], check["change_failed"],
+             check["paths_match"], check["log_scores_match"])
+            for check in summary["pairs"]] == [(0, 1, None, None, None)] * 2
+    # No pair has the metric on both sides.
+    assert summary["metrics"] == {}

@@ -1,6 +1,8 @@
 """Tokenizer, annotated-corpus parser and emitter."""
 
+import copy
 import math
+import pickle
 import statistics
 from unittest import mock
 
@@ -10,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from namefinder import (
     AnnotatedSentence,
     DATE,
+    DecodeResult,
     LOCATION,
     MONEY,
     NAME_CLASSES,
@@ -525,3 +528,40 @@ class TestRegionValidation:
         with pytest.raises(ValueError):
             AnnotatedSentence(tokens=["a"], regions=[Region(0, 2, PERSON)]).validate()
 
+
+
+class TestRecords:
+    """Parsed words are shared, and the corpus records are slotted."""
+
+    def test_a_parsed_corpus_holds_one_object_per_distinct_word(self):
+        text = emit_annotated(generate_corpus(300, seed=5))
+        words = [word for sentence in parse_annotated(text) for word in sentence.tokens]
+        assert len({id(word) for word in words}) == len(set(words)) < len(words)
+
+    def test_the_sentences_of_one_call_share_a_word_in_and_out_of_regions(self):
+        first, second = parse_annotated('<ENAMEX TYPE="PERSON">Smith</ENAMEX> left .\n'
+                                        'Smith said <ENAMEX TYPE="PERSON">Smith</ENAMEX> .')
+        assert first.tokens[0] is second.tokens[0] is second.tokens[2]
+
+    RECORDS = (
+        Region(1, 3, PERSON),
+        AnnotatedSentence(["Mr.", "Smith", "said", "."], [Region(1, 2, PERSON)]),
+        DecodeResult(AnnotatedSentence(["Smith", "said"], [Region(0, 1, PERSON)]), -12.5,
+                     (PERSON, "NOT-A-NAME"), (True, True)),
+    )
+
+    @pytest.mark.parametrize("record", RECORDS, ids=lambda record: type(record).__name__)
+    def test_records_have_no_dict(self, record):
+        assert not hasattr(record, "__dict__")
+        # On Python 3.11 a frozen slotted dataclass refuses a new name
+        # with TypeError, not FrozenInstanceError.
+        with pytest.raises((AttributeError, TypeError)):
+            record.note = "extra"
+        assert not hasattr(record, "note")
+
+    @pytest.mark.parametrize("record", RECORDS, ids=lambda record: type(record).__name__)
+    def test_records_survive_deepcopy_and_pickle(self, record):
+        for twin in (copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+            assert twin == record and twin is not record
+            assert type(twin) is type(record)
+        assert hash(copy.deepcopy(self.RECORDS[0])) == hash(self.RECORDS[0])

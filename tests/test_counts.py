@@ -1,5 +1,6 @@
 """Count collection: the event streams behind every probability table."""
 
+import hashlib
 import random
 import statistics
 
@@ -26,12 +27,14 @@ from namefinder import (
     collect_counts,
     generate_corpus,
     segment_classes,
+    serialize_model,
     train,
 )
 from namefinder import counts
 from namefinder.counts import build_vocabulary
 from namefinder.features import FeatureConfig, compute_feature
 from reference import WORD_POOL, random_corpus, ref_train_walks
+from test_golden import MODEL_SHA256
 from timing import pair_ratios
 
 NAN = NOT_A_NAME
@@ -402,6 +405,26 @@ class TestTrain:
             model.main.class_marginal.total(())
         assert sum(sum(marginal(model.unknown, nc, "word").values())
                    for nc in INTERNAL_CLASSES) == total_tokens
+
+    def test_each_distinct_word_and_flag_is_featured_once_per_train(self, monkeypatch):
+        # Both halves share one token memo, so a pair seen in both halves
+        # is featured once, and the model is the golden test's.
+        calls = []
+
+        def counted(word, is_first_word=False, config=FeatureConfig()):
+            calls.append((word, is_first_word))
+            return compute_feature(word, is_first_word, config)
+
+        corpus = generate_corpus(1000, seed=5)
+        half = (len(corpus) + 1) // 2
+        pairs_of = [{(word, i == 0) for s in part for i, word in enumerate(s.tokens)}
+                    for part in (corpus[:half], corpus[half:])]
+        monkeypatch.setattr(counts, "compute_feature", counted)
+        model = train(corpus)
+        assert len(calls) == len(set(calls)) < sum(map(len, pairs_of))
+        assert set(calls) == pairs_of[0] | pairs_of[1]
+        text = serialize_model(model).encode("utf-8")
+        assert hashlib.sha256(text).hexdigest() == MODEL_SHA256
 
     def test_region_classes_flow_into_tables(self):
         corpus = [

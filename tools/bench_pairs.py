@@ -23,10 +23,15 @@ values, and per workload:
     metric's ``better`` direction (a tie wins for neither), and a
     verdict against the metric's ``bound`` and the parent's spread
     (``verdict``);
-  - per pair, ``failed`` on each side and whether the paths and
-    log-score digests matched.
-At the top, ``any_failed`` says whether any run failed an operation,
-and ``any_digest_differed`` whether any pair's digests differed.
+  - per pair, ``failed`` and the exit code on each side, and whether
+    the paths and log-score digests matched.
+A run that exits non-zero is kept in its pair with its exit code and
+the tail of its stderr, and lacks every metric; its pair's digests are
+not compared (``null``), and the pairs go on.  At the top,
+``any_failed`` says whether any run failed an operation or exited
+non-zero, and ``any_digest_differed`` whether any compared pair's
+digests differed.  The output is written in either case, and the exit
+status is 1 if any run exited non-zero.
 """
 
 import argparse
@@ -37,6 +42,7 @@ import subprocess
 import sys
 
 PAIR_SIDES = ("parent", "change")
+STDERR_TAIL_LINES = 20
 
 
 def parse_run(stdout, checkout):
@@ -59,12 +65,17 @@ def parse_run(stdout, checkout):
 
 
 def run_bench(checkout, workload, seed, seconds):
-    """One ``bench/run.py`` run in ``checkout``, parsed by ``parse_run``."""
+    """One ``bench/run.py`` run in ``checkout``: its ``parse_run``
+    record with ``exit_code`` 0, or, if it exited non-zero, its exit
+    code, the last lines of its stderr and no metrics."""
     command = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
                "--seconds", str(seconds), "--trace", "0"]
-    result = subprocess.run(command, cwd=checkout, capture_output=True, text=True,
-                            check=True)
-    return parse_run(result.stdout, checkout)
+    result = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
+    if result.returncode != 0:
+        return {"exit_code": result.returncode,
+                "stderr_tail": result.stderr.splitlines()[-STDERR_TAIL_LINES:],
+                "metrics": {}}
+    return dict(parse_run(result.stdout, checkout), exit_code=0)
 
 
 def spread(values):
@@ -114,7 +125,9 @@ def aggregate(pairs, declared):
     each side a run record; ``declared`` is the ``end_to_end`` list of
     BENCHMARK.json, each metric's "name", "better" ("lower" or
     "higher") and "bound".  A metric that a run lacks is left out of
-    that run's pair.
+    that run's pair.  A run without an ``exit_code`` exited 0; one
+    that exited non-zero has no ``failed`` count, and its pair's
+    digest matches are None.
     """
     metrics = {}
     for metric in declared:
@@ -136,15 +149,18 @@ def aggregate(pairs, declared):
             "pairs": len(both),
             "verdict": verdict(parent_values, change_values, direction, metric["bound"]),
         }
-    checks = [{
-        "seed": pair["seed"],
-        "first": pair["first"],
-        "parent_failed": pair["parent"]["failed"],
-        "change_failed": pair["change"]["failed"],
-        "paths_match": pair["parent"].get("paths_sha256") == pair["change"].get("paths_sha256"),
-        "log_scores_match": (pair["parent"].get("log_scores_sha256")
-                             == pair["change"].get("log_scores_sha256")),
-    } for pair in pairs]
+    checks = []
+    for pair in pairs:
+        check = {"seed": pair["seed"], "first": pair["first"]}
+        for side in PAIR_SIDES:
+            check[side + "_failed"] = pair[side].get("failed")
+            check[side + "_exit_code"] = pair[side].get("exit_code", 0)
+        compared = not (check["parent_exit_code"] or check["change_exit_code"])
+        for digest, key in (("paths_sha256", "paths_match"),
+                            ("log_scores_sha256", "log_scores_match")):
+            check[key] = (pair["parent"].get(digest) == pair["change"].get(digest)
+                          if compared else None)
+        checks.append(check)
     return {"metrics": metrics, "pairs": checks}
 
 
@@ -153,9 +169,10 @@ def flags(workloads):
     workload summaries that ``aggregate`` gives."""
     checks = [check for summary in workloads.values() for check in summary["pairs"]]
     return {
-        "any_failed": any(check["parent_failed"] or check["change_failed"] for check in checks),
-        "any_digest_differed": not all(check["paths_match"] and check["log_scores_match"]
-                                       for check in checks),
+        "any_failed": any(check[side + key] for check in checks for side in PAIR_SIDES
+                          for key in ("_failed", "_exit_code")),
+        "any_digest_differed": any(check[key] is False for check in checks
+                                   for key in ("paths_match", "log_scores_match")),
     }
 
 
@@ -196,7 +213,8 @@ def main(argv=None):
                 pair[side] = run_bench(checkouts[side], workload, seed, seconds)
             pairs.append(pair)
             print("%s seed %d: %s" % (workload, seed, " ".join(
-                "%s failed %d" % (side, pair[side]["failed"]) for side in PAIR_SIDES)),
+                "%s exit %d" % (side, pair[side]["exit_code"]) if pair[side]["exit_code"]
+                else "%s failed %d" % (side, pair[side]["failed"]) for side in PAIR_SIDES)),
                 file=sys.stderr)
         summary = aggregate(pairs, declared["end_to_end"])
         summary["runs"] = pairs
@@ -205,7 +223,9 @@ def main(argv=None):
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(output, handle, indent=1, sort_keys=True)
         handle.write("\n")
-    return 0
+    crashed = any(pair[side]["exit_code"] for summary in output["workloads"].values()
+                  for pair in summary["runs"] for side in PAIR_SIDES)
+    return 1 if crashed else 0
 
 
 if __name__ == "__main__":
