@@ -31,9 +31,9 @@ inside a region does not break.  One builder cuts sentences for both
 entry points: ``tokenize`` feeds it plain text and gets token lists,
 and ``parse_annotated`` feeds it the text between tags and gets
 ``AnnotatedSentence``s.  Only the annotated path keeps its words
-through a per-call memo, so a parsed corpus holds one ``str`` per
-distinct word: a training corpus is parsed whole and kept while it is
-counted, whereas decoding keeps no tokenized text past its sentence.
+through a per-call memo, so a parsed corpus, which training keeps
+whole while it counts, holds one ``str`` per distinct word; the plain
+path, which the decoder runs on every document, skips the memo's cost.
 ``Region``, ``AnnotatedSentence`` and the decoder's ``DecodeResult``
 are slotted dataclasses, with no per-instance ``__dict__``.
 """

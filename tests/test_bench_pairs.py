@@ -12,6 +12,8 @@ _spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
+_GIT = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false"]
+
 
 def record(failed=0, paths="p", scores="s", **metrics):
     return {"correct": failed == 0, "attempted": 10, "failed": failed, "metrics": metrics,
@@ -137,20 +139,16 @@ def test_a_run_is_read_from_its_output_and_its_full_record(tmp_path):
 def test_only_a_clean_git_checkout_is_measured(tmp_path):
     with pytest.raises(SystemExit, match="not a git checkout"):
         bench_pairs.commit_of(str(tmp_path))
-    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false"]
-    subprocess.run(git + ["init", "-q"], cwd=tmp_path, check=True)
+    subprocess.run(_GIT + ["init", "-q"], cwd=tmp_path, check=True)
     (tmp_path / "a.txt").write_text("1\n", encoding="utf-8")
-    subprocess.run(git + ["add", "a.txt"], cwd=tmp_path, check=True)
-    subprocess.run(git + ["commit", "-q", "-m", "a"], cwd=tmp_path, check=True)
+    subprocess.run(_GIT + ["add", "a.txt"], cwd=tmp_path, check=True)
+    subprocess.run(_GIT + ["commit", "-q", "-m", "a"], cwd=tmp_path, check=True)
     head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=tmp_path, check=True,
                           capture_output=True, text=True).stdout.strip()
     assert bench_pairs.commit_of(str(tmp_path)) == head
     (tmp_path / "a.txt").write_text("2\n", encoding="utf-8")
     with pytest.raises(SystemExit, match="differ from HEAD"):
         bench_pairs.commit_of(str(tmp_path))
-
-
-_GIT = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false"]
 
 _RUN_OK = '''import json, os, sys
 os.makedirs("bench/out", exist_ok=True)
