@@ -158,25 +158,29 @@ def _split_chunk(chunk):
     return tokens
 
 
-def _split_text(text):
+def _split_text(text, words=None):
     """(tokens, breaks): the tokens of text's whitespace-delimited chunks,
     and after each chunk that ends in a terminal the count of tokens up
     to it.
 
     A chunk that neither starts with an opener nor ends with a trailer
     is one token, and never a terminal, since every terminal is a
-    trailer; only the other chunks are split.
+    trailer; only the other chunks are split.  With ``words``, a dict,
+    each token is kept through ``words.setdefault(token, token)``, so
+    equal words are one ``str``.
     """
     tokens = []
     breaks = []
     for chunk in text.split():
         if chunk[0] in _OPENERS or chunk[-1] in _TRAILERS:
             split = _split_chunk(chunk)
+            if words is not None:
+                split = list(map(words.setdefault, split, split))
             tokens += split
             if split[-1] in TERMINALS:
                 breaks.append(len(tokens))
         else:
-            tokens.append(chunk)
+            tokens.append(chunk if words is None else words.setdefault(chunk, chunk))
     return tokens, breaks
 
 
@@ -244,9 +248,7 @@ class _SentenceBuilder:
         self.open_start = None
 
     def add_text(self, text):
-        tokens, breaks = _split_text(text)
-        if self.words is not None:
-            tokens = list(map(self.words.setdefault, tokens, tokens))
+        tokens, breaks = _split_text(text, self.words)
         # A break inside an open region would split it across sentences.
         if self.open_class is not None:
             breaks = ()

@@ -20,10 +20,23 @@ token ranks bscore once.  Class j starts from CONTINUE and evaluates
 the candidate of the best previous class (the lowest among equal
 bscores) only if that class's bound reaches the incumbent; only if the
 runner-up's bound still reaches it does j scan the previous classes in
-descending bscore, stopping at the first bound below the incumbent.
-On synthetic news text about 6 of the 64 candidate sums per token are
-evaluated, almost all from the best previous class, and about one
-token in 2,000 scans.
+descending bscore (``_scan``), stopping at the first bound below the
+incumbent.  On synthetic news text about 6 of the 64 candidate sums per
+token are evaluated, almost all from the best previous class, and about
+one token in 2,000 scans.
+
+``decode_sentence`` is three parts: the keys (``_keys``), the
+recurrence over them, and the backtrace (``_backtrace``).  The
+recurrence's step is written out for the eight classes.  At import,
+``_compile_recurrence`` fills the template ``_STEP`` (and ``_CLASS``
+once per class) and compiles one straight-line function,
+``_recurrence``: class j's score is the local s<j>, each token unpacks
+its region-end and continuation rows and its row maxima into locals,
+each class's three tests above are written out in that order and
+association, and each token appends a tuple of 8 backpointers.  The
+generated source is kept in ``linecache`` under the file name
+``<namefinder.decoder recurrence>``, so tracebacks show its lines, and
+``inspect.getsource(namefinder.decoder._recurrence)`` prints it.
 
 Ties are broken deterministically, whatever the visit order: CONTINUE
 beats BOUNDARY at equal score, and among BOUNDARY candidates at equal
@@ -66,6 +79,7 @@ every occurrence and is never kept.
 Decoding time is linear in token count.
 """
 
+import linecache
 import math
 from dataclasses import dataclass
 
@@ -138,6 +152,112 @@ def score_path(tokens, classes, boundaries, model: TrainedModel) -> float:
     return total
 
 
+# The recurrence over a sentence's keys, as a template: ``{e}`` and the
+# like become the names e0, e1, ... of one local per class, and
+# ``{classes}`` becomes ``_CLASS`` once per class.
+_STEP = """\
+def _recurrence(keys, start_row, blocks, grids, ends, contexts_of, ratios):
+    keys = iter(keys)
+    prev_unknown, prev_tok = next(keys)
+    fw = grids[prev_unknown][prev_tok][0]
+{start}
+    backptrs = []
+    append = backptrs.append
+    for unknown, tok in keys:
+        {e} = ends[prev_unknown][prev_tok]
+        # prev's row of log floor terms, with the mixture sum over each
+        # class that counted tok.
+        route_flag = prev_unknown or unknown
+        contexts, cont_vec = contexts_of[route_flag][prev_tok]
+        pairs = ratios[route_flag][tok]
+        if pairs:
+            cont_vec = list(cont_vec)
+            for j, p_u in pairs:
+                events, c_w, k1, k2, floor_term = contexts[j]
+                count = events.get(tok)
+                total = k1 * (count / c_w) if count else 0.0
+                total += k2 * p_u
+                cont_vec[j] = log(total + floor_term)
+        {c} = cont_vec
+        by_target, ({tm}) = blocks[prev_unknown][prev_tok.word]
+        fw, ({fm}) = grids[unknown][tok]
+{bscore}
+        bscore = {b}
+        # The best BOUNDARY predecessor (the lowest class among ties),
+        # and the runner-up's bscore, which bounds every other one.
+        ranked = sorted(bscore)
+        b_top = ranked[-1]
+        b_next = ranked[-2]
+        top = bscore.index(b_top)
+{classes}
+        append(({p}))
+        prev_unknown = unknown
+        prev_tok = tok
+    return ({s}), backptrs
+"""
+
+# Class j's step: CONTINUE, then the best predecessor's bound and
+# candidate, then the runner-up's bound, which decides the scan.
+_CLASS = """\
+        s{j} += c{j}
+        p{j} = -1
+        if b_top + tm{j} + fm{j} >= s{j}:
+            row_t = by_target[{j}]
+            row_f = fw[{j}]
+            cand = b_top + row_t[top] + row_f[top]
+            if cand > s{j}:
+                s{j} = cand
+                p{j} = top
+            if b_next + tm{j} + fm{j} >= s{j}:
+                s{j}, p{j} = _scan(bscore, row_t, row_f, tm{j}, fm{j}, s{j}, p{j})"""
+
+_RECURRENCE_FILE = "<namefinder.decoder recurrence>"
+
+
+def _scan(bscore, row_t, row_f, tm, fm, best, best_i):
+    """Class j's incumbent (best, best_i) after visiting the previous
+    classes in descending bscore, until a bound falls below it.
+
+    best_i is -1 for CONTINUE.  CONTINUE wins at equal score, then the
+    lowest BOUNDARY class, whatever the visit order.
+    """
+    for i in sorted(range(_K), key=bscore.__getitem__, reverse=True):
+        b = bscore[i]
+        if b + tm + fm < best:
+            break
+        cand = b + row_t[i] + row_f[i]
+        if cand > best or (cand == best and best_i > i):
+            best = cand
+            best_i = i
+    return best, best_i
+
+
+def _compile_recurrence():
+    """``_STEP`` written out for the ``_K`` classes, compiled, and its
+    source kept in ``linecache`` so that tracebacks and ``inspect`` read
+    it.
+
+    The function returns (the final score of each class, one tuple of
+    backpointers per token after the first).
+    """
+    def each(template, sep="\n"):
+        return sep.join(template.format(j=j, k=_K) for j in range(_K))
+
+    source = _STEP.format(
+        start=each("    s{j} = start_row[{j}] + fw[{j}][{k}]"),
+        bscore=each("        b{j} = s{j} + e{j}"),
+        classes=each(_CLASS),
+        **{name: each(name + "{j}", ", ") for name in ("e", "c", "tm", "fm", "b", "p", "s")})
+    linecache.cache[_RECURRENCE_FILE] = (
+        len(source), None, source.splitlines(True), _RECURRENCE_FILE)
+    namespace = {"__name__": __name__, "log": math.log, "_scan": _scan}
+    exec(compile(source, _RECURRENCE_FILE, "exec"), namespace)
+    return namespace["_recurrence"]
+
+
+_recurrence = _compile_recurrence()
+
+
 class Decoder:
     """Reusable decoder over one trained model.
 
@@ -165,9 +285,15 @@ class Decoder:
         words = list(words)
         if not words:
             raise ValueError("cannot decode an empty sentence")
-        # Canonical keys: the route flag, and the token with an
-        # out-of-vocabulary word mapped to UNKNOWN_WORD.  Only the keys
-        # of known words are kept.
+        keys = self._keys(words)
+        scores, backptrs = _recurrence(keys, self._start_row, self._blocks, self._grids,
+                                       self._ends, self._contexts, self._ratios)
+        return self._backtrace(words, keys, scores, backptrs)
+
+    def _keys(self, words):
+        """Canonical keys: the route flag, and the token with an
+        out-of-vocabulary word mapped to UNKNOWN_WORD.  Only the keys of
+        known words are kept."""
         keys = []
         for i, w in enumerate(words):
             table = self._token_keys[i == 0]
@@ -179,82 +305,14 @@ class Decoder:
                 if not unknown:
                     table[w] = key
             keys.append(key)
-        n = len(keys)
-        blocks, grids, ends = self._blocks, self._grids, self._ends
-        contexts_of, ratios = self._contexts, self._ratios
-        log = math.log
+        return keys
 
-        unknown, tok = keys[0]
-        fw = grids[unknown][tok][0]
-        scores = [self._start_row[j] + fw[j][_K] for j in range(_K)]
-        backptrs = []
-        for t in range(1, n):
-            prev_unknown, prev_tok = keys[t - 1]
-            unknown, tok = keys[t]
-            end_vec = ends[prev_unknown][prev_tok]
-            # prev's row of log floor terms, with the mixture sum over each
-            # class that counted tok.
-            route_flag = prev_unknown or unknown
-            contexts, cont_vec = contexts_of[route_flag][prev_tok]
-            pairs = ratios[route_flag][tok]
-            if pairs:
-                cont_vec = list(cont_vec)
-                for j, p_u in pairs:
-                    events, c_w, k1, k2, floor_term = contexts[j]
-                    count = events.get(tok)
-                    total = k1 * (count / c_w) if count else 0.0
-                    total += k2 * p_u
-                    cont_vec[j] = log(total + floor_term)
-            by_target, t_max = blocks[prev_unknown][prev_tok.word]
-            fw, f_max = grids[unknown][tok]
-            bscore = [scores[i] + end_vec[i] for i in range(_K)]
-            # The best BOUNDARY predecessor (the lowest class among ties),
-            # and the runner-up's bscore, which bounds every other one.
-            ranked = sorted(bscore)
-            b_top = ranked[-1]
-            b_next = ranked[-2]
-            top = bscore.index(b_top)
-            order = None
-            new_scores = [0.0] * _K
-            pointers = [-1] * _K
-            for j in range(_K):
-                # best_i is the incumbent's previous class, -1 for
-                # CONTINUE.  CONTINUE wins at equal score, then the
-                # lowest BOUNDARY class, whatever the visit order.
-                best = scores[j] + cont_vec[j]
-                best_i = -1
-                tm = t_max[j]
-                fm = f_max[j]
-                # Same association as the candidate, so the float bound
-                # is never below it, and a lower bscore's is no higher.
-                if b_top + tm + fm >= best:
-                    row_t = by_target[j]
-                    row_f = fw[j]
-                    cand = b_top + row_t[top] + row_f[top]
-                    if cand > best:
-                        best = cand
-                        best_i = top
-                    if b_next + tm + fm >= best:
-                        # Another class may still win or tie: scan them
-                        # all in descending bscore until the bound stops.
-                        if order is None:
-                            order = sorted(range(_K), key=bscore.__getitem__, reverse=True)
-                        for i in order:
-                            b = bscore[i]
-                            if b + tm + fm < best:
-                                break
-                            cand = b + row_t[i] + row_f[i]
-                            if cand > best or (cand == best and best_i > i):
-                                best = cand
-                                best_i = i
-                new_scores[j] = best
-                pointers[j] = best_i
-            scores = new_scores
-            backptrs.append(pointers)
-
+    def _backtrace(self, words, keys, scores, backptrs):
+        """The result of the best final class, closed at the sentence
+        end, and its path followed back through the backpointers."""
         last_unknown, last = keys[-1]
-        end_vec = ends[last_unknown][last]
-        to_end = blocks[last_unknown][last.word][0][_K]
+        end_vec = self._ends[last_unknown][last]
+        to_end = self._blocks[last_unknown][last.word][0][_K]
         best_j = 0
         best_final = scores[0] + end_vec[0] + to_end[0]
         for j in range(1, _K):
@@ -265,8 +323,8 @@ class Decoder:
         classes = [best_j]
         bounds = []
         j = best_j
-        for t in range(n - 1, 0, -1):
-            i = backptrs[t - 1][j]
+        for pointers in reversed(backptrs):
+            i = pointers[j]
             bounds.append(i >= 0)
             if i >= 0:
                 j = i

@@ -49,7 +49,6 @@ import contextlib
 import itertools
 import os
 import re
-import secrets
 
 from .corpus import END_OF_SENTENCE, INTERNAL_CLASSES, START_OF_SENTENCE
 from .counts import CondTable, CountTables, TrainedModel, Vocabulary
@@ -332,7 +331,7 @@ def write_whole(path, text: str):
             handle.write(text)
         return
     target = os.path.realpath(path)
-    temporary = "%s.%s.tmp" % (target, secrets.token_hex(8))
+    temporary = "%s.%s.tmp" % (target, os.urandom(8).hex())
     try:
         fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     except OSError as exc:  # name the file asked for, not the new one

@@ -5,9 +5,11 @@ over one model, and the model's token table."""
 
 import copy
 import gc
+import inspect
 import operator
 import random
 import statistics
+import traceback
 import weakref
 from dataclasses import replace
 
@@ -30,6 +32,7 @@ from namefinder import (
     score_path,
     train,
 )
+from namefinder.decoder import _recurrence
 from namefinder.estimator import RowStore
 from namefinder.features import UNKNOWN_WORD
 from namefinder.model_io import ModelFormatError, deserialize_model, serialize_model
@@ -661,6 +664,56 @@ class TestPrunedSearch:
         assert result.path_classes == (INTERNAL_CLASSES[winner], INTERNAL_CLASSES[0])
         assert result.path_boundaries == (True, True)
 
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(data=st.data())
+    def test_all_oov_sentences_decode_as_the_plain_recurrence(self, property_model, data):
+        # Every step reads the unknown-word tables, and every token one key.
+        unseen = [word for word in _OOV_WORDS + _SHAPED_LIKE_SENTINELS
+                  if word not in property_model.vocabulary]
+        assert len(unseen) >= 10
+        words = data.draw(st.lists(st.sampled_from(unseen), min_size=1, max_size=12))
+        decode_as_oracle(Decoder(property_model), words)
+
+    def test_one_token_sentences_decode_as_the_plain_recurrence(self, property_model):
+        decoder = Decoder(property_model)
+        for word in sorted(property_model.vocabulary.words()) + _OOV_WORDS + _SHAPED_LIKE_SENTINELS:
+            result = decode_as_oracle(decoder, [word])
+            assert result.path_boundaries == (True,)
+
+    def test_a_long_sentence_decodes_as_the_plain_recurrence(self, property_model):
+        # Sentences of text the model was not trained on, run together
+        # into one, so that names and unseen words recur far apart.
+        words = [w for s in generate_corpus(60, seed=22) for w in s.tokens]
+        assert len(words) >= 500
+        assert any(word not in property_model.vocabulary for word in words)
+        result = decode_as_oracle(Decoder(property_model), words)
+        assert sum(result.path_boundaries) > 1
+
+
+class TestGeneratedStep:
+    """The recurrence is generated at import, and its source is readable."""
+
+    def test_a_wrong_length_row_raises_with_its_source_line(self, tiny_model):
+        decoder = hand_built(tiny_model, (0.0,) * K, constant(((0.0,) * K,) * (K + 1)),
+                             constant(((0.0,) * (K + 1),) * K), constant((0.0,) * (K - 1)),
+                             constant((0.0,) * K))
+        try:
+            decoder.decode_sentence(["the", "plan"])
+        except ValueError:
+            shown = traceback.format_exc()
+        else:
+            pytest.fail("a region-end row of %d cells was decoded" % (K - 1))
+        unpack = ", ".join("e%d" % j for j in range(K)) + " = ends[prev_unknown][prev_tok]"
+        frame = 'File "%s", line ' % _recurrence.__code__.co_filename
+        assert frame in shown
+        assert shown.index(unpack) > shown.index(frame)
+
+    def test_its_source_can_be_read(self):
+        source = inspect.getsource(_recurrence)
+        assert source.startswith("def _recurrence(keys, ")
+        for j in range(K):
+            assert "        s%d += c%d\n" % (j, j) in source
+        assert inspect.getsourcefile(_recurrence) == _recurrence.__code__.co_filename
 
 # --- The model's token table ------------------------------------------------
 

@@ -1,4 +1,5 @@
-"""Every module-level import is used.
+"""Every module-level import is used, and the command line imports no
+hashing module.
 
 No linter ships with the project, so this walks the syntax trees of the
 package, the tests, the demos and the tools with ``ast``.  The package's
@@ -6,6 +7,9 @@ package, the tests, the demos and the tools with ``ast``.  The package's
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -48,3 +52,14 @@ def test_scan_sees_unused_and_used_names():
     source = ("import os\nimport os.path as osp\nfrom math import log, pi\n"
               "import sys\n\ndef f():\n    return log(sys.maxsize)\n")
     assert unused_imports(source) == [(1, "os"), (2, "osp"), (3, "pi")]
+
+
+def test_the_command_line_loads_no_hashing_module():
+    # ``secrets`` pulls in ``hmac`` and ``hashlib``, milliseconds of every
+    # command's start-up; a temporary file name needs none of them.
+    code = ("import sys\nbefore = set(sys.modules)\nimport namefinder.cli\n"
+            "print(sorted({'secrets', 'hashlib'} & (set(sys.modules) - before)))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.strip() == "[]"
