@@ -18,10 +18,10 @@ word, so ``train`` counts each half once, with its real words, and
 derives both sets from those counts: the main tables are the two
 halves' sum, and each half's held-out counts are its own tables with
 the unseen words renamed, where every event whose renamed key collides
-with another adds to it.  Only a hand-built ``AnnotatedSentence`` can
-hold a word spelling a sentinel (``features``); one spelling
-``UNKNOWN_WORD`` shares the held-out counts of the out-of-vocabulary
-words.
+with another adds to it.  A word is what the tokenizer makes, non-empty
+and with no whitespace (``features``), and ``collect_counts`` refuses
+any other token of a hand-built ``AnnotatedSentence``, so no counted
+word spells a sentinel.
 
 ``collect_counts`` computes a word's feature once per distinct (word,
 first-word flag), the only inputs a feature has besides the config, and
@@ -294,8 +294,10 @@ def collect_counts(sentences, config: FeatureConfig = FeatureConfig(), *,
     built, once per distinct (word, flag) and kept in ``tokens_of``:
     per first-word flag (False, then True), word -> token.  Calls over
     parts of one corpus with one config may share it; by default each
-    call has its own.  Counts go straight into the three tables' event
-    dicts, in the order the story produces them.
+    call has its own.  A token that is empty or holds whitespace is
+    refused with ``TrainingError`` when it is first featured.  Counts go
+    straight into the three tables' event dicts, in the order the story
+    produces them.
     """
     t = CountTables()
     transitions, first_words, bigrams = (table._events for table in t.tables().values())
@@ -309,6 +311,8 @@ def collect_counts(sentences, config: FeatureConfig = FeatureConfig(), *,
             known = tokens_of[not tokens]
             token = known.get(word)
             if token is None:
+                if word.split() != [word]:
+                    raise TrainingError("token %r is empty or holds whitespace" % (word,))
                 feature = compute_feature(word, is_first_word=not tokens, config=config)
                 token = known[word] = Token(word, feature)
             tokens.append(token)

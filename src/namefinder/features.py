@@ -4,6 +4,11 @@ Every word maps to exactly one of fourteen orthographic feature values
 (two-digit number, all-caps, initial-capital, ...).  The checks run in a
 fixed precedence order, so a word matching several predicates gets the
 earliest one.  Tokens are handled downstream as (word, feature) pairs.
+
+A word is what the tokenizer makes: a non-empty string with no
+whitespace, so ``word.split() == [word]``.  Training refuses any other
+token, and the model file writes words as they are.  The two sentinel
+pseudo-words below break that rule, so no word can spell one.
 """
 
 import re
@@ -69,11 +74,10 @@ class Token(NamedTuple):
     feature: str
 
 
-# Sentinel pseudo-words.  The one rule: a word is never empty
-# (compute_feature refuses it) and, being split on whitespace, never holds
-# a space, so no word of any text spells a sentinel.  END_WORD closes every
-# region (and is the previous word at a sentence start); UNKNOWN_WORD
-# stands for every out-of-vocabulary word in the unknown-word tables.
+# Sentinel pseudo-words: END_WORD is empty and UNKNOWN_WORD holds a
+# space, so no word spells either.  END_WORD closes every region (and is
+# the previous word at a sentence start); UNKNOWN_WORD stands for every
+# out-of-vocabulary word in the unknown-word tables.
 END_WORD = ""
 UNKNOWN_WORD = "unknown word"
 

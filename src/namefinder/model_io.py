@@ -1,21 +1,22 @@
-"""Line-oriented model file format, version 5.
+"""Line-oriented model file format, version 6.
 
 Layout: a fixed header (magic+version, feature config, class
 inventory), a ``words`` line, then one section per counted table
 (``CountTables.NAMES``; the pooled levels are derived on load), main
 tables before unknown tables.
 
-The ``words`` line lists the vocabulary in first-seen order, space
-separated, and a word's id is its position (1, 2, ...).  It is read as
-the header lines above it are (``_expect``), so it lists at least one
-word.  Only this line holds text, so only it has escapes: backslash,
-space, tab, newline and carriage return (which a universal-newline read
-would turn into a line break) are written ``\\\\``, ``\\s``, ``\\t``,
-``\\n`` and ``\\r``.  One table, ``_ESCAPES``, holds them both ways, and
-a backslash that starts none of them is refused.  Every table field is
-an id: a word's, ``0`` for ``UNKNOWN_WORD`` and ``-`` for ``END_WORD``;
-a class's index in ``_CLASS_IDS``; a feature's index in
-``WORD_FEATURES``.  A section holds one line per context: its ids, then
+The ``words`` line lists the vocabulary in first-seen order, joined by
+single spaces, and a word's id is its position (1, 2, ...).  It is read
+as the header lines above it are (``_expect``), so it lists at least one
+word.  A word is what the tokenizer makes: non-empty, with no
+whitespace (``word.split() == [word]``); training refuses any other
+token, so the words are written as they are, with nothing escaped, and
+``serialize_model`` refuses a hand-built vocabulary that breaks the
+rule.  No word can then be ``UNKNOWN_WORD``, which holds a space.
+
+Every table field is an id: a word's, ``0`` for ``UNKNOWN_WORD`` and
+``-`` for ``END_WORD``; a class's index in ``_CLASS_IDS``; a feature's
+index in ``WORD_FEATURES``.  A section holds one line per context: its ids, then
 one tab-separated ``event count`` per event, where a word event is
 ``word-id feature-id`` and ``END_TOKEN`` is a bare ``-``.  Lines are
 sorted by context text and each line's events by event text, so
@@ -30,8 +31,9 @@ anywhere but the sentence-start context ``START-OF-SENTENCE -`` of a
 class transition, and the end token, which closes a region and never
 opens one; and a context or event of the wrong length.  It also refuses
 what no writer produces, so a file loads only as the writer's text of
-its model: an empty or repeated word, or a literal tab on the ``words``
-line; a context or event not strictly greater than the one before it
+its model: a ``words`` line that is not its words joined by single
+spaces (an empty word, or whitespace in a word), or that repeats a
+word; a context or event not strictly greater than the one before it
 (which covers a repeated one); a count not in the written form (ASCII
 digits, no sign, no leading zero); a last line that does not end at
 ``\\n``; and a literal carriage return.  And it refuses a table set with
@@ -48,7 +50,6 @@ a table share one object, and each count text once per file.
 import contextlib
 import itertools
 import os
-import re
 
 from .corpus import END_OF_SENTENCE, INTERNAL_CLASSES, START_OF_SENTENCE
 from .counts import CondTable, CountTables, TrainedModel, Vocabulary
@@ -56,7 +57,7 @@ from .estimator import PREVIOUS_CLASSES, SUCCESSOR_CLASSES
 from .features import END_TOKEN, END_WORD, FeatureConfig, Token, UNKNOWN_WORD, WORD_FEATURES
 
 MAGIC = "namefinder-model"
-VERSION = 5
+VERSION = 6
 
 # Below 2**53, unique / c > 2**-53 for every context (unique >= 1), so
 # 1 + unique / c rounds above 1, every back-off weight stays below 1 and
@@ -74,27 +75,6 @@ class ModelFormatError(ValueError):
     no file can name."""
 
 
-# Backslash first, so the escapes' own backslashes are not escaped again.
-_ESCAPES = {"\\": "\\\\", " ": "\\s", "\t": "\\t", "\n": "\\n", "\r": "\\r"}
-_UNESCAPES = {escape: char for char, escape in _ESCAPES.items()}
-_ESCAPE_RE = re.compile(r"\\.?")  # ".?": a trailing backslash matches too, and is refused
-
-
-def _escape(word: str) -> str:
-    for char, escape in _ESCAPES.items():
-        word = word.replace(char, escape)
-    return word
-
-
-def _unescape(text: str) -> str:
-    if "\\" not in text:  # most words: nothing to undo
-        return text
-    try:
-        return _ESCAPE_RE.sub(lambda match: _UNESCAPES[match.group()], text)
-    except KeyError:
-        raise ModelFormatError("bad escape in %r at line 4" % (text,)) from None
-
-
 def _layouts(words):
     """Per table set, main then unknown, and per table name, the layout
     of its lines: for the context, then for the event, a dict of whole
@@ -102,8 +82,8 @@ def _layouts(words):
 
     A whole text stands for what no field lookup gives: the
     sentence-start context and the end token.  Ids are written only
-    where training counts them, and ``UNKNOWN_WORD`` as 0 only when it is
-    no vocabulary word.
+    where training counts them, and ``UNKNOWN_WORD`` as 0 in the
+    unknown-word tables only.
     """
     internal, previous, successors = (
         {str(_CLASS_IDS.index(nc)): nc for nc in names}
@@ -116,8 +96,7 @@ def _layouts(words):
         "first_words": (({}, internal, previous), ({}, table_words, features)),
         "word_bigrams": (({}, table_words, features, internal),
                          ({"-": END_TOKEN}, table_words, features)),
-    } for table_words in (known, known if UNKNOWN_WORD in words
-                          else {"0": UNKNOWN_WORD, **known})]
+    } for table_words in (known, {"0": UNKNOWN_WORD, **known})]
 
 
 def _ids(values, lookups) -> str:
@@ -150,11 +129,15 @@ def _table_lines(table: CondTable, layout) -> list:
 
 def serialize_model(model: TrainedModel) -> str:
     words = model.vocabulary.words()
+    listed = " ".join(["words"] + words)
+    if listed.split()[1:] != words:
+        word = next(word for word in words if word.split() != [word])
+        raise ModelFormatError("vocabulary word %r is empty or holds whitespace" % (word,))
     lines = [
         "%s %d" % (MAGIC, VERSION),
         "swap_comma_period %d" % int(model.feature_config.swap_comma_period),
         "classes %s" % " ".join(INTERNAL_CLASSES),
-        " ".join(["words"] + [_escape(word) for word in words]),
+        listed,
     ]
     for prefix, tables, layouts in zip(("main", "unknown"), (model.main, model.unknown),
                                        _layouts(words)):
@@ -241,12 +224,10 @@ def deserialize_model(text: str) -> TrainedModel:
         raise ModelFormatError("unexpected class inventory %r" % (classes,))
 
     listed = _expect(lines, 3, "words")
-    if "\t" in listed:
-        raise ModelFormatError("literal tab in a word at line 4")
+    if listed.split(" ") != listed.split():
+        raise ModelFormatError("empty vocabulary word or whitespace in a word at line 4")
     words = {}
-    for word in map(_unescape, listed.split(" ")):
-        if not word:
-            raise ModelFormatError("empty vocabulary word at line 4")
+    for word in listed.split(" "):
         if word in words:
             raise ModelFormatError("repeated vocabulary word %r at line 4" % (word,))
         words[word] = None

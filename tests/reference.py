@@ -63,7 +63,6 @@ from namefinder.model_io import (
     ModelFormatError,
     _count,
     _expect,
-    _unescape,
 )
 
 # --- Back-off mixture oracle -------------------------------------------------
@@ -280,13 +279,12 @@ def _ref_fits(name, context, event):
     return context[0] != END_WORD and context[2] in INTERNAL_CLASSES
 
 
-def _ref_check_table_set(tables, prefix, vocabulary):
+def _ref_check_table_set(tables, prefix):
     for name, table in tables.tables().items():
         for context, event, _ in table.items():
             words = context + (event if isinstance(event, Token) else ())
             if not _ref_fits(name, context, event) or (
-                    prefix == "main" and UNKNOWN_WORD in words
-                    and UNKNOWN_WORD not in vocabulary):
+                    prefix == "main" and UNKNOWN_WORD in words):
                 raise ModelFormatError("%r under %r does not fit [%s.%s]"
                                        % (event, context, prefix, name))
     for name in ("class_marginal", "word_unigrams"):
@@ -301,8 +299,7 @@ def ref_deserialize_model(text):
     """The loader that decodes every id of every field, adds each event's
     count through ``CondTable.add``, and checks what each table set holds
     once it is read.  It loads contexts and events in any order, summing
-    a repeated event's counts, an empty word and a literal tab on the
-    ``words`` line; its table sets are ``RefCountTables``."""
+    a repeated event's counts; its table sets are ``RefCountTables``."""
     lines = text.split("\n")
     if lines[-1] == "":
         lines.pop()
@@ -324,16 +321,15 @@ def ref_deserialize_model(text):
 
     words = {}
     for word in _expect(lines, 3, "words").split(" "):
-        word = _unescape(word)
+        if word.split() != [word]:
+            raise ModelFormatError("empty word or whitespace in a word at line 4")
         if word in words:
             raise ModelFormatError("repeated vocabulary word at line 4")
         words[word] = None
     ids = {"class": {str(i): nc for i, nc in enumerate(
                INTERNAL_CLASSES + (START_OF_SENTENCE, END_OF_SENTENCE))},
            "feature": {str(i): feature for i, feature in enumerate(WORD_FEATURES)},
-           "word": {"-": END_WORD}}
-    if UNKNOWN_WORD not in words:
-        ids["word"]["0"] = UNKNOWN_WORD
+           "word": {"-": END_WORD, "0": UNKNOWN_WORD}}
     ids["word"].update((str(i), word) for i, word in enumerate(words, 1))
 
     def decoded(fields, kinds, line):
@@ -371,7 +367,7 @@ def ref_deserialize_model(text):
                                                    % (index + 1,))
                     table.add(context, event, _count(count, index + 1))
                 index += 1
-        _ref_check_table_set(tables, prefix, words)
+        _ref_check_table_set(tables, prefix)
     if index != len(lines):
         raise ModelFormatError("trailing content at line %d" % (index + 1,))
     return TrainedModel(Vocabulary(words), main, unknown, config)

@@ -161,18 +161,22 @@ class TestDecode:
         assert capsys.readouterr().out == ""
 
     def test_corrupt_model_file(self, workspace, tmp_path, capsys):
-        # Version 1 to 4 files are refused; their models must be retrained.
-        v5 = workspace["model"].read_text(encoding="utf-8")
-        old = [v5.replace("namefinder-model 5\n", "namefinder-model %d\n" % version, 1)
-               for version in (1, 2, 3, 4)]
+        # Version 1 to 5 files are refused; their models must be retrained.
+        v6 = workspace["model"].read_text(encoding="utf-8")
+        old = [v6.replace("namefinder-model 6\n", "namefinder-model %d\n" % version, 1)
+               for version in (1, 2, 3, 4, 5)]
         assert [text[:19] for text in old] == ["namefinder-model %d\n" % version
-                                              for version in (1, 2, 3, 4)]
+                                              for version in (1, 2, 3, 4, 5)]
         for text in ["namefinder-model 99\n"] + old:
             bad = tmp_path / "bad.nf"
             bad.write_text(text, encoding="utf-8")
             code = main(["decode", str(workspace["plain"]), "--model", str(bad)])
             assert code == EXIT_FORMAT
             assert "bad model file" in capsys.readouterr().err
+        bad.write_text(old[4], encoding="utf-8")
+        assert main(["decode", str(workspace["plain"]), "--model", str(bad)]) == EXIT_FORMAT
+        assert capsys.readouterr().err == ("namefinder: bad model file: unsupported model "
+                                           "version: expected 6, found 5\n")
 
     def test_model_file_without_words(self, workspace, tmp_path, capsys):
         # Empty tables and a bare words line: refused on load, where it

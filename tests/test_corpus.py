@@ -37,6 +37,7 @@ from namefinder.corpus import (
     _split_text,
 )
 from conftest import ANNOTATED_FIXTURE
+from test_model_io import _AWKWARD
 from reference import (
     RefSentenceBuilder,
     random_corpus,
@@ -315,6 +316,29 @@ _raw_spaces = st.sampled_from(["", " ", "  ", "\t", "\n", " \n\t", "\r\n", "\u00
 def _raw_text(draw):
     parts = draw(st.lists(st.tuples(_raw_pieces, _raw_spaces), max_size=12))
     return "".join(piece + space for piece, space in parts)
+
+
+# Text from the model file's awkward alphabet (every kind of whitespace
+# among it), with tags, whole regions and entities run into it.
+_awkward_text = st.lists(st.one_of(
+    st.text(alphabet=_AWKWARD, min_size=1, max_size=4),
+    st.sampled_from(['<ENAMEX TYPE="PERSON">', "</ENAMEX>", "&amp;", "&lt;", "&gt;",
+                     '<ENAMEX TYPE="PERSON">a\u2028é</ENAMEX>', '<TIMEX TYPE="DATE">\\</TIMEX>']),
+), max_size=10).map("".join)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(text=_awkward_text)
+def test_every_token_is_a_word(text):
+    """Every token that ``tokenize`` makes, and ``parse_annotated`` when
+    the text parses, is non-empty and holds no whitespace, so training
+    never refuses a token of parsed text."""
+    tokens = [word for sentence in tokenize(text) for word in sentence]
+    try:
+        tokens += [word for sentence in parse_annotated(text) for word in sentence.tokens]
+    except ParseError:
+        pass
+    assert all(word.split() == [word] for word in tokens), tokens
 
 
 class TestEmit:

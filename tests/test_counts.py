@@ -251,10 +251,16 @@ class TestPooledLevels:
     def test_derived_levels_equal_a_seven_table_walk(self, size, seed, sentinels):
         corpus = generate_corpus(size, seed)
         if sentinels:
-            # Words shaped like sentinels, and UNKNOWN_WORD in hand-built
-            # sentences, inside and outside regions.
-            corpus += random_corpus(random.Random(seed), 8,
-                                    pool=WORD_POOL + ["+end+", "+unk+", UNKNOWN_WORD])
+            # Words shaped like sentinels in hand-built sentences, inside
+            # and outside regions.  A sentence that spells UNKNOWN_WORD is
+            # refused, and left out.
+            drawn = random_corpus(random.Random(seed), 8,
+                                  pool=WORD_POOL + ["+end+", "+unk+", UNKNOWN_WORD])
+            kept = [s for s in drawn if UNKNOWN_WORD not in s.tokens]
+            if len(kept) < len(drawn):
+                with pytest.raises(TrainingError, match="token 'unknown word' is empty"):
+                    train(corpus + drawn)
+            corpus += kept
         model = train(corpus)
         for tables, walk in zip((model.main, model.unknown), ref_train_walks(corpus)):
             for name in tables.NAMES + POOLED:
@@ -425,6 +431,17 @@ class TestTrain:
         assert set(calls) == pairs_of[0] | pairs_of[1]
         text = serialize_model(model).encode("utf-8")
         assert hashlib.sha256(text).hexdigest() == MODEL_SHA256
+
+    @pytest.mark.parametrize("word", [UNKNOWN_WORD, "two words", "a\tb", "a\u00a0b", ""])
+    def test_a_token_that_is_empty_or_holds_whitespace_is_refused(self, word):
+        # No tokenizer makes one, and UNKNOWN_WORD, as a word, would alias
+        # the out-of-vocabulary sentinel.
+        # Inside a region of the first half, and first in the second.
+        for corpus in ([sent(["Mr.", word, "said"], [Region(1, 2, PERSON)]), sent(["it"])],
+                       [sent(["it"]), sent([word, "said"])]):
+            with pytest.raises(TrainingError) as info:
+                train(corpus)
+            assert str(info.value) == "token %r is empty or holds whitespace" % (word,)
 
     def test_region_classes_flow_into_tables(self):
         corpus = [

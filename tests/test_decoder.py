@@ -511,9 +511,13 @@ def property_model():
     return train(generate_corpus(150, seed=21))
 
 
-_OOV_WORDS = ["Zqx", "zqx", "$9,999", "1999", "77", "ZQX", "Zq.", "zq-9", "9/9/99",
-              "4.5%", "x9", ",", "+endx+"]
+_OOV_WORDS = ["Zqx", "zqx", "$9,999", "1066", "77", "ZQX", "Zq.", "zq-9", "9/9/99",
+              "4.5%", "x9", ";", "+endx+"]
 _SHAPED_LIKE_SENTINELS = ["+end+", "+unk+", "+begin+"]
+
+
+def test_the_unseen_words_are_unseen(property_model):
+    assert not set(_OOV_WORDS + _SHAPED_LIKE_SENTINELS) & set(property_model.vocabulary.words())
 
 
 @st.composite
@@ -668,11 +672,21 @@ class TestPrunedSearch:
     @given(data=st.data())
     def test_all_oov_sentences_decode_as_the_plain_recurrence(self, property_model, data):
         # Every step reads the unknown-word tables, and every token one key.
-        unseen = [word for word in _OOV_WORDS + _SHAPED_LIKE_SENTINELS
-                  if word not in property_model.vocabulary]
-        assert len(unseen) >= 10
+        unseen = _OOV_WORDS + _SHAPED_LIKE_SENTINELS
         words = data.draw(st.lists(st.sampled_from(unseen), min_size=1, max_size=12))
         decode_as_oracle(Decoder(property_model), words)
+
+    def test_a_word_with_whitespace_decodes_as_an_unseen_word(self, property_model):
+        # No tokenizer makes one and training refuses one, but decoding
+        # stays total: like any unseen word, it reads the unknown-word rows.
+        decoder = Decoder(property_model)
+        assert decoder._keys(["two words", "said"])[0] == \
+            (True, Token(UNKNOWN_WORD, "lowerCase"))
+        result = decode_as_oracle(decoder, ["two words", "said", "."])
+        other = decoder.decode_sentence(["zqx", "said", "."])
+        assert (result.log_score, result.path_classes, result.path_boundaries) == \
+            (other.log_score, other.path_classes, other.path_boundaries)
+        assert result.sentence.tokens == ["two words", "said", "."]
 
     def test_one_token_sentences_decode_as_the_plain_recurrence(self, property_model):
         decoder = Decoder(property_model)

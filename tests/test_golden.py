@@ -34,7 +34,7 @@ from namefinder import (
 from namefinder.estimator import RowStore
 from namefinder.synthetic import generate_corpus
 
-MODEL_SHA256 = "6ca8511674262e27ca39a283b7414f9a0eeb12b9ce807a97d7649429826569e4"
+MODEL_SHA256 = "a280d2df340f40094d485ea9f8b7befb4534e255062946cb8bdfc9ae50d79e49"
 DECODE_SHA256 = "4adc140144c7c7ad23bac1098de2ab3dd5ace5d5ba1c9e7a1f8fc7614df59dd1"
 EMIT_SHA256 = "4e9c5374be92b96b354c7c9a0d09cc4192cb3d87fd827d679a42706a700db45d"
 

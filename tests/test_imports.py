@@ -1,5 +1,5 @@
-"""Every module-level import is used, and the command line imports no
-hashing module.
+"""Every module-level import is used, the command line imports no
+hashing module, and the package parses as Python 3.10.
 
 No linter ships with the project, so this walks the syntax trees of the
 package, the tests, the demos and the tools with ``ast``.  The package's
@@ -52,6 +52,14 @@ def test_scan_sees_unused_and_used_names():
     source = ("import os\nimport os.path as osp\nfrom math import log, pi\n"
               "import sys\n\ndef f():\n    return log(sys.maxsize)\n")
     assert unused_imports(source) == [(1, "os"), (2, "osp"), (3, "pi")]
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "namefinder").glob("*.py")),
+                         ids=lambda path: path.name)
+def test_the_package_parses_as_python_3_10(path):
+    # requires-python is >=3.10; this checks the grammar only, not the
+    # behaviour of the standard library on 3.10.
+    ast.parse(path.read_text(encoding="utf-8"), feature_version=(3, 10))
 
 
 def test_the_command_line_loads_no_hashing_module():

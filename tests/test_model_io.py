@@ -22,6 +22,8 @@ from namefinder import (
     END_TOKEN,
     Region,
     Token,
+    TrainedModel,
+    TrainingError,
     UNKNOWN_WORD,
     Vocabulary,
     WORD_FEATURES,
@@ -57,8 +59,9 @@ def vocabulary_rows(text):
 def spelled(text, names):
     """The ids of the space-separated ``names`` as the model text writes
     them: a class or a word feature by its index, a word of the text by
-    its position, ``unknown\\sword`` as 0 and the empty word as -.  Any
-    other name is kept, so a lookup misses it."""
+    its position, ``unknown\\sword`` (``UNKNOWN_WORD``, whose space would
+    split the name) as 0 and the empty word as -.  Any other name is
+    kept, so a lookup misses it."""
     ids = {word: str(i) for i, word in enumerate(vocabulary_rows(text), 1)}
     ids.update({"unknown\\sword": "0", "": "-"})
     ids.update((name, str(i)) for i, name in enumerate(CLASS_IDS))
@@ -122,21 +125,35 @@ def with_words(text, words):
 
 # Characters that frame rows and fields, that str.splitlines breaks at,
 # that a universal-newline read translates, or that start a section
-# header; plus escapes and non-ASCII text.
+# header; plus backslashes and non-ASCII text.
 _AWKWARD = ("\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
             "\\ \t\n[]" "aé日")
-_words = st.text(alphabet=_AWKWARD, min_size=1, max_size=4)
+_words = st.text(alphabet=_AWKWARD, max_size=4)
 _sentences = st.lists(_words, min_size=1, max_size=4).map(
     lambda tokens: AnnotatedSentence(tokens=tokens, regions=[]))
 _corpora = st.lists(_sentences, min_size=2, max_size=4)
 
-# Words that need escapes, are shaped like a sentinel, or spell
-# UNKNOWN_WORD, as only a hand-built sentence can, in and out of name
-# regions.
+# Words that an escape once spelled, that are shaped like a sentinel, or
+# that spell UNKNOWN_WORD, as only a hand-built sentence can, in and out
+# of name regions.
 _escaped_words = st.one_of(
     st.sampled_from(["\\", "a\\s", "\\\\n", "+end+", "+unk+", UNKNOWN_WORD, "+end+\\",
                      "Smith", "said", "1,00", "."]),
     st.text(alphabet="\\ +aAeknu1.,", min_size=1, max_size=5))
+
+
+def trainable(corpus, config=FeatureConfig()):
+    """The corpus with each token that is empty or holds whitespace made
+    a word: its whitespace runs become ``+``.  Where there is such a
+    token, ``train`` must refuse the corpus, naming the first one."""
+    refused = [word for sentence in corpus for word in sentence.tokens
+               if word.split() != [word]]
+    if refused:
+        with pytest.raises(TrainingError) as info:
+            train(corpus, config)
+        assert str(info.value) == "token %r is empty or holds whitespace" % (refused[0],)
+    return [AnnotatedSentence(["+".join(word.split()) or "+" for word in sentence.tokens],
+                              sentence.regions) for sentence in corpus]
 
 
 @st.composite
@@ -155,7 +172,7 @@ class TestRoundTrip:
     def test_serialization_is_byte_stable(self, tiny_model):
         text = serialize_model(tiny_model)
         assert reserialize(tiny_model) == text
-        assert text.startswith("namefinder-model 5\nswap_comma_period 0\nclasses ")
+        assert text.startswith("namefinder-model 6\nswap_comma_period 0\nclasses ")
         assert text.split("\n")[3].startswith("words Mr. John Smith ")
         assert text.endswith("\n")
 
@@ -210,13 +227,13 @@ class TestRoundTrip:
         assert "swap_comma_period 1" in serialize_model(model)
 
     def test_awkward_token_text_round_trips(self):
-        # Backslashes, tabs, spaces, and newlines inside words must
-        # survive the escaped words line, and words shaped like a
-        # section header stay words.
+        # Backslashes, escape-like text and non-ASCII words are written as
+        # they are, and words shaped like a section header stay words.
+        # Spaces, tabs and newlines cannot be inside a word.
         corpus = [
-            AnnotatedSentence(tokens=["a\\b", "two words", "café"],
+            AnnotatedSentence(tokens=["a\\b", "two\\swords", "café"],
                               regions=[]),
-            AnnotatedSentence(tokens=["tab\there", "line\nbreak", "a\\b"],
+            AnnotatedSentence(tokens=["tab\\t", "line\\nbreak", "a\\b"],
                               regions=[]),
             AnnotatedSentence(tokens=["[", "[main.first_words]"], regions=[]),
         ]
@@ -225,15 +242,21 @@ class TestRoundTrip:
         reloaded = deserialize_model(text)
         assert serialize_model(reloaded) == text
         assert reloaded.vocabulary.words() == model.vocabulary.words()
-        assert reloaded.vocabulary.words().index("two words") == 1
         assert reloaded.main.word_unigrams.count(
-            (NOT_A_NAME,), Token("line\nbreak", "lowerCase")) == 1
-        assert vocabulary_rows(text)[:4] == ["a\\\\b", "two\\swords", "café", "tab\\there"]
+            (NOT_A_NAME,), Token("line\\nbreak", "lowerCase")) == 1
+        assert text.split("\n")[3] == "words " + " ".join(model.vocabulary.words())
+        assert vocabulary_rows(text)[:4] == ["a\\b", "two\\swords", "café", "tab\\t"]
+        for word in ("two words", "tab\there", "line\nbreak"):
+            with pytest.raises(TrainingError) as info:
+                train(corpus + [AnnotatedSentence(["x", word], [])])
+            assert str(info.value) == "token %r is empty or holds whitespace" % (word,)
 
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(corpus=_corpora)
     def test_every_token_round_trips(self, corpus, tmp_path_factory):
-        text = serialize_model(train(corpus))
+        # A token that is empty or holds whitespace is refused; as a word,
+        # every other character of the alphabet round-trips.
+        text = serialize_model(train(trainable(corpus)))
         assert serialize_model(deserialize_model(text)) == text
         path = tmp_path_factory.mktemp("model") / "model.nf"
         write_model(deserialize_model(text), path)
@@ -243,7 +266,8 @@ class TestRoundTrip:
     @given(corpus=st.lists(_annotated_sentences(), min_size=2, max_size=6),
            swap=st.booleans())
     def test_trained_model_round_trips(self, corpus, swap):
-        model = train(corpus, FeatureConfig(swap_comma_period=swap))
+        config = FeatureConfig(swap_comma_period=swap)
+        model = train(trainable(corpus, config), config)
         text = serialize_model(model)
         loaded = deserialize_model(text)
         assert serialize_model(loaded) == text
@@ -279,10 +303,10 @@ class TestRoundTrip:
 class TestFormatErrors:
     def test_version_mismatch_names_both_versions(self, tiny_model):
         text = serialize_model(tiny_model).replace(
-            "namefinder-model 5", "namefinder-model 4", 1)
+            "namefinder-model 6", "namefinder-model 5", 1)
         with pytest.raises(ModelFormatError) as info:
             deserialize_model(text)
-        assert "4" in str(info.value) and "5" in str(info.value)
+        assert str(info.value) == "unsupported model version: expected 6, found 5"
 
     def test_swap_comma_period_is_0_or_1(self, tiny_model):
         text = serialize_model(tiny_model).replace(
@@ -337,11 +361,15 @@ class TestFormatErrors:
         with pytest.raises(ModelFormatError, match="non-positive count at line %d" % (i + 1)):
             deserialize_model("\n".join(lines))
 
-    def test_bad_escapes_rejected(self, tiny_model):
+    def test_backslashes_are_literal_words(self, tiny_model):
+        # Nothing on the words line is an escape: what was one loads as
+        # the literal word, and the file reserializes to itself.
         text = serialize_model(tiny_model)
-        for word in ("PERSON\\q", "PERSON\\"):
-            with pytest.raises(ModelFormatError, match="bad escape .* at line 4"):
-                deserialize_model(with_words(text, vocabulary_rows(text) + [word]))
+        for word in ("a\\s", "\\", "PERSON\\q"):
+            literal = with_words(text, vocabulary_rows(text) + [word])
+            loaded = deserialize_model(literal)
+            assert loaded.vocabulary.words()[-1] == word
+            assert serialize_model(loaded) == literal
 
     def test_noncontiguous_vocabulary_ids_rejected(self, tiny_model):
         # Ids are positions, written in one form: the id after the last
@@ -532,10 +560,13 @@ class TestUnusableModels:
         assert refused_at(swapped, "event out of order") == i + 1
 
     def test_an_empty_vocabulary_word(self, tiny_model):
-        # The empty word is END_WORD, which no text holds.
+        # The empty word is END_WORD, which no text holds; a trailing or
+        # a doubled space writes one.
         text = serialize_model(tiny_model)
-        for words in (vocabulary_rows(text) + [""], [""] + vocabulary_rows(text)):
-            assert refused_at(with_words(text, words), "empty vocabulary word") == 4
+        words = vocabulary_rows(text)
+        for listed in (words + [""], [""] + words, words[:1] + [""] + words[1:]):
+            assert refused_at(with_words(text, listed),
+                              "^empty vocabulary word or whitespace in a word at line 4$") == 4
 
     def test_the_end_token_opens_no_region(self, tiny_corpus, tiny_model):
         # Loaded, END_TOKEN as a first word would outweigh the class's
@@ -553,31 +584,26 @@ class TestUnusableModels:
         assert refused_at(text, r"bad event '-' in \[main.first_words\]") == \
             line_of(text, "main.first_words", "PERSON START-OF-SENTENCE")
 
-    def test_a_literal_carriage_return(self):
-        # The reference loader reads a literal carriage return as its
-        # escape, so the file loads to the trained model, which does not
-        # reserialize to the file.
-        model = train([AnnotatedSentence(["Mr.", "a\rb", "said"], [Region(1, 2, PERSON)]),
-                       AnnotatedSentence(["a\rb", "left", "."], [])])
-        text = serialize_model(model)
-        assert "\r" not in text and "\\r" in text
-        literal = text.replace("\\r", "\r")
-        assert serialize_model(ref_deserialize_model(literal)) == text != literal
+    def test_a_literal_carriage_return(self, tiny_model):
+        # A carriage return in a word is whitespace, but the whole text is
+        # checked for one first, and the refusal names its line.
+        text = serialize_model(tiny_model)
+        literal = with_words(text, vocabulary_rows(text) + ["a\rb"])
         assert refused_at(literal, "carriage return") == 4  # the words line
         # Any carriage return, a CRLF line end too: read_model reads with
         # universal newlines, so only text handed over directly holds one.
         assert refused_at(text.replace("\n", "\r\n"), "carriage return") == 1
 
-    def test_a_literal_tab_in_a_word(self):
-        # As with a carriage return: the reference loader reads a literal
-        # tab as its escape, and the writer never writes one.
-        model = train([AnnotatedSentence(["Mr.", "a\tb", "said"], [Region(1, 2, PERSON)]),
-                       AnnotatedSentence(["a\tb", "left", "."], [])])
-        text = serialize_model(model)
-        assert vocabulary_rows(text)[1] == "a\\tb"
-        literal = text.replace("a\\tb", "a\tb")
-        assert serialize_model(ref_deserialize_model(literal)) == text != literal
-        assert refused_at(literal, "literal tab in a word") == 4
+    def test_a_literal_tab_in_a_word(self, tiny_model):
+        # A tab and every other whitespace character: no word holds one,
+        # so no writer writes one, and both loaders refuse the words line.
+        text = serialize_model(tiny_model)
+        for space in ("\t", "\x0b", "\x0c", "\x1c", "\x85", "\u00a0", "\u2028", "\u3000"):
+            literal = with_words(text, vocabulary_rows(text) + ["a%sb" % space])
+            assert refused_at(literal, "^empty vocabulary word or whitespace in a word "
+                                       "at line 4$") == 4
+            with pytest.raises(ModelFormatError, match="at line 4"):
+                ref_deserialize_model(literal)
 
     @pytest.mark.parametrize("section, row", [
         ("main.class_transitions", "PERCENT\tTIME Zzzz\t1"),
@@ -745,8 +771,7 @@ class TestAgainstTheReferenceLoader:
             # Only the checks the reference lacks may refuse what it loads.
             assert reference is None or any(
                 refusal in str(exc) for refusal in (
-                    "out of order", "carriage return", "empty vocabulary word",
-                    "literal tab", "no newline")), str(exc)
+                    "out of order", "carriage return", "no newline")), str(exc)
             return
         assert reference is not None
         assert loaded.vocabulary == reference.vocabulary
@@ -852,6 +877,20 @@ class TestWriteModel:
         monkeypatch.setattr(os, "replace", broken)
         with pytest.raises(OSError, match="rename failed"):
             write_model(tiny_model, old_file)
+        assert old_file.read_bytes() == b"the previous model\n"
+        assert os.listdir(old_file.parent) == ["model.nf"]
+
+    @pytest.mark.parametrize("word", ["two words", "a\tb", UNKNOWN_WORD, ""])
+    def test_a_word_no_tokenizer_makes_is_written_nowhere(self, tiny_model, old_file, word):
+        # Training refuses such a word, so only a hand-built model holds
+        # one, and it is refused before anything is written.
+        model = TrainedModel(Vocabulary(tiny_model.vocabulary.words() + [word]),
+                             tiny_model.main, tiny_model.unknown, tiny_model.feature_config)
+        with pytest.raises(ModelFormatError) as info:
+            serialize_model(model)
+        assert str(info.value) == "vocabulary word %r is empty or holds whitespace" % (word,)
+        with pytest.raises(ModelFormatError):
+            write_model(model, old_file)
         assert old_file.read_bytes() == b"the previous model\n"
         assert os.listdir(old_file.parent) == ["model.nf"]
 
