@@ -133,9 +133,9 @@ _sentences = st.lists(_words, min_size=1, max_size=4).map(
     lambda tokens: AnnotatedSentence(tokens=tokens, regions=[]))
 _corpora = st.lists(_sentences, min_size=2, max_size=4)
 
-# Words that an escape once spelled, that are shaped like a sentinel, or
-# that spell UNKNOWN_WORD, as only a hand-built sentence can, in and out
-# of name regions.
+# Words with backslashes, words shaped like a sentinel, and UNKNOWN_WORD,
+# which only a hand-built sentence can hold and training refuses, in and
+# out of name regions.
 _escaped_words = st.one_of(
     st.sampled_from(["\\", "a\\s", "\\\\n", "+end+", "+unk+", UNKNOWN_WORD, "+end+\\",
                      "Smith", "said", "1,00", "."]),
@@ -362,8 +362,8 @@ class TestFormatErrors:
             deserialize_model("\n".join(lines))
 
     def test_backslashes_are_literal_words(self, tiny_model):
-        # Nothing on the words line is an escape: what was one loads as
-        # the literal word, and the file reserializes to itself.
+        # Nothing on the words line is an escape: a backslash is part of
+        # its word, and the file reserializes to itself.
         text = serialize_model(tiny_model)
         for word in ("a\\s", "\\", "PERSON\\q"):
             literal = with_words(text, vocabulary_rows(text) + [word])
