@@ -16,11 +16,12 @@ rule.  No word can then be ``UNKNOWN_WORD``, which holds a space.
 
 Every table field is an id: a word's, ``0`` for ``UNKNOWN_WORD`` and
 ``-`` for ``END_WORD``; a class's index in ``_CLASS_IDS``; a feature's
-index in ``WORD_FEATURES``.  A section holds one line per context: its ids, then
-one tab-separated ``event count`` per event, where a word event is
-``word-id feature-id`` and ``END_TOKEN`` is a bare ``-``.  Lines are
-sorted by context text and each line's events by event text, so
-serialization is deterministic and write→read→write is byte-identical.
+index in ``WORD_FEATURES``.  A section holds one line per context: its
+ids, then one tab-separated ``event count`` per event, where a word
+event is ``word-id feature-id`` and ``END_TOKEN`` is a bare ``-``.
+Lines are sorted by context text and each line's events by event text,
+so serialization is deterministic and write→read→write is
+byte-identical.
 
 The reader looks each field up among the ids its slot may hold
 (``_layouts``), so a missed lookup is the refusal of a value the
