@@ -12,30 +12,34 @@ The search is exact but skips BOUNDARY candidates that cannot win
 class j from previous class i sums bscore[i] (i's score plus its
 region-end factor), the transition and the first-word factor.  Its
 bound is (bscore[i] + Tmax[j]) + Fmax[j], Tmax[j] and Fmax[j] being the
-maxima of j's transition and first-word rows over the internal previous
+maxima of j's transition and first-word cells over the internal previous
 classes.  The bound is added in the candidate's order, and rounding to
 nearest never decreases when an operand grows, so no float candidate
 exceeds its bound, and a lower bscore never gives a higher bound.  Each
 token ranks bscore once.  Class j starts from CONTINUE and evaluates
 the candidate of the best previous class (the lowest among equal
-bscores) only if that class's bound reaches the incumbent; only if the
-runner-up's bound still reaches it does j scan the previous classes in
-descending bscore (``_scan``), stopping at the first bound below the
-incumbent.  On synthetic news text about 6 of the 64 candidate sums per
-token are evaluated, almost all from the best previous class, and about
-one token in 2,000 scans.
+bscores) with no bound test: where its bound falls below the incumbent,
+the candidate cannot win, and the runner-up's bound, no higher, stops
+the scan.  Only if the runner-up's bound reaches the incumbent does j
+scan the previous classes in descending bscore (``_scan``), stopping at
+the first bound below the incumbent.  On synthetic news text a token
+evaluates the best previous class's 8 of the 64 candidate sums, and
+about one token in 2,000 scans.
 
 ``decode_sentence`` is three parts: the keys (``_keys``), the
 recurrence over them, and the backtrace (``_backtrace``).  The
 recurrence's step is written out for the eight classes.  At import,
 ``_compile_recurrence`` fills the template ``_STEP`` (and ``_CLASS``
 once per class) and compiles one straight-line function,
-``_recurrence``: class j's score is the local s<j>, each token unpacks
-its region-end and continuation rows and its row maxima into locals,
-each class's three tests above are written out in that order and
-association, and each token appends a tuple of 8 backpointers.  The
-generated source is kept in ``linecache`` under the file name
-``<namefinder.decoder recurrence>``, so tracebacks show its lines, and
+``_recurrence``: class j's score is the local s<j>; each token unpacks
+two entries, the previous token's (its region-end row, continuation
+contexts and transition block) and its own (its first-word grid and
+unigram ratios), then the best previous class's column of the block
+and of the grid into the locals tt<j> and ft<j>; each class's tests
+above are written out in that order and association; and each token
+appends a tuple of 8 backpointers.  The generated source is kept in
+``linecache`` under the file name ``<namefinder.decoder recurrence>``,
+so tracebacks show its lines, and
 ``inspect.getsource(namefinder.decoder._recurrence)`` prints it.
 
 Ties are broken deterministically, whatever the visit order: CONTINUE
@@ -52,19 +56,22 @@ route flag (main or unknown-word tables) plus the token as looked up,
 with every out-of-vocabulary word mapped to ``UNKNOWN_WORD``.  A
 transition block holds every class pair for one previous word, a
 first-word grid every class pair (and the sentence start) for one
-token, and a region-end row every class's Pr(END_TOKEN | previous
-token) for one previous token; each block and grid comes with its row
-maxima, Tmax and Fmax above.  They live on the model's views (``table_views``),
-built by the first decoder over a model and shared by every later one:
-the estimator's ``TableView`` for the route flag builds a row in one
-pass, from evidence only, the first time it is read, and keeps it in a
+token, both stored by previous class, as columns, and a region-end row
+every class's Pr(END_TOKEN | previous token) for one previous token;
+each block and grid comes with its maxima, Tmax and Fmax above.  They
+live on the model's views (``table_views``), built by the first decoder
+over a model and shared by every later one: the estimator's
+``TableView`` for the route flag builds a row in one pass, from
+evidence only, the first time it is read, and keeps it in a
 ``RowStore``, a dict, so the recurrence reads rows by plain subscripts.
-A continuation row, one per (previous token, token) pair, is never
-stored: each step starts from the previous token's shared row of log
-floor terms and sums only the classes that counted the token, reading
-the views' weighted contexts and unigram shares.  So a decoder keeps
-no row of its own, and every store it reads is keyed by the
-vocabulary, which bounds its memory however much text it decodes.
+A step reads them through two entries per token, which hold the rows
+by reference.  A continuation row, one per (previous token, token)
+pair, is never stored: each step starts from the previous token's
+shared row of log floor terms and sums only the classes that counted
+the token, reading the views' weighted contexts and unigram shares,
+from the unknown-word view when the two route flags differ.  So a
+decoder keeps no row of its own, and every store it reads is keyed by
+the vocabulary, which bounds its memory however much text it decodes.
 All out-of-vocabulary words of one feature share their rows.  No word
 of the text spells a sentinel (``features``), so every step reads its
 continuation row the same way, and a word shaped like one is an
@@ -74,7 +81,9 @@ A word's key depends only on the word, on whether it opens the
 sentence, and on the model's feature configuration.  The model's token
 table (``token_keys``) keeps the key of every vocabulary word the
 decoders have met, one dict per first-word flag, so it holds at most
-2 x |V| keys; an out-of-vocabulary word has its feature computed at
+2 x |V| keys; ``_keys`` looks a sentence's words up with one mapped
+``dict.get`` (the first word in its own table) and computes only the
+keys it misses.  An out-of-vocabulary word has its feature computed at
 every occurrence and is never kept.
 Decoding time is linear in token count.
 """
@@ -156,20 +165,23 @@ def score_path(tokens, classes, boundaries, model: TrainedModel) -> float:
 # like become the names e0, e1, ... of one local per class, and
 # ``{classes}`` becomes ``_CLASS`` once per class.
 _STEP = """\
-def _recurrence(keys, start_row, blocks, grids, ends, contexts_of, ratios):
+def _recurrence(keys, start_row, previous, current, unknown_contexts, unknown_ratios):
     keys = iter(keys)
     prev_unknown, prev_tok = next(keys)
-    fw = grids[prev_unknown][prev_tok][0]
+    opens = current[prev_unknown][prev_tok][0][{k}]
 {start}
     backptrs = []
     append = backptrs.append
     for unknown, tok in keys:
-        {e} = ends[prev_unknown][prev_tok]
+        ({e}), contexts, cont_vec, block, ({tm}) = previous[prev_unknown][prev_tok]
+        grid, ({fm}), pairs = current[unknown][tok]
+        if unknown is not prev_unknown:
+            # A known word next to an unseen one: the unknown-word tables
+            # answer the continuation.
+            contexts, cont_vec = unknown_contexts[prev_tok]
+            pairs = unknown_ratios[tok]
         # prev's row of log floor terms, with the mixture sum over each
         # class that counted tok.
-        route_flag = prev_unknown or unknown
-        contexts, cont_vec = contexts_of[route_flag][prev_tok]
-        pairs = ratios[route_flag][tok]
         if pairs:
             cont_vec = list(cont_vec)
             for j, p_u in pairs:
@@ -179,16 +191,17 @@ def _recurrence(keys, start_row, blocks, grids, ends, contexts_of, ratios):
                 total += k2 * p_u
                 cont_vec[j] = log(total + floor_term)
         {c} = cont_vec
-        by_target, ({tm}) = blocks[prev_unknown][prev_tok.word]
-        fw, ({fm}) = grids[unknown][tok]
 {bscore}
         bscore = {b}
-        # The best BOUNDARY predecessor (the lowest class among ties),
-        # and the runner-up's bscore, which bounds every other one.
+        # The best BOUNDARY predecessor (the lowest class among ties), its
+        # columns of the block and the grid, and the runner-up's bscore,
+        # which bounds every other one.
         ranked = sorted(bscore)
         b_top = ranked[-1]
         b_next = ranked[-2]
         top = bscore.index(b_top)
+        {tt}, _ = block[top]
+        {ft} = grid[top]
 {classes}
         append(({p}))
         prev_unknown = unknown
@@ -196,25 +209,23 @@ def _recurrence(keys, start_row, blocks, grids, ends, contexts_of, ratios):
     return ({s}), backptrs
 """
 
-# Class j's step: CONTINUE, then the best predecessor's bound and
-# candidate, then the runner-up's bound, which decides the scan.
+# Class j's step: CONTINUE, then the best predecessor's candidate, then
+# the runner-up's bound, which decides the scan.
 _CLASS = """\
         s{j} += c{j}
-        p{j} = -1
-        if b_top + tm{j} + fm{j} >= s{j}:
-            row_t = by_target[{j}]
-            row_f = fw[{j}]
-            cand = b_top + row_t[top] + row_f[top]
-            if cand > s{j}:
-                s{j} = cand
-                p{j} = top
-            if b_next + tm{j} + fm{j} >= s{j}:
-                s{j}, p{j} = _scan(bscore, row_t, row_f, tm{j}, fm{j}, s{j}, p{j})"""
+        cand = b_top + tt{j} + ft{j}
+        if cand > s{j}:
+            s{j} = cand
+            p{j} = top
+        else:
+            p{j} = -1
+        if b_next + tm{j} + fm{j} >= s{j}:
+            s{j}, p{j} = _scan(bscore, block, grid, {j}, tm{j}, fm{j}, s{j}, p{j})"""
 
 _RECURRENCE_FILE = "<namefinder.decoder recurrence>"
 
 
-def _scan(bscore, row_t, row_f, tm, fm, best, best_i):
+def _scan(bscore, block, grid, j, tm, fm, best, best_i):
     """Class j's incumbent (best, best_i) after visiting the previous
     classes in descending bscore, until a bound falls below it.
 
@@ -225,7 +236,7 @@ def _scan(bscore, row_t, row_f, tm, fm, best, best_i):
         b = bscore[i]
         if b + tm + fm < best:
             break
-        cand = b + row_t[i] + row_f[i]
+        cand = b + block[i][j] + grid[i][j]
         if cand > best or (cand == best and best_i > i):
             best = cand
             best_i = i
@@ -241,13 +252,15 @@ def _compile_recurrence():
     backpointers per token after the first).
     """
     def each(template, sep="\n"):
-        return sep.join(template.format(j=j, k=_K) for j in range(_K))
+        return sep.join(template.format(j=j) for j in range(_K))
 
     source = _STEP.format(
-        start=each("    s{j} = start_row[{j}] + fw[{j}][{k}]"),
+        k=_K,
+        start=each("    s{j} = start_row[{j}] + opens[{j}]"),
         bscore=each("        b{j} = s{j} + e{j}"),
         classes=each(_CLASS),
-        **{name: each(name + "{j}", ", ") for name in ("e", "c", "tm", "fm", "b", "p", "s")})
+        **{name: each(name + "{j}", ", ")
+           for name in ("e", "c", "tm", "fm", "tt", "ft", "b", "p", "s")})
     linecache.cache[_RECURRENCE_FILE] = (
         len(source), None, source.splitlines(True), _RECURRENCE_FILE)
     namespace = {"__name__": __name__, "log": math.log, "_scan": _scan}
@@ -261,23 +274,22 @@ _recurrence = _compile_recurrence()
 class Decoder:
     """Reusable decoder over one trained model.
 
-    Each pair of row stores is indexed by the route flag: main tables,
+    Each pair of entry stores is indexed by the route flag: main tables,
     then unknown-word tables.  Every store, and the start row, is the
-    model's views': the transition-block and first-word-grid stores,
-    whose entries are (rows, row maxima), the region-end and
-    next-context stores, keyed by previous token, and the unigram-ratio
-    stores, keyed by token.  The decoder holds references only.
+    model's views': the previous-token and token entry stores, and the
+    unknown-word view's next-context and unigram-ratio stores, which
+    answer a step whose route flags differ.  The decoder holds
+    references only.
     """
 
     def __init__(self, model: TrainedModel):
         self.model = model
         self.config = model.feature_config
         views = model.table_views
-        self._blocks = tuple(view.transition_blocks for view in views)
-        self._grids = tuple(view.first_word_grids for view in views)
-        self._ends = tuple(view.end_rows for view in views)
-        self._contexts = tuple(view.next_contexts for view in views)
-        self._ratios = tuple(view.unigram_ratios for view in views)
+        self._previous = tuple(view.previous_entries for view in views)
+        self._current = tuple(view.token_entries for view in views)
+        self._unknown_contexts = views[True].next_contexts
+        self._unknown_ratios = views[True].unigram_ratios
         self._start_row = views[False].start_row
         self._token_keys = model.token_keys
 
@@ -286,37 +298,37 @@ class Decoder:
         if not words:
             raise ValueError("cannot decode an empty sentence")
         keys = self._keys(words)
-        scores, backptrs = _recurrence(keys, self._start_row, self._blocks, self._grids,
-                                       self._ends, self._contexts, self._ratios)
+        scores, backptrs = _recurrence(keys, self._start_row, self._previous, self._current,
+                                       self._unknown_contexts, self._unknown_ratios)
         return self._backtrace(words, keys, scores, backptrs)
 
     def _keys(self, words):
         """Canonical keys: the route flag, and the token with an
-        out-of-vocabulary word mapped to UNKNOWN_WORD.  Only the keys of
-        known words are kept."""
-        keys = []
-        for i, w in enumerate(words):
-            table = self._token_keys[i == 0]
-            key = table.get(w)
-            if key is None:
-                feature = compute_feature(w, i == 0, self.config)
-                unknown, word = route(self.model, w)
-                key = unknown, Token(word, feature)
-                if not unknown:
-                    table[w] = key
-            keys.append(key)
+        out-of-vocabulary word mapped to UNKNOWN_WORD.  The token table
+        answers most words; only the keys of known words are kept."""
+        later, first = self._token_keys
+        keys = list(map(later.get, words))
+        keys[0] = first.get(words[0])
+        if None in keys:
+            for i, key in enumerate(keys):
+                if key is None:
+                    w = words[i]
+                    feature = compute_feature(w, i == 0, self.config)
+                    unknown, word = route(self.model, w)
+                    key = keys[i] = unknown, Token(word, feature)
+                    if not unknown:
+                        self._token_keys[i == 0][w] = key
         return keys
 
     def _backtrace(self, words, keys, scores, backptrs):
         """The result of the best final class, closed at the sentence
         end, and its path followed back through the backpointers."""
         last_unknown, last = keys[-1]
-        end_vec = self._ends[last_unknown][last]
-        to_end = self._blocks[last_unknown][last.word][0][_K]
+        end_vec, _, _, block, _ = self._previous[last_unknown][last]
         best_j = 0
-        best_final = scores[0] + end_vec[0] + to_end[0]
+        best_final = scores[0] + end_vec[0] + block[0][_K]
         for j in range(1, _K):
-            cand = scores[j] + end_vec[j] + to_end[j]
+            cand = scores[j] + end_vec[j] + block[j][_K]
             if cand > best_final:
                 best_final = cand
                 best_j = j

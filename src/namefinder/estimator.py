@@ -52,15 +52,19 @@ object.  A region-end row sums every class.
 Every log row lives in a ``RowStore``: a dict whose ``__missing__``
 builds the row and keeps it, the one row memo.  The stores keyed by the
 vocabulary are the view's, shared by every decoder over the model: the
-transition blocks by previous word (``transition_blocks``), the
-first-word grids by token (``first_word_grids``), each stored with the
-maxima of its rows, each token's (class, unigram count / c) pairs
+transition blocks by previous word (``transition_blocks``), each stored
+with its maxima, each token's (class, unigram count / c) pairs
 (``unigram_ratios``), and by previous token its weighted word-bigram
-contexts (``next_contexts``) and its region-end row, Pr(END_TOKEN |
-prev, nc) per class (``end_rows``).  The decoder maps every
-out-of-vocabulary word to ``UNKNOWN_WORD`` before it asks, so these
-stores hold at most |V| + 1 previous words and (|V| + 1) x 14 tokens
-per view and need no eviction.
+contexts (``next_contexts``).  The decoder reads them through two entry
+stores, one entry per token in each: as a previous token, its
+region-end row, Pr(END_TOKEN | prev, nc) per class, its contexts and
+its block (``previous_entries``); as the token read, its first-word
+grid with its maxima, and its pairs (``token_entries``).  An entry holds
+the other stores' rows by reference, and is the one place that builds
+a region-end row or a grid.  The decoder maps every out-of-vocabulary
+word to ``UNKNOWN_WORD`` before it asks, so these stores hold at most
+|V| + 1 previous words and (|V| + 1) x 14 tokens per view and need no
+eviction.
 No store is keyed by a pair of tokens: the decoder computes each
 continuation row as it steps, from the previous token's weighted
 contexts and the token's pairs, so these are all the rows it reads.
@@ -270,24 +274,31 @@ class TableView:
     row reads it; an untrained one costs a lookup and takes its default.
     A row holds, for every class at once, the log of what the scalar
     ``p_*_from`` functions give with the default floor, built from
-    evidence only (see the module docstring):
-      start_row[i]                      (nc_i | START-OF-SENTENCE, END_WORD)
-      transition_blocks[w_prev][0][j][i]  (SUCCESSOR_CLASSES[j] | nc_i, w_prev)
-      first_word_grids[token][0][j][i]    (token opens nc_j | nc_j, PREVIOUS_CLASSES[i])
-      end_rows[prev][i]                   (END_TOKEN | prev, nc_i)
-    where nc_i is INTERNAL_CLASSES[i].  Each entry's second item holds
-    the maxima of the rows of each internal successor or class j over
-    the internal previous classes i (the START column left out), which
-    bound the decoder's BOUNDARY candidates:
-      transition_blocks[w_prev][1][j]     max_i transition_blocks[w_prev][0][j][i]
-      first_word_grids[token][1][j]       max_i first_word_grids[token][0][j][i]
-    Every decoder over the view shares these.  ``unigram_ratios[token]``
-    holds a (j, count / c) pair for each class j whose word-unigram
-    level counted the token, in class order.  ``next_contexts`` holds,
-    per previous token, its weighted word-bigram context of each class
-    and the log row of their floor terms, which is the shared next-word
-    row of every token no class counted; the decoder computes each
-    continuation row from them and ``unigram_ratios``.  The stores' builders
+    evidence only (see the module docstring).  Blocks and grids are
+    stored by previous class i, as columns:
+      start_row[j]                       (nc_j | START-OF-SENTENCE, END_WORD)
+      transition_blocks[w_prev][0][i][j] (SUCCESSOR_CLASSES[j] | nc_i, w_prev)
+      previous_entries[prev][0][j]       (END_TOKEN | prev, nc_j)
+      token_entries[token][0][i][j]      (token opens nc_j | nc_j, PREVIOUS_CLASSES[i])
+    where nc_j is INTERNAL_CLASSES[j].  An untrained (nc_i, w_prev)
+    column is nc_i's shared default column.  The maxima of each
+    internal successor or class j over the internal previous classes i
+    (the START column left out) bound the decoder's BOUNDARY
+    candidates:
+      transition_blocks[w_prev][1][j]    max_i transition_blocks[w_prev][0][i][j]
+      token_entries[token][1][j]         max_i token_entries[token][0][i][j]
+    ``unigram_ratios[token]`` holds a (j, count / c) pair for each class
+    j whose word-unigram level counted the token, in class order.
+    ``next_contexts`` holds, per previous token, its weighted
+    word-bigram context of each class and the log row of their floor
+    terms, which is the shared next-word row of every token no class
+    counted; the decoder computes each continuation row from them and
+    ``unigram_ratios``.  The two entries of a token hold the rows that
+    a step reads, the other stores' by reference:
+      previous_entries[prev]   (region-end row, *next_contexts[prev],
+                                *transition_blocks[prev.word])
+      token_entries[token]     (grid, its maxima, unigram_ratios[token])
+    Every decoder over the view shares these.  The stores' builders
     close over the weighted levels and the row stores, not the view, so
     no reference cycle keeps a discarded view alive.
     """
@@ -335,20 +346,11 @@ class TableView:
         self.start_row = transition_column(START_OF_SENTENCE, END_WORD)[:_K]
 
         def transition_block(w_prev):
-            # The block is transposed once, and its maxima go with it.
-            block = tuple(zip(*(transition_column(nc_prev, w_prev)
-                                for nc_prev in INTERNAL_CLASSES)))
-            return block, tuple(max(row) for row in block[:_K])
-
-        def first_word_grid(token):
-            # The row of a class whose unigram level did not count the
-            # token is the class's shared row of log floors.
-            seen = [j for j, _ in unigram_ratios[token]]
-            grid = list(first_log_floors)
-            rows = first_word_rows(token, [first[j] for j in seen])
-            for j, row in zip(seen, rows):
-                grid[j] = tuple([log(p) for p in row])
-            return tuple(grid), tuple(max(row[:_K]) for row in grid)
+            # Stored by previous class, so untrained columns stay shared,
+            # with the maxima of each internal successor's cells.
+            columns = tuple([transition_column(nc_prev, w_prev)
+                             for nc_prev in INTERNAL_CLASSES])
+            return columns, tuple(map(max, zip(*columns)))[:_K]
 
         # Previous token -> (its weighted context per class, the log row of
         # their floor terms); an untrained context takes its class's default.
@@ -363,20 +365,33 @@ class TableView:
                                       (unigrams,), floor) if events else default)
             return contexts, tuple(log(context[-1]) for context in contexts)
 
-        def end_row(prev):
-            # Every class takes the mixture sum: the bigram contexts count
-            # END_TOKEN, which only a file's surplus puts in a unigram level.
-            contexts = next_contexts[prev][0]
-            return tuple([log(next_word_cell(END_TOKEN, context, unigrams))
-                          for context, unigrams in zip(contexts, unigram_levels)])
+        def previous_entry(prev):
+            # Every class takes the region-end mixture sum: the bigram
+            # contexts count END_TOKEN, which only a file's surplus puts in
+            # a unigram level.
+            contexts, log_floors = next_contexts[prev]
+            end_row = tuple([log(next_word_cell(END_TOKEN, context, unigrams))
+                             for context, unigrams in zip(contexts, unigram_levels)])
+            return (end_row, contexts, log_floors, *transition_blocks[prev.word])
+
+        def token_entry(token):
+            # The row of a class whose unigram level did not count the
+            # token is the class's shared row of log floors.  The grid is
+            # stored by previous class, with the maxima of each class's row.
+            pairs = unigram_ratios[token]
+            seen = [j for j, _ in pairs]
+            rows = list(first_log_floors)
+            for j, row in zip(seen, first_word_rows(token, [first[j] for j in seen])):
+                rows[j] = [log(p) for p in row]
+            return tuple(zip(*rows)), tuple(max(row[:_K]) for row in rows), pairs
 
         self.unigram_ratios = unigram_ratios = RowStore(lambda token: tuple(
             [(j, _ratio(events[token], c_u))
              for j, (events, c_u, _) in enumerate(unigram_levels) if token in events]))
-        self.transition_blocks = RowStore(transition_block)
-        self.first_word_grids = RowStore(first_word_grid)
+        self.transition_blocks = transition_blocks = RowStore(transition_block)
         self.next_contexts = next_contexts = RowStore(weigh_next_contexts)
-        self.end_rows = RowStore(end_row)
+        self.previous_entries = RowStore(previous_entry)
+        self.token_entries = RowStore(token_entry)
 
 
 # --- Routed public queries ---------------------------------------------------

@@ -8,9 +8,10 @@ tables before unknown tables.
 The ``words`` line lists the vocabulary in first-seen order, joined by
 single spaces, and a word's id is its position (1, 2, ...).  It is read
 as the header lines above it are (``_expect``), so it lists at least one
-word.  A word is what the tokenizer makes: non-empty, with no
-whitespace (``word.split() == [word]``); training refuses any other
-token, so the words are written as they are, with nothing escaped, and
+word, and ``serialize_model`` refuses an empty vocabulary.  A word is
+what the tokenizer makes: non-empty, with no whitespace
+(``word.split() == [word]``); training refuses any other token, so the
+words are written as they are, with nothing escaped, and
 ``serialize_model`` refuses a hand-built vocabulary that breaks the
 rule.  No word can then be ``UNKNOWN_WORD``, which holds a space.
 
@@ -130,6 +131,9 @@ def _table_lines(table: CondTable, layout) -> list:
 
 def serialize_model(model: TrainedModel) -> str:
     words = model.vocabulary.words()
+    if not words:
+        # Its words line would be a bare ``words``, which no loader reads.
+        raise ModelFormatError("the vocabulary is empty")
     listed = " ".join(["words"] + words)
     if listed.split()[1:] != words:
         word = next(word for word in words if word.split() != [word])

@@ -492,17 +492,16 @@ def ref_best_path(words, model):
 # --- Plain recurrence oracle -------------------------------------------------
 
 
-def ref_next_log_row(contexts, ratios, prev, token):
-    """[log Pr(token | prev, nc) for nc in INTERNAL_CLASSES] from one
-    route flag's next-context and unigram-ratio stores.
+def ref_next_log_row(weighted, log_floors, pairs, token):
+    """[log Pr(token | prev, nc) for nc in INTERNAL_CLASSES] from prev's
+    weighted next-word contexts and row of log floor terms, and the
+    token's (class, unigram count / c) pairs, all of one route flag.
 
     The row is prev's row of log floor terms with the mixture sum
     written over each class that counted the token, and that row itself
     when none did.  Each sum is ``next_word_cell``'s, in its order, with
-    the unigram term read from the token's (class, count / c) pairs.
+    the unigram term read from the token's pairs.
     """
-    weighted, log_floors = contexts[prev]
-    pairs = ratios[token]
     if not pairs:
         return log_floors
     row = list(log_floors)
@@ -524,9 +523,11 @@ def ref_viterbi(decoder, words):
     order, and only a strictly greater score replaces the incumbent.
     The keys are restated here (route flag, and the token with an
     out-of-vocabulary word as UNKNOWN_WORD); the rows are read from the
-    decoder's own stores, each continuation row through
-    ``ref_next_log_row``, so this checks the search alone.  It reads the
-    rows of each (rows, maxima) entry and never the maxima.
+    decoder's own entries, each continuation row through
+    ``ref_next_log_row``, from the unknown-word stores when the route
+    flags of a step differ, so this checks the search alone.  It reads
+    the cells of each block and grid, stored by previous class, and
+    never their maxima.
     """
     model = decoder.model
     k = len(INTERNAL_CLASSES)
@@ -535,27 +536,27 @@ def ref_viterbi(decoder, words):
         unknown = word not in model.vocabulary
         feature = compute_feature(word, i == 0, model.feature_config)
         keys.append((unknown, Token(UNKNOWN_WORD if unknown else word, feature)))
-    blocks, grids, ends = decoder._blocks, decoder._grids, decoder._ends
-    contexts, ratios = decoder._contexts, decoder._ratios
+    previous, current = decoder._previous, decoder._current
 
     unknown, tok = keys[0]
-    fw = grids[unknown][tok][0]
-    scores = [decoder._start_row[j] + fw[j][k] for j in range(k)]
+    grid = current[unknown][tok][0]
+    scores = [decoder._start_row[j] + grid[k][j] for j in range(k)]
     backptrs = []
     for t in range(1, len(keys)):
         prev_unknown, prev_tok = keys[t - 1]
         unknown, tok = keys[t]
-        end_vec = ends[prev_unknown][prev_tok]
-        r = prev_unknown or unknown
-        cont_vec = ref_next_log_row(contexts[r], ratios[r], prev_tok, tok)
-        by_target = blocks[prev_unknown][prev_tok.word][0]
-        fw = grids[unknown][tok][0]
+        end_vec, weighted, log_floors, block, _ = previous[prev_unknown][prev_tok]
+        grid, _, pairs = current[unknown][tok]
+        if unknown != prev_unknown:
+            weighted, log_floors = decoder._unknown_contexts[prev_tok]
+            pairs = decoder._unknown_ratios[tok]
+        cont_vec = ref_next_log_row(weighted, log_floors, pairs, tok)
         bscore = [scores[i] + end_vec[i] for i in range(k)]
         new_scores, pointers = [], []
         for j in range(k):
             best, best_ptr = scores[j] + cont_vec[j], (j, False)
             for i in range(k):
-                cand = bscore[i] + by_target[j][i] + fw[j][i]
+                cand = bscore[i] + block[i][j] + grid[i][j]
                 if cand > best:
                     best, best_ptr = cand, (i, True)
             new_scores.append(best)
@@ -564,11 +565,10 @@ def ref_viterbi(decoder, words):
         backptrs.append(pointers)
 
     last_unknown, last = keys[-1]
-    end_vec = ends[last_unknown][last]
-    to_end = blocks[last_unknown][last.word][0][k]
-    best_j, best_final = 0, scores[0] + end_vec[0] + to_end[0]
+    end_vec, _, _, block, _ = previous[last_unknown][last]
+    best_j, best_final = 0, scores[0] + end_vec[0] + block[0][k]
     for j in range(1, k):
-        cand = scores[j] + end_vec[j] + to_end[j]
+        cand = scores[j] + end_vec[j] + block[j][k]
         if cand > best_final:
             best_j, best_final = j, cand
     classes, bounds, j = [best_j], [], best_j

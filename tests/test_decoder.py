@@ -267,12 +267,12 @@ class TestDeterminismAndReuse:
                for c in "abcdefghij"]
         assert len(oov) == 1000 and not any(w in tiny_model.vocabulary for w in oov)
         decoder.decode_sentence(["the", "plan", "."])
-        first_word_rows = sum(map(len, decoder._grids))
+        token_entries = sum(map(len, decoder._current))
         decoder.decode_sentence(["the", oov[0], "plan", "."])
         sizes = [len(store) for store in decoder_stores(decoder)]
         for word in oov[1:]:
             decoder.decode_sentence(["the", word, "plan", "."])
-        assert sum(map(len, decoder._grids)) <= first_word_rows + 1
+        assert sum(map(len, decoder._current)) <= token_entries + 1
         assert [len(store) for store in decoder_stores(decoder)] == sizes
 
     def test_empty_sentence_rejected(self, tiny_model):
@@ -296,8 +296,8 @@ def has_views(model):
 
 def shared_rows(decoder):
     """The decoder's row stores and start row, which belong to the views."""
-    return (*decoder._blocks, *decoder._grids, *decoder._ends, *decoder._contexts,
-            *decoder._ratios, decoder._start_row)
+    return (*decoder._previous, *decoder._current, decoder._unknown_contexts,
+            decoder._unknown_ratios, decoder._start_row)
 
 
 def decoder_stores(decoder):
@@ -318,30 +318,41 @@ class TestSharedViews:
         model = train(tiny_corpus)
         first, second = Decoder(model), Decoder(model)
         views = model.table_views
-        expected = (*(view.transition_blocks for view in views),
-                    *(view.first_word_grids for view in views),
-                    *(view.end_rows for view in views),
-                    *(view.next_contexts for view in views),
-                    *(view.unigram_ratios for view in views), views[False].start_row)
+        expected = (*(view.previous_entries for view in views),
+                    *(view.token_entries for view in views),
+                    views[True].next_contexts, views[True].unigram_ratios,
+                    views[False].start_row)
         assert len(shared_rows(first)) == len(expected)
         assert all(a is b is c for a, b, c in zip(shared_rows(first), shared_rows(second),
                                                   expected))
         other = Decoder(train(tiny_corpus))
         assert not any(a is b for a, b in zip(shared_rows(other), shared_rows(first)))
+        # Each entry holds the rows of the view's other stores, not copies.
+        first.decode_document(TEXT)
+        for view in views:
+            assert view.previous_entries and view.token_entries
+            for prev, entry in view.previous_entries.items():
+                contexts, log_floors = view.next_contexts[prev]
+                block = view.transition_blocks[prev.word]
+                assert entry[1] is contexts and entry[2] is log_floors
+                assert entry[3] is block[0] and entry[4] is block[1]
+            for token, entry in view.token_entries.items():
+                assert entry[2] is view.unigram_ratios[token]
 
     def test_a_fresh_decoder_weighs_no_context_a_row_has_not_read(self, tiny_corpus):
         model = train(tiny_corpus)
         Decoder(model)
         for view in model.table_views:
-            assert not view.transition_blocks and not view.next_contexts and not view.end_rows
+            assert not view.transition_blocks and not view.next_contexts
+            assert not view.previous_entries
         Decoder(model).decode_sentence(["The", "plan"])
         main, unknown = model.table_views
         assert set(main.transition_blocks) == {"The", "plan"}
         read = {Token("The", compute_feature("The", True)),
                 Token("plan", compute_feature("plan", False))}
-        assert set(main.next_contexts) == set(main.end_rows) == read
+        assert set(main.next_contexts) == set(main.previous_entries) == read
         assert not unknown.transition_blocks and not unknown.next_contexts
-        assert not unknown.end_rows
+        assert not unknown.previous_entries
 
     def test_views_die_with_their_model_by_reference_counting(self, tiny_corpus):
         # No reference cycle: with the cycle collector off, dropping the
@@ -352,7 +363,7 @@ class TestSharedViews:
             decoders = [Decoder(model), Decoder(model)]
             for decoder in decoders:
                 decoder.decode_document(TEXT)
-            assert all(view.transition_blocks and view.first_word_grids
+            assert all(view.previous_entries and view.token_entries
                        for view in model.table_views)
             views = [weakref.ref(view) for view in model.table_views]
             del model, decoders, decoder
@@ -406,8 +417,8 @@ class TestSharedViews:
         twin = deserialize_model(text)
         Decoder(model).decode_document(TEXT)
         main, unknown = model.table_views
-        assert main.transition_blocks and main.first_word_grids
-        assert unknown.transition_blocks and unknown.first_word_grids
+        assert main.previous_entries and main.token_entries
+        assert unknown.previous_entries and unknown.token_entries
         assert not has_views(twin)
         assert model == twin and twin == model
         assert serialize_model(model) == text
@@ -416,29 +427,33 @@ class TestSharedViews:
         model = train(tiny_corpus)
         words = "Mr. Zqx Smith said hello .".split()
         first = Decoder(model).decode_sentence(words)
-        filled = [dict(view.transition_blocks) for view in model.table_views]
-        filled += [dict(view.first_word_grids) for view in model.table_views]
+        stores = [store for view in model.table_views
+                  for store in (view.transition_blocks, view.previous_entries,
+                                view.token_entries)]
+        filled = [dict(store) for store in stores]
         second = Decoder(model)
         assert second.decode_sentence(words) == first
-        stores = [view.transition_blocks for view in model.table_views]
-        stores += [view.first_word_grids for view in model.table_views]
         # Nothing was refilled: the same row objects under the same keys.
         for before, after in zip(filled, stores):
             assert before.keys() == after.keys()
             assert all(after[key] is row for key, row in before.items())
 
     def test_oov_words_with_fresh_decoders_add_one_first_word_grid(self, tiny_corpus):
+        # A grid lives in its token's entry: 1,000 unseen words of one
+        # feature add at most one entry to each entry store.
         model = train(tiny_corpus)
         oov = ["zq" + a + b + c for a in "abcdefghij" for b in "abcdefghij"
                for c in "abcdefghij"]
         assert len(oov) == 1000 and not any(w in model.vocabulary for w in oov)
         assert len({compute_feature(w, False) for w in oov}) == 1
         Decoder(model).decode_sentence(["the", "plan", "."])
-        before = [len(view.first_word_grids) for view in model.table_views]
+        stores = [store for view in model.table_views
+                  for store in (view.token_entries, view.previous_entries)]
+        before = [len(store) for store in stores]
         for word in oov:
             Decoder(model).decode_sentence(["the", word, "plan", "."])
-        after = [len(view.first_word_grids) for view in model.table_views]
-        assert sum(after) <= sum(before) + 1
+        after = [len(store) for store in stores]
+        assert all(size <= earlier + 1 for size, earlier in zip(after, before))
 
     def test_shared_keys_stay_within_the_vocabulary_bound(self):
         model = train(generate_corpus(200, seed=3))
@@ -453,15 +468,15 @@ class TestSharedViews:
         assert set(unknown.transition_blocks) <= {UNKNOWN_WORD}
         for view in model.table_views:
             assert len(view.transition_blocks) <= bound
-            for tokens in (view.first_word_grids, view.next_contexts, view.end_rows,
+            for tokens in (view.previous_entries, view.token_entries, view.next_contexts,
                            view.unigram_ratios):
                 assert len(tokens) <= bound * len(WORD_FEATURES)
                 assert all(word in words and feature in WORD_FEATURES
                            for word, feature in tokens)
-        assert {word for word, _ in main.first_word_grids} <= words
-        assert {word for word, _ in unknown.first_word_grids} <= {UNKNOWN_WORD}
-        # Out-of-vocabulary words reached the unknown-word store.
-        assert unknown.transition_blocks and unknown.first_word_grids
+        for entries in (unknown.previous_entries, unknown.token_entries):
+            assert {word for word, _ in entries} == {UNKNOWN_WORD}
+        # Out-of-vocabulary words reached the unknown-word stores.
+        assert unknown.transition_blocks
         # One long-lived decoder reads random vocabulary bigrams, then twice
         # as many new ones: no store that it reads outgrows the bound, and
         # a second decoder reads the very same stores, so it keeps none of
@@ -553,26 +568,32 @@ def decode_as_oracle(decoder, words):
 
 
 def hand_built(model, start_row, block, grid, end_row, next_row):
-    """A decoder over model whose stores build every row with the given
-    builders, on either route flag, each block and grid stored with the
-    maxima of its rows over the internal previous classes.  No class
-    counts any token, so the continuation row of a previous token is its
-    row of floor terms, ``next_row(prev)``, whatever the token."""
+    """A decoder over model whose entries hold the rows of the given
+    builders, on either route flag: each block and grid is stored by
+    previous class, as columns, with the maximum of each class's cells
+    over the internal previous classes.  No class counts any token, so
+    the continuation row of a previous token is its row of floor terms,
+    ``next_row(prev)``, whatever the token."""
     decoder = Decoder(model)
     blocks = RowStore(lambda w_prev: with_maxima(block(w_prev)))
-    grids = RowStore(lambda token: with_maxima(grid(token)))
-    decoder._blocks, decoder._grids = (blocks, blocks), (grids, grids)
-    decoder._ends = (RowStore(end_row),) * 2
-    decoder._contexts = (RowStore(lambda prev: ((), next_row(prev))),) * 2
-    decoder._ratios = (RowStore(lambda token: ()),) * 2
+    previous = RowStore(lambda prev: (end_row(prev), (), next_row(prev), *blocks[prev.word]))
+    current = RowStore(lambda token: (*with_maxima(grid(token)), ()))
+    decoder._previous, decoder._current = (previous, previous), (current, current)
+    decoder._unknown_contexts = RowStore(lambda prev: previous[prev][1:3])
+    decoder._unknown_ratios = RowStore(lambda token: ())
     decoder._start_row = start_row
     return decoder
 
 
-def with_maxima(rows):
-    """(rows, the maximum of each row over the internal previous
-    classes); a block's END-OF-SENTENCE row gets none."""
-    return rows, tuple(max(row[:K]) for row in rows[:K])
+def with_maxima(columns):
+    """(columns, the maximum of each class's cells over the internal
+    previous classes); a block's END-OF-SENTENCE cells get none."""
+    return columns, tuple(max(column[j] for column in columns[:K]) for j in range(K))
+
+
+def by_previous_class(rows):
+    """Rows by class, turned into columns by previous class."""
+    return tuple(zip(*rows))
 
 
 def constant(row):
@@ -612,14 +633,14 @@ class TestPrunedSearch:
         # bscore at equal score.
         decoder = hand_built(
             tiny_model, _drawn_row(data, K),
-            lambda w_prev: tuple(_drawn_row(data, K) for _ in range(K + 1)),
-            lambda token: tuple(_drawn_row(data, K + 1) for _ in range(K)),
+            lambda w_prev: by_previous_class(_drawn_row(data, K) for _ in range(K + 1)),
+            lambda token: by_previous_class(_drawn_row(data, K + 1) for _ in range(K)),
             lambda prev: _drawn_row(data, K), lambda prev: _drawn_row(data, K))
         decode_as_oracle(decoder, words)
 
     def test_continue_wins_when_every_candidate_ties(self, tiny_model):
-        decoder = hand_built(tiny_model, (0.0,) * K, constant(((0.0,) * K,) * (K + 1)),
-                             constant(((0.0,) * (K + 1),) * K), constant((0.0,) * K),
+        decoder = hand_built(tiny_model, (0.0,) * K, constant(((0.0,) * (K + 1),) * K),
+                             constant(((0.0,) * K,) * (K + 1)), constant((0.0,) * K),
                              constant((0.0,) * K))
         result = decode_as_oracle(decoder, ["the", "plan", "Zqx"])
         assert result.path_classes == (INTERNAL_CLASSES[0],) * 3
@@ -632,8 +653,8 @@ class TestPrunedSearch:
         start = tuple(1.0 if i == 5 else 0.0 if i == 2 else -10.0 for i in range(K))
         transition = tuple(-1.0 if i == 5 else 0.0 for i in range(K))
         decoder = hand_built(
-            tiny_model, start, constant((transition,) * K + ((0.0,) * K,)),
-            constant(((0.0,) * (K + 1),) * K), constant((0.0,) * K), constant((-100.0,) * K))
+            tiny_model, start, constant(by_previous_class((transition,) * K + ((0.0,) * K,))),
+            constant(((0.0,) * K,) * (K + 1)), constant((0.0,) * K), constant((-100.0,) * K))
         result = decode_as_oracle(decoder, ["the", "plan"])
         assert result.log_score == 0.0
         assert result.path_classes == (INTERNAL_CLASSES[2], INTERNAL_CLASSES[0])
@@ -647,7 +668,7 @@ class TestPrunedSearch:
         # transition lower, only the rescan finds class 5.
         reads = [0]
 
-        class CountingRow(tuple):
+        class CountingGrid(tuple):
             def __getitem__(self, i):
                 if type(i) is int and i != K:  # not the START column, nor a slice
                     reads[0] += 1
@@ -656,12 +677,12 @@ class TestPrunedSearch:
         start = tuple(0.0 if i in (2, 5) else -10.0 for i in range(K))
         transition = tuple(top_transition if i == 2 else 0.0 for i in range(K))
         decoder = hand_built(
-            tiny_model, start, constant((transition,) * K + ((0.0,) * K,)),
-            constant(tuple(CountingRow((0.0,) * (K + 1)) for _ in range(K))),
+            tiny_model, start, constant(by_previous_class((transition,) * K + ((0.0,) * K,))),
+            constant(CountingGrid(((0.0,) * K,) * (K + 1))),
             constant((0.0,) * K), constant((-100.0,) * K))
         result = decoder.decode_sentence(["the", "plan"])
-        # The best predecessor alone reads one grid cell per class.
-        assert reads[0] > K
+        # The best predecessor alone reads one grid column.
+        assert reads[0] > 1
         assert (result.log_score, result.path_classes, result.path_boundaries) == \
             ref_viterbi(decoder, ["the", "plan"])
         assert result.log_score == 0.0
@@ -694,6 +715,25 @@ class TestPrunedSearch:
             result = decode_as_oracle(decoder, [word])
             assert result.path_boundaries == (True,)
 
+    @pytest.mark.parametrize("sentence, flags", [
+        ("Zqx said yesterday .", "UKKK"),        # an unseen first word
+        ("Mr. Robert Bailey said zqx", "KKKKU"),  # an unseen last word
+        ("Mr. Zqx", "KU"),                       # known followed by unseen
+        ("Zqx Bailey", "UK"),                    # unseen followed by known
+        ("Mr. Zqx Qzx said .", "KUUKK"),         # two unseen words in a row
+    ])
+    def test_route_flag_crossings_decode_as_the_plain_recurrence(
+            self, property_model, sentence, flags):
+        # Where the flags of a step differ, the step reads the
+        # unknown-word view's contexts and ratios beside its entries.
+        words = sentence.split()
+        decoder = Decoder(property_model)
+        assert "".join("U" if unknown else "K" for unknown, _ in decoder._keys(words)) == flags
+        result = decode_as_oracle(decoder, words)
+        rebuilt = score_path(tokens_of(words, property_model), result.path_classes,
+                             result.path_boundaries, property_model)
+        assert rebuilt == pytest.approx(result.log_score, abs=1e-9)
+
     def test_a_long_sentence_decodes_as_the_plain_recurrence(self, property_model):
         # Sentences of text the model was not trained on, run together
         # into one, so that names and unseen words recur far apart.
@@ -708,8 +748,8 @@ class TestGeneratedStep:
     """The recurrence is generated at import, and its source is readable."""
 
     def test_a_wrong_length_row_raises_with_its_source_line(self, tiny_model):
-        decoder = hand_built(tiny_model, (0.0,) * K, constant(((0.0,) * K,) * (K + 1)),
-                             constant(((0.0,) * (K + 1),) * K), constant((0.0,) * (K - 1)),
+        decoder = hand_built(tiny_model, (0.0,) * K, constant(((0.0,) * (K + 1),) * K),
+                             constant(((0.0,) * K,) * (K + 1)), constant((0.0,) * (K - 1)),
                              constant((0.0,) * K))
         try:
             decoder.decode_sentence(["the", "plan"])
@@ -717,7 +757,7 @@ class TestGeneratedStep:
             shown = traceback.format_exc()
         else:
             pytest.fail("a region-end row of %d cells was decoded" % (K - 1))
-        unpack = ", ".join("e%d" % j for j in range(K)) + " = ends[prev_unknown][prev_tok]"
+        unpack = "(%s), contexts, cont_vec, block, (" % ", ".join("e%d" % j for j in range(K))
         frame = 'File "%s", line ' % _recurrence.__code__.co_filename
         assert frame in shown
         assert shown.index(unpack) > shown.index(frame)

@@ -401,27 +401,27 @@ def next_cells(model, view, prev, token):
 
     For class j, prev opens j (the start row and prev's START column are
     0.0 for j and -inf elsewhere), every BOUNDARY candidate is -inf (the
-    first-word cells of the internal previous classes), and closing j
+    first-word columns of the internal previous classes), and closing j
     after token costs 0.0 (its region-end row and the END-OF-SENTENCE
-    block row).  So the path CONTINUEs, and its score, 0.0 + cell + 0.0
-    + 0.0, is the cell bit for bit.  prev takes the unknown-word route
-    flag, so the step reads ``view``'s stores, and token the main one,
-    whose region-end row is the forced one.
+    cells of its block).  So the path CONTINUEs, and its score, 0.0 +
+    cell + 0.0 + 0.0, is the cell bit for bit.  prev takes the
+    unknown-word route flag and token the main one, so the step reads
+    ``view``'s next-word contexts and unigram ratios, as the unknown-word
+    view's.
     """
     k = len(INTERNAL_CLASSES)
     no_boundary = ((-math.inf,) * k,) * k
-    blocks = always((no_boundary + ((0.0,) * k,), (-math.inf,) * k))
+    block = ((-math.inf,) * k + (0.0,),) * k, (-math.inf,) * k
     cells = []
     for j in range(k):
         opens = tuple(0.0 if i == j else -math.inf for i in range(k))
-        grids = always((tuple(row + (cell,) for row, cell in zip(no_boundary, opens)),
-                        (-math.inf,) * k))
+        previous = always((opens, (), (), *block))
+        current = always((no_boundary + (opens,), (-math.inf,) * k, ()))
         decoder = Decoder(model)
         decoder._start_row = opens
-        decoder._blocks, decoder._grids = (blocks, blocks), (grids, grids)
-        decoder._ends = (always(opens), view.end_rows)
-        decoder._contexts = (view.next_contexts,) * 2
-        decoder._ratios = (view.unigram_ratios,) * 2
+        decoder._previous, decoder._current = (previous, previous), (current, current)
+        decoder._unknown_contexts = view.next_contexts
+        decoder._unknown_ratios = view.unigram_ratios
         decoder._token_keys = ({"b": (False, token)}, {"a": (True, prev)})
         result = decoder.decode_sentence(["a", "b"])
         assert result.path_classes == (INTERNAL_CLASSES[j],) * 2
@@ -434,8 +434,9 @@ class TestLogRows:
     """Every stored row, the start row, and every continuation row that a
     decoder computes, equals math.log of the scalar queries exactly (==),
     cell by cell, on both table sets, for trained and untrained contexts
-    alike; a row once stored is the same object, and each row's stored
-    maximum is the maximum of those logs."""
+    alike; a row once stored is the same object, and each class's stored
+    maximum is the maximum of those logs.  Blocks and grids are stored by
+    previous class, as columns."""
 
     @pytest.fixture(params=["tiny", "synthetic"])
     def model(self, request, tiny_model, synthetic_model):
@@ -448,14 +449,18 @@ class TestLogRows:
         words = {w_prev for _, w_prev in trained}
         words |= {END_WORD, UNKNOWN_WORD, "never-seen"}
         seen = {True: 0, False: 0}
+        untrained = view.transition_blocks["never-seen"][0]
         for w_prev in sorted(words):
             entry = view.transition_blocks[w_prev]
             block, maxima = entry
             columns = []
-            for nc_prev in INTERNAL_CLASSES:
+            for i, nc_prev in enumerate(INTERNAL_CLASSES):
                 seen[(nc_prev, w_prev) in trained] += 1
                 columns.append(log_transitions(tables, nc_prev, w_prev))
-            assert [list(row) for row in block] == [list(row) for row in zip(*columns)]
+                # An untrained column is its previous class's shared default.
+                if (nc_prev, w_prev) not in trained:
+                    assert block[i] is untrained[i]
+            assert [list(column) for column in block] == columns
             assert view.transition_blocks[w_prev] is entry
             # The decoder's bound: per internal successor, the best column.
             assert maxima == tuple(
@@ -473,12 +478,13 @@ class TestLogRows:
         tokens |= {Token(UNKNOWN_WORD, "initCap"), Token(UNKNOWN_WORD, "fourDigitNum"),
                    Token("never-seen", "lowerCase"), END_TOKEN}
         for token in sorted(tokens):
-            entry = view.first_word_grids[token]
-            grid, maxima = entry
-            # Every class row, the START column (index 8) included.
-            assert len(grid[0]) == len(INTERNAL_CLASSES) + 1
-            assert [list(row) for row in grid] == log_first_words(tables, token, size)
-            assert view.first_word_grids[token] is entry
+            entry = view.token_entries[token]
+            grid, maxima, pairs = entry
+            # Every previous class's column, the START column (index 8) included.
+            assert len(grid) == len(INTERNAL_CLASSES) + 1
+            assert [list(row) for row in zip(*grid)] == log_first_words(tables, token, size)
+            assert view.token_entries[token] is entry
+            assert pairs is view.unigram_ratios[token]
             # The decoder's bound leaves the START column out.
             assert maxima == tuple(
                 max(row[:len(INTERNAL_CLASSES)]) for row in log_first_words(tables, token, size))
@@ -517,9 +523,9 @@ class TestLogRows:
         prevs |= {Token("never-seen", "lowerCase"), Token(UNKNOWN_WORD, "initCap")}
         closed = 0
         for prev in sorted(prevs):
-            row = view.end_rows[prev]
+            row = view.previous_entries[prev][0]
             assert list(row) == log_next_words(tables, prev, END_TOKEN, size)
-            assert view.end_rows[prev] is row
+            assert view.previous_entries[prev][0] is row
             closed += any(END_TOKEN in bigrams.events((prev.word, prev.feature, nc))
                           for nc in INTERNAL_CLASSES)
         assert closed
@@ -538,7 +544,7 @@ class TestLogRows:
                        for nc in INTERNAL_CLASSES)
         mr = Token("Mr.", compute_feature("Mr.", True))
         for prev in (mr, literal, Token("said", "lowerCase")):
-            assert list(view.end_rows[prev]) == log_next_words(
+            assert list(view.previous_entries[prev][0]) == log_next_words(
                 tables, prev, END_TOKEN, len(model.vocabulary))
             assert next_cells(model, view, prev, literal) == log_next_words(
                 tables, prev, literal, len(model.vocabulary))
@@ -595,13 +601,12 @@ class TestLogRows:
         view = TableView(tables, size)
         said = Token("said", "lowerCase")
         for token in (only_first, only_bigram):
-            assert [list(row) for row in view.first_word_grids[token][0]] == log_first_words(
-                tables, token, size)
+            assert [list(row) for row in zip(*view.token_entries[token][0])] == \
+                log_first_words(tables, token, size)
             for prev in (said, Token("never-seen", "lowerCase")):
                 assert next_cells(tiny_model, view, prev, token) == log_next_words(
                     tables, prev, token, size)
         columns = [log_transitions(tables, nc_prev, "said") for nc_prev in INTERNAL_CLASSES]
-        assert [list(row) for row in view.transition_blocks["said"][0]] == [
-            list(row) for row in zip(*columns)]
-        assert view.first_word_grids[only_first][0] != view.first_word_grids[
+        assert [list(column) for column in view.transition_blocks["said"][0]] == columns
+        assert view.token_entries[only_first][0] != view.token_entries[
             Token("never-seen", "lowerCase")][0]

@@ -113,24 +113,30 @@ def test_no_token_spells_a_sentinel(text):
 def test_the_bound_skips_most_boundary_candidates(model, sentences):
     """Each BOUNDARY candidate sum reads one first-word grid cell of an
     internal previous class; the plain recurrence reads 64 per token
-    after the first.  Counting those reads through the grid rows, the
-    bound must leave at most a quarter of them."""
+    after the first.  Counting those reads through the grid's columns
+    (the best predecessor's column is unpacked whole, a read of each of
+    its 8 cells), the bound must leave at most a quarter of them."""
     k = len(INTERNAL_CLASSES)
     reads = [0]
 
-    class CountingRow(tuple):
-        def __getitem__(self, i):
-            if i != k:  # the START column is read for the first token only
-                reads[0] += 1
-            return tuple.__getitem__(self, i)
+    class CountingColumn(tuple):
+        def __iter__(self):
+            reads[0] += k
+            return tuple.__iter__(self)
 
-    def counting_grid(token, grids):
-        grid, maxima = grids[token]
-        return tuple(CountingRow(row) for row in grid), maxima
+        def __getitem__(self, j):
+            reads[0] += 1
+            return tuple.__getitem__(self, j)
+
+    def counting_entry(token, entries):
+        grid, maxima, pairs = entries[token]
+        # The START column is read for the first token only.
+        return (*map(CountingColumn, grid[:k]), grid[k]), maxima, pairs
 
     decoder = Decoder(model)
-    decoder._grids = tuple(RowStore(lambda token, grids=grids: counting_grid(token, grids))
-                           for grids in decoder._grids)
+    decoder._current = tuple(
+        RowStore(lambda token, entries=entries: counting_entry(token, entries))
+        for entries in decoder._current)
     steps = 0
     for words in sentences:
         assert decoder.decode_sentence(words) == Decoder(model).decode_sentence(words)

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from namefinder import (
     AnnotatedSentence,
+    CountTables,
     END_OF_SENTENCE,
     FeatureConfig,
     INTERNAL_CLASSES,
@@ -889,6 +890,17 @@ class TestWriteModel:
         with pytest.raises(ModelFormatError) as info:
             serialize_model(model)
         assert str(info.value) == "vocabulary word %r is empty or holds whitespace" % (word,)
+        with pytest.raises(ModelFormatError):
+            write_model(model, old_file)
+        assert old_file.read_bytes() == b"the previous model\n"
+        assert os.listdir(old_file.parent) == ["model.nf"]
+
+    def test_an_empty_vocabulary_is_written_nowhere(self, old_file):
+        # Training refuses a corpus too small to hold a word, so only a
+        # hand-built model has no words; no loader reads its file.
+        model = TrainedModel(Vocabulary(), CountTables(), CountTables(), FeatureConfig())
+        with pytest.raises(ModelFormatError, match="^the vocabulary is empty$"):
+            serialize_model(model)
         with pytest.raises(ModelFormatError):
             write_model(model, old_file)
         assert old_file.read_bytes() == b"the previous model\n"
