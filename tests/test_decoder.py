@@ -716,20 +716,28 @@ class TestPrunedSearch:
             assert result.path_boundaries == (True,)
 
     @pytest.mark.parametrize("sentence, flags", [
-        ("Zqx said yesterday .", "UKKK"),        # an unseen first word
-        ("Mr. Robert Bailey said zqx", "KKKKU"),  # an unseen last word
-        ("Mr. Zqx", "KU"),                       # known followed by unseen
-        ("Zqx Bailey", "UK"),                    # unseen followed by known
-        ("Mr. Zqx Qzx said .", "KUUKK"),         # two unseen words in a row
+        ("Zqx Aberdeen", "UK"),                         # an unseen first word
+        ("Robert Bailey Zqx", "KKU"),                   # an unseen last word
+        ("Mr. Robert Zqx said .", "KKUKK"),             # known followed by unseen
+        ("Mr. Zqx Aberdeen said .", "KUKKK"),           # unseen followed by known
+        ("Mr. Robert Zqx Qzx Bailey said .", "KKUUKKK"),  # two unseen words in a row
     ])
     def test_route_flag_crossings_decode_as_the_plain_recurrence(
             self, property_model, sentence, flags):
         # Where the flags of a step differ, the step reads the
         # unknown-word view's contexts and ratios beside its entries.
+        # Each path continues a region across such a step, so the
+        # continuation read there enters the score, and "Aberdeen" has
+        # other unigram ratios in the two views.
+        main, unknown = property_model.table_views
+        aberdeen = Token("Aberdeen", compute_feature("Aberdeen"))
+        assert main.unigram_ratios[aberdeen] != unknown.unigram_ratios[aberdeen]
         words = sentence.split()
         decoder = Decoder(property_model)
         assert "".join("U" if unknown else "K" for unknown, _ in decoder._keys(words)) == flags
         result = decode_as_oracle(decoder, words)
+        assert any(not result.path_boundaries[t] for t in range(1, len(flags))
+                   if flags[t] != flags[t - 1])
         rebuilt = score_path(tokens_of(words, property_model), result.path_classes,
                              result.path_boundaries, property_model)
         assert rebuilt == pytest.approx(result.log_score, abs=1e-9)
