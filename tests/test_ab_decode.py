@@ -1,36 +1,39 @@
 """``tools/ab_decode.py`` at small sizes: a checkout against itself, and
 against a copy whose decoder scores differently."""
 
+import importlib.util
 import json
 import shutil
-import subprocess
-import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
-SMALL = ["--train-sentences", "200", "--documents", "4", "--rounds", "1"]
+_spec = importlib.util.spec_from_file_location("ab_decode", ROOT / "tools" / "ab_decode.py")
+ab_decode = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ab_decode)
 
 
-def ab_decode(parent, change, out):
-    return subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "ab_decode.py"), str(parent), str(change),
-         "--out", str(out), *SMALL], capture_output=True, text=True, timeout=300)
+@pytest.fixture(autouse=True)
+def small_sizes(monkeypatch):
+    monkeypatch.setattr(ab_decode, "TRAIN_SENTENCES", 200)
+    monkeypatch.setattr(ab_decode, "DOCUMENTS", 4)
+    monkeypatch.setattr(ab_decode, "ROUNDS", 1)
 
 
-def test_a_checkout_against_itself(tmp_path):
+def test_a_checkout_against_itself(tmp_path, capsys):
     out = tmp_path / "ab.json"
-    run = ab_decode(ROOT, ROOT, out)
-    assert run.returncode == 0, run.stderr
+    assert ab_decode.main([str(ROOT), str(ROOT), "--out", str(out)]) == 0
     result = json.loads(out.read_text(encoding="utf-8"))
     assert result["parent"] == result["change"]
     assert result["parent"]["checkout"] == str(ROOT)
     assert (result["documents"], result["rounds"], result["alternations"]) == (4, 1, 4)
     ratio = result["ratio"]
     assert 0 < ratio["q1"] <= ratio["median"] <= ratio["q3"]
-    assert "median %.3f" % ratio["median"] in run.stdout
+    assert "median %.3f" % ratio["median"] in capsys.readouterr().out
 
 
-def test_differing_outputs_name_the_document_and_exit_1(tmp_path):
+def test_differing_outputs_name_the_document_and_exit_1(tmp_path, capsys):
     change = tmp_path / "change"
     shutil.copytree(ROOT / "src" / "namefinder", change / "src" / "namefinder",
                     ignore=shutil.ignore_patterns("__pycache__"))
@@ -41,8 +44,9 @@ def test_differing_outputs_name_the_document_and_exit_1(tmp_path):
                      "    result.log_score -= 1.0\n"
                      "    return result\n\n\n"
                      "Decoder.decode_sentence = _lowered\n")
+    # Both checkouts load afresh, even after another test loaded this one.
+    assert ab_decode.compare((ROOT, ROOT))["alternations"] == 4
     out = tmp_path / "ab.json"
-    run = ab_decode(ROOT, change, out)
-    assert run.returncode == 1
-    assert run.stderr.strip() == "document 0: the outputs differ"
+    assert ab_decode.main([str(ROOT), str(change), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.strip() == "document 0: the outputs differ"
     assert not out.exists()

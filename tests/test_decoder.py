@@ -440,19 +440,24 @@ class TestSharedViews:
 
     def test_oov_words_with_fresh_decoders_add_one_first_word_grid(self, tiny_corpus):
         # A grid lives in its token's entry: 1,000 unseen words of one
-        # feature add at most one entry to each entry store.
+        # feature add at most one entry to each kind of entry store, over
+        # both views together.
         model = train(tiny_corpus)
         oov = ["zq" + a + b + c for a in "abcdefghij" for b in "abcdefghij"
                for c in "abcdefghij"]
         assert len(oov) == 1000 and not any(w in model.vocabulary for w in oov)
         assert len({compute_feature(w, False) for w in oov}) == 1
         Decoder(model).decode_sentence(["the", "plan", "."])
-        stores = [store for view in model.table_views
-                  for store in (view.token_entries, view.previous_entries)]
-        before = [len(store) for store in stores]
+        kinds = ("token_entries", "previous_entries")
+
+        def sizes():
+            return [sum(len(getattr(view, kind)) for view in model.table_views)
+                    for kind in kinds]
+
+        before = sizes()
         for word in oov:
             Decoder(model).decode_sentence(["the", word, "plan", "."])
-        after = [len(store) for store in stores]
+        after = sizes()
         assert all(size <= earlier + 1 for size, earlier in zip(after, before))
 
     def test_shared_keys_stay_within_the_vocabulary_bound(self):

@@ -8,10 +8,11 @@ one process and the speed drift between processes stays out of the
 ratios.  Each side trains its own model on ``generate_corpus(4000,
 seed=5)``, and both decode one test text: the 400 documents of 25
 sentences in ``generate_corpus(10000, seed=77)``, each document's
-sentences joined by spaces.  After one warm pass, each of ``--rounds``
-passes decodes every document with both sides, the side that goes first
+sentences joined by spaces.  After one warm pass, each of three passes
+decodes every document with both sides, the side that goes first
 alternating from document to document, and times each document's decode
-plus emit (``Decoder.decode_document`` and ``emit_annotated``).
+plus emit (``Decoder.decode_document`` and ``emit_annotated``): 1,200
+alternations in all.
 
 Every document's output, its emitted text and each sentence's log
 score, is compared between the sides; at the first that differs, the
@@ -32,12 +33,18 @@ import sys
 import time
 
 SIDES = ("parent", "change")
+TRAIN_SENTENCES = 4000
+DOCUMENTS = 400
 SENTENCES_PER_DOCUMENT = 25
+ROUNDS = 3  # timed passes over the documents after the warm one
 
 
 def load_package(checkout, name):
     """The checkout's ``src/namefinder`` imported as package ``name``,
-    and its ``synthetic`` module."""
+    and its ``synthetic`` module.  Modules left under that name by an
+    earlier load are dropped first, so the package is read afresh."""
+    for module in [m for m in sys.modules if m == name or m.startswith(name + ".")]:
+        del sys.modules[module]
     package_dir = os.path.join(checkout, "src", "namefinder")
     spec = importlib.util.spec_from_file_location(
         name, os.path.join(package_dir, "__init__.py"),
@@ -62,8 +69,8 @@ def describe(checkout):
             "clean": status.returncode == 0 and not status.stdout.strip()}
 
 
-def documents(synthetic, n_documents):
-    corpus = synthetic.generate_corpus(n_documents * SENTENCES_PER_DOCUMENT, seed=77)
+def documents(synthetic):
+    corpus = synthetic.generate_corpus(DOCUMENTS * SENTENCES_PER_DOCUMENT, seed=77)
     return [" ".join(" ".join(sentence.tokens)
                      for sentence in corpus[i:i + SENTENCES_PER_DOCUMENT])
             for i in range(0, len(corpus), SENTENCES_PER_DOCUMENT)]
@@ -78,19 +85,19 @@ def decode_timed(package, decoder, text):
     return elapsed, (emitted, [result.log_score for result in results])
 
 
-def compare(checkouts, train_sentences, n_documents, rounds):
+def compare(checkouts):
     """The output record, or the index of the first document whose
     outputs differ."""
     sides = []
     for side, checkout in zip(SIDES, checkouts):
         package, synthetic = load_package(checkout, "namefinder_ab_" + side)
-        model = package.train(synthetic.generate_corpus(train_sentences, seed=5))
+        model = package.train(synthetic.generate_corpus(TRAIN_SENTENCES, seed=5))
         sides.append((package, package.Decoder(model)))
         if side == "parent":
-            texts = documents(synthetic, n_documents)
+            texts = documents(synthetic)
     ratios = []
     times = {side: [] for side in SIDES}
-    for round_index in range(rounds + 1):
+    for round_index in range(ROUNDS + 1):
         for i, text in enumerate(texts):
             order = (0, 1) if (i + round_index) % 2 == 0 else (1, 0)
             outputs = [None, None]
@@ -106,9 +113,9 @@ def compare(checkouts, train_sentences, n_documents, rounds):
     q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
     return {
         "documents": len(texts),
-        "rounds": rounds,
+        "rounds": ROUNDS,
         "alternations": len(ratios),
-        "train_sentences": train_sentences,
+        "train_sentences": TRAIN_SENTENCES,
         "ratio": {"median": median, "q1": q1, "q3": q3},
         "doc_ms_median": {side: 1000 * statistics.median(times[side]) for side in SIDES},
     }
@@ -119,13 +126,9 @@ def main(argv=None):
     parser.add_argument("parent")
     parser.add_argument("change")
     parser.add_argument("--out", required=True, help="JSON file to write")
-    parser.add_argument("--train-sentences", type=int, default=4000)
-    parser.add_argument("--documents", type=int, default=400)
-    parser.add_argument("--rounds", type=int, default=3,
-                        help="timed passes over the documents after the warm one")
     args = parser.parse_args(argv)
     checkouts = (args.parent, args.change)
-    result = compare(checkouts, args.train_sentences, args.documents, args.rounds)
+    result = compare(checkouts)
     if isinstance(result, int):
         print("document %d: the outputs differ" % result, file=sys.stderr)
         return 1
