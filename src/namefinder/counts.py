@@ -353,18 +353,20 @@ def _add_held_out(unknown: CountTables, half: CountTables, unseen: set):
         _add(transitions.setdefault((nc_prev, UNKNOWN_WORD if w_prev in unseen else w_prev), {}),
              events)
     for context, events in half.first_words._events.items():
-        bucket = first_words.setdefault(context, {})
-        for token, count in events.items():
-            if token[0] in unseen:
-                token = Token(UNKNOWN_WORD, token[1])
-            bucket[token] = bucket.get(token, 0) + count
+        _add_renamed(first_words.setdefault(context, {}), events, unseen)
     for (w_prev, f_prev, nc), events in half.word_bigrams._events.items():
-        bucket = bigrams.setdefault(
-            (UNKNOWN_WORD if w_prev in unseen else w_prev, f_prev, nc), {})
-        for token, count in events.items():
-            if token[0] in unseen:
-                token = Token(UNKNOWN_WORD, token[1])
-            bucket[token] = bucket.get(token, 0) + count
+        _add_renamed(bigrams.setdefault(
+            (UNKNOWN_WORD if w_prev in unseen else w_prev, f_prev, nc), {}), events, unseen)
+
+
+def _add_renamed(bucket: dict, events: dict, unseen: set):
+    """Add every count of a token -> count dict into ``bucket``, each
+    token whose word is in ``unseen`` renamed ``UNKNOWN_WORD`` with its
+    feature kept."""
+    for token, count in events.items():
+        if token[0] in unseen:
+            token = Token(UNKNOWN_WORD, token[1])
+        bucket[token] = bucket.get(token, 0) + count
 
 
 def train(sentences, config: FeatureConfig = FeatureConfig()) -> TrainedModel:

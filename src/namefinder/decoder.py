@@ -31,15 +31,17 @@ recurrence over them, and the backtrace (``_backtrace``).  The
 recurrence's step is written out for the eight classes.  At import,
 ``_compile_recurrence`` fills the template ``_STEP`` (and ``_CLASS``
 once per class) and compiles one straight-line function,
-``_recurrence``: class j's score is the local s<j>; each token unpacks
-two entries, the previous token's (its region-end row, continuation
-contexts and transition block) and its own (its first-word grid and
-unigram ratios), then the best previous class's column of the block
-and of the grid into the locals tt<j> and ft<j>; each class's tests
-above are written out in that order and association; and each token
-appends a tuple of 8 backpointers.  The generated source is kept in
-``linecache`` under the file name ``<namefinder.decoder recurrence>``,
-so tracebacks show its lines, and
+``_recurrence``: class j's score is the local s<j>; each token reads
+its entry once, unpacks the previous token's part of the entry carried
+from the step before (its region-end row, continuation contexts and
+transition columns) and its own part (its first-word grid and unigram
+pairs), then the best previous class's column of the transitions and
+of the grid into the locals tt<j> and ft<j>; each class's tests above
+are written out in that order and association; and each token appends
+a tuple of 8 backpointers.  The last token's previous-token part is
+returned for the backtrace, which reads no store.  The generated
+source is kept in ``linecache`` under the file name
+``<namefinder.decoder recurrence>``, so tracebacks show its lines, and
 ``inspect.getsource(namefinder.decoder._recurrence)`` prints it.
 
 Ties are broken deterministically, whatever the visit order: CONTINUE
@@ -54,24 +56,25 @@ NOT-A-NAME stretches produce no Region records.
 The decoder reads rows of log probabilities under canonical keys: a
 route flag (main or unknown-word tables) plus the token as looked up,
 with every out-of-vocabulary word mapped to ``UNKNOWN_WORD``.  A
-transition block holds every class pair for one previous word, a
-first-word grid every class pair (and the sentence start) for one
-token, both stored by previous class, as columns, and a region-end row
-every class's Pr(END_TOKEN | previous token) for one previous token;
-each block and grid comes with its maxima, Tmax and Fmax above.  They
-live on the model's views (``table_views``), built by the first decoder
-over a model and shared by every later one: the estimator's
-``TableView`` for the route flag builds a row in one pass, from
-evidence only, the first time it is read, and keeps it in a
-``RowStore``, a dict, so the recurrence reads rows by plain subscripts.
-A step reads them through two entries per token, which hold the rows
-by reference.  A continuation row, one per (previous token, token)
-pair, is never stored: each step starts from the previous token's
-shared row of log floor terms and sums only the classes that counted
-the token, reading the views' weighted contexts and unigram shares,
-from the unknown-word view when the two route flags differ.  So a
-decoder keeps no row of its own, and every store it reads is keyed by
-the vocabulary, which bounds its memory however much text it decodes.
+token's entry holds its rows in both roles.  As the previous token: its
+transition columns, every class pair for its word, and its region-end
+row, every class's Pr(END_TOKEN | previous token).  As the token read:
+its first-word grid, every class pair (and the sentence start).
+Columns and grids are stored by previous class, each with its maxima,
+Tmax and Fmax above.  The entries live on the model's views
+(``table_views``), built by the first decoder over a model and shared
+by every later one: the estimator's ``TableView`` for the route flag
+builds an entry in one pass, from evidence only, the first time it is
+read, and keeps it in a ``RowStore``, a dict, so the recurrence reads
+it by a plain subscript.  A sentence reads one entry per token, and
+two more at each step whose route flags differ.  A continuation row,
+one per (previous token, token) pair, is never stored: each step
+starts from the previous token's shared row of log floor terms and
+sums only the classes that counted the token, reading the weighted
+contexts and unigram pairs of the two entries, or of the two tokens'
+unknown-word entries when the route flags differ.  So a decoder keeps
+no row of its own, and every store it reads is keyed by the
+vocabulary, which bounds its memory however much text it decodes.
 All out-of-vocabulary words of one feature share their rows.  No word
 of the text spells a sentinel (``features``), so every step reads its
 continuation row the same way, and a word shaped like one is an
@@ -165,21 +168,22 @@ def score_path(tokens, classes, boundaries, model: TrainedModel) -> float:
 # like become the names e0, e1, ... of one local per class, and
 # ``{classes}`` becomes ``_CLASS`` once per class.
 _STEP = """\
-def _recurrence(keys, start_row, previous, current, unknown_contexts, unknown_ratios):
+def _recurrence(keys, start_row, entries):
     keys = iter(keys)
     prev_unknown, prev_tok = next(keys)
-    opens = current[prev_unknown][prev_tok][0][{k}]
+    previous, (grid, _, _) = entries[prev_unknown][prev_tok]
+    opens = grid[{k}]
 {start}
     backptrs = []
     append = backptrs.append
     for unknown, tok in keys:
-        ({e}), contexts, cont_vec, block, ({tm}) = previous[prev_unknown][prev_tok]
-        grid, ({fm}), pairs = current[unknown][tok]
+        ({e}), contexts, cont_vec, block, ({tm}) = previous
+        previous, (grid, ({fm}), pairs) = entries[unknown][tok]
         if unknown is not prev_unknown:
             # A known word next to an unseen one: the unknown-word tables
             # answer the continuation.
-            contexts, cont_vec = unknown_contexts[prev_tok]
-            pairs = unknown_ratios[tok]
+            _, contexts, cont_vec, _, _ = entries[True][prev_tok][0]
+            pairs = entries[True][tok][1][2]
         # prev's row of log floor terms, with the mixture sum over each
         # class that counted tok.
         if pairs:
@@ -206,7 +210,7 @@ def _recurrence(keys, start_row, previous, current, unknown_contexts, unknown_ra
         append(({p}))
         prev_unknown = unknown
         prev_tok = tok
-    return ({s}), backptrs
+    return ({s}), backptrs, previous
 """
 
 # Class j's step: CONTINUE, then the best predecessor's candidate, then
@@ -249,7 +253,8 @@ def _compile_recurrence():
     it.
 
     The function returns (the final score of each class, one tuple of
-    backpointers per token after the first).
+    backpointers per token after the first, the last token's entry as a
+    previous token).
     """
     def each(template, sep="\n"):
         return sep.join(template.format(j=j) for j in range(_K))
@@ -274,22 +279,16 @@ _recurrence = _compile_recurrence()
 class Decoder:
     """Reusable decoder over one trained model.
 
-    Each pair of entry stores is indexed by the route flag: main tables,
-    then unknown-word tables.  Every store, and the start row, is the
-    model's views': the previous-token and token entry stores, and the
-    unknown-word view's next-context and unigram-ratio stores, which
-    answer a step whose route flags differ.  The decoder holds
-    references only.
+    The entry stores are indexed by the route flag: main tables, then
+    unknown-word tables.  They and the start row are the model's views';
+    the decoder holds references only.
     """
 
     def __init__(self, model: TrainedModel):
         self.model = model
         self.config = model.feature_config
         views = model.table_views
-        self._previous = tuple(view.previous_entries for view in views)
-        self._current = tuple(view.token_entries for view in views)
-        self._unknown_contexts = views[True].next_contexts
-        self._unknown_ratios = views[True].unigram_ratios
+        self._entries = tuple(view.entries for view in views)
         self._start_row = views[False].start_row
         self._token_keys = model.token_keys
 
@@ -298,9 +297,8 @@ class Decoder:
         if not words:
             raise ValueError("cannot decode an empty sentence")
         keys = self._keys(words)
-        scores, backptrs = _recurrence(keys, self._start_row, self._previous, self._current,
-                                       self._unknown_contexts, self._unknown_ratios)
-        return self._backtrace(words, keys, scores, backptrs)
+        scores, backptrs, last = _recurrence(keys, self._start_row, self._entries)
+        return self._backtrace(words, scores, backptrs, last)
 
     def _keys(self, words):
         """Canonical keys: the route flag, and the token with an
@@ -320,11 +318,11 @@ class Decoder:
                         self._token_keys[i == 0][w] = key
         return keys
 
-    def _backtrace(self, words, keys, scores, backptrs):
+    def _backtrace(self, words, scores, backptrs, last):
         """The result of the best final class, closed at the sentence
-        end, and its path followed back through the backpointers."""
-        last_unknown, last = keys[-1]
-        end_vec, _, _, block, _ = self._previous[last_unknown][last]
+        end by the last token's entry as a previous token, and its path
+        followed back through the backpointers."""
+        end_vec, _, _, block, _ = last
         best_j = 0
         best_final = scores[0] + end_vec[0] + block[0][_K]
         for j in range(1, _K):

@@ -36,38 +36,31 @@ has no count in its context nor in any pooled level below it sums to
 0.0 + k * 0.0 + ... + residual * floor, which is exactly residual *
 floor, so its log is a constant of the context.  The view computes the
 constants of the first-word contexts and of the untrained defaults
-once, and a previous token's constants when its word-bigram contexts
-are first read.  A class's word-unigram level sums its first-word
+once, and a previous token's constants when its entry is built.  A class's word-unigram level sums its first-word
 chain, and every event but the closing ``END_TOKEN`` of its next-word
 chain (``CountTables``), so a class whose unigram level did not count a
 word's token has no count of it at any level of either chain.
-The view keeps, per token, each class that counted it paired with
-the token's unigram count / c in that class (``unigram_ratios``); a
-first-word grid, and the decoder's continuation row, start as the row
-of log constants, and only those classes go through the row sums and
-``math.log``, a continuation cell reading its unigram term from the
-pair.  A token no class counted gets the constant row itself, a shared
-object.  A region-end row sums every class.
+A token's entry pairs each class that counted it with the token's
+unigram count / c in that class (its unigram pairs); a first-word grid,
+and the decoder's continuation row, start as the row of log constants,
+and only those classes go through the row sums and ``math.log``, a
+continuation cell reading its unigram term from the pair.  A token no
+class counted gets the constant row itself, a shared object.  A
+region-end row sums every class.
 
-Every log row lives in a ``RowStore``: a dict whose ``__missing__``
-builds the row and keeps it, the one row memo.  The stores keyed by the
-vocabulary are the view's, shared by every decoder over the model: the
-transition blocks by previous word (``transition_blocks``), each stored
-with its maxima, each token's (class, unigram count / c) pairs
-(``unigram_ratios``), and by previous token its weighted word-bigram
-contexts (``next_contexts``).  The decoder reads them through two entry
-stores, one entry per token in each: as a previous token, its
-region-end row, Pr(END_TOKEN | prev, nc) per class, its contexts and
-its block (``previous_entries``); as the token read, its first-word
-grid with its maxima, and its pairs (``token_entries``).  An entry holds
-the other stores' rows by reference, and is the one place that builds
-a region-end row or a grid.  The decoder maps every out-of-vocabulary
-word to ``UNKNOWN_WORD`` before it asks, so these stores hold at most
-|V| + 1 previous words and (|V| + 1) x 14 tokens per view and need no
-eviction.
-No store is keyed by a pair of tokens: the decoder computes each
-continuation row as it steps, from the previous token's weighted
-contexts and the token's pairs, so these are all the rows it reads.
+A view keeps its rows in one ``RowStore``, ``entries``: a dict whose
+``__missing__`` builds a token's entry and keeps it, the one row memo,
+shared by every decoder over the model.  An entry holds what a decoder
+step reads of its token in both roles, built together the first time
+either is read: as a previous token, its region-end row, Pr(END_TOKEN |
+prev, nc) per class, its weighted word-bigram contexts and its
+transition columns; as the token read, its first-word grid with its
+maxima, and its unigram pairs.  The decoder maps every
+out-of-vocabulary word to ``UNKNOWN_WORD`` before it asks, so a view
+holds at most (|V| + 1) x 14 entries and needs no eviction.  No row is
+keyed by a pair of tokens: the decoder computes each continuation row
+as it steps, from the previous token's weighted contexts and the
+token's pairs, so the entries hold all the rows it reads.
 
 Queries route between the main tables and the held-out unknown-word
 tables: if any word involved in the conditioning bigram is outside the
@@ -274,33 +267,33 @@ class TableView:
     row reads it; an untrained one costs a lookup and takes its default.
     A row holds, for every class at once, the log of what the scalar
     ``p_*_from`` functions give with the default floor, built from
-    evidence only (see the module docstring).  Blocks and grids are
-    stored by previous class i, as columns:
-      start_row[j]                       (nc_j | START-OF-SENTENCE, END_WORD)
-      transition_blocks[w_prev][0][i][j] (SUCCESSOR_CLASSES[j] | nc_i, w_prev)
-      previous_entries[prev][0][j]       (END_TOKEN | prev, nc_j)
-      token_entries[token][0][i][j]      (token opens nc_j | nc_j, PREVIOUS_CLASSES[i])
-    where nc_j is INTERNAL_CLASSES[j].  An untrained (nc_i, w_prev)
+    evidence only (see the module docstring).  A token's entry,
+    ``entries[token]``, is (as_previous, as_token):
+      as_previous  (region-end row, weighted next-word contexts, the log
+                    row of their floor terms, transition columns, their
+                    maxima)
+      as_token     (first-word grid, its maxima, unigram pairs)
+    Transition columns and grids are stored by previous class i:
+      start_row[j]              (nc_j | START-OF-SENTENCE, END_WORD)
+      as_previous[0][j]         (END_TOKEN | prev, nc_j)
+      as_previous[3][i][j]      (SUCCESSOR_CLASSES[j] | nc_i, prev.word)
+      as_token[0][i][j]         (token opens nc_j | nc_j, PREVIOUS_CLASSES[i])
+    where nc_j is INTERNAL_CLASSES[j].  An untrained (nc_i, prev.word)
     column is nc_i's shared default column.  The maxima of each
     internal successor or class j over the internal previous classes i
     (the START column left out) bound the decoder's BOUNDARY
     candidates:
-      transition_blocks[w_prev][1][j]    max_i transition_blocks[w_prev][0][i][j]
-      token_entries[token][1][j]         max_i token_entries[token][0][i][j]
-    ``unigram_ratios[token]`` holds a (j, count / c) pair for each class
-    j whose word-unigram level counted the token, in class order.
-    ``next_contexts`` holds, per previous token, its weighted
-    word-bigram context of each class and the log row of their floor
-    terms, which is the shared next-word row of every token no class
-    counted; the decoder computes each continuation row from them and
-    ``unigram_ratios``.  The two entries of a token hold the rows that
-    a step reads, the other stores' by reference:
-      previous_entries[prev]   (region-end row, *next_contexts[prev],
-                                *transition_blocks[prev.word])
-      token_entries[token]     (grid, its maxima, unigram_ratios[token])
-    Every decoder over the view shares these.  The stores' builders
-    close over the weighted levels and the row stores, not the view, so
-    no reference cycle keeps a discarded view alive.
+      as_previous[4][j]         max_i as_previous[3][i][j]
+      as_token[1][j]            max_i as_token[0][i][j]
+    The contexts hold the token's weighted word-bigram context of each
+    class, and their floor row is the shared next-word row of every
+    token no class counted.  The unigram pairs hold a (j, count / c)
+    pair for each class j whose word-unigram level counted the token,
+    in class order.  The decoder computes each continuation row from
+    the previous token's contexts and the token's pairs.  Every decoder
+    over the view shares the entries.  Their builder closes over the
+    weighted levels, not the view, so no reference cycle keeps a
+    discarded view alive.
     """
 
     def __init__(self, tables: CountTables, vocab_size: int):
@@ -345,53 +338,43 @@ class TableView:
         # INTERNAL_CLASSES leads SUCCESSOR_CLASSES; END-OF-SENTENCE is cut.
         self.start_row = transition_column(START_OF_SENTENCE, END_WORD)[:_K]
 
-        def transition_block(w_prev):
-            # Stored by previous class, so untrained columns stay shared,
-            # with the maxima of each internal successor's cells.
-            columns = tuple([transition_column(nc_prev, w_prev)
-                             for nc_prev in INTERNAL_CLASSES])
-            return columns, tuple(map(max, zip(*columns)))[:_K]
-
-        # Previous token -> (its weighted context per class, the log row of
-        # their floor terms); an untrained context takes its class's default.
+        # An untrained word-bigram context takes its class's default.
         bigram_events = tables.word_bigrams.events
         next_defaults = [weigh(({}, 0, 0), (unigrams,), floor) for unigrams in unigram_levels]
 
-        def weigh_next_contexts(prev):
+        def entry(token):
+            # As a previous token: its weighted context per class and the
+            # log row of their floor terms, and its region-end row, where
+            # every class takes the mixture sum: the bigram contexts count
+            # END_TOKEN, which only a file's surplus puts in a unigram level.
             contexts = []
             for nc, unigrams, default in zip(INTERNAL_CLASSES, unigram_levels, next_defaults):
-                events = bigram_events((prev.word, prev.feature, nc))
+                events = bigram_events((token.word, token.feature, nc))
                 contexts.append(weigh((events, sum(events.values()), len(events)),
                                       (unigrams,), floor) if events else default)
-            return contexts, tuple(log(context[-1]) for context in contexts)
-
-        def previous_entry(prev):
-            # Every class takes the region-end mixture sum: the bigram
-            # contexts count END_TOKEN, which only a file's surplus puts in
-            # a unigram level.
-            contexts, log_floors = next_contexts[prev]
             end_row = tuple([log(next_word_cell(END_TOKEN, context, unigrams))
                              for context, unigrams in zip(contexts, unigram_levels)])
-            return (end_row, contexts, log_floors, *transition_blocks[prev.word])
-
-        def token_entry(token):
-            # The row of a class whose unigram level did not count the
-            # token is the class's shared row of log floors.  The grid is
-            # stored by previous class, with the maxima of each class's row.
-            pairs = unigram_ratios[token]
+            # Its transition columns, by previous class so that untrained
+            # columns stay shared, with the maxima of each internal
+            # successor's cells.
+            columns = tuple([transition_column(nc_prev, token.word)
+                             for nc_prev in INTERNAL_CLASSES])
+            as_previous = (end_row, contexts, tuple(log(context[-1]) for context in contexts),
+                           columns, tuple(map(max, zip(*columns)))[:_K])
+            # As the token read: a (j, count / c) pair per class j whose
+            # unigram level counted it.  Another class's first-word row is
+            # the class's shared row of log floors.  The grid is stored by
+            # previous class, with the maxima of each class's row.
+            pairs = tuple([(j, events[token] / c_u)
+                           for j, (events, c_u, _) in enumerate(unigram_levels)
+                           if token in events])
             seen = [j for j, _ in pairs]
             rows = list(first_log_floors)
             for j, row in zip(seen, first_word_rows(token, [first[j] for j in seen])):
                 rows[j] = [log(p) for p in row]
-            return tuple(zip(*rows)), tuple(max(row[:_K]) for row in rows), pairs
+            return as_previous, (tuple(zip(*rows)), tuple(max(row[:_K]) for row in rows), pairs)
 
-        self.unigram_ratios = unigram_ratios = RowStore(lambda token: tuple(
-            [(j, _ratio(events[token], c_u))
-             for j, (events, c_u, _) in enumerate(unigram_levels) if token in events]))
-        self.transition_blocks = transition_blocks = RowStore(transition_block)
-        self.next_contexts = next_contexts = RowStore(weigh_next_contexts)
-        self.previous_entries = RowStore(previous_entry)
-        self.token_entries = RowStore(token_entry)
+        self.entries = RowStore(entry)
 
 
 # --- Routed public queries ---------------------------------------------------

@@ -524,7 +524,7 @@ def ref_viterbi(decoder, words):
     The keys are restated here (route flag, and the token with an
     out-of-vocabulary word as UNKNOWN_WORD); the rows are read from the
     decoder's own entries, each continuation row through
-    ``ref_next_log_row``, from the unknown-word stores when the route
+    ``ref_next_log_row``, from the unknown-word entries when the route
     flags of a step differ, so this checks the search alone.  It reads
     the cells of each block and grid, stored by previous class, and
     never their maxima.
@@ -536,20 +536,20 @@ def ref_viterbi(decoder, words):
         unknown = word not in model.vocabulary
         feature = compute_feature(word, i == 0, model.feature_config)
         keys.append((unknown, Token(UNKNOWN_WORD if unknown else word, feature)))
-    previous, current = decoder._previous, decoder._current
+    entries = decoder._entries
 
     unknown, tok = keys[0]
-    grid = current[unknown][tok][0]
+    grid = entries[unknown][tok][1][0]
     scores = [decoder._start_row[j] + grid[k][j] for j in range(k)]
     backptrs = []
     for t in range(1, len(keys)):
         prev_unknown, prev_tok = keys[t - 1]
         unknown, tok = keys[t]
-        end_vec, weighted, log_floors, block, _ = previous[prev_unknown][prev_tok]
-        grid, _, pairs = current[unknown][tok]
+        end_vec, weighted, log_floors, block, _ = entries[prev_unknown][prev_tok][0]
+        grid, _, pairs = entries[unknown][tok][1]
         if unknown != prev_unknown:
-            weighted, log_floors = decoder._unknown_contexts[prev_tok]
-            pairs = decoder._unknown_ratios[tok]
+            _, weighted, log_floors, _, _ = entries[True][prev_tok][0]
+            pairs = entries[True][tok][1][2]
         cont_vec = ref_next_log_row(weighted, log_floors, pairs, tok)
         bscore = [scores[i] + end_vec[i] for i in range(k)]
         new_scores, pointers = [], []
@@ -565,7 +565,7 @@ def ref_viterbi(decoder, words):
         backptrs.append(pointers)
 
     last_unknown, last = keys[-1]
-    end_vec, _, _, block, _ = previous[last_unknown][last]
+    end_vec, _, _, block, _ = entries[last_unknown][last][0]
     best_j, best_final = 0, scores[0] + end_vec[0] + block[0][k]
     for j in range(1, k):
         cand = scores[j] + end_vec[j] + block[j][k]

@@ -28,9 +28,11 @@ def test_a_checkout_against_itself(tmp_path, capsys):
     assert result["parent"] == result["change"]
     assert result["parent"]["checkout"] == str(ROOT)
     assert (result["documents"], result["rounds"], result["alternations"]) == (4, 1, 4)
-    ratio = result["ratio"]
-    assert 0 < ratio["q1"] <= ratio["median"] <= ratio["q3"]
-    assert "median %.3f" % ratio["median"] in capsys.readouterr().out
+    shown = capsys.readouterr().out
+    for key, label in (("ratio", "median"), ("cold_ratio", "cold pass")):
+        ratio = result[key]
+        assert 0 < ratio["q1"] <= ratio["median"] <= ratio["q3"]
+        assert "%s %.3f" % (label, ratio["median"]) in shown
 
 
 def test_differing_outputs_name_the_document_and_exit_1(tmp_path, capsys):

@@ -267,12 +267,14 @@ class TestDeterminismAndReuse:
                for c in "abcdefghij"]
         assert len(oov) == 1000 and not any(w in tiny_model.vocabulary for w in oov)
         decoder.decode_sentence(["the", "plan", "."])
-        token_entries = sum(map(len, decoder._current))
+        entries = sum(map(len, decoder._entries))
         decoder.decode_sentence(["the", oov[0], "plan", "."])
         sizes = [len(store) for store in decoder_stores(decoder)]
         for word in oov[1:]:
             decoder.decode_sentence(["the", word, "plan", "."])
-        assert sum(map(len, decoder._current)) <= token_entries + 1
+        # One entry for UNKNOWN_WORD of their feature, and the unknown-word
+        # view's entries of its two known neighbours.
+        assert sum(map(len, decoder._entries)) <= entries + 3
         assert [len(store) for store in decoder_stores(decoder)] == sizes
 
     def test_empty_sentence_rejected(self, tiny_model):
@@ -295,9 +297,8 @@ def has_views(model):
 
 
 def shared_rows(decoder):
-    """The decoder's row stores and start row, which belong to the views."""
-    return (*decoder._previous, *decoder._current, decoder._unknown_contexts,
-            decoder._unknown_ratios, decoder._start_row)
+    """The decoder's entry stores and start row, which belong to the views."""
+    return (*decoder._entries, decoder._start_row)
 
 
 def decoder_stores(decoder):
@@ -318,41 +319,23 @@ class TestSharedViews:
         model = train(tiny_corpus)
         first, second = Decoder(model), Decoder(model)
         views = model.table_views
-        expected = (*(view.previous_entries for view in views),
-                    *(view.token_entries for view in views),
-                    views[True].next_contexts, views[True].unigram_ratios,
-                    views[False].start_row)
+        expected = (*(view.entries for view in views), views[False].start_row)
         assert len(shared_rows(first)) == len(expected)
         assert all(a is b is c for a, b, c in zip(shared_rows(first), shared_rows(second),
                                                   expected))
         other = Decoder(train(tiny_corpus))
         assert not any(a is b for a, b in zip(shared_rows(other), shared_rows(first)))
-        # Each entry holds the rows of the view's other stores, not copies.
-        first.decode_document(TEXT)
-        for view in views:
-            assert view.previous_entries and view.token_entries
-            for prev, entry in view.previous_entries.items():
-                contexts, log_floors = view.next_contexts[prev]
-                block = view.transition_blocks[prev.word]
-                assert entry[1] is contexts and entry[2] is log_floors
-                assert entry[3] is block[0] and entry[4] is block[1]
-            for token, entry in view.token_entries.items():
-                assert entry[2] is view.unigram_ratios[token]
 
     def test_a_fresh_decoder_weighs_no_context_a_row_has_not_read(self, tiny_corpus):
         model = train(tiny_corpus)
         Decoder(model)
         for view in model.table_views:
-            assert not view.transition_blocks and not view.next_contexts
-            assert not view.previous_entries
+            assert not view.entries
         Decoder(model).decode_sentence(["The", "plan"])
         main, unknown = model.table_views
-        assert set(main.transition_blocks) == {"The", "plan"}
-        read = {Token("The", compute_feature("The", True)),
-                Token("plan", compute_feature("plan", False))}
-        assert set(main.next_contexts) == set(main.previous_entries) == read
-        assert not unknown.transition_blocks and not unknown.next_contexts
-        assert not unknown.previous_entries
+        assert set(main.entries) == {Token("The", compute_feature("The", True)),
+                                     Token("plan", compute_feature("plan", False))}
+        assert not unknown.entries
 
     def test_views_die_with_their_model_by_reference_counting(self, tiny_corpus):
         # No reference cycle: with the cycle collector off, dropping the
@@ -363,8 +346,7 @@ class TestSharedViews:
             decoders = [Decoder(model), Decoder(model)]
             for decoder in decoders:
                 decoder.decode_document(TEXT)
-            assert all(view.previous_entries and view.token_entries
-                       for view in model.table_views)
+            assert all(view.entries for view in model.table_views)
             views = [weakref.ref(view) for view in model.table_views]
             del model, decoders, decoder
             assert [view() for view in views] == [None, None]
@@ -417,8 +399,7 @@ class TestSharedViews:
         twin = deserialize_model(text)
         Decoder(model).decode_document(TEXT)
         main, unknown = model.table_views
-        assert main.previous_entries and main.token_entries
-        assert unknown.previous_entries and unknown.token_entries
+        assert main.entries and unknown.entries
         assert not has_views(twin)
         assert model == twin and twin == model
         assert serialize_model(model) == text
@@ -427,9 +408,7 @@ class TestSharedViews:
         model = train(tiny_corpus)
         words = "Mr. Zqx Smith said hello .".split()
         first = Decoder(model).decode_sentence(words)
-        stores = [store for view in model.table_views
-                  for store in (view.transition_blocks, view.previous_entries,
-                                view.token_entries)]
+        stores = [view.entries for view in model.table_views]
         filled = [dict(store) for store in stores]
         second = Decoder(model)
         assert second.decode_sentence(words) == first
@@ -440,25 +419,26 @@ class TestSharedViews:
 
     def test_oov_words_with_fresh_decoders_add_one_first_word_grid(self, tiny_corpus):
         # A grid lives in its token's entry: 1,000 unseen words of one
-        # feature add at most one entry to each kind of entry store, over
-        # both views together.
+        # feature add at most one entry, over both views together.  The
+        # first sentence that holds one also adds the unknown-word view's
+        # entries of its known neighbours, which the later ones share.
         model = train(tiny_corpus)
         oov = ["zq" + a + b + c for a in "abcdefghij" for b in "abcdefghij"
                for c in "abcdefghij"]
         assert len(oov) == 1000 and not any(w in model.vocabulary for w in oov)
         assert len({compute_feature(w, False) for w in oov}) == 1
+
+        def size():
+            return sum(len(view.entries) for view in model.table_views)
+
         Decoder(model).decode_sentence(["the", "plan", "."])
-        kinds = ("token_entries", "previous_entries")
-
-        def sizes():
-            return [sum(len(getattr(view, kind)) for view in model.table_views)
-                    for kind in kinds]
-
-        before = sizes()
-        for word in oov:
+        known = size()
+        Decoder(model).decode_sentence(["the", oov[0], "plan", "."])
+        before = size()
+        assert before <= known + 3
+        for word in oov[1:]:
             Decoder(model).decode_sentence(["the", word, "plan", "."])
-        after = sizes()
-        assert all(size <= earlier + 1 for size, earlier in zip(after, before))
+        assert size() <= before + 1
 
     def test_shared_keys_stay_within_the_vocabulary_bound(self):
         model = train(generate_corpus(200, seed=3))
@@ -469,19 +449,13 @@ class TestSharedViews:
         words = set(model.vocabulary.words()) | {UNKNOWN_WORD}
         bound = len(model.vocabulary) + 1
         main, unknown = model.table_views
-        assert set(main.transition_blocks) <= words
-        assert set(unknown.transition_blocks) <= {UNKNOWN_WORD}
         for view in model.table_views:
-            assert len(view.transition_blocks) <= bound
-            for tokens in (view.previous_entries, view.token_entries, view.next_contexts,
-                           view.unigram_ratios):
-                assert len(tokens) <= bound * len(WORD_FEATURES)
-                assert all(word in words and feature in WORD_FEATURES
-                           for word, feature in tokens)
-        for entries in (unknown.previous_entries, unknown.token_entries):
-            assert {word for word, _ in entries} == {UNKNOWN_WORD}
-        # Out-of-vocabulary words reached the unknown-word stores.
-        assert unknown.transition_blocks
+            assert len(view.entries) <= bound * len(WORD_FEATURES)
+            assert all(word in words and feature in WORD_FEATURES
+                       for word, feature in view.entries)
+        # Out-of-vocabulary words reached the unknown-word entries alone.
+        assert UNKNOWN_WORD not in {word for word, _ in main.entries}
+        assert UNKNOWN_WORD in {word for word, _ in unknown.entries}
         # One long-lived decoder reads random vocabulary bigrams, then twice
         # as many new ones: no store that it reads outgrows the bound, and
         # a second decoder reads the very same stores, so it keeps none of
@@ -580,12 +554,10 @@ def hand_built(model, start_row, block, grid, end_row, next_row):
     the continuation row of a previous token is its row of floor terms,
     ``next_row(prev)``, whatever the token."""
     decoder = Decoder(model)
-    blocks = RowStore(lambda w_prev: with_maxima(block(w_prev)))
-    previous = RowStore(lambda prev: (end_row(prev), (), next_row(prev), *blocks[prev.word]))
-    current = RowStore(lambda token: (*with_maxima(grid(token)), ()))
-    decoder._previous, decoder._current = (previous, previous), (current, current)
-    decoder._unknown_contexts = RowStore(lambda prev: previous[prev][1:3])
-    decoder._unknown_ratios = RowStore(lambda token: ())
+    entries = RowStore(lambda token: (
+        (end_row(token), (), next_row(token), *with_maxima(block(token.word))),
+        (*with_maxima(grid(token)), ())))
+    decoder._entries = entries, entries
     decoder._start_row = start_row
     return decoder
 
@@ -729,14 +701,14 @@ class TestPrunedSearch:
     ])
     def test_route_flag_crossings_decode_as_the_plain_recurrence(
             self, property_model, sentence, flags):
-        # Where the flags of a step differ, the step reads the
-        # unknown-word view's contexts and ratios beside its entries.
-        # Each path continues a region across such a step, so the
-        # continuation read there enters the score, and "Aberdeen" has
+        # Where the flags of a step differ, the step reads its
+        # continuation from the unknown-word view's entries of both
+        # tokens.  Each path continues a region across such a step, so
+        # the continuation read there enters the score, and "Aberdeen" has
         # other unigram ratios in the two views.
         main, unknown = property_model.table_views
         aberdeen = Token("Aberdeen", compute_feature("Aberdeen"))
-        assert main.unigram_ratios[aberdeen] != unknown.unigram_ratios[aberdeen]
+        assert main.entries[aberdeen][1][2] != unknown.entries[aberdeen][1][2]
         words = sentence.split()
         decoder = Decoder(property_model)
         assert "".join("U" if unknown else "K" for unknown, _ in decoder._keys(words)) == flags
@@ -774,6 +746,38 @@ class TestGeneratedStep:
         frame = 'File "%s", line ' % _recurrence.__code__.co_filename
         assert frame in shown
         assert shown.index(unpack) > shown.index(frame)
+
+    def test_a_sentence_reads_one_entry_per_token_and_two_per_crossing(self, property_model):
+        # Each token's entry is read once, and carried as the previous
+        # token's into the next step; a step whose route flags differ also
+        # reads the unknown-word entries of both its tokens.  The
+        # backtrace reads the last token's carried entry, no store.
+        class CountingEntries(RowStore):
+            reads = 0
+
+            def __getitem__(self, token):
+                CountingEntries.reads += 1
+                return super().__getitem__(token)
+
+        decoder = Decoder(property_model)
+        decoder._entries = tuple(CountingEntries(entries.__getitem__)
+                                 for entries in decoder._entries)
+        sentences = [s.tokens for s in generate_corpus(40, seed=23)]
+        sentences += [["Zqx"], ["Mr.", "Robert", "Zqx", "Qzx", "Bailey", "said", "."],
+                      ["Zqx", "Aberdeen", "+end+"]]
+        crossings = 0
+        for words in sentences:
+            keys = decoder._keys(words)
+            flags = [unknown for unknown, _ in keys]
+            crossed = sum(a is not b for a, b in zip(flags, flags[1:]))
+            crossings += crossed
+            before = CountingEntries.reads
+            scores, backptrs, last = _recurrence(keys, decoder._start_row, decoder._entries)
+            assert CountingEntries.reads - before == len(words) + 2 * crossed
+            result = decoder._backtrace(words, scores, backptrs, last)
+            assert CountingEntries.reads - before == len(words) + 2 * crossed
+            assert result == Decoder(property_model).decode_sentence(words)
+        assert crossings
 
     def test_its_source_can_be_read(self):
         source = inspect.getsource(_recurrence)

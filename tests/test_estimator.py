@@ -388,9 +388,14 @@ def log_next_words(tables, prev, token, size):
             for nc in INTERNAL_CLASSES]
 
 
-def always(row):
-    """A store that gives ``row`` under every key."""
-    return RowStore(lambda key: row)
+def unigram_pairs(tables, token):
+    """(j, count / c) for each class j whose word-unigram level counted token."""
+    pairs = []
+    for j, nc in enumerate(INTERNAL_CLASSES):
+        count = tables.word_unigrams.events((nc,)).get(token)
+        if count:
+            pairs.append((j, count / tables.word_unigrams.total((nc,))))
+    return tuple(pairs)
 
 
 def next_cells(model, view, prev, token):
@@ -404,10 +409,11 @@ def next_cells(model, view, prev, token):
     first-word columns of the internal previous classes), and closing j
     after token costs 0.0 (its region-end row and the END-OF-SENTENCE
     cells of its block).  So the path CONTINUEs, and its score, 0.0 +
-    cell + 0.0 + 0.0, is the cell bit for bit.  prev takes the
-    unknown-word route flag and token the main one, so the step reads
-    ``view``'s next-word contexts and unigram ratios, as the unknown-word
-    view's.
+    cell + 0.0 + 0.0, is the cell bit for bit.  Each entry holds
+    ``view``'s next-word contexts, floor row and unigram pairs beside
+    those rows.  prev takes the unknown-word route flag and token the
+    main one, so the step reads them from the unknown-word entries, as
+    the unknown-word view's.
     """
     k = len(INTERNAL_CLASSES)
     no_boundary = ((-math.inf,) * k,) * k
@@ -415,13 +421,16 @@ def next_cells(model, view, prev, token):
     cells = []
     for j in range(k):
         opens = tuple(0.0 if i == j else -math.inf for i in range(k))
-        previous = always((opens, (), (), *block))
-        current = always((no_boundary + (opens,), (-math.inf,) * k, ()))
+
+        def forced(key, opens=opens):
+            _, contexts, log_floors, _, _ = view.entries[key][0]
+            return ((opens, contexts, log_floors, *block),
+                    (no_boundary + (opens,), (-math.inf,) * k, view.entries[key][1][2]))
+
+        entries = RowStore(forced)
         decoder = Decoder(model)
         decoder._start_row = opens
-        decoder._previous, decoder._current = (previous, previous), (current, current)
-        decoder._unknown_contexts = view.next_contexts
-        decoder._unknown_ratios = view.unigram_ratios
+        decoder._entries = entries, entries
         decoder._token_keys = ({"b": (False, token)}, {"a": (True, prev)})
         result = decoder.decode_sentence(["a", "b"])
         assert result.path_classes == (INTERNAL_CLASSES[j],) * 2
@@ -431,12 +440,12 @@ def next_cells(model, view, prev, token):
 
 
 class TestLogRows:
-    """Every stored row, the start row, and every continuation row that a
-    decoder computes, equals math.log of the scalar queries exactly (==),
-    cell by cell, on both table sets, for trained and untrained contexts
-    alike; a row once stored is the same object, and each class's stored
-    maximum is the maximum of those logs.  Blocks and grids are stored by
-    previous class, as columns."""
+    """Every row of a token's entry, the start row, and every
+    continuation row that a decoder computes, equals math.log of the
+    scalar queries exactly (==), cell by cell, on both table sets, for
+    trained and untrained contexts alike; an entry once stored is the
+    same object, and each class's stored maximum is the maximum of those
+    logs.  Blocks and grids are stored by previous class, as columns."""
 
     @pytest.fixture(params=["tiny", "synthetic"])
     def model(self, request, tiny_model, synthetic_model):
@@ -449,10 +458,13 @@ class TestLogRows:
         words = {w_prev for _, w_prev in trained}
         words |= {END_WORD, UNKNOWN_WORD, "never-seen"}
         seen = {True: 0, False: 0}
-        untrained = view.transition_blocks["never-seen"][0]
+        untrained = view.entries[Token("never-seen", "lowerCase")][0][3]
         for w_prev in sorted(words):
-            entry = view.transition_blocks[w_prev]
-            block, maxima = entry
+            # The columns depend on the word alone, not on its feature.
+            token = Token(w_prev, "initCap")
+            entry = view.entries[token]
+            block, maxima = entry[0][3:]
+            assert view.entries[Token(w_prev, "lowerCase")][0][3] == block
             columns = []
             for i, nc_prev in enumerate(INTERNAL_CLASSES):
                 seen[(nc_prev, w_prev) in trained] += 1
@@ -461,7 +473,7 @@ class TestLogRows:
                 if (nc_prev, w_prev) not in trained:
                     assert block[i] is untrained[i]
             assert [list(column) for column in block] == columns
-            assert view.transition_blocks[w_prev] is entry
+            assert view.entries[token] is entry
             # The decoder's bound: per internal successor, the best column.
             assert maxima == tuple(
                 max(column[j] for column in columns) for j in range(len(INTERNAL_CLASSES)))
@@ -478,13 +490,13 @@ class TestLogRows:
         tokens |= {Token(UNKNOWN_WORD, "initCap"), Token(UNKNOWN_WORD, "fourDigitNum"),
                    Token("never-seen", "lowerCase"), END_TOKEN}
         for token in sorted(tokens):
-            entry = view.token_entries[token]
-            grid, maxima, pairs = entry
+            entry = view.entries[token]
+            grid, maxima, pairs = entry[1]
             # Every previous class's column, the START column (index 8) included.
             assert len(grid) == len(INTERNAL_CLASSES) + 1
             assert [list(row) for row in zip(*grid)] == log_first_words(tables, token, size)
-            assert view.token_entries[token] is entry
-            assert pairs is view.unigram_ratios[token]
+            assert view.entries[token] is entry
+            assert pairs == unigram_pairs(tables, token)
             # The decoder's bound leaves the START column out.
             assert maxima == tuple(
                 max(row[:len(INTERNAL_CLASSES)]) for row in log_first_words(tables, token, size))
@@ -523,9 +535,9 @@ class TestLogRows:
         prevs |= {Token("never-seen", "lowerCase"), Token(UNKNOWN_WORD, "initCap")}
         closed = 0
         for prev in sorted(prevs):
-            row = view.previous_entries[prev][0]
+            row = view.entries[prev][0][0]
             assert list(row) == log_next_words(tables, prev, END_TOKEN, size)
-            assert view.previous_entries[prev][0] is row
+            assert view.entries[prev][0][0] is row
             closed += any(END_TOKEN in bigrams.events((prev.word, prev.feature, nc))
                           for nc in INTERNAL_CLASSES)
         assert closed
@@ -544,7 +556,7 @@ class TestLogRows:
                        for nc in INTERNAL_CLASSES)
         mr = Token("Mr.", compute_feature("Mr.", True))
         for prev in (mr, literal, Token("said", "lowerCase")):
-            assert list(view.previous_entries[prev][0]) == log_next_words(
+            assert list(view.entries[prev][0][0]) == log_next_words(
                 tables, prev, END_TOKEN, len(model.vocabulary))
             assert next_cells(model, view, prev, literal) == log_next_words(
                 tables, prev, literal, len(model.vocabulary))
@@ -560,7 +572,7 @@ class TestLogRows:
                 counted.setdefault(token, []).append(j)
         token = next(token for token, classes in sorted(counted.items())
                      if 1 < len(classes) < len(INTERNAL_CLASSES))
-        assert view.unigram_ratios[token] == tuple(
+        assert view.entries[token][1][2] == tuple(
             (j, unigrams[j][token] / tables.word_unigrams.total((INTERNAL_CLASSES[j],)))
             for j in counted[token])
         floors = 0
@@ -568,7 +580,7 @@ class TestLogRows:
                             for word, feature, _ in tables.word_bigrams.contexts()})[:40]:
             row = next_cells(synthetic_model, view, prev, token)
             assert row == log_next_words(tables, prev, token, size)
-            log_floors = view.next_contexts[prev][1]
+            log_floors = view.entries[prev][0][2]
             for j in range(len(INTERNAL_CLASSES)):
                 if j not in counted[token]:
                     assert row[j] == log_floors[j]
@@ -583,7 +595,7 @@ class TestLogRows:
         unseen = Token("never-seen", "lowerCase"), Token("never-seen-either", "initCap")
         rows = [next_cells(tiny_model, view, said, token) for token in unseen]
         # Both read said's row of log floor terms.
-        assert rows[0] == rows[1] == list(view.next_contexts[said][1])
+        assert rows[0] == rows[1] == list(view.entries[said][0][2])
         for token, row in zip(unseen, rows):
             assert row == log_next_words(tables, said, token, len(tiny_model.vocabulary))
 
@@ -601,12 +613,12 @@ class TestLogRows:
         view = TableView(tables, size)
         said = Token("said", "lowerCase")
         for token in (only_first, only_bigram):
-            assert [list(row) for row in zip(*view.token_entries[token][0])] == \
+            assert [list(row) for row in zip(*view.entries[token][1][0])] == \
                 log_first_words(tables, token, size)
             for prev in (said, Token("never-seen", "lowerCase")):
                 assert next_cells(tiny_model, view, prev, token) == log_next_words(
                     tables, prev, token, size)
         columns = [log_transitions(tables, nc_prev, "said") for nc_prev in INTERNAL_CLASSES]
-        assert [list(column) for column in view.transition_blocks["said"][0]] == columns
-        assert view.token_entries[only_first][0] != view.token_entries[
-            Token("never-seen", "lowerCase")][0]
+        assert [list(column) for column in view.entries[said][0][3]] == columns
+        assert view.entries[only_first][1][0] != view.entries[
+            Token("never-seen", "lowerCase")][1][0]

@@ -129,14 +129,14 @@ def test_the_bound_skips_most_boundary_candidates(model, sentences):
             return tuple.__getitem__(self, j)
 
     def counting_entry(token, entries):
-        grid, maxima, pairs = entries[token]
+        as_previous, (grid, maxima, pairs) = entries[token]
         # The START column is read for the first token only.
-        return (*map(CountingColumn, grid[:k]), grid[k]), maxima, pairs
+        return as_previous, ((*map(CountingColumn, grid[:k]), grid[k]), maxima, pairs)
 
     decoder = Decoder(model)
-    decoder._current = tuple(
+    decoder._entries = tuple(
         RowStore(lambda token, entries=entries: counting_entry(token, entries))
-        for entries in decoder._current)
+        for entries in decoder._entries)
     steps = 0
     for words in sentences:
         assert decoder.decode_sentence(words) == Decoder(model).decode_sentence(words)

@@ -57,8 +57,8 @@ def test_scan_sees_unused_and_used_names():
 @pytest.mark.parametrize("path", sorted((ROOT / "src" / "namefinder").glob("*.py")),
                          ids=lambda path: path.name)
 def test_the_package_parses_as_python_3_10(path):
-    # requires-python is >=3.10; this checks the grammar only, not the
-    # behaviour of the standard library on 3.10.
+    # requires-python is >=3.11, and the package keeps to the grammar of
+    # 3.10, a subset of it.  This checks the grammar only.
     ast.parse(path.read_text(encoding="utf-8"), feature_version=(3, 10))
 
 
