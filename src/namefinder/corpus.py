@@ -165,7 +165,10 @@ def _split_text(text, words=None):
 
     A chunk that neither starts with an opener nor ends with a trailer
     is one token, and never a terminal, since every terminal is a
-    trailer; only the other chunks are split.  With ``words``, a dict,
+    trailer.  A lone opener or trailer, a chunk of one such character,
+    is one token too, as ``_split_chunk`` would leave it, and a lone
+    terminal ends a sentence; most punctuation in text stands alone like
+    this.  Only the other chunks are split.  With ``words``, a dict,
     each token is kept through ``words.setdefault(token, token)``, so
     equal words are one ``str``.
     """
@@ -173,6 +176,11 @@ def _split_text(text, words=None):
     breaks = []
     for chunk in text.split():
         if chunk[0] in _OPENERS or chunk[-1] in _TRAILERS:
+            if len(chunk) == 1:
+                tokens.append(chunk if words is None else words.setdefault(chunk, chunk))
+                if chunk in TERMINALS:
+                    breaks.append(len(tokens))
+                continue
             split = _split_chunk(chunk)
             if words is not None:
                 split = list(map(words.setdefault, split, split))

@@ -22,7 +22,12 @@ ids, then one tab-separated ``event count`` per event, where a word
 event is ``word-id feature-id`` and ``END_TOKEN`` is a bare ``-``.
 Lines are sorted by context text and each line's events by event text,
 so serialization is deterministic and write→read→write is
-byte-identical.
+byte-identical.  The writer gets that order by sorting whole lines, and
+each line's ``\\tevent count`` entries, as plain strings: the tab and
+the space that end a text sort below every id character (digits and
+``-``), and two texts of one section with the same number of fields
+are prefixes of each other only where a digit follows, so two lines or
+entries sort as their texts do.
 
 The reader looks each field up among the ids its slot may hold
 (``_layouts``), so a missed lookup is the refusal of a value the
@@ -102,31 +107,38 @@ def _layouts(words):
 
 
 def _ids(values, lookups) -> str:
-    """The ids of ``values`` in their fields' inverted lookups; KeyError
-    or ValueError for a value or a length that has no id."""
-    return " ".join([ids[value] for ids, value in zip(lookups, values, strict=True)])
+    """The ids of ``values`` in their fields' inverted lookups; ValueError
+    for a wrong number of values, KeyError for a value that has no id."""
+    if len(values) != len(lookups):
+        raise ValueError("%d values for %d fields" % (len(values), len(lookups)))
+    return " ".join(map(dict.__getitem__, lookups, values))
 
 
 def _table_lines(table: CondTable, layout) -> list:
     """The table's lines as ``_read_section`` reads them with ``layout``:
-    sorted by context text, each with its events sorted by event text."""
+    sorted by context text, each with its events sorted by event text.
+
+    An entry is its event's ``"\\t<ids> "`` prefix, made once per event,
+    and its count; entries and lines are sorted as plain strings, which
+    is that order (see the module docstring).
+    """
     (contexts, *context_ids), (events, *event_ids) = (
         [{value: text for text, value in lookup.items()} for lookup in part]
         for part in layout)
+    prefixes = {event: "\t%s " % text for event, text in events.items()}  # a memo from here on
     lines = []
     for context in table.contexts():
         entries = []
         for event, count in table.events(context).items():
-            text = events.get(event)  # a memo of event texts from here on
-            if text is None:
-                text = events[event] = _ids(event if len(event_ids) > 1 else (event,),
-                                            event_ids)
-            entries.append((text, count))
+            prefix = prefixes.get(event)
+            if prefix is None:
+                prefix = prefixes[event] = "\t%s " % _ids(
+                    event if len(event_ids) > 1 else (event,), event_ids)
+            entries.append(prefix + str(count))
         entries.sort()
-        lines.append((contexts.get(context) or _ids(context, context_ids),
-                      "".join(["\t%s %d" % entry for entry in entries])))
+        lines.append((contexts.get(context) or _ids(context, context_ids)) + "".join(entries))
     lines.sort()
-    return ["".join(line) for line in lines]
+    return lines
 
 
 def serialize_model(model: TrainedModel) -> str:

@@ -1,5 +1,5 @@
 """Every module-level import is used, the command line imports no
-hashing module, and the package parses as Python 3.10.
+hashing module, and the package parses as Python 3.11.
 
 No linter ships with the project, so this walks the syntax trees of the
 package, the tests, the demos and the tools with ``ast``.  The package's
@@ -56,10 +56,10 @@ def test_scan_sees_unused_and_used_names():
 
 @pytest.mark.parametrize("path", sorted((ROOT / "src" / "namefinder").glob("*.py")),
                          ids=lambda path: path.name)
-def test_the_package_parses_as_python_3_10(path):
-    # requires-python is >=3.11, and the package keeps to the grammar of
-    # 3.10, a subset of it.  This checks the grammar only.
-    ast.parse(path.read_text(encoding="utf-8"), feature_version=(3, 10))
+def test_the_package_parses_as_python_3_11(path):
+    # requires-python is >=3.11, the oldest grammar the package may use.
+    # This checks the grammar only.
+    ast.parse(path.read_text(encoding="utf-8"), feature_version=(3, 11))
 
 
 def test_the_command_line_loads_no_hashing_module():

@@ -895,6 +895,31 @@ class TestWriteModel:
         assert old_file.read_bytes() == b"the previous model\n"
         assert os.listdir(old_file.parent) == ["model.nf"]
 
+    @pytest.mark.parametrize("section, context, event", [
+        ("main.word_bigrams", ("said", "lowerCase"), END_TOKEN),
+        ("main.word_bigrams", ("said", "lowerCase", PERSON, PERSON), END_TOKEN),
+        ("main.class_transitions", (PERSON,), NOT_A_NAME),
+        ("unknown.first_words", (PERSON, NOT_A_NAME), ("said",)),
+        ("unknown.first_words", (PERSON, NOT_A_NAME), ("said", "lowerCase", "other")),
+    ], ids=["two-field-bigram-context", "four-field-bigram-context",
+            "one-field-transition-context", "one-field-first-word", "three-field-first-word"])
+    def test_a_value_of_the_wrong_field_count_is_written_nowhere(self, tiny_model, old_file,
+                                                                 section, context, event):
+        # Only a hand-built model holds such a row.  Each field it has
+        # would have an id, so only the count of fields refuses it.
+        prefix, name = section.split(".")
+        tables = {"main": CountTables(), "unknown": CountTables()}
+        getattr(tables[prefix], name).add(context, event)
+        model = TrainedModel(tiny_model.vocabulary, tables["main"], tables["unknown"],
+                             FeatureConfig())
+        with pytest.raises(ModelFormatError) as info:
+            serialize_model(model)
+        assert str(info.value) == "[%s] holds a value that has no id" % (section,)
+        with pytest.raises(ModelFormatError):
+            write_model(model, old_file)
+        assert old_file.read_bytes() == b"the previous model\n"
+        assert os.listdir(old_file.parent) == ["model.nf"]
+
     def test_an_empty_vocabulary_is_written_nowhere(self, old_file):
         # Training refuses a corpus too small to hold a word, so only a
         # hand-built model has no words; no loader reads its file.
