@@ -39,18 +39,13 @@ ROUNDS = 60
 def write_round(package, text):
     """(seconds per stage, (parsed sentences as plain tuples, model text))."""
     seconds = []
-    started = time.perf_counter()
-    sentences = package.parse_annotated(text)
-    seconds.append(time.perf_counter() - started)
-    started = time.perf_counter()
-    model = package.train(sentences)
-    seconds.append(time.perf_counter() - started)
-    started = time.perf_counter()
-    model_text = package.serialize_model(model)
-    seconds.append(time.perf_counter() - started)
-    started = time.perf_counter()
-    package.deserialize_model(model_text)
-    seconds.append(time.perf_counter() - started)
+    values = [text]  # each stage's input, then its output
+    for stage in (package.parse_annotated, package.train, package.serialize_model,
+                  package.deserialize_model):
+        started = time.perf_counter()
+        values.append(stage(values[-1]))
+        seconds.append(time.perf_counter() - started)
+    _, sentences, _, model_text, _ = values
     parsed = [(sentence.tokens, [(region.start, region.end, region.name_class)
                                  for region in sentence.regions])
               for sentence in sentences]
